@@ -8,12 +8,16 @@ announcement forms.  Equality between formulas is structural.
 
 Dynamic event operators carry the *name* of an event model; names are
 resolved against a registry at evaluation time, never stored inline.
+
+Structural walks (free variables, substitution, node checks, redex search)
+go through one pair of helpers: children(phi) lists a node's subformulas
+and rebuild(phi, kids) puts a node back together over new ones.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, Mapping, Tuple
+from typing import FrozenSet, Mapping, Optional, Sequence, Tuple
 
 from .errors import InvariantViolation, VariableCapture
 
@@ -151,48 +155,112 @@ class Exists(Formula):
 
 PROPOSITIONAL_ONLY = (Atom, PalBox, PalDia)
 FIRST_ORDER_ONLY = (Pred, Forall, Exists)
+DYNAMIC = (PalBox, PalDia, DelBox, DelDia)
+
+# The subformula fields of each node type, read by every structural walk;
+# an unknown node type is an error rather than a silent leaf.
+_CHILD_FIELDS = {
+    Top: (),
+    Bot: (),
+    Atom: (),
+    Pred: (),
+    Not: ("body",),
+    And: ("left", "right"),
+    Or: ("left", "right"),
+    Imp: ("left", "right"),
+    Box: ("body",),
+    Dia: ("body",),
+    Forall: ("body",),
+    Exists: ("body",),
+    PalBox: ("announcement", "body"),
+    PalDia: ("announcement", "body"),
+    DelBox: ("body",),
+    DelDia: ("body",),
+}
+
+
+def _child_fields(phi: Formula) -> Tuple[str, ...]:
+    try:
+        return _CHILD_FIELDS[type(phi)]
+    except KeyError:
+        raise InvariantViolation(f"unknown formula node {type(phi).__name__}") from None
+
+
+def children(phi: Formula) -> Tuple[Formula, ...]:
+    """The immediate subformulas of a node, in field order."""
+    return tuple(getattr(phi, f) for f in _child_fields(phi))
+
+
+def rebuild(phi: Formula, kids: Sequence[Formula]) -> Formula:
+    """The same node over new subformulas, given in the order of children()."""
+    fields = _child_fields(phi)
+    if not fields:
+        return phi
+    values = {f: getattr(phi, f) for f in phi.__dataclass_fields__}
+    values.update(zip(fields, kids))
+    return type(phi)(**values)
+
+
+def is_static(phi: Formula) -> bool:
+    """True when no announcement or event operator occurs anywhere."""
+    return not isinstance(phi, DYNAMIC) and all(map(is_static, children(phi)))
+
+
+def first_order_node(phi: Formula) -> Optional[str]:
+    """Name of some first-order construct in the formula, if any."""
+    if isinstance(phi, FIRST_ORDER_ONLY):
+        return type(phi).__name__
+    for kid in children(phi):
+        found = first_order_node(kid)
+        if found:
+            return found
+    return None
+
+
+def big_and(parts: Sequence[Formula]) -> Formula:
+    """Left-nested conjunction; Top for no parts."""
+    if not parts:
+        return Top()
+    out = parts[0]
+    for p in parts[1:]:
+        out = And(out, p)
+    return out
+
+
+def big_or(parts: Sequence[Formula]) -> Formula:
+    """Left-nested disjunction; Bot for no parts."""
+    if not parts:
+        return Bot()
+    out = parts[0]
+    for p in parts[1:]:
+        out = Or(out, p)
+    return out
 
 
 def term_free_vars(t: Term) -> FrozenSet[str]:
+    """Every variable of a term (terms bind nothing, so all are free)."""
     if isinstance(t, Var):
         return frozenset([t.name])
     if isinstance(t, Fun):
-        out: FrozenSet[str] = frozenset()
-        for a in t.args:
-            out |= term_free_vars(a)
-        return out
+        return frozenset().union(*map(term_free_vars, t.args))
+    raise InvariantViolation(f"unknown term node {type(t).__name__}")
+
+
+def substitute_term(t: Term, mapping: Mapping[str, Term]) -> Term:
+    if isinstance(t, Var):
+        return mapping.get(t.name, t)
+    if isinstance(t, Fun):
+        return Fun(t.name, tuple(substitute_term(a, mapping) for a in t.args))
     raise InvariantViolation(f"unknown term node {type(t).__name__}")
 
 
 def free_vars(phi: Formula) -> FrozenSet[str]:
-    if isinstance(phi, (Top, Bot, Atom)):
-        return frozenset()
     if isinstance(phi, Pred):
-        out: FrozenSet[str] = frozenset()
-        for t in phi.args:
-            out |= term_free_vars(t)
-        return out
-    if isinstance(phi, Not):
-        return free_vars(phi.body)
-    if isinstance(phi, (And, Or, Imp)):
-        return free_vars(phi.left) | free_vars(phi.right)
-    if isinstance(phi, (Box, Dia)):
-        return free_vars(phi.body)
-    if isinstance(phi, (PalBox, PalDia)):
-        return free_vars(phi.announcement) | free_vars(phi.body)
-    if isinstance(phi, (DelBox, DelDia)):
-        return free_vars(phi.body)
+        return frozenset().union(*map(term_free_vars, phi.args))
+    out = frozenset().union(*map(free_vars, children(phi)))
     if isinstance(phi, (Forall, Exists)):
-        return free_vars(phi.body) - frozenset([phi.var])
-    raise InvariantViolation(f"unknown formula node {type(phi).__name__}")
-
-
-def _subst_term(t: Term, mapping: Mapping[str, Term]) -> Term:
-    if isinstance(t, Var):
-        return mapping.get(t.name, t)
-    if isinstance(t, Fun):
-        return Fun(t.name, tuple(_subst_term(a, mapping) for a in t.args))
-    raise InvariantViolation(f"unknown term node {type(t).__name__}")
+        return out - frozenset([phi.var])
+    return out
 
 
 def substitute(phi: Formula, mapping: Mapping[str, Term]) -> Formula:
@@ -204,30 +272,8 @@ def substitute(phi: Formula, mapping: Mapping[str, Term]) -> Formula:
     """
     if not mapping:
         return phi
-    if isinstance(phi, (Top, Bot, Atom)):
-        return phi
     if isinstance(phi, Pred):
-        return Pred(phi.name, tuple(_subst_term(t, mapping) for t in phi.args))
-    if isinstance(phi, Not):
-        return Not(substitute(phi.body, mapping))
-    if isinstance(phi, And):
-        return And(substitute(phi.left, mapping), substitute(phi.right, mapping))
-    if isinstance(phi, Or):
-        return Or(substitute(phi.left, mapping), substitute(phi.right, mapping))
-    if isinstance(phi, Imp):
-        return Imp(substitute(phi.left, mapping), substitute(phi.right, mapping))
-    if isinstance(phi, Box):
-        return Box(phi.agent, substitute(phi.body, mapping))
-    if isinstance(phi, Dia):
-        return Dia(phi.agent, substitute(phi.body, mapping))
-    if isinstance(phi, PalBox):
-        return PalBox(substitute(phi.announcement, mapping), substitute(phi.body, mapping))
-    if isinstance(phi, PalDia):
-        return PalDia(substitute(phi.announcement, mapping), substitute(phi.body, mapping))
-    if isinstance(phi, DelBox):
-        return DelBox(phi.model, phi.event, substitute(phi.body, mapping))
-    if isinstance(phi, DelDia):
-        return DelDia(phi.model, phi.event, substitute(phi.body, mapping))
+        return Pred(phi.name, tuple(substitute_term(t, mapping) for t in phi.args))
     if isinstance(phi, (Forall, Exists)):
         inner = {x: t for x, t in mapping.items() if x != phi.var}
         relevant = free_vars(phi.body) - frozenset([phi.var])
@@ -236,9 +282,8 @@ def substitute(phi: Formula, mapping: Mapping[str, Term]) -> Formula:
                 raise VariableCapture(
                     f"substituting {x!r} would capture {phi.var!r} under its binder"
                 )
-        rebuilt = substitute(phi.body, inner)
-        return Forall(phi.var, rebuilt) if isinstance(phi, Forall) else Exists(phi.var, rebuilt)
-    raise InvariantViolation(f"unknown formula node {type(phi).__name__}")
+        return rebuild(phi, (substitute(phi.body, inner),))
+    return rebuild(phi, [substitute(kid, mapping) for kid in children(phi)])
 
 
 def _check_context(context: Tuple[str, ...]) -> None:
@@ -249,16 +294,8 @@ def _check_context(context: Tuple[str, ...]) -> None:
 def _forbid_nodes(phi: Formula, banned, where: str) -> None:
     if isinstance(phi, banned):
         raise InvariantViolation(f"{type(phi).__name__} node not allowed in {where}")
-    if isinstance(phi, Not):
-        _forbid_nodes(phi.body, banned, where)
-    elif isinstance(phi, (And, Or, Imp)):
-        _forbid_nodes(phi.left, banned, where)
-        _forbid_nodes(phi.right, banned, where)
-    elif isinstance(phi, (Box, Dia, DelBox, DelDia, Forall, Exists)):
-        _forbid_nodes(phi.body, banned, where)
-    elif isinstance(phi, (PalBox, PalDia)):
-        _forbid_nodes(phi.announcement, banned, where)
-        _forbid_nodes(phi.body, banned, where)
+    for kid in children(phi):
+        _forbid_nodes(kid, banned, where)
 
 
 @dataclass(frozen=True)
@@ -293,7 +330,7 @@ class FormulaInContext:
         if not isinstance(self.context, tuple):
             object.__setattr__(self, "context", tuple(self.context))
         _check_context(self.context)
-        _forbid_nodes(self.body, (Atom, PalBox, PalDia), "a formula in context")
+        _forbid_nodes(self.body, PROPOSITIONAL_ONLY, "a formula in context")
         extra = free_vars(self.body) - set(self.context)
         if extra:
             raise InvariantViolation(
@@ -311,25 +348,6 @@ def as_sentence(phi: Formula) -> FormulaInContext:
     def fold(psi: Formula) -> Formula:
         if isinstance(psi, Atom):
             return Pred(psi.name, ())
-        if isinstance(psi, Not):
-            return Not(fold(psi.body))
-        if isinstance(psi, And):
-            return And(fold(psi.left), fold(psi.right))
-        if isinstance(psi, Or):
-            return Or(fold(psi.left), fold(psi.right))
-        if isinstance(psi, Imp):
-            return Imp(fold(psi.left), fold(psi.right))
-        if isinstance(psi, Box):
-            return Box(psi.agent, fold(psi.body))
-        if isinstance(psi, Dia):
-            return Dia(psi.agent, fold(psi.body))
-        if isinstance(psi, DelBox):
-            return DelBox(psi.model, psi.event, fold(psi.body))
-        if isinstance(psi, DelDia):
-            return DelDia(psi.model, psi.event, fold(psi.body))
-        if isinstance(psi, Forall):
-            return Forall(psi.var, fold(psi.body))
-        if isinstance(psi, Exists):
-            return Exists(psi.var, fold(psi.body))
-        return psi
+        return rebuild(psi, [fold(kid) for kid in children(psi)])
+
     return FormulaInContext((), fold(phi))

@@ -41,7 +41,7 @@ from .frames import AgentSet, FrameMap, KripkeFrame, frame_map, initial_lift, is
 from .models import EventModel, KripkeModel
 from .powerset import Subset
 from .rel import FiniteSet, Rel, compose, dagger
-from .sheaves import KripkeSheaf, SheafModel, Signature, fibered_power
+from .sheaves import KripkeSheaf, SheafModel, Signature
 
 
 def random_carrier(rng: random.Random, size: int, prefix: str = "w") -> FiniteSet:
@@ -376,16 +376,16 @@ def random_sheaf_model(
     section exists."""
     functions: Dict[str, int] = {"f": 1}
     fn_interp: Dict[str, FrameMap] = {}
-    power1 = fibered_power(sheaf, 1)
+    power1 = sheaf.power(1)
     fn_interp["f"] = FrameMap(power1.frame, sheaf.total, _monotone_unary(rng, sheaf))
     section = _monotone_section(rng, sheaf)
     if section is not None:
         functions["c"] = 0
-        power0 = fibered_power(sheaf, 0)
+        power0 = sheaf.power(0)
         fn_interp["c"] = FrameMap(power0.frame, sheaf.total, section)
     if with_binary:
         functions["g"] = 2
-        power2 = fibered_power(sheaf, 2)
+        power2 = sheaf.power(2)
         first = {lbl: power2.tuple_of(lbl)[0] for lbl in power2.carrier}
         fn_interp["g"] = FrameMap(
             power2.frame,
@@ -402,7 +402,7 @@ def random_sheaf_model(
         rel_interp[name] = random_subset(rng, sheaf.total.carrier)
     if with_binary:
         relations["R2"] = 2
-        power2 = fibered_power(sheaf, 2)
+        power2 = sheaf.power(2)
         rel_interp["R2"] = random_subset(rng, power2.carrier)
     signature = Signature.make(functions, relations)
     return SheafModel(sheaf, signature, fn_interp, rel_interp)

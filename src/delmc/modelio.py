@@ -33,13 +33,13 @@ import json
 from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
 
 from .errors import SchemaError
-from .formulas import Formula, FormulaInContext
+from .formulas import Formula, FormulaInContext, as_sentence, first_order_node
 from .frames import AgentSet, KripkeFrame, FrameMap, frame_map
 from .models import EventModel, KripkeModel
 from .parser import parse_formula, print_formula
 from .powerset import Subset
 from .rel import FiniteSet, Rel, function_from_mapping, rel
-from .sheaves import FiberedPower, KripkeSheaf, SheafModel, Signature, fibered_power
+from .sheaves import FiberedPower, KripkeSheaf, SheafModel, Signature
 
 FORMAT_VERSION = 1
 
@@ -257,18 +257,11 @@ def _load_sheaf(doc: Mapping[str, Any]) -> SheafModel:
         relations[name] = _require(entry, "arity", int, f"{where}.predicates.{name}")
     signature = Signature.make(functions, relations)
 
-    powers: Dict[int, FiberedPower] = {}
-
-    def power(n: int) -> FiberedPower:
-        if n not in powers:
-            powers[n] = fibered_power(sheaf, n)
-        return powers[n]
-
     fn_interp: Dict[str, FrameMap] = {}
     for name in sorted(fn_doc):
         entry = fn_doc[name]
         arity = functions[name]
-        pw = power(arity)
+        pw = sheaf.power(arity)
         here = f"{where}.functions.{name}"
         mapping: Dict[str, str] = {}
         if arity == 0:
@@ -305,7 +298,7 @@ def _load_sheaf(doc: Mapping[str, Any]) -> SheafModel:
     for name in sorted(rel_doc):
         entry = rel_doc[name]
         arity = relations[name]
-        pw = power(arity)
+        pw = sheaf.power(arity)
         here = f"{where}.predicates.{name}"
         ext = _require(entry, "extension", list, here)
         members = set()
@@ -319,9 +312,7 @@ def _load_sheaf(doc: Mapping[str, Any]) -> SheafModel:
                 members.add(_power_label(pw, sheaf, tup, f"{here}.extension[{i}]"))
         rel_interp[name] = Subset(pw.carrier, frozenset(members))
 
-    model = SheafModel(sheaf, signature, fn_interp, rel_interp)
-    model._powers.update(powers)
-    return model
+    return SheafModel(sheaf, signature, fn_interp, rel_interp)
 
 
 _LOADERS = {
@@ -361,6 +352,14 @@ def load_file(path: str) -> Tuple[Optional[str], LoadedModel]:
     return doc.get("name"), model
 
 
+def _print_precondition(pre: Formula) -> str:
+    """Plain syntax, or the empty-context form when the precondition is
+    first-order, which is the only form the loader reads quantifiers in."""
+    if first_order_node(pre):
+        return print_formula(as_sentence(pre))
+    return print_formula(pre)
+
+
 def _dump_frame(frame: KripkeFrame) -> Dict[str, Any]:
     return {
         a: sorted([s, d] for s, d in frame.rel(a).pairs) for a in frame.agents
@@ -384,9 +383,7 @@ def dump_model(model: LoadedModel, name: Optional[str] = None) -> Dict[str, Any]
         doc["events"] = list(model.frame.carrier.elements)
         doc["agents"] = list(model.frame.agents.agents)
         doc["relations"] = _dump_frame(model.frame)
-        doc["preconditions"] = {
-            e: print_formula(model.pre(e)) for e in model.events
-        }
+        doc["preconditions"] = {e: _print_precondition(model.pre(e)) for e in model.events}
         return doc
     if isinstance(model, SheafModel):
         sheaf = model.sheaf

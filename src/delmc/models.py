@@ -1,4 +1,5 @@
-"""Kripke models, event models, announcement and product update.
+"""Kripke models, event models, announcement and product update, and the
+one evaluator that serves both layers.
 
 Extensions are computed algebraically: a box is the universal image along
 the dagger of the agent's relation, announcement operators are the
@@ -6,6 +7,13 @@ universal/direct images along the submodel inclusion, and event operators
 are images along the transition relation of the update.  Dynamic operators
 name their event model; names resolve through a registry passed alongside
 the formula.
+
+The evaluator here also interprets first-order formulas in context on
+sheaf models (see ``sheaves``): a formula in an n-variable context denotes
+a subset of the n-th fibered power, and a Kripke model is the case of the
+empty context.  Each model supplies the layer-specific part (the frame of
+a context, leaves, the quantifier map, its update and that update's
+transitions); the evaluator holds the rest once.
 
 Event preconditions may themselves be dynamic (they are evaluated on the
 original model); cyclic references between event models are detected and
@@ -16,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, FrozenSet, List, Mapping, Optional, Tuple
 
 from .errors import (
     AgentMismatch,
@@ -35,6 +43,8 @@ from .formulas import (
     DelBox,
     DelDia,
     Dia,
+    Exists,
+    Forall,
     Formula,
     Imp,
     Not,
@@ -42,8 +52,9 @@ from .formulas import (
     PalBox,
     PalDia,
     Top,
+    big_and,
 )
-from .frames import FrameMap, KripkeFrame, initial_lift, is_bounded
+from .frames import FrameMap, KripkeFrame, initial_lift, is_bounded, product, subframe
 from .powerset import (
     JOIN,
     MEET,
@@ -93,6 +104,94 @@ class KripkeModel:
             return self.val_map[atom]
         except KeyError:
             raise UnknownAtom(f"atom {atom!r} not in valuation") from None
+
+    # The evaluator's per-layer interface (see _Evaluator).
+
+    def context_frame(self, n: int) -> KripkeFrame:
+        if n:
+            raise UnknownSymbol(
+                "quantifiers cannot be evaluated on a propositional model"
+            )
+        return self.frame
+
+    def leaf(self, context: Tuple[str, ...], phi: Formula) -> Subset:
+        if isinstance(phi, Atom):
+            return self.val(phi.name)
+        raise UnknownSymbol(
+            f"{type(phi).__name__} node cannot be evaluated on a propositional model"
+        )
+
+    def transition(self, upd: "UpdateResult", n: int, e: str) -> Rel:
+        return upd.transition(e)
+
+    def build_update(self, ev: "EventModel", ext: Callable[[Formula], Subset]) -> "UpdateResult":
+        """Product update, given the extension of a closed formula here."""
+        frame_x = self.frame
+        frame_e = ev.frame
+        extents = {e: ext(ev.pre(e)) for e in ev.events}
+        frame, px, pe = updated_frame(frame_x, frame_e, extents)
+        val = {
+            n: Subset(
+                frame.carrier,
+                frozenset(
+                    pair_label(w, e)
+                    for w in s.members
+                    for e in ev.events
+                    if pair_label(w, e) in frame.carrier.as_set
+                ),
+            )
+            for n, s in self.valuation
+        }
+        updated = KripkeModel.make(frame, val)
+        p_x = FrameMap(frame, frame_x, px)
+        p_e = FrameMap(frame, frame_e, pe)
+
+        ambient, amb_p1, amb_p2 = product(frame_x, frame_e)
+        ambient_incl = Rel(
+            frame.carrier, ambient.carrier, frozenset((c, c) for c in frame.carrier)
+        )
+        x = frame_x.carrier
+        extent_list: List[Tuple[str, Subset]] = []
+        incl_list: List[Tuple[str, Rel]] = []
+        inj_list: List[Tuple[str, Rel]] = []
+        amb_inj_list: List[Tuple[str, Rel]] = []
+        trans_list: List[Tuple[str, Rel]] = []
+        for e in ev.events:
+            extent = extents[e]
+            sub_elems = tuple(w for w in x if w in extent.members)
+            sub_carrier = FiniteSet(f"({x.name}|{e})", sub_elems)
+            i_e = Rel(sub_carrier, x, frozenset((w, w) for w in sub_elems))
+            q_e = Rel(
+                sub_carrier, frame.carrier, frozenset((w, pair_label(w, e)) for w in sub_elems)
+            )
+            qprime_e = Rel(
+                x, ambient.carrier, frozenset((w, pair_label(w, e)) for w in x)
+            )
+            r_e = compose(dagger(i_e), q_e)
+            via_ambient = compose(qprime_e, dagger(ambient_incl))
+            if r_e != via_ambient:
+                raise InvariantViolation(
+                    f"transition relation for event {e!r} disagrees between its two constructions"
+                )
+            extent_list.append((e, extent))
+            incl_list.append((e, i_e))
+            inj_list.append((e, q_e))
+            amb_inj_list.append((e, qprime_e))
+            trans_list.append((e, r_e))
+        return UpdateResult(
+            source=self,
+            events=ev,
+            updated=updated,
+            p_x=p_x,
+            p_e=p_e,
+            ambient=ambient,
+            ambient_incl=ambient_incl,
+            pre_extents=tuple(extent_list),
+            event_inclusions=tuple(incl_list),
+            event_injections=tuple(inj_list),
+            ambient_injections=tuple(amb_inj_list),
+            transitions=tuple(trans_list),
+        )
 
 
 @dataclass(frozen=True)
@@ -198,71 +297,107 @@ def updated_frame(
 
 
 class _Evaluator:
-    """Extension computation with call-scoped memoisation."""
+    """Extensions on either layer, with call-scoped memoisation.
+
+    ``ext(model, context, phi)`` is the subset of the context's points where
+    the formula holds.  The evaluator holds what both layers share: the
+    memo, the Boolean connectives, boxes and diamonds as images along the
+    dagger of an agent's relation, quantifiers as images along the model's
+    drop map, event operators as images along an update's transition, and
+    the update memo with its cycle check.  A model supplies the rest:
+
+    - ``context_frame(n)``: the frame whose carrier holds the points of an
+      n-variable context, with one relation per agent;
+    - ``leaf(context, phi)``: the extension of an atom or predicate;
+    - ``drop_last_map(n)``: the map from the (n+1)- to the n-variable
+      context's points that quantifiers take images along (sheaves only);
+    - ``build_update(ev, ext)``: the update by an event model, given the
+      extension of a closed formula on the model;
+    - ``transition(upd, n, e)``: that update's relation from old points to
+      their updated copies under event e.
+
+    Announcements stay Kripke-only.  A node a layer does not interpret
+    raises UnknownSymbol.  Models key the memo by value (Kripke models) or
+    by identity (sheaf models); an updated model is built once per
+    ``(model, ref)`` and held by the update memo, so its entries recur.
+    """
 
     def __init__(self, registry: Optional[Mapping[str, EventModel]] = None):
         self.registry = dict(registry or {})
-        self.memo: Dict[Tuple[KripkeModel, Formula], Subset] = {}
+        self.memo: Dict[tuple, Subset] = {}
         self.pal_memo: Dict[Tuple[KripkeModel, Formula], Tuple[KripkeModel, FrameMap]] = {}
-        self.update_memo: Dict[Tuple[KripkeModel, str], UpdateResult] = {}
+        self.update_memo: Dict[tuple, object] = {}
         self.updating: set = set()
 
-    def ext(self, model: KripkeModel, phi: Formula) -> Subset:
-        key = (model, phi)
+    def ext(self, model, context: Tuple[str, ...], phi: Formula) -> Subset:
+        key = (model, context, phi)
         hit = self.memo.get(key)
         if hit is not None:
             return hit
-        out = self._ext(model, phi)
+        out = self._ext(model, context, phi)
         self.memo[key] = out
         return out
 
-    def _ext(self, model: KripkeModel, phi: Formula) -> Subset:
-        carrier = model.frame.carrier
+    def _ext(self, model, context: Tuple[str, ...], phi: Formula) -> Subset:
+        n = len(context)
+        frame = model.context_frame(n)
+        carrier = frame.carrier
         if isinstance(phi, Top):
             return Subset(carrier, carrier.as_set)
         if isinstance(phi, Bot):
             return Subset(carrier, frozenset())
-        if isinstance(phi, Atom):
-            return model.val(phi.name)
         if isinstance(phi, Not):
-            return self.ext(model, phi.body).complement()
+            return self.ext(model, context, phi.body).complement()
         if isinstance(phi, And):
-            return self.ext(model, phi.left).intersect(self.ext(model, phi.right))
+            return self.ext(model, context, phi.left).intersect(
+                self.ext(model, context, phi.right)
+            )
         if isinstance(phi, Or):
-            return self.ext(model, phi.left).union(self.ext(model, phi.right))
+            return self.ext(model, context, phi.left).union(
+                self.ext(model, context, phi.right)
+            )
         if isinstance(phi, Imp):
-            return self.ext(model, phi.left).complement().union(self.ext(model, phi.right))
+            return (
+                self.ext(model, context, phi.left)
+                .complement()
+                .union(self.ext(model, context, phi.right))
+            )
         if isinstance(phi, Box):
-            r = model.frame.rel(phi.agent)
-            return apply(forall_map(dagger(r)), self.ext(model, phi.body))
+            r = frame.rel(phi.agent)
+            return apply(forall_map(dagger(r)), self.ext(model, context, phi.body))
         if isinstance(phi, Dia):
-            r = model.frame.rel(phi.agent)
-            return apply(exists_map(dagger(r)), self.ext(model, phi.body))
-        if isinstance(phi, (PalBox, PalDia)):
-            sub, incl = self.pal(model, phi.announcement)
-            inner = self.ext(sub, phi.body)
-            image = forall_map(incl.fn) if isinstance(phi, PalBox) else exists_map(incl.fn)
+            r = frame.rel(phi.agent)
+            return apply(exists_map(dagger(r)), self.ext(model, context, phi.body))
+        if isinstance(phi, (Forall, Exists)):
+            if phi.var in context:
+                raise InvariantViolation(
+                    f"quantified variable {phi.var!r} shadows the context; rename it"
+                )
+            inner = self.ext(model, context + (phi.var,), phi.body)
+            drop = model.drop_last_map(n)
+            image = forall_map(drop) if isinstance(phi, Forall) else exists_map(drop)
             return apply(image, inner)
         if isinstance(phi, (DelBox, DelDia)):
             upd = self.update(model, phi.model)
             if phi.event not in upd.events.events:
                 raise UnknownEvent(f"event {phi.event!r} not in event model {phi.model!r}")
-            inner = self.ext(upd.updated, phi.body)
-            r_e = upd.transition(phi.event)
-            image = forall_map(dagger(r_e)) if isinstance(phi, DelBox) else exists_map(dagger(r_e))
+            inner = self.ext(upd.updated, context, phi.body)
+            r_e = dagger(model.transition(upd, n, phi.event))
+            image = forall_map(r_e) if isinstance(phi, DelBox) else exists_map(r_e)
             return apply(image, inner)
-        raise UnknownSymbol(
-            f"{type(phi).__name__} node cannot be evaluated on a propositional model"
-        )
+        if isinstance(phi, (PalBox, PalDia)) and isinstance(model, KripkeModel):
+            sub, incl = self.pal(model, phi.announcement)
+            inner = self.ext(sub, context, phi.body)
+            image = forall_map(incl.fn) if isinstance(phi, PalBox) else exists_map(incl.fn)
+            return apply(image, inner)
+        return model.leaf(context, phi)
 
     def pal(self, model: KripkeModel, sigma: Formula) -> Tuple[KripkeModel, FrameMap]:
         key = (model, sigma)
         hit = self.pal_memo.get(key)
         if hit is not None:
             return hit
-        extent = self.ext(model, sigma)
-        from .frames import subframe
-
+        extent = self.ext(model, (), sigma)
         frame, incl = subframe(model.frame, extent, tag="!")
         val = {
             n: Subset(frame.carrier, s.members & frame.carrier.as_set)
@@ -272,7 +407,7 @@ class _Evaluator:
         self.pal_memo[key] = (sub, incl)
         return sub, incl
 
-    def update(self, model: KripkeModel, ref: str) -> UpdateResult:
+    def update(self, model, ref: str):
         key = (model, ref)
         hit = self.update_memo.get(key)
         if hit is not None:
@@ -291,75 +426,8 @@ class _Evaluator:
         self.update_memo[key] = out
         return out
 
-    def build_update(self, model: KripkeModel, ev: EventModel) -> UpdateResult:
-        frame_x = model.frame
-        frame_e = ev.frame
-        extents = {e: self.ext(model, ev.pre(e)) for e in ev.events}
-        frame, px, pe = updated_frame(frame_x, frame_e, extents)
-        val = {
-            n: Subset(
-                frame.carrier,
-                frozenset(
-                    pair_label(w, e)
-                    for w in s.members
-                    for e in ev.events
-                    if pair_label(w, e) in frame.carrier.as_set
-                ),
-            )
-            for n, s in model.valuation
-        }
-        updated = KripkeModel.make(frame, val)
-        p_x = FrameMap(frame, frame_x, px)
-        p_e = FrameMap(frame, frame_e, pe)
-
-        from .frames import product
-
-        ambient, amb_p1, amb_p2 = product(frame_x, frame_e)
-        ambient_incl = Rel(
-            frame.carrier, ambient.carrier, frozenset((c, c) for c in frame.carrier)
-        )
-        x = frame_x.carrier
-        extent_list: List[Tuple[str, Subset]] = []
-        incl_list: List[Tuple[str, Rel]] = []
-        inj_list: List[Tuple[str, Rel]] = []
-        amb_inj_list: List[Tuple[str, Rel]] = []
-        trans_list: List[Tuple[str, Rel]] = []
-        for e in ev.events:
-            extent = extents[e]
-            sub_elems = tuple(w for w in x if w in extent.members)
-            sub_carrier = FiniteSet(f"({x.name}|{e})", sub_elems)
-            i_e = Rel(sub_carrier, x, frozenset((w, w) for w in sub_elems))
-            q_e = Rel(
-                sub_carrier, frame.carrier, frozenset((w, pair_label(w, e)) for w in sub_elems)
-            )
-            qprime_e = Rel(
-                x, ambient.carrier, frozenset((w, pair_label(w, e)) for w in x)
-            )
-            r_e = compose(dagger(i_e), q_e)
-            via_ambient = compose(qprime_e, dagger(ambient_incl))
-            if r_e != via_ambient:
-                raise InvariantViolation(
-                    f"transition relation for event {e!r} disagrees between its two constructions"
-                )
-            extent_list.append((e, extent))
-            incl_list.append((e, i_e))
-            inj_list.append((e, q_e))
-            amb_inj_list.append((e, qprime_e))
-            trans_list.append((e, r_e))
-        return UpdateResult(
-            source=model,
-            events=ev,
-            updated=updated,
-            p_x=p_x,
-            p_e=p_e,
-            ambient=ambient,
-            ambient_incl=ambient_incl,
-            pre_extents=tuple(extent_list),
-            event_inclusions=tuple(incl_list),
-            event_injections=tuple(inj_list),
-            ambient_injections=tuple(amb_inj_list),
-            transitions=tuple(trans_list),
-        )
+    def build_update(self, model, ev: EventModel):
+        return model.build_update(ev, lambda phi: self.ext(model, (), phi))
 
 
 def extension(
@@ -368,7 +436,7 @@ def extension(
     registry: Optional[Mapping[str, EventModel]] = None,
 ) -> Subset:
     """The set of worlds where the formula holds."""
-    return _Evaluator(registry).ext(model, phi)
+    return _Evaluator(registry).ext(model, (), phi)
 
 
 def pal_update(
@@ -415,8 +483,8 @@ def _equality_check(
     lhs: Formula,
     rhs: Formula,
 ) -> LawCheck:
-    left = ev.ext(model, lhs)
-    right = ev.ext(model, rhs)
+    left = ev.ext(model, (), lhs)
+    right = ev.ext(model, (), rhs)
     if left == right:
         return LawCheck(name, True)
     diff = sorted(left.members.symmetric_difference(right.members))
@@ -460,15 +528,6 @@ def verify_pal_reductions(
             )
         )
     return LawReport(tuple(checks))
-
-
-def big_and(parts: Sequence[Formula]) -> Formula:
-    if not parts:
-        return Top()
-    out = parts[0]
-    for p in parts[1:]:
-        out = And(out, p)
-    return out
 
 
 def verify_del_reductions(
@@ -624,7 +683,7 @@ def no_learning_check(
     witness = None
     holds = True
     for e in ev_model.events:
-        pre_ext = ev.ext(model, ev_model.pre(e)).members
+        pre_ext = ev.ext(model, (), ev_model.pre(e)).members
         box_along = forall_map(dagger(upd.transition(e)))
         for f, sx, su in pool:
             lhs = apply(box_along, Subset(upd.updated.frame.carrier, su)).members
@@ -653,7 +712,7 @@ def static_precondition_modalities(
     with the announcement.
     """
     ev = _Evaluator(registry)
-    extent = ev.ext(model, sigma)
+    extent = ev.ext(model, (), sigma)
     _, incl = ev.pal(model, sigma)
     box_map = compose_maps(preimage_map(incl.fn, MEET), forall_map(incl.fn))
     dia_map = compose_maps(preimage_map(incl.fn, JOIN), exists_map(incl.fn))

@@ -46,6 +46,7 @@ from .formulas import (
     Term,
     Top,
     Var,
+    children,
 )
 
 _KEYWORDS = ("true", "false", "forall", "exists", "ctx")
@@ -344,10 +345,7 @@ def _check_event_refs(phi: Formula, event_models, tokens: List[_Token]) -> None:
                 expected="one of " + ", ".join(sorted(event_models)),
                 found=node.model,
             )
-        for field in ("body", "left", "right", "announcement"):
-            child = getattr(node, field, None)
-            if child is not None:
-                stack.append(child)
+        stack.extend(children(node))
 
 
 def parse_term(text: str) -> Term:

@@ -20,6 +20,7 @@ from typing import List, Mapping, Optional, Sequence, Tuple, Union
 
 from .errors import InvariantViolation, NotReducible, UnresolvedEventModel
 from .formulas import (
+    DYNAMIC,
     And,
     Atom,
     Bot,
@@ -31,7 +32,6 @@ from .formulas import (
     Forall,
     Formula,
     FormulaInContext,
-    Fun,
     Imp,
     Not,
     Or,
@@ -42,45 +42,20 @@ from .formulas import (
     Top,
     Var,
     as_sentence,
+    big_and,
+    big_or,
+    children,
+    first_order_node,
+    is_static,
+    rebuild,
+    substitute_term,
+    term_free_vars,
 )
 from .models import EventModel, KripkeModel, _Evaluator
-from .sheaves import SheafModel, _FOEvaluator
+from .sheaves import SheafModel
 
-_DYNAMIC = (PalBox, PalDia, DelBox, DelDia)
-_CHILD_FIELDS = {
-    Not: ("body",),
-    And: ("left", "right"),
-    Or: ("left", "right"),
-    Imp: ("left", "right"),
-    Box: ("body",),
-    Dia: ("body",),
-    Forall: ("body",),
-    Exists: ("body",),
-    PalBox: ("announcement", "body"),
-    PalDia: ("announcement", "body"),
-    DelBox: ("body",),
-    DelDia: ("body",),
-}
-
-
-def is_static(phi: Formula) -> bool:
-    """True when no announcement or event operator occurs anywhere."""
-    if isinstance(phi, _DYNAMIC):
-        return False
-    return all(
-        is_static(getattr(phi, f)) for f in _CHILD_FIELDS.get(type(phi), ())
-    )
-
-
-def first_order_node(phi: Formula) -> Optional[str]:
-    """Name of some first-order construct in the formula, if any."""
-    if isinstance(phi, (Pred, Forall, Exists)):
-        return type(phi).__name__
-    for f in _CHILD_FIELDS.get(type(phi), ()):
-        found = first_order_node(getattr(phi, f))
-        if found:
-            return found
-    return None
+# is_static and first_order_node live beside the traversal helper in
+# formulas; they stay importable from here under the same names.
 
 
 @dataclass(frozen=True)
@@ -103,89 +78,49 @@ class ReductionResult:
         return len(self.steps)
 
 
-def _locate(phi: Formula, path: Tuple[str, ...]) -> Optional[Tuple[Tuple[str, ...], Formula]]:
-    """Path to the next redex: leftmost outermost, but inside-out for
-    dynamic operators stacked directly on dynamic bodies."""
-    if isinstance(phi, _DYNAMIC):
-        if isinstance(phi.body, _DYNAMIC):
-            return _locate(phi.body, path + ("body",))
+def _locate(phi: Formula, path: Tuple[int, ...]) -> Optional[Tuple[Tuple[int, ...], Formula]]:
+    """Path of child indices to the next redex: leftmost outermost, but
+    inside-out for dynamic operators stacked directly on dynamic bodies."""
+    kids = children(phi)
+    if isinstance(phi, DYNAMIC):
+        if isinstance(phi.body, DYNAMIC):
+            return _locate(phi.body, path + (len(kids) - 1,))
         return path, phi
-    for f in _CHILD_FIELDS.get(type(phi), ()):
-        found = _locate(getattr(phi, f), path + (f,))
+    for i, kid in enumerate(kids):
+        found = _locate(kid, path + (i,))
         if found:
             return found
     return None
 
 
-def _replace(phi: Formula, path: Tuple[str, ...], new: Formula) -> Formula:
+def _replace(phi: Formula, path: Tuple[int, ...], new: Formula) -> Formula:
     if not path:
         return new
-    field = path[0]
-    rebuilt = _replace(getattr(phi, field), path[1:], new)
-    values = {f: getattr(phi, f) for f in phi.__dataclass_fields__}
-    values[field] = rebuilt
-    return type(phi)(**values)
-
-
-def _collect_term_vars(t: Term, out: set) -> None:
-    if isinstance(t, Var):
-        out.add(t.name)
-    else:
-        for s in t.args:
-            _collect_term_vars(s, out)
+    kids = list(children(phi))
+    kids[path[0]] = _replace(kids[path[0]], path[1:], new)
+    return rebuild(phi, kids)
 
 
 def _collect_var_names(phi: Formula, out: set) -> None:
     """Every variable name occurring in the formula, bound or free."""
     if isinstance(phi, Pred):
         for t in phi.args:
-            _collect_term_vars(t, out)
+            out |= term_free_vars(t)
     if isinstance(phi, (Forall, Exists)):
         out.add(phi.var)
-    for f in _CHILD_FIELDS.get(type(phi), ()):
-        _collect_var_names(getattr(phi, f), out)
+    for kid in children(phi):
+        _collect_var_names(kid, out)
 
 
-def _rename_term(t: Term, mapping: Mapping[str, str]) -> Term:
-    if isinstance(t, Var):
-        return Var(mapping.get(t.name, t.name))
-    return Fun(t.name, tuple(_rename_term(s, mapping) for s in t.args))
-
-
-def _rename_bound(phi: Formula, mapping: Mapping[str, str], fresh) -> Formula:
+def _rename_bound(phi: Formula, mapping: Mapping[str, Term], fresh) -> Formula:
     """Rename every binder via fresh(), carrying the renames into its scope."""
     if isinstance(phi, (Forall, Exists)):
         new_v = fresh(phi.var)
-        inner = dict(mapping)
-        inner[phi.var] = new_v
+        inner = {**mapping, phi.var: Var(new_v)}
         return type(phi)(new_v, _rename_bound(phi.body, inner, fresh))
     if isinstance(phi, Pred):
-        return Pred(phi.name, tuple(_rename_term(t, mapping) for t in phi.args))
-    children = _CHILD_FIELDS.get(type(phi), ())
-    if not children:
-        return phi
-    values = {f: getattr(phi, f) for f in phi.__dataclass_fields__}
-    for f in children:
-        values[f] = _rename_bound(values[f], mapping, fresh)
-    return type(phi)(**values)
-
-
-def _big_and(parts: Sequence[Formula]) -> Formula:
-    if not parts:
-        return Top()
-    out = parts[0]
-    for p in parts[1:]:
-        out = And(out, p)
-    return out
-
-
-def _big_or(parts: Sequence[Formula]) -> Formula:
-    if not parts:
-        return Bot()
-    out = parts[0]
-    for p in parts[1:]:
-        out = Or(out, p)
-    return out
+        return Pred(phi.name, tuple(substitute_term(t, mapping) for t in phi.args))
+    return rebuild(phi, [_rename_bound(kid, mapping, fresh) for kid in children(phi)])
 
 
 class _Rewriter:
@@ -334,13 +269,13 @@ class _Rewriter:
                 Box(body.agent, DelBox(ref, e2, body.body))
                 for e2 in self.successors(ref, event, body.agent)
             ]
-            return "event-box", Imp(pre, _big_and(parts))
+            return "event-box", Imp(pre, big_and(parts))
         if isinstance(body, Dia):
             parts = [
                 Dia(body.agent, DelDia(ref, e2, body.body))
                 for e2 in self.successors(ref, event, body.agent)
             ]
-            return "event-dia", Imp(pre, _big_or(parts))
+            return "event-dia", Imp(pre, big_or(parts))
         if isinstance(body, Forall):
             return "event-forall", Forall(body.var, DelBox(ref, event, body.body))
         if isinstance(body, Exists):
@@ -380,13 +315,13 @@ class _Rewriter:
                 Box(body.agent, DelBox(ref, e2, body.body))
                 for e2 in self.successors(ref, event, body.agent)
             ]
-            return "event-dia-box", And(pre, _big_and(parts))
+            return "event-dia-box", And(pre, big_and(parts))
         if isinstance(body, Dia):
             parts = [
                 Dia(body.agent, DelDia(ref, e2, body.body))
                 for e2 in self.successors(ref, event, body.agent)
             ]
-            return "event-dia-dia", And(pre, _big_or(parts))
+            return "event-dia-dia", And(pre, big_or(parts))
         if isinstance(body, Forall):
             return "event-dia-forall", And(
                 pre, Forall(body.var, DelBox(ref, event, body.body))
@@ -440,18 +375,9 @@ def reduce_formula(
     used: set = set(context or ())
     _collect_var_names(body, used)
     rewriter = _Rewriter(registry or {}, in_context=context is not None, used_names=used)
-    evaluator = None
-    if verify:
-        evaluator = _FOEvaluator(registry) if context is not None else _Evaluator(registry)
-
-    def measure(current: Formula):
-        if not verify:
-            return None
-        if context is not None:
-            return evaluator.interp(model, context, current)
-        return evaluator.ext(model, current)
-
-    reference = measure(body)
+    evaluator = _Evaluator(registry)
+    points = context or ()
+    reference = evaluator.ext(model, points, body) if verify else None
     steps: List[ReductionStep] = []
     current = body
     while True:
@@ -464,10 +390,8 @@ def reduce_formula(
         rule, replacement = rewriter.step(redex)
         current = _replace(current, path, replacement)
         steps.append(ReductionStep(rule, redex, replacement, current))
-        if verify:
-            after = measure(current)
-            if after != reference:
-                raise InvariantViolation(
-                    f"rule {rule!r} changed the extension; this is a library bug"
-                )
+        if verify and evaluator.ext(model, points, current) != reference:
+            raise InvariantViolation(
+                f"rule {rule!r} changed the extension; this is a library bug"
+            )
     return ReductionResult(body, current, tuple(steps), context)

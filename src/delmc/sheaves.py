@@ -8,6 +8,12 @@ fibered power of the projection, formulas denote subsets of its carrier,
 quantifiers are the image maps along the projection dropping a component,
 and modalities are images along the fibered frame relations.
 
+Formulas are evaluated by the one evaluator of ``models`` (``_Evaluator``),
+which serves both layers; a sheaf model supplies its per-layer part: the
+frame of each context's fibered power, predicate leaves and term values,
+the quantifier drop map, and its pullback update.  Fibered powers depend
+only on the sheaf, which builds each one once.
+
 Updating by an event model with closed preconditions pulls the whole
 structure back: worlds, individuals, interpretation tables.  The update of
 a sheaf model is again a sheaf model; the constructor re-validates that.
@@ -16,9 +22,9 @@ a sheaf model is again a sheaf model; the constructor re-validates that.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import (
     ArityMismatch,
@@ -28,11 +34,8 @@ from .errors import (
     OpenPrecondition,
     UnknownEvent,
     UnknownSymbol,
-    UnresolvedEventModel,
 )
 from .formulas import (
-    And,
-    Bot,
     Box,
     DelBox,
     DelDia,
@@ -42,21 +45,17 @@ from .formulas import (
     Formula,
     FormulaInContext,
     Fun,
-    Imp,
-    Not,
-    Or,
     Pred,
     Term,
     TermInContext,
-    Top,
     Var,
     as_sentence,
     free_vars,
     substitute,
 )
 from .frames import FrameMap, KripkeFrame, identity_map, initial_lift, is_bounded, is_monotone
-from .models import EventModel, LawCheck, LawReport, updated_frame
-from .powerset import Subset, apply, exists_map, forall_map
+from .models import EventModel, LawCheck, LawReport, _Evaluator, updated_frame
+from .powerset import Subset
 from .rel import (
     FiniteSet,
     Rel,
@@ -204,6 +203,9 @@ class KripkeSheaf:
     total: KripkeFrame
     base: KripkeFrame
     proj: FrameMap
+    _powers: Dict[int, "FiberedPower"] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         check = is_kripke_sheaf(self.total, self.base, self.proj)
@@ -212,6 +214,12 @@ class KripkeSheaf:
 
     def fiber(self, w: str) -> Tuple[str, ...]:
         return tuple(a for a in self.total.carrier if self.proj(a) == w)
+
+    def power(self, n: int) -> "FiberedPower":
+        """The n-th fibered power, built on first use and kept."""
+        if n not in self._powers:
+            self._powers[n] = fibered_power(self, n)
+        return self._powers[n]
 
 
 @dataclass(frozen=True)
@@ -334,7 +342,6 @@ class SheafModel:
     ):
         self.sheaf = sheaf
         self.signature = signature
-        self._powers: Dict[int, FiberedPower] = {}
         for name, arity in signature.function_symbols:
             if name not in fn_interp:
                 raise UnknownSymbol(f"no interpretation for function symbol {name!r}")
@@ -364,9 +371,177 @@ class SheafModel:
         self.rel_interp_map = {n: rel_interp[n] for n, _ in signature.relation_symbols}
 
     def power(self, n: int) -> FiberedPower:
-        if n not in self._powers:
-            self._powers[n] = fibered_power(self.sheaf, n)
-        return self._powers[n]
+        return self.sheaf.power(n)
+
+    def term_values(self, context: Tuple[str, ...], t: Term) -> Dict[str, str]:
+        """Value of a term at every point of the context's power carrier."""
+        power = self.power(len(context))
+        if isinstance(t, Var):
+            try:
+                i = context.index(t.name)
+            except ValueError:
+                raise InvariantViolation(f"variable {t.name!r} not in context") from None
+            if power.n == 1:
+                return {lbl: lbl for lbl in power.carrier}
+            return {lbl: power.tuple_of(lbl)[i] for lbl in power.carrier}
+        if isinstance(t, Fun):
+            arity = self.signature.fn_arity(t.name)
+            if len(t.args) != arity:
+                raise ArityMismatch(
+                    f"function symbol {t.name!r} expects {arity} arguments, got {len(t.args)}"
+                )
+            fm = self.fn_interp_map[t.name]
+            arg_values = [self.term_values(context, a) for a in t.args]
+            arg_power = self.power(arity)
+            out = {}
+            for lbl in power.carrier:
+                tup = tuple(v[lbl] for v in arg_values)
+                arg_lbl = arg_power.label_for(power.world_of(lbl), tup)
+                out[lbl] = fm(arg_lbl)
+            return out
+        raise InvariantViolation(f"unknown term node {type(t).__name__}")
+
+    # The evaluator's per-layer interface (see models._Evaluator).
+
+    def context_frame(self, n: int) -> KripkeFrame:
+        return self.power(n).frame
+
+    def leaf(self, context: Tuple[str, ...], phi: Formula) -> Subset:
+        if not isinstance(phi, Pred):
+            raise UnknownSymbol(
+                f"{type(phi).__name__} node cannot be interpreted in a context"
+            )
+        power = self.power(len(context))
+        carrier = power.carrier
+        arity = self.signature.rel_arity(phi.name)
+        if len(phi.args) != arity:
+            raise ArityMismatch(
+                f"relation symbol {phi.name!r} expects {arity} arguments, got {len(phi.args)}"
+            )
+        members = self.rel_interp_map[phi.name].members
+        if arity == 0:
+            return Subset(
+                carrier,
+                frozenset(lbl for lbl in carrier if power.world_of(lbl) in members),
+            )
+        arg_values = [self.term_values(context, t) for t in phi.args]
+        arg_power = self.power(arity)
+        chosen = set()
+        for lbl in carrier:
+            tup = tuple(v[lbl] for v in arg_values)
+            arg_lbl = arg_power.label_for(power.world_of(lbl), tup)
+            if arg_lbl in members:
+                chosen.add(lbl)
+        return Subset(carrier, frozenset(chosen))
+
+    def drop_last_map(self, n: int) -> Rel:
+        """Projection of the (n+1)-th power onto the n-th, dropping the last slot."""
+        upper = self.power(n + 1)
+        lower = self.power(n)
+        pairs = []
+        for lbl in upper.carrier:
+            tup = upper.tuple_of(lbl)
+            w = upper.world_of(lbl)
+            pairs.append((lbl, lower.label_for(w, tup[:-1])))
+        return Rel(upper.carrier, lower.carrier, frozenset(pairs))
+
+    def transition(self, upd: "SheafUpdate", n: int, e: str) -> Rel:
+        return upd.transition(n, e)
+
+    def build_update(self, ev: EventModel, ext: Callable[[Formula], Subset]) -> "SheafUpdate":
+        """Pullback update, given the extension of a closed formula here."""
+        sheaf = self.sheaf
+        base = sheaf.base
+        total = sheaf.total
+        extents: Dict[str, Subset] = {}
+        for e in ev.events:
+            pre = ev.pre(e)
+            open_vars = free_vars(pre)
+            if open_vars:
+                raise OpenPrecondition(
+                    f"precondition of event {e!r} has free variables {sorted(open_vars)}"
+                )
+            extents[e] = ext(as_sentence(pre).body)
+        new_base, base_px, base_pe = updated_frame(base, ev.frame, extents)
+        pulled = {
+            e: Subset(
+                total.carrier,
+                frozenset(a for a in total.carrier if sheaf.proj(a) in extents[e].members),
+            )
+            for e in ev.events
+        }
+        new_total, tot_pd, tot_pe = updated_frame(total, ev.frame, pulled)
+        world_parts = {
+            lbl: (apply_function(base_px, lbl), apply_function(base_pe, lbl))
+            for lbl in new_base.carrier
+        }
+        ind_parts = {
+            lbl: (apply_function(tot_pd, lbl), apply_function(tot_pe, lbl))
+            for lbl in new_total.carrier
+        }
+        proj_pairs = {
+            lbl: pair_label(sheaf.proj(a), e) for lbl, (a, e) in ind_parts.items()
+        }
+        new_proj = FrameMap(
+            new_total,
+            new_base,
+            function_from_mapping(new_total.carrier, new_base.carrier, proj_pairs),
+        )
+        new_sheaf = KripkeSheaf(new_total, new_base, new_proj)
+
+        def split(n: int, lbl: str) -> Tuple[str, str]:
+            return _split_label(self.power(n), new_sheaf.power(n), world_parts, ind_parts, lbl)
+
+        fn_interp: Dict[str, FrameMap] = {}
+        for name, arity in self.signature.function_symbols:
+            old_fm = self.fn_interp_map[name]
+            new_power = new_sheaf.power(arity)
+            mapping = {}
+            for lbl in new_power.carrier:
+                old_lbl, e = split(arity, lbl)
+                mapping[lbl] = pair_label(old_fm(old_lbl), e)
+            fn_interp[name] = FrameMap(
+                new_power.frame,
+                new_total,
+                function_from_mapping(new_power.carrier, new_total.carrier, mapping),
+            )
+        rel_interp: Dict[str, Subset] = {}
+        for name, arity in self.signature.relation_symbols:
+            old_members = self.rel_interp_map[name].members
+            new_power = new_sheaf.power(arity)
+            chosen = frozenset(
+                lbl for lbl in new_power.carrier if split(arity, lbl)[0] in old_members
+            )
+            rel_interp[name] = Subset(new_power.carrier, chosen)
+        return SheafUpdate(
+            source=self,
+            events=ev,
+            updated=SheafModel(new_sheaf, self.signature, fn_interp, rel_interp),
+            p_x=FrameMap(new_base, base, base_px),
+            p_e=FrameMap(new_base, ev.frame, base_pe),
+            p_d=FrameMap(new_total, total, tot_pd),
+            extents=extents,
+            ind_parts=ind_parts,
+            world_parts=world_parts,
+        )
+
+
+def _split_label(
+    old_power: FiberedPower,
+    new_power: FiberedPower,
+    world_parts: Mapping[str, Tuple[str, str]],
+    ind_parts: Mapping[str, Tuple[str, str]],
+    label: str,
+) -> Tuple[str, str]:
+    """Split a label of an updated power into (old label, event)."""
+    if new_power.n == 0:
+        return world_parts[label]
+    parts = [ind_parts[a] for a in new_power.tuple_of(label)]
+    events = {e for _, e in parts}
+    if len(events) != 1:
+        raise InvariantViolation(f"updated tuple {label!r} mixes events")
+    old_world, _ = world_parts[new_power.world_of(label)]
+    return old_power.label_for(old_world, tuple(a for a, _ in parts)), next(iter(events))
 
 
 class SheafUpdate:
@@ -405,20 +580,9 @@ class SheafUpdate:
 
     def decompose_power_label(self, n: int, label: str) -> Tuple[str, str]:
         """Split a label of the updated n-th power into (old label, event)."""
-        new_power = self.updated.power(n)
-        old_power = self.source.power(n)
-        if n == 0:
-            w, e = self.world_parts[label]
-            return w, e
-        tup = new_power.tuple_of(label)
-        parts = [self.ind_parts[a] for a in tup]
-        events = {e for _, e in parts}
-        if len(events) != 1:
-            raise InvariantViolation(f"updated tuple {label!r} mixes events")
-        e = next(iter(events))
-        old_tuple = tuple(a for a, _ in parts)
-        old_world, _ = self.world_parts[new_power.world_of(label)]
-        return old_power.label_for(old_world, old_tuple), e
+        return _split_label(
+            self.source.power(n), self.updated.power(n), self.world_parts, self.ind_parts, label
+        )
 
     def transition(self, n: int, e: str) -> Rel:
         """Relation from old n-tuples to their updated copies for one event."""
@@ -479,271 +643,18 @@ class SheafUpdate:
         return new_power.label_for(pair_label(old_world, e), new_tup)
 
 
-class _FOEvaluator:
-    """Formula interpretation with call-scoped memoisation."""
-
-    def __init__(self, registry: Optional[Mapping[str, EventModel]] = None):
-        self.registry = dict(registry or {})
-        self.memo: Dict[Tuple[int, Tuple[str, ...], Formula], Subset] = {}
-        self.update_memo: Dict[Tuple[int, str], SheafUpdate] = {}
-        self.keepalive: List[SheafModel] = []
-        self.updating: set = set()
-
-    def interp(self, model: SheafModel, context: Tuple[str, ...], phi: Formula) -> Subset:
-        key = (id(model), context, phi)
-        hit = self.memo.get(key)
-        if hit is not None:
-            return hit
-        self.keepalive.append(model)
-        out = self._interp(model, context, phi)
-        self.memo[key] = out
-        return out
-
-    def term_values(
-        self, model: SheafModel, context: Tuple[str, ...], t: Term
-    ) -> Dict[str, str]:
-        """Value of a term at every point of the context's power carrier."""
-        power = model.power(len(context))
-        if isinstance(t, Var):
-            try:
-                i = context.index(t.name)
-            except ValueError:
-                raise InvariantViolation(f"variable {t.name!r} not in context") from None
-            if power.n == 1:
-                return {lbl: lbl for lbl in power.carrier}
-            return {lbl: power.tuple_of(lbl)[i] for lbl in power.carrier}
-        if isinstance(t, Fun):
-            arity = model.signature.fn_arity(t.name)
-            if len(t.args) != arity:
-                raise ArityMismatch(
-                    f"function symbol {t.name!r} expects {arity} arguments, got {len(t.args)}"
-                )
-            fm = model.fn_interp_map[t.name]
-            arg_values = [self.term_values(model, context, a) for a in t.args]
-            arg_power = model.power(arity)
-            out = {}
-            for lbl in power.carrier:
-                tup = tuple(v[lbl] for v in arg_values)
-                arg_lbl = arg_power.label_for(power.world_of(lbl), tup)
-                out[lbl] = fm(arg_lbl)
-            return out
-        raise InvariantViolation(f"unknown term node {type(t).__name__}")
-
-    def interp_term_map(
-        self, model: SheafModel, term: TermInContext
-    ) -> FrameMap:
-        power = model.power(len(term.context))
-        values = self.term_values(model, term.context, term.term)
-        return FrameMap(
-            power.frame,
-            model.sheaf.total,
-            function_from_mapping(power.carrier, model.sheaf.total.carrier, values),
-        )
-
-    def _interp(self, model: SheafModel, context: Tuple[str, ...], phi: Formula) -> Subset:
-        power = model.power(len(context))
-        carrier = power.carrier
-        if isinstance(phi, Top):
-            return Subset(carrier, carrier.as_set)
-        if isinstance(phi, Bot):
-            return Subset(carrier, frozenset())
-        if isinstance(phi, Pred):
-            arity = model.signature.rel_arity(phi.name)
-            if len(phi.args) != arity:
-                raise ArityMismatch(
-                    f"relation symbol {phi.name!r} expects {arity} arguments, got {len(phi.args)}"
-                )
-            members = model.rel_interp_map[phi.name].members
-            if arity == 0:
-                return Subset(
-                    carrier,
-                    frozenset(lbl for lbl in carrier if power.world_of(lbl) in members),
-                )
-            arg_values = [self.term_values(model, context, t) for t in phi.args]
-            arg_power = model.power(arity)
-            chosen = set()
-            for lbl in carrier:
-                tup = tuple(v[lbl] for v in arg_values)
-                arg_lbl = arg_power.label_for(power.world_of(lbl), tup)
-                if arg_lbl in members:
-                    chosen.add(lbl)
-            return Subset(carrier, frozenset(chosen))
-        if isinstance(phi, Not):
-            return self.interp(model, context, phi.body).complement()
-        if isinstance(phi, And):
-            return self.interp(model, context, phi.left).intersect(
-                self.interp(model, context, phi.right)
-            )
-        if isinstance(phi, Or):
-            return self.interp(model, context, phi.left).union(
-                self.interp(model, context, phi.right)
-            )
-        if isinstance(phi, Imp):
-            return (
-                self.interp(model, context, phi.left)
-                .complement()
-                .union(self.interp(model, context, phi.right))
-            )
-        if isinstance(phi, Box):
-            r = power.frame.rel(phi.agent)
-            return apply(forall_map(dagger(r)), self.interp(model, context, phi.body))
-        if isinstance(phi, Dia):
-            r = power.frame.rel(phi.agent)
-            return apply(exists_map(dagger(r)), self.interp(model, context, phi.body))
-        if isinstance(phi, (Forall, Exists)):
-            if phi.var in context:
-                raise InvariantViolation(
-                    f"quantified variable {phi.var!r} shadows the context; rename it"
-                )
-            extended = context + (phi.var,)
-            inner = self.interp(model, extended, phi.body)
-            drop = self._drop_last_map(model, len(context))
-            image = forall_map(drop) if isinstance(phi, Forall) else exists_map(drop)
-            return apply(image, inner)
-        if isinstance(phi, (DelBox, DelDia)):
-            upd = self.update(model, phi.model)
-            if phi.event not in upd.events.events:
-                raise UnknownEvent(f"event {phi.event!r} not in event model {phi.model!r}")
-            inner = self.interp(upd.updated, context, phi.body)
-            r_e = upd.transition(len(context), phi.event)
-            image = forall_map(dagger(r_e)) if isinstance(phi, DelBox) else exists_map(dagger(r_e))
-            return apply(image, inner)
-        raise InvariantViolation(
-            f"{type(phi).__name__} node cannot be interpreted in a context"
-        )
-
-    def _drop_last_map(self, model: SheafModel, n: int) -> Rel:
-        """Projection of the (n+1)-th power onto the n-th, dropping the last slot."""
-        upper = model.power(n + 1)
-        lower = model.power(n)
-        pairs = []
-        for lbl in upper.carrier:
-            tup = upper.tuple_of(lbl)
-            w = upper.world_of(lbl)
-            pairs.append((lbl, lower.label_for(w, tup[:-1])))
-        return Rel(upper.carrier, lower.carrier, frozenset(pairs))
-
-    def update(self, model: SheafModel, ref: str) -> SheafUpdate:
-        key = (id(model), ref)
-        hit = self.update_memo.get(key)
-        if hit is not None:
-            return hit
-        if ref not in self.registry:
-            raise UnresolvedEventModel(f"event model {ref!r} not in registry")
-        if key in self.updating:
-            raise InvariantViolation(
-                f"cyclic dynamic preconditions while updating with {ref!r}"
-            )
-        self.updating.add(key)
-        try:
-            out = self.build_update(model, self.registry[ref])
-        finally:
-            self.updating.discard(key)
-        self.update_memo[key] = out
-        self.keepalive.append(model)
-        return out
-
-    def build_update(self, model: SheafModel, ev: EventModel) -> SheafUpdate:
-        sheaf = model.sheaf
-        base = sheaf.base
-        total = sheaf.total
-        extents: Dict[str, Subset] = {}
-        for e in ev.events:
-            pre = ev.pre(e)
-            open_vars = free_vars(pre)
-            if open_vars:
-                raise OpenPrecondition(
-                    f"precondition of event {e!r} has free variables {sorted(open_vars)}"
-                )
-            sentence = as_sentence(pre)
-            extents[e] = self.interp(model, sentence.context, sentence.body)
-        new_base, base_px, base_pe = updated_frame(base, ev.frame, extents)
-        pulled = {
-            e: Subset(
-                total.carrier,
-                frozenset(a for a in total.carrier if sheaf.proj(a) in extents[e].members),
-            )
-            for e in ev.events
-        }
-        new_total, tot_pd, tot_pe = updated_frame(total, ev.frame, pulled)
-        world_parts = {
-            lbl: (apply_function(base_px, lbl), apply_function(base_pe, lbl))
-            for lbl in new_base.carrier
-        }
-        ind_parts = {
-            lbl: (apply_function(tot_pd, lbl), apply_function(tot_pe, lbl))
-            for lbl in new_total.carrier
-        }
-        proj_pairs = {
-            lbl: pair_label(sheaf.proj(a), e) for lbl, (a, e) in ind_parts.items()
-        }
-        new_proj = FrameMap(
-            new_total,
-            new_base,
-            function_from_mapping(new_total.carrier, new_base.carrier, proj_pairs),
-        )
-        new_sheaf = KripkeSheaf(new_total, new_base, new_proj)
-
-        shell = SheafModel.__new__(SheafModel)
-        shell.sheaf = new_sheaf
-        shell.signature = model.signature
-        shell._powers = {}
-        shell.fn_interp_map = {}
-        shell.rel_interp_map = {}
-
-        helper = SheafUpdate(
-            source=model,
-            events=ev,
-            updated=shell,
-            p_x=FrameMap(new_base, base, base_px),
-            p_e=FrameMap(new_base, ev.frame, base_pe),
-            p_d=FrameMap(new_total, total, tot_pd),
-            extents=extents,
-            ind_parts=ind_parts,
-            world_parts=world_parts,
-        )
-
-        fn_interp: Dict[str, FrameMap] = {}
-        for name, arity in model.signature.function_symbols:
-            old_fm = model.fn_interp_map[name]
-            new_power = shell.power(arity)
-            mapping = {}
-            for lbl in new_power.carrier:
-                old_lbl, e = helper.decompose_power_label(arity, lbl)
-                mapping[lbl] = pair_label(old_fm(old_lbl), e)
-            fn_interp[name] = FrameMap(
-                new_power.frame,
-                new_total,
-                function_from_mapping(new_power.carrier, new_total.carrier, mapping),
-            )
-        rel_interp: Dict[str, Subset] = {}
-        for name, arity in model.signature.relation_symbols:
-            old_members = model.rel_interp_map[name].members
-            new_power = shell.power(arity)
-            if arity == 0:
-                members = frozenset(
-                    lbl for lbl in new_base.carrier if world_parts[lbl][0] in old_members
-                )
-                rel_interp[name] = Subset(new_base.carrier, members)
-            else:
-                chosen = set()
-                for lbl in new_power.carrier:
-                    old_lbl, _ = helper.decompose_power_label(arity, lbl)
-                    if old_lbl in old_members:
-                        chosen.add(lbl)
-                rel_interp[name] = Subset(new_power.carrier, frozenset(chosen))
-        updated = SheafModel(new_sheaf, model.signature, fn_interp, rel_interp)
-        updated._powers = shell._powers
-        helper.updated = updated
-        return helper
-
-
 def interp_term(
     model: SheafModel,
     term: TermInContext,
 ) -> FrameMap:
     """Denotation of a term in context: a map from the context's power."""
-    return _FOEvaluator().interp_term_map(model, term)
+    power = model.power(len(term.context))
+    values = model.term_values(term.context, term.term)
+    return FrameMap(
+        power.frame,
+        model.sheaf.total,
+        function_from_mapping(power.carrier, model.sheaf.total.carrier, values),
+    )
 
 
 def interp_formula(
@@ -752,7 +663,7 @@ def interp_formula(
     registry: Optional[Mapping[str, EventModel]] = None,
 ) -> Subset:
     """Extension of a formula in context over the context's power carrier."""
-    return _FOEvaluator(registry).interp(model, phi.context, phi.body)
+    return _Evaluator(registry).ext(model, phi.context, phi.body)
 
 
 def pullback_update(
@@ -761,7 +672,7 @@ def pullback_update(
     registry: Optional[Mapping[str, EventModel]] = None,
 ) -> SheafUpdate:
     """Update a sheaf model by an event model with closed preconditions."""
-    return _FOEvaluator(registry).build_update(model, ev)
+    return _Evaluator(registry).build_update(model, ev)
 
 
 def del_in_context(
@@ -798,12 +709,12 @@ def _substitution_routes(
     for t in terms:
         if t.context != out_context:
             raise CarrierMismatch("substituting terms must share one context")
-    evaluator = _FOEvaluator(reg)
+    evaluator = _Evaluator(reg)
     mapping = dict(zip(phi.context, [t.term for t in terms]))
 
     out_power = model.power(len(out_context))
     in_power = model.power(len(phi.context))
-    value_maps = [evaluator.term_values(model, out_context, t.term) for t in terms]
+    value_maps = [model.term_values(out_context, t.term) for t in terms]
 
     def tuple_image(lbl: str) -> str:
         tup = tuple(v[lbl] for v in value_maps)
@@ -812,8 +723,8 @@ def _substitution_routes(
     checks: List[LawCheck] = []
     for name, wrapped in wrappers:
         substituted = substitute(wrapped, mapping)
-        direct = evaluator.interp(model, out_context, substituted)
-        inner = evaluator.interp(model, phi.context, wrapped)
+        direct = evaluator.ext(model, out_context, substituted)
+        inner = evaluator.ext(model, phi.context, wrapped)
         pulled = frozenset(
             lbl for lbl in out_power.carrier if tuple_image(lbl) in inner.members
         )
@@ -939,7 +850,7 @@ def verify_quantifier_reduction(
         raise InvariantViolation("verify_quantifier_reduction: context must be nonempty")
     reg = dict(registry or {})
     reg[ref] = ev
-    evaluator = _FOEvaluator(reg)
+    evaluator = _Evaluator(reg)
     outer = phi.context[:-1]
     y = phi.context[-1]
     checks: List[LawCheck] = []
@@ -947,8 +858,8 @@ def verify_quantifier_reduction(
         ("box-forall", Forall, DelBox),
         ("dia-exists", Exists, DelDia),
     ):
-        lhs = evaluator.interp(model, outer, operator(ref, event, quantifier(y, phi.body)))
-        rhs = evaluator.interp(model, outer, quantifier(y, operator(ref, event, phi.body)))
+        lhs = evaluator.ext(model, outer, operator(ref, event, quantifier(y, phi.body)))
+        rhs = evaluator.ext(model, outer, quantifier(y, operator(ref, event, phi.body)))
         if lhs == rhs:
             checks.append(LawCheck(name, True))
         else:

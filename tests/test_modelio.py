@@ -48,6 +48,11 @@ def sheaf_doc():
     return dump_model(m, "two-fibers")
 
 
+def fo_event_doc():
+    _, ev = load_file("tests/data/fo_event.json")
+    return dump_model(ev, "E")
+
+
 def test_load_file_returns_declared_names():
     name, m = load_file("tests/data/two_worlds.json")
     assert name == "two-worlds"
@@ -60,7 +65,7 @@ def test_load_file_returns_declared_names():
     assert isinstance(s, SheafModel)
 
 
-@pytest.mark.parametrize("doc_fn", [kripke_doc, event_doc, sheaf_doc])
+@pytest.mark.parametrize("doc_fn", [kripke_doc, event_doc, sheaf_doc, fo_event_doc])
 def test_dump_load_dump_round_trip(doc_fn):
     doc = doc_fn()
     again = dump_model(load_model(doc), doc["name"])

@@ -13,16 +13,23 @@ from delmc import (
     Atom,
     Box,
     DelBox,
+    DelDia,
     Dia,
     EventModel,
+    Exists,
     FiniteSet,
+    Forall,
+    InvariantViolation,
     KripkeFrame,
     PalBox,
     PalDia,
     KripkeModel,
+    Pred,
     Subset,
     Top,
     UnknownAtom,
+    UnknownSymbol,
+    Var,
     apply,
     compose,
     dagger,
@@ -38,8 +45,10 @@ from delmc import (
     verify_pal_reductions,
 )
 from delmc.generators import (
+    random_carrier,
     random_event_model,
     random_formula,
+    random_frame,
     random_model,
 )
 
@@ -84,6 +93,47 @@ def test_extension_matches_oracle_dynamic(seed):
     for _ in range(4):
         phi = random_formula(rng, ("p", "q"), ("a", "b"), depth=2, event_refs=refs)
         assert extension(model, phi, registry).members == oracle.extension(om, phi, oreg)
+
+
+@given(st.integers(min_value=0, max_value=2 ** 32 - 1))
+def test_dynamic_preconditions_match_oracle(seed):
+    # F's preconditions are event operators over a second model E, whose own
+    # preconditions may hold announcements; formulas mix [F,f] and [E,e].
+    rng = random.Random(seed)
+    model = random_model(rng, rng.randrange(1, 5), AB)
+    inner = random_event_model(rng, rng.randrange(1, 3), AB, ("p", "q"), static_pre=False)
+    frame = random_frame(rng, random_carrier(rng, rng.randrange(1, 3), prefix="f"), AB)
+    outer = EventModel.make(frame, {
+        f: rng.choice((DelBox, DelDia))(
+            "E", rng.choice(inner.events), random_formula(rng, ("p", "q"), ("a", "b"), 1)
+        )
+        for f in frame.carrier
+    })
+    registry = {"E": inner, "F": outer}
+    oreg = {name: oracle.from_event_model(ev) for name, ev in registry.items()}
+    refs = [("E", e) for e in inner.events] + [("F", f) for f in outer.events]
+    om = oracle.from_model(model)
+    for _ in range(15):
+        phi = random_formula(rng, ("p", "q"), ("a", "b"), depth=2, event_refs=refs)
+        assert extension(model, phi, registry).members == oracle.extension(om, phi, oreg)
+
+
+@pytest.mark.parametrize("phi", [
+    Pred("P", ()),
+    Exists("u", Pred("P", (Var("u"),))),
+    Box("a", Forall("u", Top())),
+])
+def test_first_order_nodes_rejected(two_worlds, phi):
+    with pytest.raises(UnknownSymbol):
+        extension(two_worlds, phi)
+
+
+def test_cyclic_preconditions_rejected(two_worlds):
+    e = FiniteSet("e", ("e1",))
+    frame = KripkeFrame.make(e, AB, {"a": rel(e, e, [("e1", "e1")]), "b": rel(e, e, [])})
+    ev = EventModel.make(frame, {"e1": DelBox("LOOP", "e1", Atom("p"))})
+    with pytest.raises(InvariantViolation):
+        extension(two_worlds, DelBox("LOOP", "e1", Atom("p")), {"LOOP": ev})
 
 
 def test_muddy_children_story(muddy_children, muddy_formulas):

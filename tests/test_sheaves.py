@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 import hypothesis.strategies as st
 
 import fo_oracle
@@ -12,6 +12,7 @@ from delmc import (
     Atom,
     Box,
     DelBox,
+    DelDia,
     Dia,
     EventModel,
     Exists,
@@ -120,6 +121,34 @@ def test_interp_matches_oracle_dynamic(seed):
         model.power(1), interp_formula(model, FormulaInContext(context, phi), registry)
     )
     assert got == fo_oracle.tuple_extension(o, context, phi, oreg)
+
+
+@settings(max_examples=30)
+@given(st.integers(min_value=0, max_value=2 ** 32 - 1))
+def test_dynamic_preconditions_match_oracle(seed):
+    # F's preconditions are event operators over a second model E;
+    # formulas mix [F,f] and [E,e].
+    rng = random.Random(seed)
+    model = random_small_model(rng)
+    inner = random_fo_event_model(rng, model, rng.randrange(1, 3))
+    frame = random_frame(rng, random_carrier(rng, rng.randrange(1, 3), prefix="f"), A)
+    outer = EventModel.make(frame, {
+        f: rng.choice((DelBox, DelDia))(
+            "E", rng.choice(inner.events), random_fo_formula(rng, model, (), 1)
+        )
+        for f in frame.carrier
+    })
+    registry = {"E": inner, "F": outer}
+    oreg = {name: fo_oracle.from_event_model(ev) for name, ev in registry.items()}
+    refs = [("E", e) for e in inner.events] + [("F", f) for f in outer.events]
+    o = fo_oracle.from_sheaf_model(model)
+    context = ("x",)
+    for _ in range(5):
+        phi = random_fo_formula(rng, model, context, depth=2, event_refs=refs)
+        got = tuple_form(
+            model.power(1), interp_formula(model, FormulaInContext(context, phi), registry)
+        )
+        assert got == fo_oracle.tuple_extension(o, context, phi, oreg)
 
 
 def test_closed_formulas_match_propositional_semantics(two_fibers):
