@@ -26,7 +26,6 @@ from .formulas import (
 from .frames import (
     FrameMap,
     KripkeFrame,
-    check_pullback_preserves_bounded,
     common_knowledge_relation,
     initial_lift,
     is_bisimulation,
@@ -34,6 +33,7 @@ from .frames import (
     is_monotone,
     largest_preserved_check,
     product,
+    pullback,
     subframe,
 )
 from .generators import (
@@ -57,7 +57,9 @@ from .generators import (
     random_surjection,
 )
 from .models import (
+    check_update_routes,
     no_learning_check,
+    product_update,
     static_precondition_modalities,
     verify_del_reductions,
     verify_pal_reductions,
@@ -734,9 +736,15 @@ def run_topological(seed: int = 0, cases: int = 500, max_size: int = 5) -> Repor
                 sub.carrier.name,
             )
 
+        _, p, q = pullback(m, bnd)
         col.expect(
             f"{tag}: pullback of a bounded map along a monotone map is bounded",
-            check_pullback_preserves_bounded(m, bnd),
+            is_bounded(p),
+            f"{m.src.carrier.name} vs {bnd.src.carrier.name}",
+        )
+        col.expect(
+            f"{tag}: pullback square satisfies the image law",
+            beck_chevalley_equation(p.fn, q.fn, m.fn, bnd.fn),
             f"{m.src.carrier.name} vs {bnd.src.carrier.name}",
         )
 
@@ -821,6 +829,8 @@ def run_del_reduction(seed: int = 0, cases: int = 500, max_size: int = 4) -> Rep
         psi = random_formula(rng, atoms, ag, rng.randrange(0, 2), allow_dynamic=False)
         rep = verify_del_reductions(model, ev_model, event, phi, psi)
         for check in rep.failures():
+            col.expect(f"{tag}: {check.name}", False, check.witness or "")
+        for check in check_update_routes(product_update(model, ev_model)).failures():
             col.expect(f"{tag}: {check.name}", False, check.witness or "")
 
         nl = no_learning_check(model, ev_model, depth=2)

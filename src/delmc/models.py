@@ -142,55 +142,21 @@ class KripkeModel:
             )
             for n, s in self.valuation
         }
-        updated = KripkeModel.make(frame, val)
-        p_x = FrameMap(frame, frame_x, px)
-        p_e = FrameMap(frame, frame_e, pe)
-
-        ambient, amb_p1, amb_p2 = product(frame_x, frame_e)
-        ambient_incl = Rel(
-            frame.carrier, ambient.carrier, frozenset((c, c) for c in frame.carrier)
+        # Each transition graphs the pairing w -> (w, e) on the event's extent.
+        transitions = tuple(
+            (e, Rel(frame_x.carrier, frame.carrier, frozenset(
+                (w, pair_label(w, e)) for w in extents[e].members
+            )))
+            for e in ev.events
         )
-        x = frame_x.carrier
-        extent_list: List[Tuple[str, Subset]] = []
-        incl_list: List[Tuple[str, Rel]] = []
-        inj_list: List[Tuple[str, Rel]] = []
-        amb_inj_list: List[Tuple[str, Rel]] = []
-        trans_list: List[Tuple[str, Rel]] = []
-        for e in ev.events:
-            extent = extents[e]
-            sub_elems = tuple(w for w in x if w in extent.members)
-            sub_carrier = FiniteSet(f"({x.name}|{e})", sub_elems)
-            i_e = Rel(sub_carrier, x, frozenset((w, w) for w in sub_elems))
-            q_e = Rel(
-                sub_carrier, frame.carrier, frozenset((w, pair_label(w, e)) for w in sub_elems)
-            )
-            qprime_e = Rel(
-                x, ambient.carrier, frozenset((w, pair_label(w, e)) for w in x)
-            )
-            r_e = compose(dagger(i_e), q_e)
-            via_ambient = compose(qprime_e, dagger(ambient_incl))
-            if r_e != via_ambient:
-                raise InvariantViolation(
-                    f"transition relation for event {e!r} disagrees between its two constructions"
-                )
-            extent_list.append((e, extent))
-            incl_list.append((e, i_e))
-            inj_list.append((e, q_e))
-            amb_inj_list.append((e, qprime_e))
-            trans_list.append((e, r_e))
         return UpdateResult(
             source=self,
             events=ev,
-            updated=updated,
-            p_x=p_x,
-            p_e=p_e,
-            ambient=ambient,
-            ambient_incl=ambient_incl,
-            pre_extents=tuple(extent_list),
-            event_inclusions=tuple(incl_list),
-            event_injections=tuple(inj_list),
-            ambient_injections=tuple(amb_inj_list),
-            transitions=tuple(trans_list),
+            updated=KripkeModel.make(frame, val),
+            p_x=FrameMap(frame, frame_x, px),
+            p_e=FrameMap(frame, frame_e, pe),
+            pre_extents=tuple((e, extents[e]) for e in ev.events),
+            transitions=transitions,
         )
 
 
@@ -232,12 +198,11 @@ class EventModel:
 class UpdateResult:
     """Everything the product update produces, maps included.
 
-    The updated carrier sits inside the ambient product of the two
-    carriers; for each event the result carries the inclusion of its
-    precondition extent, the injection of that extent into the update, and
-    the transition relation from old worlds to their updated copies.  The
-    transition relation is built two ways (through the extent, and through
-    the ambient product) and those must agree.
+    The result carries the updated model, its two projections, and for
+    each event the precondition extent and the transition relation from
+    old worlds to their updated copies.  ``check_update_routes`` compares
+    each transition with its composites through the extent and through
+    the product of the two frames.
     """
 
     source: KripkeModel
@@ -245,25 +210,11 @@ class UpdateResult:
     updated: KripkeModel
     p_x: FrameMap
     p_e: FrameMap
-    ambient: KripkeFrame
-    ambient_incl: Rel
     pre_extents: Tuple[Tuple[str, Subset], ...]
-    event_inclusions: Tuple[Tuple[str, Rel], ...]
-    event_injections: Tuple[Tuple[str, Rel], ...]
-    ambient_injections: Tuple[Tuple[str, Rel], ...]
     transitions: Tuple[Tuple[str, Rel], ...]
 
     def pre_extent(self, e: str) -> Subset:
         return dict(self.pre_extents)[e]
-
-    def inclusion(self, e: str) -> Rel:
-        return dict(self.event_inclusions)[e]
-
-    def injection(self, e: str) -> Rel:
-        return dict(self.event_injections)[e]
-
-    def ambient_injection(self, e: str) -> Rel:
-        return dict(self.ambient_injections)[e]
 
     def transition(self, e: str) -> Rel:
         return dict(self.transitions)[e]
@@ -474,6 +425,41 @@ class LawReport:
 
     def failures(self) -> List[LawCheck]:
         return [c for c in self.checks if not c.ok]
+
+
+def _relation_check(name: str, lhs: Rel, rhs: Rel) -> LawCheck:
+    if lhs == rhs:
+        return LawCheck(name, True)
+    diff = sorted(lhs.pairs.symmetric_difference(rhs.pairs))
+    return LawCheck(name, False, witness=f"routes differ at {diff}")
+
+
+def check_update_routes(upd: UpdateResult) -> LawReport:
+    """Each transition of a product update agrees with its two composites.
+
+    Through the extent: the dagger of the extent's inclusion into the old
+    worlds, then the extent's injection w -> (w, e) into the update.
+    Through the product: the pairing w -> (w, e) into the product of the
+    two frames, then the dagger of the update's inclusion into it.
+    """
+    x = upd.source.frame.carrier
+    carrier = upd.updated.frame.carrier
+    prod, _, _ = product(upd.source.frame, upd.events.frame)
+    into_prod = Rel(carrier, prod.carrier, frozenset((c, c) for c in carrier))
+    checks: List[LawCheck] = []
+    for e in upd.events.events:
+        elems = tuple(w for w in x if w in upd.pre_extent(e).members)
+        extent = FiniteSet(f"({x.name}|{e})", elems)
+        incl = Rel(extent, x, frozenset((w, w) for w in elems))
+        inj = Rel(extent, carrier, frozenset((w, pair_label(w, e)) for w in elems))
+        pairing = Rel(x, prod.carrier, frozenset((w, pair_label(w, e)) for w in x))
+        for route, composite in (
+            ("the extent", compose(dagger(incl), inj)),
+            ("the product", compose(pairing, dagger(into_prod))),
+        ):
+            name = f"transition through {route} [{e}]"
+            checks.append(_relation_check(name, upd.transition(e), composite))
+    return LawReport(tuple(checks))
 
 
 def _equality_check(

@@ -16,7 +16,8 @@ only on the sheaf, which builds each one once.
 
 Updating by an event model with closed preconditions pulls the whole
 structure back: worlds, individuals, interpretation tables.  The update of
-a sheaf model is again a sheaf model; the constructor re-validates that.
+a sheaf model is again a sheaf model; the constructor re-checks the three
+sheaf conditions.
 """
 
 from __future__ import annotations
@@ -54,7 +55,14 @@ from .formulas import (
     substitute,
 )
 from .frames import FrameMap, KripkeFrame, identity_map, initial_lift, is_bounded, is_monotone
-from .models import EventModel, LawCheck, LawReport, _Evaluator, updated_frame
+from .models import (
+    EventModel,
+    LawCheck,
+    LawReport,
+    _Evaluator,
+    _relation_check,
+    updated_frame,
+)
 from .powerset import Subset
 from .rel import (
     FiniteSet,
@@ -150,30 +158,15 @@ def _raw_fibered_square(total: KripkeFrame, proj_fn: Rel) -> Tuple[KripkeFrame, 
     return frame, p1, p2
 
 
-def is_kripke_sheaf(total: KripkeFrame, base: KripkeFrame, proj: FrameMap) -> SheafCheck:
-    """Check the three sheaf conditions and name the first failure.
-
-    Also evaluates the diagonal characterization independently: the
-    projection together with the diagonal into its binary fibered power
-    must be bounded exactly when the projection is bounded with unique
-    lifts.
-    """
+def _sheaf_conditions(
+    total: KripkeFrame, base: KripkeFrame, proj: FrameMap
+) -> Tuple[bool, bool, bool, Optional[str]]:
+    """The three direct sheaf conditions, then the first failure or None."""
     if proj.src != total or proj.dst != base:
         raise CarrierMismatch("is_kripke_sheaf: projection does not connect the two frames")
     surjective = is_surjective(proj.fn)
     bounded = is_bounded(proj)
     witness = _unique_lift_witness(total, proj.fn)
-    unique = witness is None
-
-    square_frame, _, _ = _raw_fibered_square(total, proj.fn)
-    diag = Rel(
-        total.carrier,
-        square_frame.carrier,
-        frozenset((a, pair_label(a, a)) for a in total.carrier),
-    )
-    delta_bounded = is_bounded(FrameMap(total, square_frame, diag))
-    agrees = (bounded and unique) == (bounded and delta_bounded)
-
     failure = None
     if not surjective:
         missing = sorted(
@@ -182,17 +175,36 @@ def is_kripke_sheaf(total: KripkeFrame, base: KripkeFrame, proj: FrameMap) -> Sh
         failure = f"projection not surjective: no individual over {missing[0]!r}"
     elif not bounded:
         failure = "projection not a bounded morphism"
-    elif not unique:
+    elif witness is not None:
         agent, a, b, b2 = witness
         failure = f"unique-lift condition fails (agent {agent!r}): witness {a},{b},{b2}"
+    return surjective, bounded, witness is None, failure
+
+
+def is_kripke_sheaf(total: KripkeFrame, base: KripkeFrame, proj: FrameMap) -> SheafCheck:
+    """Check the three sheaf conditions and name the first failure.
+
+    Also evaluates the diagonal characterization independently: the
+    projection together with the diagonal into its binary fibered power
+    must be bounded exactly when the projection is bounded with unique
+    lifts.
+    """
+    surjective, bounded, unique, failure = _sheaf_conditions(total, base, proj)
+    square_frame, _, _ = _raw_fibered_square(total, proj.fn)
+    diag = Rel(
+        total.carrier,
+        square_frame.carrier,
+        frozenset((a, pair_label(a, a)) for a in total.carrier),
+    )
+    delta_bounded = is_bounded(FrameMap(total, square_frame, diag))
     return SheafCheck(
-        is_sheaf=surjective and bounded and unique,
+        is_sheaf=failure is None,
         failure=failure,
         surjective=surjective,
         bounded=bounded,
         unique_lift=unique,
         delta_bounded=delta_bounded,
-        characterization_agrees=agrees,
+        characterization_agrees=(bounded and unique) == (bounded and delta_bounded),
     )
 
 
@@ -208,9 +220,9 @@ class KripkeSheaf:
     )
 
     def __post_init__(self):
-        check = is_kripke_sheaf(self.total, self.base, self.proj)
-        if not check.is_sheaf:
-            raise InvariantViolation(f"not a Kripke sheaf: {check.failure}")
+        failure = _sheaf_conditions(self.total, self.base, self.proj)[-1]
+        if failure is not None:
+            raise InvariantViolation(f"not a Kripke sheaf: {failure}")
 
     def fiber(self, w: str) -> Tuple[str, ...]:
         return tuple(a for a in self.total.carrier if self.proj(a) == w)
@@ -551,8 +563,7 @@ class SheafUpdate:
     individuals are pairs of an old individual and an event.  For each
     arity n and event e, transition(n, e) relates an old n-tuple to its
     updated copy when the tuple's world satisfies the event's
-    precondition; inclusion(n, e) and injection(n, e) are the two legs it
-    is composed of.
+    precondition.
     """
 
     def __init__(
@@ -599,20 +610,6 @@ class SheafUpdate:
                     pairs.add((old_lbl, lbl))
             self._transitions[key] = Rel(old_power.carrier, new_power.carrier, frozenset(pairs))
         return self._transitions[key]
-
-    def inclusion(self, n: int, e: str) -> Rel:
-        """Inclusion of the n-tuples whose world satisfies the precondition."""
-        r = self.transition(n, e)
-        old_power = self.source.power(n)
-        elems = tuple(w for w in old_power.carrier if w in r.successors and r.successors[w])
-        sub = FiniteSet(f"({old_power.carrier.name}|{e})", elems)
-        return Rel(sub, old_power.carrier, frozenset((w, w) for w in elems))
-
-    def injection(self, n: int, e: str) -> Rel:
-        """Injection of those n-tuples into the updated power."""
-        r = self.transition(n, e)
-        incl = self.inclusion(n, e)
-        return compose(incl, r)
 
     def lift_map(self, f: FrameMap, m: int, n: int) -> FrameMap:
         """Pull a map between source powers back to the updated powers."""
@@ -804,32 +801,20 @@ def check_transition_commutation(
         )
     ]
     for e in upd.events.events:
-        forward_lhs = compose(upd.transition(m, e), lifted.fn)
-        forward_rhs = compose(f.fn, upd.transition(n, e))
-        if forward_lhs == forward_rhs:
-            checks.append(LawCheck(f"transition squares with map [{e}]", True))
-        else:
-            diff = sorted(forward_lhs.pairs.symmetric_difference(forward_rhs.pairs))
-            checks.append(
-                LawCheck(
-                    f"transition squares with map [{e}]",
-                    False,
-                    witness=f"routes differ at {diff}",
-                )
+        checks.append(
+            _relation_check(
+                f"transition squares with map [{e}]",
+                compose(upd.transition(m, e), lifted.fn),
+                compose(f.fn, upd.transition(n, e)),
             )
-        backward_lhs = compose(upd.transition(n, e), dagger(lifted.fn))
-        backward_rhs = compose(dagger(f.fn), upd.transition(m, e))
-        if backward_lhs == backward_rhs:
-            checks.append(LawCheck(f"transition squares with dagger [{e}]", True))
-        else:
-            diff = sorted(backward_lhs.pairs.symmetric_difference(backward_rhs.pairs))
-            checks.append(
-                LawCheck(
-                    f"transition squares with dagger [{e}]",
-                    False,
-                    witness=f"routes differ at {diff}",
-                )
+        )
+        checks.append(
+            _relation_check(
+                f"transition squares with dagger [{e}]",
+                compose(upd.transition(n, e), dagger(lifted.fn)),
+                compose(dagger(f.fn), upd.transition(m, e)),
             )
+        )
     return LawReport(tuple(checks))
 
 

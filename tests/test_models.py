@@ -1,5 +1,6 @@
 """Kripke-model semantics, announcements, product update, no-learning."""
 
+import dataclasses
 import random
 
 import pytest
@@ -25,14 +26,14 @@ from delmc import (
     PalDia,
     KripkeModel,
     Pred,
+    Rel,
     Subset,
     Top,
     UnknownAtom,
     UnknownSymbol,
     Var,
     apply,
-    compose,
-    dagger,
+    check_update_routes,
     extension,
     is_bounded,
     is_monotone,
@@ -181,12 +182,10 @@ def test_product_update_structure(two_worlds, private_announcement_event):
     # worlds of the update are exactly the precondition-satisfying pairs
     assert set(upd.updated.frame.carrier) == {"(w1,ep)", "(w1,et)", "(w2,et)"}
     assert is_monotone(upd.p_x) and is_monotone(upd.p_e)
+    # the transition agrees with its composites through the extent and
+    # through the product of the two frames
+    assert check_update_routes(upd).ok
     for e in ev.events:
-        # the two constructions of the transition relation coincide
-        assert upd.transition(e) == compose(dagger(upd.inclusion(e)), upd.injection(e))
-        assert upd.transition(e) == compose(
-            upd.ambient_injection(e), dagger(upd.ambient_incl)
-        )
         # the transition graphs the pairing w -> (w, e) on the extent
         for (w, lbl) in upd.transition(e).pairs:
             assert lbl == f"({w},{e})"
@@ -215,6 +214,28 @@ def test_product_update_matches_oracle(seed):
         assert got == want
     for p in model.atoms:
         assert upd.updated.val(p).members == {f"({w},{e})" for (w, e) in om["val"][p]}
+    assert check_update_routes(upd).ok
+
+
+def test_update_routes_catch_a_planted_transition(two_worlds, private_announcement_event):
+    upd = product_update(two_worlds, private_announcement_event)
+    assert check_update_routes(upd).ok
+    # drop one pair from the transition of ep, keep the rest of the update
+    dropped = sorted(upd.transition("ep").pairs)[0]
+    planted = dataclasses.replace(
+        upd,
+        transitions=tuple(
+            (e, Rel(r.dom, r.cod, r.pairs - {dropped}) if e == "ep" else r)
+            for e, r in upd.transitions
+        ),
+    )
+    failed = check_update_routes(planted).failures()
+    assert [c.name for c in failed] == [
+        "transition through the extent [ep]",
+        "transition through the product [ep]",
+    ]
+    for c in failed:
+        assert c.witness == f"routes differ at {[dropped]}"
 
 
 def test_verify_pal_reductions_on_fixture(two_worlds):

@@ -1,6 +1,7 @@
 """First-order semantics on sheaves: interpretation, powers, pullback update."""
 
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -275,6 +276,9 @@ def test_planted_defects_are_detected(mode):
         assert not chk.is_sheaf
         assert not getattr(chk, flags[mode])
         assert chk.characterization_agrees
+        # the constructor enforces the same condition, with the same message
+        with pytest.raises(InvariantViolation, match=re.escape(chk.failure)):
+            KripkeSheaf(total, b, proj)
         found += 1
     assert found >= 5
 
