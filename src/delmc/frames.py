@@ -2,18 +2,20 @@
 
 A frame is a carrier with one accessibility relation per agent.  Maps
 between frames are functions on carriers; the monotone ones only preserve
-steps forward, the bounded ones reflect them too.  Products, subframes and
-pullbacks are all built the same way: fix the carrier, then equip it with
-the coarsest relations making the structure maps monotone (the initial
-lift).  The one colimit-style operation exposed is the common-knowledge
-relation of a group of agents.
+steps forward, the bounded ones reflect them too.  Products, subframes,
+pullbacks, product updates and fibered powers are all built the same way,
+by one builder, ``lift_points``: fix a carrier of points, each mapped to a
+family of target frames, and equip it with the coarsest relations making
+those maps monotone (the initial lift), where a point steps to another
+exactly when every coordinate steps.  The one colimit-style operation
+exposed is the common-knowledge relation of a group of agents.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import (
     AgentMismatch,
@@ -32,15 +34,12 @@ from .rel import (
     apply_function,
     closure_reflexive_transitive,
     compose,
-    dagger,
     identity,
     is_function,
     join,
     leq,
-    meet,
     pair_label,
     tabulate,
-    total,
 )
 
 
@@ -152,9 +151,64 @@ def is_bounded(m: FrameMap) -> bool:
     )
 
 
-def _lifted_relation(fn: Rel, target: Rel) -> Rel:
-    # dagger(fn) ; target ; fn  read in application order: fn, target, dagger(fn)
-    return compose(compose(fn, target), dagger(fn))
+def _lift(
+    carrier: FiniteSet,
+    coords: Sequence[Sequence[str]],
+    targets: Sequence[KripkeFrame],
+    agents: AgentSet,
+) -> KripkeFrame:
+    """The initial lift, pointwise: x steps to y when every coordinate steps.
+
+    ``coords[i][k]`` is the image of the i-th carrier element in
+    ``targets[k]``.  Per target, each element reaches the points over its
+    successors; a point steps to what all its coordinates reach.  An empty
+    family relates every pair.
+    """
+    if any(t.agents != agents for t in targets):
+        raise AgentMismatch("initial lift: the frames carry different agent sets")
+    over: List[Dict[str, List[str]]] = [{} for _ in targets]
+    for x, c in zip(carrier, coords):
+        for index, c_k in zip(over, c):
+            index.setdefault(c_k, []).append(x)
+    rels = {}
+    for a in agents:
+        reach = []
+        for t_frame, index in zip(targets, over):
+            succ = t_frame.rel(a).successors
+            reach.append(
+                {c: frozenset(y for t in succ[c] for y in index.get(t, ())) for c in index}
+            )
+        pairs = []
+        for x, c in zip(carrier, coords):
+            steps = carrier.as_set
+            for reach_k, c_k in zip(reach, c):
+                steps = steps & reach_k[c_k]
+            pairs.extend((x, y) for y in steps)
+        rels[a] = Rel(carrier, carrier, frozenset(pairs))
+    return KripkeFrame.make(carrier, agents, rels)
+
+
+def lift_points(
+    name: str,
+    targets: Sequence[KripkeFrame],
+    points: Sequence[Tuple[str, Sequence[str]]],
+) -> Tuple[KripkeFrame, Tuple[Rel, ...]]:
+    """A frame on named points over a family of frames, with its legs.
+
+    ``points`` lists ``(label, coords)`` in carrier order, ``coords[k]``
+    an element of ``targets[k]``.  The carrier is named ``name``; leg k
+    sends each point to its k-th coordinate; the relations are the initial
+    lift of the legs.  Products, subframes, pullbacks, product updates and
+    fibered powers are all built here.
+    """
+    if not targets:
+        raise InvariantViolation("lift_points: at least one target frame required")
+    carrier = FiniteSet(name, tuple(label for label, _ in points))
+    legs = tuple(
+        Rel(carrier, t.carrier, frozenset((label, coords[k]) for label, coords in points))
+        for k, t in enumerate(targets)
+    )
+    return _lift(carrier, [coords for _, coords in points], targets, targets[0].agents), legs
 
 
 def initial_lift(
@@ -166,19 +220,13 @@ def initial_lift(
     """Coarsest frame on a common domain making every given map monotone.
 
     Per agent, the relation is the meet over the family of the pullback of
-    each target relation along its map.  An empty family needs the carrier
-    and agents spelled out and yields the total relation on each agent.
+    each target relation along its map: x steps to y exactly when every
+    map sends the pair to a step.  An empty family needs the carrier and
+    agents spelled out and yields the total relation on each agent.
     """
     if len(targets) != len(fns):
         raise InvariantViolation("initial_lift: one function per target frame required")
     if targets:
-        base_agents = targets[0].agents
-        for t in targets[1:]:
-            if t.agents != base_agents:
-                raise AgentMismatch("initial_lift: target frames disagree on agents")
-        if agents is not None and agents != base_agents:
-            raise AgentMismatch("initial_lift: explicit agents disagree with targets")
-        agents = base_agents
         dom = fns[0].dom
         for fn, t in zip(fns, targets):
             if fn.dom != dom:
@@ -190,16 +238,11 @@ def initial_lift(
         if carrier is not None and carrier != dom:
             raise CarrierMismatch("initial_lift: explicit carrier disagrees with functions")
         carrier = dom
-    else:
-        if carrier is None or agents is None:
-            raise InvariantViolation("initial_lift: empty family needs explicit carrier and agents")
-    rels = {}
-    for a in agents:
-        lifted = total(carrier, carrier)
-        for fn, t in zip(fns, targets):
-            lifted = meet(lifted, _lifted_relation(fn, t.rel(a)))
-        rels[a] = lifted
-    return KripkeFrame.make(carrier, agents, rels)
+        agents = targets[0].agents if agents is None else agents
+    elif carrier is None or agents is None:
+        raise InvariantViolation("initial_lift: empty family needs explicit carrier and agents")
+    coords = [tuple(apply_function(fn, x) for fn in fns) for x in carrier]
+    return _lift(carrier, coords, targets, agents)
 
 
 def largest_preserved_check(
@@ -243,19 +286,11 @@ def common_knowledge_relation(f: KripkeFrame, group: Sequence[str]) -> Rel:
 
 def product(f1: KripkeFrame, f2: KripkeFrame) -> Tuple[KripkeFrame, FrameMap, FrameMap]:
     """Binary product: pair carrier, componentwise relations via initial lift."""
-    if f1.agents != f2.agents:
-        raise AgentMismatch("product: frames carry different agent sets")
-    labels = tuple(pair_label(w, v) for w in f1.carrier for v in f2.carrier)
-    carrier = FiniteSet(f"({f1.carrier.name}x{f2.carrier.name})", labels)
-    proj1 = Rel(
-        carrier, f1.carrier,
-        frozenset((pair_label(w, v), w) for w in f1.carrier for v in f2.carrier),
+    frame, (proj1, proj2) = lift_points(
+        f"({f1.carrier.name}x{f2.carrier.name})",
+        [f1, f2],
+        [(pair_label(w, v), (w, v)) for w in f1.carrier for v in f2.carrier],
     )
-    proj2 = Rel(
-        carrier, f2.carrier,
-        frozenset((pair_label(w, v), v) for w in f1.carrier for v in f2.carrier),
-    )
-    frame = initial_lift([f1, f2], [proj1, proj2])
     return frame, FrameMap(frame, f1, proj1), FrameMap(frame, f2, proj2)
 
 
@@ -268,10 +303,9 @@ def subframe(f: KripkeFrame, s: Subset, tag: str = "sub") -> Tuple[KripkeFrame, 
     """
     if s.carrier != f.carrier:
         raise CarrierMismatch("subframe: subset carrier is not the frame carrier")
-    elems = tuple(w for w in f.carrier if w in s.members)
-    carrier = FiniteSet(f"({f.carrier.name}|{tag})", elems)
-    incl = Rel(carrier, f.carrier, frozenset((w, w) for w in elems))
-    frame = initial_lift([f], [incl])
+    frame, (incl,) = lift_points(
+        f"({f.carrier.name}|{tag})", [f], [(w, (w,)) for w in f.carrier if w in s.members]
+    )
     return frame, FrameMap(frame, f, incl)
 
 
@@ -288,19 +322,11 @@ def pullback(f: FrameMap, g: FrameMap) -> Tuple[KripkeFrame, FrameMap, FrameMap]
     if not is_monotone(f) or not is_monotone(g):
         raise NotMonotone("pullback: both maps must be monotone")
     y, z = f.src, g.src
-    pairs = [
-        (w, v)
-        for w in y.carrier
-        for v in z.carrier
-        if f(w) == g(v)
-    ]
-    labels = tuple(pair_label(w, v) for w, v in pairs)
-    carrier = FiniteSet(
-        f"({y.carrier.name}x[{f.dst.carrier.name}]{z.carrier.name})", labels
+    frame, (proj1, proj2) = lift_points(
+        f"({y.carrier.name}x[{f.dst.carrier.name}]{z.carrier.name})",
+        [y, z],
+        [(pair_label(w, v), (w, v)) for w in y.carrier for v in z.carrier if f(w) == g(v)],
     )
-    proj1 = Rel(carrier, y.carrier, frozenset((pair_label(w, v), w) for w, v in pairs))
-    proj2 = Rel(carrier, z.carrier, frozenset((pair_label(w, v), v) for w, v in pairs))
-    frame = initial_lift([y, z], [proj1, proj2])
     return frame, FrameMap(frame, y, proj1), FrameMap(frame, z, proj2)
 
 
@@ -315,12 +341,8 @@ def is_bisimulation(f1: KripkeFrame, f2: KripkeFrame, r: Rel) -> bool:
 
     The tabulation apex is equipped with the initial lift of its two legs;
     the relation is a bisimulation exactly when both legs reflect steps as
-    well as preserving them.
+    well as preserving them.  The lift rejects mismatched agents or carriers.
     """
-    if f1.agents != f2.agents:
-        raise AgentMismatch("is_bisimulation: frames carry different agent sets")
-    if r.dom != f1.carrier or r.cod != f2.carrier:
-        raise CarrierMismatch("is_bisimulation: relation carriers do not match the frames")
     tab = tabulate(r)
     apex_frame = initial_lift([f1, f2], [tab.r1, tab.r2])
     left = FrameMap(apex_frame, f1, tab.r1)

@@ -40,7 +40,7 @@ from .formulas import (
 from .frames import AgentSet, FrameMap, KripkeFrame, frame_map, initial_lift, is_monotone
 from .models import EventModel, KripkeModel
 from .powerset import Subset
-from .rel import FiniteSet, Rel, compose, dagger
+from .rel import FiniteSet, Rel
 from .sheaves import KripkeSheaf, SheafModel, Signature
 
 
@@ -189,13 +189,17 @@ def random_monotone_map(
     rng: random.Random, src_size: int, dst: KripkeFrame, prefix: str = "z"
 ) -> FrameMap:
     """A frame map that is monotone by construction: the source relations
-    are random subrelations of each target relation's pullback."""
+    are random subrelations of each target relation's pullback.  Pairs are
+    drawn in carrier order, so the map depends on the seed alone."""
     carrier = random_carrier(rng, src_size, prefix)
     fn = random_function(rng, carrier, dst.carrier)
+    lifted = initial_lift([dst], [fn])
     rels = {}
     for a in dst.agents:
-        lifted = compose(compose(fn, dst.rel(a)), dagger(fn))
-        keep = frozenset(p for p in lifted.pairs if rng.random() < 0.7)
+        succ = lifted.rel(a).successors
+        keep = frozenset(
+            (x, y) for x in carrier for y in carrier if y in succ[x] and rng.random() < 0.7
+        )
         rels[a] = Rel(carrier, carrier, keep)
     src = KripkeFrame.make(carrier, dst.agents, rels)
     return FrameMap(src, dst, fn)

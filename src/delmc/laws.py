@@ -57,6 +57,7 @@ from .generators import (
     random_surjection,
 )
 from .models import (
+    LawReport,
     check_update_routes,
     no_learning_check,
     product_update,
@@ -146,6 +147,11 @@ class _Collector:
     def expect(self, case: str, ok: bool, witness: str) -> None:
         if not ok:
             self.failures.append((case, witness))
+
+    def expect_checks(self, prefix: str, rep: LawReport, with_name: bool = True) -> None:
+        """Record each failed check of a report, labelled prefix + check name."""
+        for check in rep.failures():
+            self.expect(prefix + check.name if with_name else prefix, False, check.witness or "")
 
     def report(self, cases: int) -> Report:
         return Report(
@@ -797,8 +803,7 @@ def run_pal_reduction(seed: int = 0, cases: int = 500, max_size: int = 4) -> Rep
         phi = random_formula(rng, atoms, ag, rng.randrange(0, 3), allow_dynamic=False)
         psi = random_formula(rng, atoms, ag, rng.randrange(0, 2), allow_dynamic=False)
         rep = verify_pal_reductions(model, sigma, phi, psi)
-        for check in rep.failures():
-            col.expect(f"{tag}: {check.name}", False, check.witness or "")
+        col.expect_checks(f"{tag}: ", rep)
         try:
             static_precondition_modalities(model, sigma)
         except InvariantViolation as exc:
@@ -828,10 +833,8 @@ def run_del_reduction(seed: int = 0, cases: int = 500, max_size: int = 4) -> Rep
         phi = random_formula(rng, atoms, ag, rng.randrange(0, 3), event_refs=refs)
         psi = random_formula(rng, atoms, ag, rng.randrange(0, 2), allow_dynamic=False)
         rep = verify_del_reductions(model, ev_model, event, phi, psi)
-        for check in rep.failures():
-            col.expect(f"{tag}: {check.name}", False, check.witness or "")
-        for check in check_update_routes(product_update(model, ev_model)).failures():
-            col.expect(f"{tag}: {check.name}", False, check.witness or "")
+        col.expect_checks(f"{tag}: ", rep)
+        col.expect_checks(f"{tag}: ", check_update_routes(product_update(model, ev_model)))
 
         nl = no_learning_check(model, ev_model, depth=2)
         col.expect(
@@ -955,10 +958,7 @@ def run_sheaf(seed: int = 0, cases: int = 200, max_size: int = 3) -> Report:
         ]
         for label, fmap, m_pow, n_pow in power_maps:
             rep_t = check_transition_commutation(upd, fmap, m_pow, n_pow)
-            for check in rep_t.failures():
-                col.expect(
-                    f"{tag}: {label}: {check.name}", False, check.witness or ""
-                )
+            col.expect_checks(f"{tag}: {label}: ", rep_t)
 
         event = rng.choice(list(ev.events))
         phi = FormulaInContext(
@@ -968,8 +968,7 @@ def run_sheaf(seed: int = 0, cases: int = 200, max_size: int = 3) -> Report:
             (Var("u"), Fun("f", (Var("u"),)))
         ))]
         rep = check_substitution_box_commutation(model, phi, terms, ev=ev, event=event)
-        for check in rep.failures():
-            col.expect(f"{tag}: substitution commutes with {check.name}", False, check.witness or "")
+        col.expect_checks(f"{tag}: substitution commutes with ", rep)
     return col.report(cases)
 
 
@@ -993,8 +992,7 @@ def run_fo_reduction(seed: int = 0, cases: int = 200, max_size: int = 3) -> Repo
         context = ("x",) if rng.random() < 0.5 else ("x", "y")
         body = random_fo_formula(rng, model, context, rng.randrange(1, 3))
         rep = verify_quantifier_reduction(model, ev, event, FormulaInContext(context, body))
-        for check in rep.failures():
-            col.expect(f"{tag}: {check.name}", False, check.witness or "")
+        col.expect_checks(f"{tag}: ", rep)
 
         out_context = ("z1",) if rng.random() < 0.5 else ("z1", "z2")
         phi = FormulaInContext(context, body)
@@ -1003,13 +1001,9 @@ def run_fo_reduction(seed: int = 0, cases: int = 200, max_size: int = 3) -> Repo
             for _ in context
         ]
         rep_s = check_substitution_functoriality(model, phi, terms)
-        for check in rep_s.failures():
-            col.expect(f"{tag}: substitution functoriality", False, check.witness or "")
+        col.expect_checks(f"{tag}: substitution functoriality", rep_s, with_name=False)
         rep_b = check_substitution_box_commutation(model, phi, terms, ev=ev, event=event)
-        for check in rep_b.failures():
-            col.expect(
-                f"{tag}: substitution commutes with {check.name}", False, check.witness or ""
-            )
+        col.expect_checks(f"{tag}: substitution commutes with ", rep_b)
 
         refs = [("E", e) for e in ev.events]
         dyn = random_fo_formula(

@@ -393,6 +393,11 @@ def dump_model(model: LoadedModel, name: Optional[str] = None) -> Dict[str, Any]
         doc["relations"] = _dump_frame(sheaf.base)
         doc["fibers"] = {w: list(sheaf.fiber(w)) for w in sheaf.base.carrier}
         doc["domain_relation"] = _dump_frame(sheaf.total)
+
+        def by_world(pw: FiberedPower) -> List[str]:
+            # rows world by world, the order the loader rebuilds from "fibers"
+            return sorted(pw.carrier, key=lambda lbl: sheaf.base.carrier.index[pw.world_of(lbl)])
+
         functions: Dict[str, Any] = {}
         for fname, arity in model.signature.function_symbols:
             fm = model.fn_interp_map[fname]
@@ -405,7 +410,7 @@ def dump_model(model: LoadedModel, name: Optional[str] = None) -> Dict[str, Any]
             else:
                 functions[fname] = {
                     "arity": arity,
-                    "map": [[list(pw.tuple_of(lbl)), fm(lbl)] for lbl in pw.carrier],
+                    "map": [[list(pw.tuple_of(lbl)), fm(lbl)] for lbl in by_world(pw)],
                 }
         doc["functions"] = functions
         predicates: Dict[str, Any] = {}
@@ -415,7 +420,7 @@ def dump_model(model: LoadedModel, name: Optional[str] = None) -> Dict[str, Any]
             if arity == 0:
                 ext: List[Any] = sub.sorted_members()
             else:
-                ext = [list(pw.tuple_of(lbl)) for lbl in pw.carrier if lbl in sub.members]
+                ext = [list(pw.tuple_of(lbl)) for lbl in by_world(pw) if lbl in sub.members]
             predicates[rname] = {"arity": arity, "extension": ext}
         doc["predicates"] = predicates
         return doc

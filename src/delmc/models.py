@@ -24,10 +24,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Dict, FrozenSet, List, Mapping, Optional, Tuple
+from typing import Callable, Container, Dict, FrozenSet, List, Mapping, Optional, Tuple
 
 from .errors import (
-    AgentMismatch,
     CapExceeded,
     InvariantViolation,
     UnknownAtom,
@@ -54,7 +53,7 @@ from .formulas import (
     Top,
     big_and,
 )
-from .frames import FrameMap, KripkeFrame, initial_lift, is_bounded, product, subframe
+from .frames import FrameMap, KripkeFrame, is_bounded, lift_points, product, subframe
 from .powerset import (
     JOIN,
     MEET,
@@ -127,19 +126,10 @@ class KripkeModel:
     def build_update(self, ev: "EventModel", ext: Callable[[Formula], Subset]) -> "UpdateResult":
         """Product update, given the extension of a closed formula here."""
         frame_x = self.frame
-        frame_e = ev.frame
         extents = {e: ext(ev.pre(e)) for e in ev.events}
-        frame, px, pe = updated_frame(frame_x, frame_e, extents)
+        frame, (px, pe), parts = updated_frame(frame_x, ev.frame, extents)
         val = {
-            n: Subset(
-                frame.carrier,
-                frozenset(
-                    pair_label(w, e)
-                    for w in s.members
-                    for e in ev.events
-                    if pair_label(w, e) in frame.carrier.as_set
-                ),
-            )
+            n: Subset(frame.carrier, frozenset(lbl for lbl, (w, _) in parts.items() if w in s))
             for n, s in self.valuation
         }
         # Each transition graphs the pairing w -> (w, e) on the event's extent.
@@ -154,7 +144,7 @@ class KripkeModel:
             events=ev,
             updated=KripkeModel.make(frame, val),
             p_x=FrameMap(frame, frame_x, px),
-            p_e=FrameMap(frame, frame_e, pe),
+            p_e=FrameMap(frame, ev.frame, pe),
             pre_extents=tuple((e, extents[e]) for e in ev.events),
             transitions=transitions,
         )
@@ -223,28 +213,24 @@ class UpdateResult:
 def updated_frame(
     frame_x: KripkeFrame,
     frame_e: KripkeFrame,
-    extents: Mapping[str, Subset],
-    name: Optional[str] = None,
-) -> Tuple[KripkeFrame, Rel, Rel]:
-    """Carrier and frame of an update, given each event's precondition extent.
+    extents: Mapping[str, Container[str]],
+) -> Tuple[KripkeFrame, Tuple[Rel, Rel], Dict[str, Tuple[str, str]]]:
+    """Frame of an update, given each event's precondition extent.
 
-    Returns the frame together with the two projection functions.  The
-    relations are the initial lift of the projections, i.e. a pair moves to
-    a pair when both components move.
+    The points are the pairs (w, e) with w in the extent of e, world-major;
+    a pair moves to a pair when both components move.  Returns the frame,
+    its two projections, and each point's (old point, event).
     """
-    if frame_x.agents != frame_e.agents:
-        raise AgentMismatch("update: model and event frames carry different agent sets")
-    chosen = []
-    for w in frame_x.carrier:
-        for e in frame_e.carrier:
-            if w in extents[e].members:
-                chosen.append((w, e))
-    label = name or f"({frame_x.carrier.name}(x){frame_e.carrier.name})"
-    carrier = FiniteSet(label, tuple(pair_label(w, e) for w, e in chosen))
-    px = Rel(carrier, frame_x.carrier, frozenset((pair_label(w, e), w) for w, e in chosen))
-    pe = Rel(carrier, frame_e.carrier, frozenset((pair_label(w, e), e) for w, e in chosen))
-    frame = initial_lift([frame_x, frame_e], [px, pe], carrier=carrier)
-    return frame, px, pe
+    points = [
+        (pair_label(w, e), (w, e))
+        for w in frame_x.carrier
+        for e in frame_e.carrier
+        if w in extents[e]
+    ]
+    frame, legs = lift_points(
+        f"({frame_x.carrier.name}(x){frame_e.carrier.name})", [frame_x, frame_e], points
+    )
+    return frame, legs, dict(points)
 
 
 class _Evaluator:

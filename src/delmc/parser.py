@@ -49,6 +49,12 @@ from .formulas import (
     children,
 )
 
+MAX_NESTING = 100
+"""Deepest nesting of a formula: each operand of a prefix operator, group in
+parentheses, right side of an implication, later operand of an ``&`` or
+``|`` chain and function argument list is one level.  The parser, the
+evaluator and the printer all recurse that deep."""
+
 _KEYWORDS = ("true", "false", "forall", "exists", "ctx")
 _SYMBOLS = {
     "->": "ARROW",
@@ -125,6 +131,7 @@ class _Parser:
         self.tokens = tokens
         self.pos = 0
         self.in_context = in_context
+        self.depth = 0
 
     def peek(self, ahead: int = 0) -> _Token:
         return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
@@ -146,6 +153,16 @@ class _Parser:
             found=found,
         )
 
+    def nested(self, parse):
+        """Run one parse step a level deeper, refusing to pass MAX_NESTING."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            tok = self.peek()
+            raise ParseError(f"nested deeper than {MAX_NESTING} levels", tok.line, tok.column)
+        out = parse()
+        self.depth -= 1
+        return out
+
     def expect(self, kind: str, expected: str) -> _Token:
         if self.peek().kind != kind:
             raise self.fail(expected)
@@ -158,28 +175,34 @@ class _Parser:
         left = self.disjunction()
         if self.peek().kind == "ARROW":
             self.advance()
-            return Imp(left, self.implication())
+            return Imp(left, self.nested(self.implication))
         return left
 
     def disjunction(self) -> Formula:
         left = self.conjunction()
+        start = self.depth
         while self.peek().kind == "BAR":
             self.advance()
-            left = Or(left, self.conjunction())
+            left = Or(left, self.nested(self.conjunction))
+            self.depth += 1  # the chain's tree grows one level per operand
+        self.depth = start
         return left
 
     def conjunction(self) -> Formula:
         left = self.unary()
+        start = self.depth
         while self.peek().kind == "AMP":
             self.advance()
-            left = And(left, self.unary())
+            left = And(left, self.nested(self.unary))
+            self.depth += 1
+        self.depth = start
         return left
 
     def unary(self) -> Formula:
         tok = self.peek()
         if tok.kind == "TILDE":
             self.advance()
-            return Not(self.unary())
+            return Not(self.nested(self.unary))
         if tok.kind == "LBRACK":
             return self.box()
         if tok.kind == "LANGLE":
@@ -194,17 +217,17 @@ class _Parser:
             if self.in_context:
                 raise self.fail("an agent or event pair (announcements are propositional)")
             self.advance()
-            sigma = self.formula()
+            sigma = self.nested(self.formula)
             self.expect("RBRACK", "']'")
-            return PalBox(sigma, self.unary())
+            return PalBox(sigma, self.nested(self.unary))
         name = self.expect("IDENT", "an agent, or an event-model name").text
         if self.peek().kind == "COMMA":
             self.advance()
             event = self.expect("IDENT", "an event name").text
             self.expect("RBRACK", "']'")
-            return DelBox(name, event, self.unary())
+            return DelBox(name, event, self.nested(self.unary))
         self.expect("RBRACK", "']'")
-        return Box(name, self.unary())
+        return Box(name, self.nested(self.unary))
 
     def diamond(self) -> Formula:
         self.advance()
@@ -212,17 +235,17 @@ class _Parser:
             if self.in_context:
                 raise self.fail("an agent or event pair (announcements are propositional)")
             self.advance()
-            sigma = self.formula()
+            sigma = self.nested(self.formula)
             self.expect("RANGLE", "'>'")
-            return PalDia(sigma, self.unary())
+            return PalDia(sigma, self.nested(self.unary))
         name = self.expect("IDENT", "an agent, or an event-model name").text
         if self.peek().kind == "COMMA":
             self.advance()
             event = self.expect("IDENT", "an event name").text
             self.expect("RANGLE", "'>'")
-            return DelDia(name, event, self.unary())
+            return DelDia(name, event, self.nested(self.unary))
         self.expect("RANGLE", "'>'")
-        return Dia(name, self.unary())
+        return Dia(name, self.nested(self.unary))
 
     def quantifier(self) -> Formula:
         tok = self.advance()
@@ -236,7 +259,7 @@ class _Parser:
             )
         var = self.expect("IDENT", "a variable name").text
         self.expect("DOT", "'.'")
-        body = self.formula()
+        body = self.nested(self.formula)
         return Forall(var, body) if tok.kind == "FORALL" else Exists(var, body)
 
     def atom(self) -> Formula:
@@ -249,7 +272,7 @@ class _Parser:
             return Bot()
         if tok.kind == "LPAREN":
             self.advance()
-            inner = self.formula()
+            inner = self.nested(self.formula)
             self.expect("RPAREN", "')'")
             return inner
         if tok.kind == "IDENT":
@@ -285,7 +308,7 @@ class _Parser:
         name = self.expect("IDENT", "a term").text
         if self.peek().kind == "LPAREN":
             self.advance()
-            args = self.term_list()
+            args = self.nested(self.term_list)
             self.expect("RPAREN", "')'")
             return Fun(name, tuple(args))
         return Var(name)

@@ -54,7 +54,7 @@ from .formulas import (
     free_vars,
     substitute,
 )
-from .frames import FrameMap, KripkeFrame, identity_map, initial_lift, is_bounded, is_monotone
+from .frames import FrameMap, KripkeFrame, identity_map, is_bounded, is_monotone, lift_points
 from .models import (
     EventModel,
     LawCheck,
@@ -145,19 +145,6 @@ def _unique_lift_witness(total: KripkeFrame, proj_fn: Rel) -> Optional[Tuple[str
     return None
 
 
-def _raw_fibered_square(total: KripkeFrame, proj_fn: Rel) -> Tuple[KripkeFrame, Rel, Rel]:
-    """Binary fibered power of an arbitrary function, no sheaf assumptions."""
-    pi = {a: apply_function(proj_fn, a) for a in total.carrier}
-    pairs = [(a, b) for a in total.carrier for b in total.carrier if pi[a] == pi[b]]
-    carrier = FiniteSet(
-        f"({total.carrier.name}^2)", tuple(pair_label(a, b) for a, b in pairs)
-    )
-    p1 = Rel(carrier, total.carrier, frozenset((pair_label(a, b), a) for a, b in pairs))
-    p2 = Rel(carrier, total.carrier, frozenset((pair_label(a, b), b) for a, b in pairs))
-    frame = initial_lift([total, total], [p1, p2])
-    return frame, p1, p2
-
-
 def _sheaf_conditions(
     total: KripkeFrame, base: KripkeFrame, proj: FrameMap
 ) -> Tuple[bool, bool, bool, Optional[str]]:
@@ -190,7 +177,13 @@ def is_kripke_sheaf(total: KripkeFrame, base: KripkeFrame, proj: FrameMap) -> Sh
     lifts.
     """
     surjective, bounded, unique, failure = _sheaf_conditions(total, base, proj)
-    square_frame, _, _ = _raw_fibered_square(total, proj.fn)
+    # the binary fibered power of the projection, with no sheaf assumptions
+    pi = {a: proj(a) for a in total.carrier}
+    square_frame, _ = lift_points(
+        f"({total.carrier.name}^2)",
+        [total, total],
+        [(pair_label(a, b), (a, b)) for a in total.carrier for b in total.carrier if pi[a] == pi[b]],
+    )
     diag = Rel(
         total.carrier,
         square_frame.carrier,
@@ -300,39 +293,20 @@ def fibered_power(sheaf: KripkeSheaf, n: int) -> FiberedPower:
             tuples=tuple((a,) for a in total.carrier),
             base_worlds=tuple(sheaf.proj(a) for a in total.carrier),
         )
-    tuples: List[Tuple[str, ...]] = []
-    worlds: List[str] = []
-    for w in base.carrier:
-        fib = sheaf.fiber(w)
-        for combo in itertools.product(fib, repeat=n):
-            tuples.append(combo)
-            worlds.append(w)
-    carrier = FiniteSet(
-        f"({total.carrier.name}^{n})", tuple(tuple_label(t) for t in tuples)
-    )
-    comps = []
-    for i in range(n):
-        comps.append(
-            Rel(
-                carrier,
-                total.carrier,
-                frozenset((tuple_label(t), t[i]) for t in tuples),
-            )
-        )
-    to_base = Rel(
-        carrier,
-        base.carrier,
-        frozenset((tuple_label(t), w) for t, w in zip(tuples, worlds)),
-    )
-    frame = initial_lift([total] * n + [base], comps + [to_base])
+    points = [
+        (tuple_label(t), t + (w,))
+        for w in base.carrier
+        for t in itertools.product(sheaf.fiber(w), repeat=n)
+    ]
+    frame, legs = lift_points(f"({total.carrier.name}^{n})", [total] * n + [base], points)
     return FiberedPower(
         n=n,
-        carrier=carrier,
+        carrier=frame.carrier,
         frame=frame,
-        proj_to_base=FrameMap(frame, base, to_base),
-        component_projections=tuple(FrameMap(frame, total, c) for c in comps),
-        tuples=tuple(tuples),
-        base_worlds=tuple(worlds),
+        proj_to_base=FrameMap(frame, base, legs[n]),
+        component_projections=tuple(FrameMap(frame, total, c) for c in legs[:n]),
+        tuples=tuple(coords[:n] for _, coords in points),
+        base_worlds=tuple(coords[n] for _, coords in points),
     )
 
 
@@ -474,23 +448,11 @@ class SheafModel:
                     f"precondition of event {e!r} has free variables {sorted(open_vars)}"
                 )
             extents[e] = ext(as_sentence(pre).body)
-        new_base, base_px, base_pe = updated_frame(base, ev.frame, extents)
+        new_base, (base_px, base_pe), world_parts = updated_frame(base, ev.frame, extents)
         pulled = {
-            e: Subset(
-                total.carrier,
-                frozenset(a for a in total.carrier if sheaf.proj(a) in extents[e].members),
-            )
-            for e in ev.events
+            e: {a for a in total.carrier if sheaf.proj(a) in extents[e]} for e in ev.events
         }
-        new_total, tot_pd, tot_pe = updated_frame(total, ev.frame, pulled)
-        world_parts = {
-            lbl: (apply_function(base_px, lbl), apply_function(base_pe, lbl))
-            for lbl in new_base.carrier
-        }
-        ind_parts = {
-            lbl: (apply_function(tot_pd, lbl), apply_function(tot_pe, lbl))
-            for lbl in new_total.carrier
-        }
+        new_total, (tot_pd, _), ind_parts = updated_frame(total, ev.frame, pulled)
         proj_pairs = {
             lbl: pair_label(sheaf.proj(a), e) for lbl, (a, e) in ind_parts.items()
         }

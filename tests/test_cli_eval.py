@@ -6,6 +6,7 @@ import pytest
 
 from conftest import data_path
 from delmc.cli import main
+from delmc.parser import MAX_NESTING
 
 TWO_WORLDS = data_path("two_worlds.json")
 TWO_FIBERS = data_path("two_fibers.json")
@@ -77,3 +78,30 @@ def test_bad_input_exits_2(capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ")
+
+
+NESTED = {
+    "negation": lambda n: "~" * n + "p",
+    "parentheses": lambda n: "(" * n + "p" + ")" * n,
+}
+
+
+@pytest.mark.parametrize("shape", sorted(NESTED))
+def test_eval_nesting_at_the_limit(capsys, shape):
+    text = NESTED[shape](MAX_NESTING)
+    code = main(["eval", TWO_WORLDS, text, "--format", "json"])
+    assert code == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["formula"] == (text if shape == "negation" else "p")
+    # p holds at w1 only
+    negated = shape == "negation" and MAX_NESTING % 2
+    assert doc["extension"] == (["w2"] if negated else ["w1"])
+
+
+@pytest.mark.parametrize("shape", sorted(NESTED))
+def test_eval_nesting_past_the_limit_exits_2(capsys, shape):
+    assert main(["eval", TWO_WORLDS, NESTED[shape](MAX_NESTING + 1)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: formula: ")
+    assert f"deeper than {MAX_NESTING} levels (line 1, column" in captured.err

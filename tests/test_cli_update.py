@@ -1,0 +1,110 @@
+"""The `delmc update` command on both layers: output, --out, --dot, exit codes."""
+
+import json
+
+import pytest
+
+from conftest import data_path
+from delmc import dump_model, load_model
+from delmc.cli import main
+
+TWO_WORLDS = data_path("two_worlds.json")
+TWO_FIBERS = data_path("two_fibers.json")
+PRIVATE = data_path("private_announcement.json")
+FO_EVENT = data_path("fo_event.json")
+
+PAIRS = {"kripke": (TWO_WORLDS, PRIVATE), "sheaf": (TWO_FIBERS, FO_EVENT)}
+
+
+def test_update_kripke_text(capsys):
+    assert main(["update", TWO_WORLDS, PRIVATE]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "source worlds: 2",
+        "events: ep, et",
+        "  precondition extent of ep: w1",
+        "  precondition extent of et: w1 w2",
+        "updated worlds: 3",
+        "  (w1,ep) <- w1 via ep",
+        "  (w1,et) <- w1 via et",
+        "  (w2,et) <- w2 via et",
+    ]
+
+
+def test_update_sheaf_text(capsys):
+    assert main(["update", TWO_FIBERS, FO_EVENT]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "source worlds: 2, individuals: 3",
+        "events: e1, e2",
+        "  precondition extent of e1: w1",
+        "  precondition extent of e2: w1 w2",
+        "updated worlds: 3, individuals: 5",
+        "  (w1,e1) <- w1 via e1",
+        "  (w1,e2) <- w1 via e2",
+        "  (w2,e2) <- w2 via e2",
+    ]
+
+
+def test_update_kripke_json(capsys):
+    assert main(["update", TWO_WORLDS, PRIVATE, "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "source_worlds": ["w1", "w2"],
+        "events": ["ep", "et"],
+        "precondition_extents": {"ep": ["w1"], "et": ["w1", "w2"]},
+        "updated_worlds": [
+            {"world": "(w1,ep)", "source": "w1", "event": "ep"},
+            {"world": "(w1,et)", "source": "w1", "event": "et"},
+            {"world": "(w2,et)", "source": "w2", "event": "et"},
+        ],
+    }
+
+
+def test_update_sheaf_json(capsys):
+    assert main(["update", TWO_FIBERS, FO_EVENT, "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["events"] == ["e1", "e2"]
+    assert doc["precondition_extents"] == {"e1": ["w1"], "e2": ["w1", "w2"]}
+    assert [w["world"] for w in doc["updated_worlds"]] == ["(w1,e1)", "(w1,e2)", "(w2,e2)"]
+    # individuals over w1 (d1, d2) copy under both events, d3 over w2 under e2 only
+    assert doc["updated_individuals"] == [
+        {"individual": f"({d},{e})", "source": d, "event": e}
+        for d, e in (("d1", "e1"), ("d1", "e2"), ("d2", "e1"), ("d2", "e2"), ("d3", "e2"))
+    ]
+
+
+@pytest.mark.parametrize("layer", sorted(PAIRS))
+def test_updated_worlds_sum_the_precondition_extents(capsys, layer):
+    assert main(["update", *PAIRS[layer], "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    extents = doc["precondition_extents"]
+    assert len(doc["updated_worlds"]) == sum(len(ws) for ws in extents.values())
+    for entry in doc["updated_worlds"]:
+        assert entry["source"] in extents[entry["event"]]
+
+
+@pytest.mark.parametrize("layer", sorted(PAIRS))
+def test_update_out_file_loads_back(capsys, tmp_path, layer):
+    out = tmp_path / "updated.json"
+    assert main(["update", *PAIRS[layer], "--out", str(out)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == f"updated model written to {out}"
+    doc = json.loads(out.read_text(encoding="utf-8"))
+    model = load_model(doc)
+    assert dump_model(model, name=doc.get("name")) == doc
+
+
+@pytest.mark.parametrize("layer", sorted(PAIRS))
+def test_update_dot_file_is_a_digraph(capsys, tmp_path, layer):
+    dot = tmp_path / "updated.dot"
+    assert main(["update", *PAIRS[layer], "--dot", str(dot), "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["dot"] == str(dot)
+    text = dot.read_text(encoding="utf-8")
+    assert text.startswith("digraph {")
+    assert text.rstrip().endswith("}")
+    assert '"(w1,' in text
+
+
+def test_update_by_a_kripke_model_exits_2(capsys):
+    assert main(["update", TWO_WORLDS, TWO_WORLDS]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert "expected an event-model document" in captured.err

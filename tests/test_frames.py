@@ -1,6 +1,9 @@
 """Frame constructions: lifts, products, subframes, pullbacks, bisimulations."""
 
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given
@@ -28,6 +31,7 @@ from delmc import (
     compose_maps,
     dagger,
     extension,
+    fibered_power,
     forall_map,
     frame_map,
     function_from_mapping,
@@ -41,6 +45,7 @@ from delmc import (
     is_transitive,
     largest_preserved_check,
     leq,
+    meet,
     preimage_map,
     product,
     pullback,
@@ -50,11 +55,13 @@ from delmc import (
 )
 from delmc.generators import (
     random_bounded_map,
+    random_carrier,
     random_formula,
     random_frame,
     random_model,
     random_monotone_map,
     random_relation,
+    random_sheaf,
     random_subset,
 )
 from delmc.powerset import MEET
@@ -94,6 +101,18 @@ def test_initial_lift_empty_family_is_total():
     assert f.rel("a") == total(w, w)
 
 
+def test_initial_lift_rejects_mismatched_agents():
+    f = chain_frame()
+    only_a = KripkeFrame.make(f.carrier, A, {"a": f.rel("a")})
+    z = FiniteSet("z", ("z1",))
+    gfn = function_from_mapping(z, f.carrier, {"z1": "w1"})
+    with pytest.raises(AgentMismatch):
+        initial_lift([f, only_a], [gfn, gfn])
+    with pytest.raises(AgentMismatch):
+        initial_lift([f], [gfn], agents=A)
+    assert initial_lift([f], [gfn], agents=AB) == initial_lift([f], [gfn])
+
+
 def test_initial_lift_computes_componentwise_preimage():
     f = chain_frame()
     z = FiniteSet("z", ("z1", "z2"))
@@ -123,6 +142,72 @@ def test_initial_lift_universal_property_on_example():
         into_lift = is_monotone(FrameMap(zframe, lifted, identity(z)))
         composite = is_monotone(FrameMap(zframe, f, gfn))
         assert into_lift == composite
+
+
+def reference_lift(targets, fns, carrier, agents):
+    """The initial lift by its first definition: per agent, the meet, from
+    the total relation, of each target relation pulled back along its map."""
+    rels = {}
+    for a in agents:
+        lifted = total(carrier, carrier)
+        for fn, t in zip(fns, targets):
+            lifted = meet(lifted, compose(compose(fn, t.rel(a)), dagger(fn)))
+        rels[a] = lifted
+    return KripkeFrame.make(carrier, agents, rels)
+
+
+@st.composite
+def lift_families(draw):
+    """0-3 target frames over shared agents and one function into each,
+    from a common domain; the functions need not be surjective."""
+    agents = draw(strat.agent_sets())
+    dom = draw(strat.carriers(min_size=0, max_size=4, prefix="x"))
+    targets = [
+        draw(strat.frames(carrier=draw(strat.carriers(prefix=f"t{k}_")), agents=agents))
+        for k in range(draw(st.integers(min_value=0, max_value=3)))
+    ]
+    fns = [draw(strat.functions(dom, t.carrier)) for t in targets]
+    return agents, dom, targets, fns
+
+
+@given(lift_families())
+def test_initial_lift_matches_reference(family):
+    agents, dom, targets, fns = family
+    assert initial_lift(targets, fns, carrier=dom, agents=agents) == reference_lift(
+        targets, fns, dom, agents
+    )
+
+
+def assert_lift_of_legs(frame, targets, legs):
+    assert frame == reference_lift(targets, legs, frame.carrier, frame.agents)
+
+
+@given(st.integers(min_value=0, max_value=2 ** 32 - 1))
+def test_constructions_match_reference_lift(seed):
+    rng = random.Random(seed)
+    agents = AB if rng.random() < 0.5 else A
+    f1 = random_frame(rng, random_carrier(rng, rng.randrange(1, 4), "w"), agents)
+    f2 = random_frame(rng, random_carrier(rng, rng.randrange(1, 4), "v"), agents)
+
+    prod, p1, p2 = product(f1, f2)
+    assert_lift_of_legs(prod, [f1, f2], [p1.fn, p2.fn])
+
+    sub, incl = subframe(f1, random_subset(rng, f1.carrier))
+    assert_lift_of_legs(sub, [f1], [incl.fn])
+
+    f = random_monotone_map(rng, rng.randrange(1, 4), f1, prefix="y")
+    g = random_monotone_map(rng, rng.randrange(1, 4), f1, prefix="z")
+    apex, q1, q2 = pullback(f, g)
+    assert_lift_of_legs(apex, [f.src, g.src], [q1.fn, q2.fn])
+
+    sheaf = random_sheaf(rng, f1, max_fiber=2)
+    for n in (2, 3):
+        power = fibered_power(sheaf, n)
+        assert_lift_of_legs(
+            power.frame,
+            [sheaf.total] * n + [sheaf.base],
+            [c.fn for c in power.component_projections] + [power.proj_to_base.fn],
+        )
 
 
 def test_largest_preserved_check():
@@ -187,6 +272,37 @@ def test_pullback_square_commutes_and_is_fibered():
         if apply_function(f.fn, w) == apply_function(g.fn, v)
     }
     assert len(apex.carrier) == len(expected)
+
+
+_HASH_PROBE = """
+import json, random
+from delmc import AgentSet, dump_model
+from delmc.generators import random_carrier, random_frame, random_monotone_map
+from delmc.generators import random_sheaf, random_sheaf_model
+rng = random.Random(5)
+agents = AgentSet(("a", "b"))
+dst = random_frame(rng, random_carrier(rng, 4, "t"), agents)
+out = []
+for _ in range(5):
+    m = random_monotone_map(rng, 4, dst)
+    out.append([sorted(m.src.rel(a).pairs) for a in agents])
+    out.append(dump_model(random_sheaf_model(rng, random_sheaf(rng, dst, max_fiber=2))))
+print(json.dumps(out))
+"""
+
+
+def test_generators_do_not_depend_on_the_hash_seed():
+    import delmc
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(delmc.__file__)))
+    outputs = set()
+    for hash_seed in ("1", "2", "3"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-c", _HASH_PROBE], env=env, capture_output=True, text=True, check=True
+        )
+        outputs.add(proc.stdout)
+    assert len(outputs) == 1
 
 
 def test_pullback_requires_monotone_legs():

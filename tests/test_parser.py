@@ -31,6 +31,7 @@ from delmc import (
     parse_term,
     print_formula,
 )
+from delmc.parser import MAX_NESTING
 from delmc.generators import (
     random_carrier,
     random_fo_event_model,
@@ -103,6 +104,43 @@ def test_parse_error_positions():
         parse_formula("(p & q")
     with pytest.raises(ParseError):
         parse_formula("")
+
+
+NESTED = {
+    "negation": lambda n: "~" * n + "p",
+    "parentheses": lambda n: "(" * n + "p" + ")" * n,
+    "box": lambda n: "[a]" * n + "p",
+    "conjunction": lambda n: " & ".join(["p"] * (n + 1)),
+    "implication": lambda n: " -> ".join(["p"] * (n + 1)),
+    "announcement": lambda n: "[!" * n + "p" + "]p" * n,
+    "quantifier": lambda n: "ctx | " + " ".join(f"forall x{i}." for i in range(n)) + " P",
+    "term": lambda n: "ctx x | P(" + "f(" * n + "x" + ")" * n + ")",
+}
+
+
+@pytest.mark.parametrize("shape", sorted(NESTED))
+def test_nesting_at_the_limit_parses_and_prints(shape):
+    phi = parse_formula(NESTED[shape](MAX_NESTING))
+    assert parse_formula(print_formula(phi)) == phi
+
+
+@pytest.mark.parametrize("shape", sorted(NESTED))
+def test_nesting_past_the_limit_is_a_positioned_parse_error(shape):
+    text = NESTED[shape](MAX_NESTING + 1)
+    with pytest.raises(ParseError) as exc:
+        parse_formula(text)
+    assert exc.value.line == 1 and 1 < exc.value.column <= len(text)
+    assert f"deeper than {MAX_NESTING}" in str(exc.value)
+
+
+def test_nesting_counts_open_levels_only():
+    # a closed group gives its levels back: the second operand sits one
+    # level down (the chain), then a group and its negations
+    deep = "(" + "~" * (MAX_NESTING - 2) + "p)"
+    phi = parse_formula(f"{deep} & {deep}")
+    assert isinstance(phi, And)
+    with pytest.raises(ParseError):
+        parse_formula(f"{deep} & p & {deep}")
 
 
 def test_event_model_names_validated_when_registry_given(private_announcement_event):
