@@ -32,7 +32,7 @@ class NotMonotone(DelmcError):
 
 
 class CapExceeded(DelmcError):
-    """An exhaustive check was requested on a carrier above the size cap."""
+    """An exhaustive check or a construction would pass its size cap."""
 
 
 class NotAPullback(DelmcError):

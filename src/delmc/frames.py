@@ -35,7 +35,7 @@ from .rel import (
     closure_reflexive_transitive,
     compose,
     identity,
-    is_function,
+    is_function_pointwise,
     join,
     leq,
     pair_label,
@@ -106,7 +106,10 @@ class FrameMap:
     """A function between the carriers of two frames over the same agents.
 
     Being a frame map imposes nothing beyond functionality; monotonicity
-    and boundedness are separate, checkable properties.
+    and boundedness are separate, checkable properties.  Functionality is
+    checked pointwise, one successor per source point, in time linear in
+    the pairs; ``is_function`` keeps the dagger definition, and the
+    ``rel-laws`` suite checks that the two agree.
     """
 
     src: KripkeFrame
@@ -118,7 +121,7 @@ class FrameMap:
             raise CarrierMismatch("frame map carriers do not match its frames")
         if self.src.agents != self.dst.agents:
             raise AgentMismatch("frame map endpoints carry different agent sets")
-        if not is_function(self.fn):
+        if not is_function_pointwise(self.fn):
             raise NotAFunction("frame map underlying relation is not a function")
 
     def __call__(self, w: str) -> str:
@@ -233,7 +236,7 @@ def initial_lift(
                 raise CarrierMismatch("initial_lift: functions do not share a domain")
             if fn.cod != t.carrier:
                 raise CarrierMismatch("initial_lift: function codomain is not its target carrier")
-            if not is_function(fn):
+            if not is_function_pointwise(fn):
                 raise NotAFunction("initial_lift: family member is not a function")
         if carrier is not None and carrier != dom:
             raise CarrierMismatch("initial_lift: explicit carrier disagrees with functions")

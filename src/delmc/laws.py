@@ -66,13 +66,19 @@ from .models import (
     verify_pal_reductions,
 )
 from .powerset import (
+    Subset,
+    apply,
     beck_chevalley_equation,
     check_adjunction,
     check_beck_chevalley,
     check_biduality_laws,
     compose_maps,
+    empty_subset,
+    exists_image,
     exists_map,
+    forall_image,
     forall_map,
+    full_subset,
     map_leq,
     maps_equal,
     relation_from_join_map,
@@ -91,6 +97,7 @@ from .rel import (
     function_from_mapping,
     identity,
     is_function,
+    is_function_pointwise,
     is_injective,
     is_jointly_monic,
     is_reflexive,
@@ -351,7 +358,8 @@ def run_rel_laws(seed: int = 0, cases: int = 1000, max_size: int = 5) -> Report:
         )
 
         f = random_function(rng, a, b)
-        col.expect(f"{tag}: generated map is a function", is_function(f), _describe_rel(f))
+        f_is_function = is_function(f)
+        col.expect(f"{tag}: generated map is a function", f_is_function, _describe_rel(f))
         big = a if len(a.elements) >= len(b.elements) else random_carrier(rng, len(b.elements), "a")
         surj = random_surjection(rng, big, b)
         col.expect(f"{tag}: generated surjection is surjective", is_surjective(surj), _describe_rel(surj))
@@ -361,6 +369,8 @@ def run_rel_laws(seed: int = 0, cases: int = 1000, max_size: int = 5) -> Report:
         inj_dom = random_carrier(rng, inj_size, "i")
         inj = Rel(inj_dom, b, frozenset(zip(inj_dom.elements, targets)))
         col.expect(f"{tag}: distinct-valued map is injective", is_injective(inj), _describe_rel(inj))
+        # (name, relation, its functionality by the dagger definition)
+        pointwise_cases = [("f", f, f_is_function), ("r1", r1, is_function(r1))]
         if len(a.elements) >= 2 and len(b.elements) >= 1:
             tgt = b.elements[0]
             collapse = Rel(a, b, frozenset((w, tgt) for w in a.elements))
@@ -369,6 +379,12 @@ def run_rel_laws(seed: int = 0, cases: int = 1000, max_size: int = 5) -> Report:
                 not is_injective(collapse),
                 _describe_rel(collapse),
             )
+            pointwise_cases.append(("collapse", collapse, is_function(collapse)))
+        for name, g, by_dagger in pointwise_cases:
+            if is_function_pointwise(g) != by_dagger:
+                col.expect(
+                    f"{tag}: pointwise functionality agrees on {name}", False, _describe_rel(g)
+                )
 
         tab = tabulate(r1)
         col.expect(
@@ -393,6 +409,11 @@ def run_rel_laws(seed: int = 0, cases: int = 1000, max_size: int = 5) -> Report:
 # Relation / powerset-map duality
 
 
+def _fixed_subsets(x: FiniteSet) -> List[Subset]:
+    """Empty, full and every other element, in carrier order: no draws."""
+    return [empty_subset(x), full_subset(x), Subset(x, frozenset(x.elements[::2]))]
+
+
 def run_duality(seed: int = 0, cases: int = 1000, max_size: int = 4) -> Report:
     """Round trips, adjunctions, join/meet preservation, functoriality, order."""
     rng = random.Random(seed)
@@ -407,6 +428,22 @@ def run_duality(seed: int = 0, cases: int = 1000, max_size: int = 4) -> Report:
 
         em = exists_map(r)
         fm = forall_map(r)
+        back = dagger(r)
+        for name, along, rows, univ, direct in (
+            ("r", r, r.predecessors, fm, em),
+            ("dagger(r)", back, r.successors, forall_map(back), exists_map(back)),
+        ):
+            for sub in _fixed_subsets(along.dom):
+                agree = forall_image(rows, along.cod, sub.members) == apply(univ, sub).members
+                agree = agree and (
+                    exists_image(rows, along.cod, sub.members) == apply(direct, sub).members
+                )
+                if not agree:
+                    col.expect(
+                        f"{tag}: row images along {name} match the image maps",
+                        False,
+                        f"r={_describe_rel(r)} s={sub.sorted_members()}",
+                    )
         col.expect(
             f"{tag}: join-map round trip",
             relation_from_join_map(em) == r,

@@ -4,9 +4,12 @@ one evaluator that serves both layers.
 Extensions are computed algebraically: a box is the universal image along
 the dagger of the agent's relation, announcement operators are the
 universal/direct images along the submodel inclusion, and event operators
-are images along the transition relation of the update.  Dynamic operators
-name their event model; names resolve through a registry passed alongside
-the formula.
+are images along the dagger of the update's transition relation.  The
+evaluator reads each image off the relation's cached rows with
+``powerset.forall_image`` / ``exists_image``, building no dagger and no
+image map; the ``duality`` law suite holds those helpers to ``apply`` of
+``forall_map`` / ``exists_map``.  Dynamic operators name their event model;
+names resolve through a registry passed alongside the formula.
 
 The evaluator here also interprets first-order formulas in context on
 sheaf models (see ``sheaves``): a formula in an n-variable context denotes
@@ -24,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Container, Dict, FrozenSet, List, Mapping, Optional, Tuple
+from typing import Callable, Collection, Dict, FrozenSet, List, Mapping, Optional, Tuple
 
 from .errors import (
     CapExceeded,
@@ -62,7 +65,9 @@ from .powerset import (
     all_subsets,
     apply,
     compose_maps,
+    exists_image,
     exists_map,
+    forall_image,
     forall_map,
     preimage_map,
 )
@@ -210,17 +215,30 @@ class UpdateResult:
         return dict(self.transitions)[e]
 
 
+# The largest carrier an update may build.  Each nested event operator
+# updates the previous update, so carriers can grow geometrically; past this
+# size the update raises CapExceeded instead of exhausting memory.
+MAX_UPDATE_CARRIER = 10_000
+
+
 def updated_frame(
     frame_x: KripkeFrame,
     frame_e: KripkeFrame,
-    extents: Mapping[str, Container[str]],
+    extents: Mapping[str, Collection[str]],
 ) -> Tuple[KripkeFrame, Tuple[Rel, Rel], Dict[str, Tuple[str, str]]]:
     """Frame of an update, given each event's precondition extent.
 
     The points are the pairs (w, e) with w in the extent of e, world-major;
     a pair moves to a pair when both components move.  Returns the frame,
-    its two projections, and each point's (old point, event).
+    its two projections, and each point's (old point, event).  Raises
+    CapExceeded, before building anything, when the points would number
+    more than MAX_UPDATE_CARRIER.
     """
+    size = sum(len(extents[e]) for e in frame_e.carrier)
+    if size > MAX_UPDATE_CARRIER:
+        raise CapExceeded(
+            f"update would build {size} points, above the cap of {MAX_UPDATE_CARRIER}"
+        )
     points = [
         (pair_label(w, e), (w, e))
         for w in frame_x.carrier
@@ -240,8 +258,12 @@ class _Evaluator:
     the formula holds.  The evaluator holds what both layers share: the
     memo, the Boolean connectives, boxes and diamonds as images along the
     dagger of an agent's relation, quantifiers as images along the model's
-    drop map, event operators as images along an update's transition, and
-    the update memo with its cycle check.  A model supplies the rest:
+    drop map, event operators as images along the dagger of an update's
+    transition, and the update memo with its cycle check.  Every image is
+    read off the rows the relation caches (``successors`` along a dagger,
+    ``predecessors`` along the relation), so a modal node builds no dagger,
+    image map or relation; the ``duality`` suite checks the row helpers
+    against the image maps.  A model supplies the rest:
 
     - ``context_frame(n)``: the frame whose carrier holds the points of an
       n-variable context, with one relation per agent;
@@ -299,35 +321,31 @@ class _Evaluator:
                 .complement()
                 .union(self.ext(model, context, phi.right))
             )
-        if isinstance(phi, Box):
-            r = frame.rel(phi.agent)
-            return apply(forall_map(dagger(r)), self.ext(model, context, phi.body))
-        if isinstance(phi, Dia):
-            r = frame.rel(phi.agent)
-            return apply(exists_map(dagger(r)), self.ext(model, context, phi.body))
-        if isinstance(phi, (Forall, Exists)):
+        if isinstance(phi, (Box, Dia)):
+            rows = frame.rel(phi.agent).successors
+            inner = self.ext(model, context, phi.body)
+        elif isinstance(phi, (Forall, Exists)):
             if phi.var in context:
                 raise InvariantViolation(
                     f"quantified variable {phi.var!r} shadows the context; rename it"
                 )
             inner = self.ext(model, context + (phi.var,), phi.body)
-            drop = model.drop_last_map(n)
-            image = forall_map(drop) if isinstance(phi, Forall) else exists_map(drop)
-            return apply(image, inner)
-        if isinstance(phi, (DelBox, DelDia)):
+            rows = model.drop_last_map(n).predecessors
+        elif isinstance(phi, (DelBox, DelDia)):
             upd = self.update(model, phi.model)
             if phi.event not in upd.events.events:
                 raise UnknownEvent(f"event {phi.event!r} not in event model {phi.model!r}")
             inner = self.ext(upd.updated, context, phi.body)
-            r_e = dagger(model.transition(upd, n, phi.event))
-            image = forall_map(r_e) if isinstance(phi, DelBox) else exists_map(r_e)
-            return apply(image, inner)
-        if isinstance(phi, (PalBox, PalDia)) and isinstance(model, KripkeModel):
+            rows = model.transition(upd, n, phi.event).successors
+        elif isinstance(phi, (PalBox, PalDia)) and isinstance(model, KripkeModel):
             sub, incl = self.pal(model, phi.announcement)
+            rows = incl.fn.predecessors
             inner = self.ext(sub, context, phi.body)
-            image = forall_map(incl.fn) if isinstance(phi, PalBox) else exists_map(incl.fn)
-            return apply(image, inner)
-        return model.leaf(context, phi)
+        else:
+            return model.leaf(context, phi)
+        universal = isinstance(phi, (Box, Forall, DelBox, PalBox))
+        image = forall_image if universal else exists_image
+        return Subset(carrier, image(rows, carrier, inner.members))
 
     def pal(self, model: KripkeModel, sigma: Formula) -> Tuple[KripkeModel, FrameMap]:
         key = (model, sigma)
@@ -587,12 +605,6 @@ def _static_pool(
     succ_x = {a: model.frame.rel(a).successors for a in model.frame.agents}
     succ_u = {a: updated.frame.rel(a).successors for a in updated.frame.agents}
 
-    def box(succ, carrier, s):
-        return frozenset(w for w in carrier if succ[w] <= s)
-
-    def dia(succ, carrier, s):
-        return frozenset(w for w in carrier if succ[w] & s)
-
     def sort_key(entry):
         fx, sx, su = entry
         return (sorted(sx), sorted(su))
@@ -618,8 +630,9 @@ def _static_pool(
         for f, sx, su in current:
             add(Not(f), x.as_set - sx, u.as_set - su, fresh)
             for a in model.frame.agents:
-                add(Box(a, f), box(succ_x[a], x, sx), box(succ_u[a], u, su), fresh)
-                add(Dia(a, f), dia(succ_x[a], x, sx), dia(succ_u[a], u, su), fresh)
+                sx_a, su_a = succ_x[a], succ_u[a]
+                add(Box(a, f), forall_image(sx_a, x, sx), forall_image(su_a, u, su), fresh)
+                add(Dia(a, f), exists_image(sx_a, x, sx), exists_image(su_a, u, su), fresh)
         for f1, sx1, su1 in current:
             for f2, sx2, su2 in pool:
                 add(And(f1, f2), sx1 & sx2, su1 & su2, fresh)
@@ -656,9 +669,9 @@ def no_learning_check(
     holds = True
     for e in ev_model.events:
         pre_ext = ev.ext(model, (), ev_model.pre(e)).members
-        box_along = forall_map(dagger(upd.transition(e)))
+        rows = upd.transition(e).successors
         for f, sx, su in pool:
-            lhs = apply(box_along, Subset(upd.updated.frame.carrier, su)).members
+            lhs = forall_image(rows, x, su)
             rhs = (x.as_set - pre_ext) | (sx & pre_ext)
             if lhs != rhs:
                 holds = False

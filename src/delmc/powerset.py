@@ -8,6 +8,13 @@ relations and such maps is exact and is exercised by check functions here.
 
 Modal reading: the box along a relation is the universal image of its
 dagger; the diamond is the direct image of its dagger.
+
+``forall_image`` and ``exists_image`` compute the same two images, as
+member sets, straight from a relation's cached rows, with no map built:
+the rows of r are its predecessor sets for an image along r, and its
+successor sets for an image along the dagger of r.  The evaluator reads
+every modal image this way; the ``duality`` law suite holds the two
+helpers to ``apply`` of the image maps.
 """
 
 from __future__ import annotations
@@ -15,7 +22,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
+from typing import AbstractSet, Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple
 
 from .errors import CapExceeded, CarrierMismatch, InvariantViolation, NotAFunction, NotAPullback
 from .rel import (
@@ -141,6 +148,28 @@ def forall_map(r: Rel) -> PowersetMap:
     codomain points not reached from w.
     """
     return _make_map(r.dom, r.cod, MEET, {w: r.cod.as_set - r.successors[w] for w in r.dom})
+
+
+def forall_image(
+    rows: Mapping[str, FrozenSet[str]], carrier: FiniteSet, s: AbstractSet[str]
+) -> FrozenSet[str]:
+    """Universal image from rows: the points of carrier whose row lies in s.
+
+    Pass r.predecessors for the image along r (``apply(forall_map(r), s)``)
+    and r.successors for the image along its dagger (the box).
+    """
+    return frozenset(y for y in carrier if rows[y] <= s)
+
+
+def exists_image(
+    rows: Mapping[str, FrozenSet[str]], carrier: FiniteSet, s: AbstractSet[str]
+) -> FrozenSet[str]:
+    """Direct image from rows: the points of carrier whose row meets s.
+
+    Pass r.predecessors for the image along r (``apply(exists_map(r), s)``)
+    and r.successors for the image along its dagger (the diamond).
+    """
+    return frozenset(y for y in carrier if not rows[y].isdisjoint(s))
 
 
 def apply(h: PowersetMap, s: Subset) -> Subset:

@@ -179,6 +179,15 @@ def is_function(r: Rel) -> bool:
     )
 
 
+def is_function_pointwise(r: Rel) -> bool:
+    """Total and single-valued, read off the rows: one successor per point.
+
+    Agrees with ``is_function`` (the ``rel-laws`` suite checks that it
+    does) in time linear in the pairs, with no composite built.
+    """
+    return all(len(vs) == 1 for vs in r.successors.values())
+
+
 def is_injective(r: Rel) -> bool:
     """For functions: dagger-then-r equals the identity on the domain."""
     return compose(r, dagger(r)) == identity(r.dom)

@@ -355,6 +355,7 @@ class SheafModel:
                 )
         self.fn_interp_map = {n: fn_interp[n] for n, _ in signature.function_symbols}
         self.rel_interp_map = {n: rel_interp[n] for n, _ in signature.relation_symbols}
+        self._drops: Dict[int, Rel] = {}
 
     def power(self, n: int) -> FiberedPower:
         return self.sheaf.power(n)
@@ -421,15 +422,17 @@ class SheafModel:
         return Subset(carrier, frozenset(chosen))
 
     def drop_last_map(self, n: int) -> Rel:
-        """Projection of the (n+1)-th power onto the n-th, dropping the last slot."""
-        upper = self.power(n + 1)
-        lower = self.power(n)
-        pairs = []
-        for lbl in upper.carrier:
-            tup = upper.tuple_of(lbl)
-            w = upper.world_of(lbl)
-            pairs.append((lbl, lower.label_for(w, tup[:-1])))
-        return Rel(upper.carrier, lower.carrier, frozenset(pairs))
+        """Projection of the (n+1)-th power onto the n-th, dropping the last
+        slot; built on first use and kept, with its rows."""
+        if n not in self._drops:
+            upper = self.power(n + 1)
+            lower = self.power(n)
+            pairs = frozenset(
+                (lbl, lower.label_for(w, tup[:-1]))
+                for lbl, tup, w in zip(upper.carrier, upper.tuples, upper.base_worlds)
+            )
+            self._drops[n] = Rel(upper.carrier, lower.carrier, pairs)
+        return self._drops[n]
 
     def transition(self, upd: "SheafUpdate", n: int, e: str) -> Rel:
         return upd.transition(n, e)
@@ -632,20 +635,6 @@ def pullback_update(
 ) -> SheafUpdate:
     """Update a sheaf model by an event model with closed preconditions."""
     return _Evaluator(registry).build_update(model, ev)
-
-
-def del_in_context(
-    model: SheafModel,
-    ev: EventModel,
-    event: str,
-    phi: FormulaInContext,
-    registry: Optional[Mapping[str, EventModel]] = None,
-    ref: str = "_update",
-) -> Subset:
-    """Extension of the event box of a formula, in that formula's context."""
-    reg = dict(registry or {})
-    reg[ref] = ev
-    return interp_formula(model, FormulaInContext(phi.context, DelBox(ref, event, phi.body)), reg)
 
 
 def _substitution_routes(

@@ -1,0 +1,112 @@
+"""The CLI's bad-input contract: exit 2, one `error: ` line, nothing on stdout.
+
+Covers a file that is not JSON, a document that breaks the schema and a
+formula that does not parse, on `eval`, `update` and `reduce --model`; then
+`reduce` without `--model` in both output forms; then updates past the
+carrier cap.
+"""
+
+import json
+
+import pytest
+
+from conftest import data_path
+from delmc import models
+from delmc.cli import main
+from delmc.models import MAX_UPDATE_CARRIER
+
+TWO_WORLDS = data_path("two_worlds.json")
+TWO_FIBERS = data_path("two_fibers.json")
+PRIVATE = data_path("private_announcement.json")
+FO_EVENT = data_path("fo_event.json")
+
+
+@pytest.fixture
+def bad_files(tmp_path):
+    """A non-JSON file, a model missing its worlds, and an event model whose
+    precondition does not parse."""
+    not_json = tmp_path / "not_json.json"
+    not_json.write_text("{ this is not json", encoding="utf-8")
+    with open(TWO_WORLDS, encoding="utf-8") as handle:
+        model = json.load(handle)
+    del model["worlds"]
+    schema = tmp_path / "schema.json"
+    schema.write_text(json.dumps(model), encoding="utf-8")
+    with open(PRIVATE, encoding="utf-8") as handle:
+        events = json.load(handle)
+    events["preconditions"]["ep"] = "p &"
+    unparsable = tmp_path / "unparsable_event.json"
+    unparsable.write_text(json.dumps(events), encoding="utf-8")
+    return {"not_json": str(not_json), "schema": str(schema), "unparsable": str(unparsable)}
+
+
+def _argv(command, fault, files):
+    model = files[fault] if fault in ("not_json", "schema") else TWO_WORLDS
+    if command == "eval":
+        formula = "p &" if fault == "parse" else "[a]p"
+        return ["eval", model, formula]
+    if command == "update":
+        events = files["unparsable"] if fault == "parse" else PRIVATE
+        return ["update", model, events]
+    formula = "[F,ep]p &" if fault == "parse" else "[F,ep]p"
+    return ["reduce", formula, "--model", model, "--events", PRIVATE]
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("fault", ["not_json", "schema", "parse"])
+@pytest.mark.parametrize("command", ["eval", "update", "reduce"])
+def test_bad_input_exits_2(capsys, bad_files, command, fault, fmt):
+    assert main(_argv(command, fault, bad_files) + ["--format", fmt]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert len(captured.err.splitlines()) == 1
+
+
+def test_reduce_without_model_text(capsys):
+    assert main(["reduce", "[F,ep]p", "--events", PRIVATE]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "input: [F,ep]p",
+        "result: p -> p",
+        "steps: 1",
+        "verified: no (no model given)",
+    ]
+
+
+def test_reduce_without_model_json(capsys):
+    assert main(["reduce", "[F,ep]p", "--events", PRIVATE, "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["input"] == "[F,ep]p"
+    assert doc["result"] == "p -> p"
+    assert doc["verified"] is False
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_reduce_without_model_bad_formula_exits_2(capsys, fmt):
+    assert main(["reduce", "[F,ep]p &", "--events", PRIVATE, "--format", fmt]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: formula: ")
+
+
+def test_nested_updates_past_the_cap_exit_2(capsys):
+    # each [F,et] level updates the previous update; the 14th would build
+    # 16,385 worlds, so the run stops there, long before memory runs out
+    formula = "[F,et]" * 20 + "p"
+    assert main(["eval", TWO_WORLDS, formula, "--events", PRIVATE]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: update would build 16385 points")
+    assert f"above the cap of {MAX_UPDATE_CARRIER}" in captured.err
+
+
+@pytest.mark.parametrize("model, events, cap, size", [
+    (TWO_WORLDS, PRIVATE, 2, 3),  # product update: 3 updated worlds
+    (TWO_FIBERS, FO_EVENT, 4, 5),  # pullback update: 3 worlds, then 5 individuals
+], ids=["product", "pullback"])
+def test_update_checks_the_cap_before_building(capsys, monkeypatch, model, events, cap, size):
+    monkeypatch.setattr(models, "MAX_UPDATE_CARRIER", cap)
+    assert main(["update", model, events]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: update would build {size} points, above the cap of {cap}\n"

@@ -19,7 +19,9 @@ from delmc import (
     FrameMap,
     KripkeFrame,
     KripkeModel,
+    NotAFunction,
     NotMonotone,
+    Rel,
     Subset,
     UnknownAgent,
     all_subsets,
@@ -40,6 +42,8 @@ from delmc import (
     initial_lift,
     is_bisimulation,
     is_bounded,
+    is_function,
+    is_function_pointwise,
     is_monotone,
     is_reflexive,
     is_transitive,
@@ -395,3 +399,30 @@ def test_common_knowledge_chain():
         common_knowledge_relation(f, ())
     with pytest.raises(UnknownAgent):
         common_knowledge_relation(f, ("zz",))
+
+
+@st.composite
+def broken_frame_maps(draw):
+    """Frames src, dst and a relation between their carriers that fails to be
+    a function in one of two ways: a point with no value, or with two."""
+    agents = draw(strat.agent_sets())
+    src = draw(strat.frames(agents=agents))
+    dst = draw(strat.frames(carrier=draw(strat.carriers(min_size=2, prefix="v")), agents=agents))
+    fn = draw(strat.functions(src.carrier, dst.carrier))
+    w = draw(st.sampled_from(src.carrier.elements))
+    if draw(st.booleans()):
+        pairs = frozenset(p for p in fn.pairs if p[0] != w)
+    else:
+        value = apply_function(fn, w)
+        other = draw(st.sampled_from([v for v in dst.carrier if v != value]))
+        pairs = fn.pairs | {(w, other)}
+    return src, dst, fn, Rel(src.carrier, dst.carrier, pairs)
+
+
+@given(broken_frame_maps())
+def test_frame_map_rejects_non_functions(case):
+    src, dst, fn, broken = case
+    assert FrameMap(src, dst, fn).fn == fn
+    assert not is_function(broken) and not is_function_pointwise(broken)
+    with pytest.raises(NotAFunction):
+        FrameMap(src, dst, broken)

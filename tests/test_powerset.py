@@ -1,5 +1,6 @@
 """Powerset maps and the relation/map dualities."""
 
+import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
@@ -21,7 +22,9 @@ from delmc import (
     compose_maps,
     dagger,
     empty_subset,
+    exists_image,
     exists_map,
+    forall_image,
     forall_map,
     full_subset,
     function_from_mapping,
@@ -66,6 +69,46 @@ def test_forall_map_hand_example():
     box = forall_map(dagger(R))
     assert apply(box, sub(Y, "a", "b")) == sub(X, "u")
     assert apply(box, sub(Y, "a")) == empty_subset(X)
+
+
+def test_row_images_hand_example():
+    # the box along R reads the successor rows: u's row {a, b} lies in {a, b}
+    assert forall_image(R.successors, X, {"a", "b"}) == {"u"}
+    assert exists_image(R.successors, X, {"c"}) == {"v"}
+    # along R itself the rows are the predecessor sets
+    assert forall_image(R.predecessors, Y, {"u"}) == {"a", "b"}
+    assert exists_image(R.predecessors, Y, {"v"}) == {"c"}
+
+
+@st.composite
+def relations_with_subsets(draw):
+    dom = draw(strat.carriers(min_size=0, prefix="a"))
+    cod = draw(strat.carriers(min_size=0, prefix="b"))
+    r = draw(st.one_of(st.just(Rel(dom, cod, frozenset())), strat.relations(dom, cod)))
+    return r, draw(strat.subsets(dom)), draw(strat.subsets(cod))
+
+
+@given(relations_with_subsets())
+def test_row_images_match_image_maps(case):
+    r, s_dom, s_cod = case
+    assert forall_image(r.predecessors, r.cod, s_dom.members) == apply(forall_map(r), s_dom).members
+    assert exists_image(r.predecessors, r.cod, s_dom.members) == apply(exists_map(r), s_dom).members
+    back = dagger(r)
+    assert forall_image(r.successors, r.dom, s_cod.members) == apply(forall_map(back), s_cod).members
+    assert exists_image(r.successors, r.dom, s_cod.members) == apply(exists_map(back), s_cod).members
+
+
+def test_row_images_on_empty_carriers_and_relations():
+    none = FiniteSet("none", ())
+    for dom, cod in ((none, none), (none, Y), (X, none), (X, Y)):
+        r = Rel(dom, cod, frozenset())
+        for s in all_subsets(dom):
+            # nothing reaches any point: every universal image is full and
+            # every direct image empty, as the image maps say
+            assert forall_image(r.predecessors, cod, s.members) == cod.as_set
+            assert exists_image(r.predecessors, cod, s.members) == frozenset()
+            assert apply(forall_map(r), s) == full_subset(cod)
+            assert apply(exists_map(r), s) == empty_subset(cod)
 
 
 def test_all_subsets_counts_powerset():
