@@ -14,7 +14,6 @@ exposed is the common-knowledge relation of a group of agents.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import (
@@ -31,9 +30,11 @@ from .powerset import Subset
 from .rel import (
     FiniteSet,
     Rel,
+    _unchecked,
     apply_function,
     closure_reflexive_transitive,
     compose,
+    function_from_mapping,
     identity,
     is_function_pointwise,
     join,
@@ -96,10 +97,6 @@ class KripkeFrame:
             raise UnknownAgent(f"agent {agent!r} not in frame over {self.carrier.name!r}") from None
         return self.relations[i]
 
-    @cached_property
-    def rel_map(self) -> Dict[str, Rel]:
-        return dict(zip(self.agents.agents, self.relations))
-
 
 @dataclass(frozen=True)
 class FrameMap:
@@ -129,13 +126,11 @@ class FrameMap:
 
 
 def frame_map(src: KripkeFrame, dst: KripkeFrame, mapping: Mapping[str, str]) -> FrameMap:
-    from .rel import function_from_mapping
-
     return FrameMap(src, dst, function_from_mapping(src.carrier, dst.carrier, mapping))
 
 
 def identity_map(f: KripkeFrame) -> FrameMap:
-    return FrameMap(f, f, identity(f.carrier))
+    return _unchecked(FrameMap, src=f, dst=f, fn=identity(f.carrier))
 
 
 def is_monotone(m: FrameMap) -> bool:
@@ -187,7 +182,7 @@ def _lift(
             for reach_k, c_k in zip(reach, c):
                 steps = steps & reach_k[c_k]
             pairs.extend((x, y) for y in steps)
-        rels[a] = Rel(carrier, carrier, frozenset(pairs))
+        rels[a] = _unchecked(Rel, dom=carrier, cod=carrier, pairs=frozenset(pairs))
     return KripkeFrame.make(carrier, agents, rels)
 
 
@@ -195,23 +190,29 @@ def lift_points(
     name: str,
     targets: Sequence[KripkeFrame],
     points: Sequence[Tuple[str, Sequence[str]]],
-) -> Tuple[KripkeFrame, Tuple[Rel, ...]]:
+) -> Tuple[KripkeFrame, Tuple[FrameMap, ...]]:
     """A frame on named points over a family of frames, with its legs.
 
     ``points`` lists ``(label, coords)`` in carrier order, ``coords[k]``
     an element of ``targets[k]``.  The carrier is named ``name``; leg k
     sends each point to its k-th coordinate; the relations are the initial
     lift of the legs.  Products, subframes, pullbacks, product updates and
-    fibered powers are all built here.
+    fibered powers are all built here.  The points are the caller's to
+    get right: the legs are functions into their targets by construction
+    and are built unchecked.
     """
     if not targets:
         raise InvariantViolation("lift_points: at least one target frame required")
     carrier = FiniteSet(name, tuple(label for label, _ in points))
+    frame = _lift(carrier, [coords for _, coords in points], targets, targets[0].agents)
     legs = tuple(
-        Rel(carrier, t.carrier, frozenset((label, coords[k]) for label, coords in points))
+        _unchecked(FrameMap, src=frame, dst=t, fn=_unchecked(
+            Rel, dom=carrier, cod=t.carrier,
+            pairs=frozenset((label, coords[k]) for label, coords in points),
+        ))
         for k, t in enumerate(targets)
     )
-    return _lift(carrier, [coords for _, coords in points], targets, targets[0].agents), legs
+    return frame, legs
 
 
 def initial_lift(
@@ -294,7 +295,7 @@ def product(f1: KripkeFrame, f2: KripkeFrame) -> Tuple[KripkeFrame, FrameMap, Fr
         [f1, f2],
         [(pair_label(w, v), (w, v)) for w in f1.carrier for v in f2.carrier],
     )
-    return frame, FrameMap(frame, f1, proj1), FrameMap(frame, f2, proj2)
+    return frame, proj1, proj2
 
 
 def subframe(f: KripkeFrame, s: Subset, tag: str = "sub") -> Tuple[KripkeFrame, FrameMap]:
@@ -309,7 +310,7 @@ def subframe(f: KripkeFrame, s: Subset, tag: str = "sub") -> Tuple[KripkeFrame, 
     frame, (incl,) = lift_points(
         f"({f.carrier.name}|{tag})", [f], [(w, (w,)) for w in f.carrier if w in s.members]
     )
-    return frame, FrameMap(frame, f, incl)
+    return frame, incl
 
 
 def pullback(f: FrameMap, g: FrameMap) -> Tuple[KripkeFrame, FrameMap, FrameMap]:
@@ -330,7 +331,7 @@ def pullback(f: FrameMap, g: FrameMap) -> Tuple[KripkeFrame, FrameMap, FrameMap]
         [y, z],
         [(pair_label(w, v), (w, v)) for w in y.carrier for v in z.carrier if f(w) == g(v)],
     )
-    return frame, FrameMap(frame, y, proj1), FrameMap(frame, z, proj2)
+    return frame, proj1, proj2
 
 
 def check_pullback_preserves_bounded(f: FrameMap, g: FrameMap) -> bool:

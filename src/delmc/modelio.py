@@ -25,11 +25,21 @@ positive arity a ``"map"`` of argument-tuple/value entries covering
 every tuple over a common world), and ``"predicates"`` the
 relation-symbol extensions (worlds for arity 0, argument tuples
 otherwise).
+
+The loader is where document data is checked, once.  Each relation is
+tested whole, with set operations, for plain two-element lists of
+declared names; the entry-by-entry walk runs only to word the first bad
+entry.  The checked pairs then go into the relation through the private
+trusted constructor, with no second check.  What a document can get
+wrong beyond names and shapes (the sheaf conditions, monotone and
+fiber-preserving interpretations) is checked by the constructors the
+loader calls.
 """
 
 from __future__ import annotations
 
 import json
+from itertools import chain
 from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
 
 from .errors import SchemaError
@@ -38,7 +48,7 @@ from .frames import AgentSet, KripkeFrame, FrameMap, frame_map
 from .models import EventModel, KripkeModel
 from .parser import parse_formula, print_formula
 from .powerset import Subset
-from .rel import FiniteSet, Rel, function_from_mapping, rel
+from .rel import FiniteSet, Rel, _unchecked, function_from_mapping
 from .sheaves import FiberedPower, KripkeSheaf, SheafModel, Signature
 
 FORMAT_VERSION = 1
@@ -68,20 +78,26 @@ def _string_list(value: Any, where: str) -> List[str]:
 def _pair_list(value: Any, elements: frozenset, where: str) -> frozenset:
     if not isinstance(value, list):
         raise SchemaError(f"{where}: expected a list of pairs")
-    out = set()
-    for entry in value:
-        if (
-            not isinstance(entry, list)
-            or len(entry) != 2
-            or not all(isinstance(x, str) for x in entry)
-        ):
-            raise SchemaError(f"{where}: each entry must be a two-element list of strings")
-        src, dst = entry
-        for x in (src, dst):
-            if x not in elements:
-                raise SchemaError(f"{where}: undeclared name {x!r}")
-        out.add((src, dst))
-    return frozenset(out)
+    try:  # the whole list at once: plain lists of two declared names
+        plain = (
+            set(map(type, value)) <= {list}
+            and set(map(len, value)) <= {2}
+            and elements.issuperset(chain.from_iterable(value))
+        )
+    except TypeError:  # an unhashable name
+        plain = False
+    if not plain:
+        for entry in value:  # word the first bad entry; list subclasses pass
+            if (
+                not isinstance(entry, list)
+                or len(entry) != 2
+                or not all(isinstance(x, str) for x in entry)
+            ):
+                raise SchemaError(f"{where}: each entry must be a two-element list of strings")
+            for x in entry:
+                if x not in elements:
+                    raise SchemaError(f"{where}: undeclared name {x!r}")
+    return frozenset(map(tuple, value))
 
 
 def _carrier(doc: Mapping[str, Any], key: str, name: str, where: str) -> FiniteSet:
@@ -109,7 +125,10 @@ def _frame(
     if extra:
         raise SchemaError(f"{where}.{rel_key}: unknown agent {extra[0]!r}")
     rels = {
-        a: rel(carrier, carrier, _pair_list(table[a], carrier.as_set, f"{where}.{rel_key}.{a}"))
+        a: _unchecked(
+            Rel, dom=carrier, cod=carrier,
+            pairs=_pair_list(table[a], carrier.as_set, f"{where}.{rel_key}.{a}"),
+        )
         for a in agents
     }
     return KripkeFrame.make(carrier, agents, rels)

@@ -71,7 +71,7 @@ from .powerset import (
     forall_map,
     preimage_map,
 )
-from .rel import FiniteSet, Rel, compose, dagger, pair_label
+from .rel import FiniteSet, Rel, _unchecked, compose, dagger, pair_label
 
 
 @dataclass(frozen=True)
@@ -132,14 +132,16 @@ class KripkeModel:
         """Product update, given the extension of a closed formula here."""
         frame_x = self.frame
         extents = {e: ext(ev.pre(e)) for e in ev.events}
-        frame, (px, pe), parts = updated_frame(frame_x, ev.frame, extents)
+        frame, (p_x, p_e), parts = updated_frame(frame_x, ev.frame, extents)
         val = {
-            n: Subset(frame.carrier, frozenset(lbl for lbl, (w, _) in parts.items() if w in s))
+            n: _unchecked(Subset, carrier=frame.carrier, members=frozenset(
+                lbl for lbl, (w, _) in parts.items() if w in s
+            ))
             for n, s in self.valuation
         }
         # Each transition graphs the pairing w -> (w, e) on the event's extent.
         transitions = tuple(
-            (e, Rel(frame_x.carrier, frame.carrier, frozenset(
+            (e, _unchecked(Rel, dom=frame_x.carrier, cod=frame.carrier, pairs=frozenset(
                 (w, pair_label(w, e)) for w in extents[e].members
             )))
             for e in ev.events
@@ -148,8 +150,8 @@ class KripkeModel:
             source=self,
             events=ev,
             updated=KripkeModel.make(frame, val),
-            p_x=FrameMap(frame, frame_x, px),
-            p_e=FrameMap(frame, ev.frame, pe),
+            p_x=p_x,
+            p_e=p_e,
             pre_extents=tuple((e, extents[e]) for e in ev.events),
             transitions=transitions,
         )
@@ -225,7 +227,7 @@ def updated_frame(
     frame_x: KripkeFrame,
     frame_e: KripkeFrame,
     extents: Mapping[str, Collection[str]],
-) -> Tuple[KripkeFrame, Tuple[Rel, Rel], Dict[str, Tuple[str, str]]]:
+) -> Tuple[KripkeFrame, Tuple[FrameMap, FrameMap], Dict[str, Tuple[str, str]]]:
     """Frame of an update, given each event's precondition extent.
 
     The points are the pairs (w, e) with w in the extent of e, world-major;
@@ -302,9 +304,9 @@ class _Evaluator:
         frame = model.context_frame(n)
         carrier = frame.carrier
         if isinstance(phi, Top):
-            return Subset(carrier, carrier.as_set)
+            return _unchecked(Subset, carrier=carrier, members=carrier.as_set)
         if isinstance(phi, Bot):
-            return Subset(carrier, frozenset())
+            return _unchecked(Subset, carrier=carrier, members=frozenset())
         if isinstance(phi, Not):
             return self.ext(model, context, phi.body).complement()
         if isinstance(phi, And):
@@ -345,7 +347,9 @@ class _Evaluator:
             return model.leaf(context, phi)
         universal = isinstance(phi, (Box, Forall, DelBox, PalBox))
         image = forall_image if universal else exists_image
-        return Subset(carrier, image(rows, carrier, inner.members))
+        return _unchecked(
+            Subset, carrier=carrier, members=image(rows, carrier, inner.members)
+        )
 
     def pal(self, model: KripkeModel, sigma: Formula) -> Tuple[KripkeModel, FrameMap]:
         key = (model, sigma)
@@ -355,7 +359,9 @@ class _Evaluator:
         extent = self.ext(model, (), sigma)
         frame, incl = subframe(model.frame, extent, tag="!")
         val = {
-            n: Subset(frame.carrier, s.members & frame.carrier.as_set)
+            n: _unchecked(
+                Subset, carrier=frame.carrier, members=s.members & frame.carrier.as_set
+            )
             for n, s in model.valuation
         }
         sub = KripkeModel.make(frame, val)

@@ -28,6 +28,7 @@ from .errors import CapExceeded, CarrierMismatch, InvariantViolation, NotAFuncti
 from .rel import (
     FiniteSet,
     Rel,
+    _unchecked,
     compose,
     dagger,
     is_function,
@@ -49,20 +50,24 @@ class Subset:
     def __post_init__(self):
         if not isinstance(self.members, frozenset):
             object.__setattr__(self, "members", frozenset(self.members))
-        for m in self.members:
+        if self.members <= self.carrier.as_set:
+            return
+        for m in self.members:  # word the first stray member
             if m not in self.carrier:
                 raise InvariantViolation(f"subset member {m!r} not in carrier {self.carrier.name!r}")
 
     def union(self, other: "Subset") -> "Subset":
         require_same_carrier(self.carrier, other.carrier, "union")
-        return Subset(self.carrier, self.members | other.members)
+        return _unchecked(Subset, carrier=self.carrier, members=self.members | other.members)
 
     def intersect(self, other: "Subset") -> "Subset":
         require_same_carrier(self.carrier, other.carrier, "intersect")
-        return Subset(self.carrier, self.members & other.members)
+        return _unchecked(Subset, carrier=self.carrier, members=self.members & other.members)
 
     def complement(self) -> "Subset":
-        return Subset(self.carrier, self.carrier.as_set - self.members)
+        return _unchecked(
+            Subset, carrier=self.carrier, members=self.carrier.as_set - self.members
+        )
 
     def leq(self, other: "Subset") -> bool:
         require_same_carrier(self.carrier, other.carrier, "leq")
@@ -133,7 +138,11 @@ class PowersetMap:
 
 
 def _make_map(dom: FiniteSet, cod: FiniteSet, kind: str, table: Dict[str, FrozenSet[str]]) -> PowersetMap:
-    return PowersetMap(dom, cod, kind, tuple((w, frozenset(table[w])) for w in dom))
+    """Built unchecked: the callers' tables give values inside cod."""
+    return _unchecked(
+        PowersetMap, dom=dom, cod=cod, kind=kind,
+        atom_table=tuple((w, frozenset(table[w])) for w in dom),
+    )
 
 
 def exists_map(r: Rel) -> PowersetMap:
@@ -179,11 +188,11 @@ def apply(h: PowersetMap, s: Subset) -> Subset:
         out: FrozenSet[str] = frozenset()
         for w in s.members:
             out |= h.table[w]
-        return Subset(h.cod, out)
+        return _unchecked(Subset, carrier=h.cod, members=out)
     out = h.cod.as_set
     for w in h.dom.as_set - s.members:
         out &= h.table[w]
-    return Subset(h.cod, out)
+    return _unchecked(Subset, carrier=h.cod, members=out)
 
 
 def preimage_map(f: Rel, kind: str = JOIN) -> PowersetMap:

@@ -5,6 +5,16 @@ Everything is immutable and hashable, so relations can key caches and sit
 inside frozen dataclasses.  Binary operations demand exact carrier equality
 (same name, same element order); nothing is coerced.
 
+Data is checked where it enters.  The public constructors (``Rel(...)``,
+``rel()``, ``function_from_mapping``, ``Subset(...)``, ``FrameMap(...)``,
+``initial_lift``) test every pair and member against its carriers, and
+functionality where a function is asked for; the JSON loader tests each
+document relation whole.  After that point values are trusted: the
+kernel's own results (``identity``, ``compose``, ``dagger``, ``meet``,
+``join``, lifted frames and their legs, the evaluator's images) lie in
+their carriers by construction, and the one private constructor
+``_unchecked`` builds them with no check.
+
 Composition is written in application order: ``compose(r1, r2)`` relates
 ``w`` to ``u`` when some ``v`` has ``w r1 v`` and ``v r2 u``.
 """
@@ -75,7 +85,9 @@ class Rel:
     def __post_init__(self):
         if not isinstance(self.pairs, frozenset):
             object.__setattr__(self, "pairs", frozenset(self.pairs))
-        for w, v in self.pairs:
+        if _within(self.pairs, self.dom.as_set, self.cod.as_set):
+            return
+        for w, v in self.pairs:  # word the first stray or malformed pair
             if w not in self.dom:
                 raise InvariantViolation(f"pair ({w!r}, {v!r}): {w!r} not in domain {self.dom.name!r}")
             if v not in self.cod:
@@ -83,16 +95,17 @@ class Rel:
 
     @cached_property
     def successors(self) -> Dict[str, FrozenSet[str]]:
-        succ: Dict[str, set] = {w: set() for w in self.dom}
+        # lists, not sets: the pairs are distinct, so no row repeats a point
+        succ: Dict[str, list] = {w: [] for w in self.dom}
         for w, v in self.pairs:
-            succ[w].add(v)
+            succ[w].append(v)
         return {w: frozenset(vs) for w, vs in succ.items()}
 
     @cached_property
     def predecessors(self) -> Dict[str, FrozenSet[str]]:
-        pred: Dict[str, set] = {v: set() for v in self.cod}
+        pred: Dict[str, list] = {v: [] for v in self.cod}
         for w, v in self.pairs:
-            pred[v].add(w)
+            pred[v].append(w)
         return {v: frozenset(ws) for v, ws in pred.items()}
 
     def __contains__(self, pair: object) -> bool:
@@ -102,21 +115,40 @@ class Rel:
         return f"Rel({self.dom.name!r} -> {self.cod.name!r}, {sorted(self.pairs)!r})"
 
 
+def _within(pairs: FrozenSet[Tuple[str, str]], dom: FrozenSet[str], cod: FrozenSet[str]) -> bool:
+    """Every pair lies in dom x cod, tested in bulk; False on a malformed pair."""
+    try:
+        return {w for w, _ in pairs} <= dom and {v for _, v in pairs} <= cod
+    except (TypeError, ValueError):
+        return False
+
+
+def _unchecked(cls, **fields):
+    """An instance of a frozen dataclass with its fields set and no check run.
+
+    The one path for trusted values: kernel results and data the loader
+    has already checked.  Every field is passed by name.
+    """
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
+
+
 def rel(dom: FiniteSet, cod: FiniteSet, pairs: Iterable[Tuple[str, str]]) -> Rel:
     """Build a relation from any iterable of pairs."""
     return Rel(dom, cod, frozenset(pairs))
 
 
 def identity(x: FiniteSet) -> Rel:
-    return Rel(x, x, frozenset((e, e) for e in x))
+    return _unchecked(Rel, dom=x, cod=x, pairs=frozenset((e, e) for e in x))
 
 
 def empty(dom: FiniteSet, cod: FiniteSet) -> Rel:
-    return Rel(dom, cod, frozenset())
+    return _unchecked(Rel, dom=dom, cod=cod, pairs=frozenset())
 
 
 def total(dom: FiniteSet, cod: FiniteSet) -> Rel:
-    return Rel(dom, cod, frozenset((w, v) for w in dom for v in cod))
+    return _unchecked(Rel, dom=dom, cod=cod, pairs=frozenset((w, v) for w in dom for v in cod))
 
 
 def compose(r1: Rel, r2: Rel) -> Rel:
@@ -130,12 +162,12 @@ def compose(r1: Rel, r2: Rel) -> Rel:
     for w, v in r1.pairs:
         for u in succ2[v]:
             out.add((w, u))
-    return Rel(r1.dom, r2.cod, frozenset(out))
+    return _unchecked(Rel, dom=r1.dom, cod=r2.cod, pairs=frozenset(out))
 
 
 def dagger(r: Rel) -> Rel:
     """The converse relation."""
-    return Rel(r.cod, r.dom, frozenset((v, w) for w, v in r.pairs))
+    return _unchecked(Rel, dom=r.cod, cod=r.dom, pairs=frozenset((v, w) for w, v in r.pairs))
 
 
 def leq(r1: Rel, r2: Rel) -> bool:
@@ -148,13 +180,13 @@ def leq(r1: Rel, r2: Rel) -> bool:
 def meet(r1: Rel, r2: Rel) -> Rel:
     require_same_carrier(r1.dom, r2.dom, "meet")
     require_same_carrier(r1.cod, r2.cod, "meet")
-    return Rel(r1.dom, r1.cod, r1.pairs & r2.pairs)
+    return _unchecked(Rel, dom=r1.dom, cod=r1.cod, pairs=r1.pairs & r2.pairs)
 
 
 def join(r1: Rel, r2: Rel) -> Rel:
     require_same_carrier(r1.dom, r2.dom, "join")
     require_same_carrier(r1.cod, r2.cod, "join")
-    return Rel(r1.dom, r1.cod, r1.pairs | r2.pairs)
+    return _unchecked(Rel, dom=r1.dom, cod=r1.cod, pairs=r1.pairs | r2.pairs)
 
 
 def check_modularity(r1: Rel, r2: Rel, r3: Rel) -> bool:
@@ -224,7 +256,7 @@ def function_from_mapping(dom: FiniteSet, cod: FiniteSet, mapping: Mapping[str, 
         if v not in cod:
             raise InvariantViolation(f"mapping sends {w!r} to {v!r}, not in {cod.name!r}")
         pairs.add((w, v))
-    return Rel(dom, cod, frozenset(pairs))
+    return _unchecked(Rel, dom=dom, cod=cod, pairs=frozenset(pairs))
 
 
 def apply_function(f: Rel, w: str) -> str:
@@ -267,8 +299,12 @@ def tabulate(r: Rel) -> Tabulation:
     ordered = sorted(r.pairs, key=lambda p: (r.dom.index[p[0]], r.cod.index[p[1]]))
     labels = tuple(pair_label(w, v) for w, v in ordered)
     apex = FiniteSet(f"tab({r.dom.name},{r.cod.name})", labels)
-    leg1 = Rel(apex, r.dom, frozenset((pair_label(w, v), w) for w, v in ordered))
-    leg2 = Rel(apex, r.cod, frozenset((pair_label(w, v), v) for w, v in ordered))
+    leg1 = _unchecked(
+        Rel, dom=apex, cod=r.dom, pairs=frozenset((pair_label(w, v), w) for w, v in ordered)
+    )
+    leg2 = _unchecked(
+        Rel, dom=apex, cod=r.cod, pairs=frozenset((pair_label(w, v), v) for w, v in ordered)
+    )
     return Tabulation(apex, leg1, leg2)
 
 

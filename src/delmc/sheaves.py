@@ -67,6 +67,7 @@ from .powerset import Subset
 from .rel import (
     FiniteSet,
     Rel,
+    _unchecked,
     apply_function,
     compose,
     dagger,
@@ -217,8 +218,16 @@ class KripkeSheaf:
         if failure is not None:
             raise InvariantViolation(f"not a Kripke sheaf: {failure}")
 
+    @cached_property
+    def fibers(self) -> Dict[str, Tuple[str, ...]]:
+        """The individuals over each world, in the total carrier's order."""
+        over: Dict[str, List[str]] = {w: [] for w in self.base.carrier}
+        for a in self.total.carrier:
+            over[self.proj(a)].append(a)
+        return {w: tuple(fib) for w, fib in over.items()}
+
     def fiber(self, w: str) -> Tuple[str, ...]:
-        return tuple(a for a in self.total.carrier if self.proj(a) == w)
+        return self.fibers.get(w, ())
 
     def power(self, n: int) -> "FiberedPower":
         """The n-th fibered power, built on first use and kept."""
@@ -303,8 +312,8 @@ def fibered_power(sheaf: KripkeSheaf, n: int) -> FiberedPower:
         n=n,
         carrier=frame.carrier,
         frame=frame,
-        proj_to_base=FrameMap(frame, base, legs[n]),
-        component_projections=tuple(FrameMap(frame, total, c) for c in legs[:n]),
+        proj_to_base=legs[n],
+        component_projections=legs[:n],
         tuples=tuple(coords[:n] for _, coords in points),
         base_worlds=tuple(coords[n] for _, coords in points),
     )
@@ -431,7 +440,7 @@ class SheafModel:
                 (lbl, lower.label_for(w, tup[:-1]))
                 for lbl, tup, w in zip(upper.carrier, upper.tuples, upper.base_worlds)
             )
-            self._drops[n] = Rel(upper.carrier, lower.carrier, pairs)
+            self._drops[n] = _unchecked(Rel, dom=upper.carrier, cod=lower.carrier, pairs=pairs)
         return self._drops[n]
 
     def transition(self, upd: "SheafUpdate", n: int, e: str) -> Rel:
@@ -451,11 +460,11 @@ class SheafModel:
                     f"precondition of event {e!r} has free variables {sorted(open_vars)}"
                 )
             extents[e] = ext(as_sentence(pre).body)
-        new_base, (base_px, base_pe), world_parts = updated_frame(base, ev.frame, extents)
+        new_base, (p_x, p_e), world_parts = updated_frame(base, ev.frame, extents)
         pulled = {
-            e: {a for a in total.carrier if sheaf.proj(a) in extents[e]} for e in ev.events
+            e: {a for w in extents[e].members for a in sheaf.fiber(w)} for e in ev.events
         }
-        new_total, (tot_pd, _), ind_parts = updated_frame(total, ev.frame, pulled)
+        new_total, (p_d, _), ind_parts = updated_frame(total, ev.frame, pulled)
         proj_pairs = {
             lbl: pair_label(sheaf.proj(a), e) for lbl, (a, e) in ind_parts.items()
         }
@@ -494,9 +503,9 @@ class SheafModel:
             source=self,
             events=ev,
             updated=SheafModel(new_sheaf, self.signature, fn_interp, rel_interp),
-            p_x=FrameMap(new_base, base, base_px),
-            p_e=FrameMap(new_base, ev.frame, base_pe),
-            p_d=FrameMap(new_total, total, tot_pd),
+            p_x=p_x,
+            p_e=p_e,
+            p_d=p_d,
             extents=extents,
             ind_parts=ind_parts,
             world_parts=world_parts,
@@ -573,7 +582,9 @@ class SheafUpdate:
                 old_lbl, ev = self.decompose_power_label(n, lbl)
                 if ev == e:
                     pairs.add((old_lbl, lbl))
-            self._transitions[key] = Rel(old_power.carrier, new_power.carrier, frozenset(pairs))
+            self._transitions[key] = _unchecked(
+                Rel, dom=old_power.carrier, cod=new_power.carrier, pairs=frozenset(pairs)
+            )
         return self._transitions[key]
 
     def lift_map(self, f: FrameMap, m: int, n: int) -> FrameMap:

@@ -3,7 +3,7 @@
 Covers a file that is not JSON, a document that breaks the schema and a
 formula that does not parse, on `eval`, `update` and `reduce --model`; then
 `reduce` without `--model` in both output forms; then updates past the
-carrier cap.
+carrier cap; then exit 3 for an internal fault.
 """
 
 import json
@@ -11,7 +11,7 @@ import json
 import pytest
 
 from conftest import data_path
-from delmc import models
+from delmc import InvariantViolation, cli, models
 from delmc.cli import main
 from delmc.models import MAX_UPDATE_CARRIER
 
@@ -110,3 +110,22 @@ def test_update_checks_the_cap_before_building(capsys, monkeypatch, model, event
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: update would build {size} points, above the cap of {cap}\n"
+
+
+def test_internal_fault_exits_3(capsys, monkeypatch):
+    # A planted fault stands in for a broken invariant.  Bad data does not
+    # get this far: the loader and the parser reject it with SchemaError or
+    # ParseError (exit 2), and the kernel's own results lie in their
+    # carriers by construction.  A well-formed query that misuses names,
+    # such as a quantifier that shadows its context or event models whose
+    # preconditions refer to each other, does still end here, because the
+    # evaluator reports it as InvariantViolation; those are the user's to fix
+    # and belong under exit 2, so this test does not pin them.
+    def broken(*args, **kwargs):
+        raise InvariantViolation("planted fault")
+
+    monkeypatch.setattr(cli, "extension", broken)
+    assert main(["eval", TWO_WORLDS, "[a]p"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal error: planted fault\n"

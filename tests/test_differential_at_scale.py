@@ -1,0 +1,119 @@
+"""Seeded differential checks above the law suites' sizes.
+
+The law suites draw models of at most five worlds and bases of at most
+three.  These tests run the same answers, one fixed seed per layer, on
+larger inputs where the pointwise oracles still finish in a second or
+two: product update and evaluation with event operators on Kripke
+models, pullback update and evaluation in context on sheaf models, and a
+dump/load round trip of a generated 400-world model.
+"""
+
+import random
+
+import fo_oracle
+import oracle
+from delmc import (
+    AgentSet,
+    DelBox,
+    DelDia,
+    FiniteSet,
+    FormulaInContext,
+    KripkeModel,
+    dump_model,
+    extension,
+    interp_formula,
+    load_model,
+    product_update,
+    pullback_update,
+)
+from delmc.formulas import children
+from delmc.generators import (
+    random_carrier,
+    random_event_model,
+    random_fo_event_model,
+    random_fo_formula,
+    random_formula,
+    random_frame,
+    random_model,
+    random_sheaf,
+    random_sheaf_model,
+    random_subset,
+)
+
+AB = AgentSet(("a", "b"))
+
+
+def pair(w, e):
+    return f"({w},{e})"
+
+
+def has_event_operator(phi):
+    return isinstance(phi, (DelBox, DelDia)) or any(map(has_event_operator, children(phi)))
+
+
+def test_kripke_layer_matches_oracle_at_scale():
+    rng = random.Random(20250)
+    model = random_model(rng, 32, AB)
+    ev = random_event_model(rng, 3, AB, ("p", "q"))
+    om, oev = oracle.from_model(model), oracle.from_event_model(ev)
+
+    upd = product_update(model, ev)
+    want = oracle.product(om, oev, {})
+    assert list(upd.updated.frame.carrier) == [pair(w, e) for (w, e) in want["worlds"]]
+    for ag in AB:
+        assert upd.updated.frame.rel(ag).pairs == {
+            (pair(*x), pair(*y)) for (x, y) in want["rel"][ag]
+        }
+    for p in model.atoms:
+        assert upd.updated.val(p).members == {pair(*x) for x in want["val"][p]}
+
+    refs = [("E", e) for e in ev.events]
+    registry, oreg = {"E": ev}, {"E": oev}
+    checked = 0
+    while checked < 12:  # formulas with at least one event operator
+        phi = random_formula(rng, ("p", "q"), ("a", "b"), depth=3, event_refs=refs)
+        assert extension(model, phi, registry).members == oracle.extension(om, phi, oreg)
+        checked += has_event_operator(phi)
+
+
+def test_sheaf_layer_matches_oracle_at_scale():
+    rng = random.Random(20251)
+    for size in (5, 6):
+        base = random_frame(rng, random_carrier(rng, size, prefix="w"), AB)
+        model = random_sheaf_model(rng, random_sheaf(rng, base, max_fiber=3))
+        ev = random_fo_event_model(rng, model, 3)
+        o, oev = fo_oracle.from_sheaf_model(model), fo_oracle.from_event_model(ev)
+
+        new = pullback_update(model, ev).updated.sheaf
+        want = fo_oracle.update(o, oev, {})
+        assert list(new.base.carrier) == [pair(*x) for x in want["base_worlds"]]
+        assert set(new.total.carrier) == {pair(*x) for x in want["individuals"]}
+        for ag in AB:
+            assert new.base.rel(ag).pairs == {
+                (pair(*x), pair(*y)) for (x, y) in want["base_rel"][ag]
+            }
+            assert new.total.rel(ag).pairs == {
+                (pair(*x), pair(*y)) for (x, y) in want["dom_rel"][ag]
+            }
+        for x in want["individuals"]:
+            assert new.proj(pair(*x)) == pair(*want["pi"][x])
+
+        refs = [("E", e) for e in ev.events]
+        for context in ((), ("x",), ("x", "y")) * 3:
+            phi = random_fo_formula(rng, model, context, depth=2, event_refs=refs)
+            power = model.power(len(context))
+            got = interp_formula(model, FormulaInContext(context, phi), {"E": ev})
+            assert {(power.world_of(lbl), power.tuple_of(lbl)) for lbl in got.members} == (
+                fo_oracle.tuple_extension(o, context, phi, {"E": oev})
+            )
+
+
+def test_load_dump_round_trip_at_400_worlds():
+    # on the carrier name the loader gives worlds, so the two compare equal
+    rng = random.Random(20252)
+    carrier = FiniteSet("W", random_carrier(rng, 400).elements)
+    model = KripkeModel.make(
+        random_frame(rng, carrier, AB), {p: random_subset(rng, carrier) for p in ("p", "q")}
+    )
+    assert sum(len(model.frame.rel(ag).pairs) for ag in AB) > 10_000
+    assert load_model(dump_model(model)) == model

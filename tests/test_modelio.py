@@ -198,3 +198,56 @@ def test_unknown_kind_rejected():
         load_model({"format_version": 1, "kind": "nonsense"})
     with pytest.raises(SchemaError):
         load_model({"kind": "kripke-model"})
+
+
+def _wide_doc(entries):
+    """A Kripke document over 100 worlds whose relation for agent a lists
+    5,000 valid pairs and then the given entries."""
+    worlds = [f"w{i}" for i in range(100)]
+    pairs = [[v, u] for v in worlds for u in worlds][:5000]
+    return {
+        "format_version": 1,
+        "kind": "kripke-model",
+        "worlds": worlds,
+        "agents": ["a"],
+        "relations": {"a": pairs + entries},
+        "valuation": {},
+    }
+
+
+SHAPE = "kripke-model.relations.a: each entry must be a two-element list of strings"
+
+
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        ("ab", SHAPE),
+        ({"w1": 1, "w2": 2}, SHAPE),
+        (["w1", "w2", "w3"], SHAPE),
+        (["w1", 7], SHAPE),
+        ([["w1"], "w2"], SHAPE),
+        (["w1", "zz"], "kripke-model.relations.a: undeclared name 'zz'"),
+    ],
+    ids=["string", "dict", "three-elements", "int-name", "nested-list-name", "undeclared"],
+)
+def test_malformed_entry_after_many_valid_pairs(entry, message):
+    with pytest.raises(SchemaError) as exc:
+        load_model(_wide_doc([entry]))
+    assert str(exc.value) == message
+
+
+def test_first_bad_entry_is_the_one_reported():
+    doc = _wide_doc([["w1", "zz"], ["w1", "w2", "w3"]])
+    with pytest.raises(SchemaError, match="undeclared name 'zz'"):
+        load_model(doc)
+
+
+def test_list_subclass_entries_still_load():
+    class Pair(list):
+        pass
+
+    doc = _wide_doc([])
+    plain = load_model(doc)
+    doc["relations"]["a"] = [Pair(entry) for entry in doc["relations"]["a"]]
+    assert load_model(doc) == plain
+    assert len(plain.frame.rel("a").pairs) == 5000

@@ -1,0 +1,91 @@
+"""Where values are checked and where they are trusted.
+
+Public constructors check every pair, member and value they are given.
+The kernel builds its own results through the private ``rel._unchecked``,
+which checks nothing, so it must stay out of the package's public names
+and out of the modules that read user input or plant defects on purpose.
+"""
+
+import pathlib
+
+import pytest
+
+import delmc
+from delmc import (
+    AgentSet,
+    FiniteSet,
+    FrameMap,
+    InvariantViolation,
+    KripkeFrame,
+    NotAFunction,
+    Rel,
+    Subset,
+    function_from_mapping,
+    initial_lift,
+    rel,
+)
+
+X = FiniteSet("X", ("x1", "x2"))
+Y = FiniteSet("Y", ("y1", "y2"))
+A = AgentSet(("a",))
+
+
+def frame(carrier):
+    return KripkeFrame.make(carrier, A, {"a": rel(carrier, carrier, [])})
+
+
+def test_private_constructor_is_not_public():
+    assert "_unchecked" not in getattr(delmc, "__all__", ())
+    assert not hasattr(delmc, "_unchecked")
+    namespace = {}
+    exec("from delmc import *", namespace)
+    assert "_unchecked" not in namespace
+
+
+@pytest.mark.parametrize("module", ["cli", "laws", "generators"])
+def test_input_and_planting_modules_never_build_unchecked(module):
+    source = pathlib.Path(delmc.__file__).with_name(f"{module}.py").read_text(encoding="utf-8")
+    assert "_unchecked" not in source
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: Rel(X, Y, frozenset({("x1", "y1"), ("x2", "zz")})),
+        lambda: Rel(X, Y, frozenset({("zz", "y1")})),
+        lambda: rel(X, Y, [("y1", "x1")]),
+        lambda: Subset(X, frozenset({"x1", "y1"})),
+        lambda: function_from_mapping(X, Y, {"x1": "y1", "x2": "zz"}),
+    ],
+    ids=["rel-codomain", "rel-domain", "rel-swapped", "subset", "mapping"],
+)
+def test_public_constructors_reject_stray_points(build):
+    with pytest.raises(InvariantViolation):
+        build()
+
+
+@pytest.mark.parametrize(
+    "pairs",
+    [
+        [("x1", "y1")],  # x2 has no value
+        [("x1", "y1"), ("x1", "y2"), ("x2", "y1")],  # x1 has two
+    ],
+    ids=["partial", "multi-valued"],
+)
+def test_public_frame_maps_reject_non_functions(pairs):
+    with pytest.raises(NotAFunction):
+        FrameMap(frame(X), frame(Y), rel(X, Y, pairs))
+    with pytest.raises(NotAFunction):
+        initial_lift([frame(Y)], [rel(X, Y, pairs)])
+
+
+def test_function_from_mapping_rejects_a_partial_mapping():
+    with pytest.raises(NotAFunction):
+        function_from_mapping(X, Y, {"x1": "y1"})
+
+
+def test_public_rel_words_the_stray_pair():
+    with pytest.raises(InvariantViolation, match="'zz' not in codomain 'Y'"):
+        Rel(X, Y, frozenset({("x1", "y1"), ("x2", "zz")}))
+    with pytest.raises(ValueError):
+        Rel(X, Y, frozenset({("x1", "y1", "y2")}))
