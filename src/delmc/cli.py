@@ -16,12 +16,14 @@ from . import laws as laws_mod
 from .errors import (
     ArityMismatch,
     CapExceeded,
+    CyclicPrecondition,
     DelmcError,
     EmptyGroup,
     NotReducible,
     OpenPrecondition,
     ParseError,
     SchemaError,
+    ShadowedVariable,
     UnknownAgent,
     UnknownAtom,
     UnknownEvent,
@@ -45,6 +47,8 @@ _USER_ERRORS = (
     UnknownSymbol,
     UnresolvedEventModel,
     OpenPrecondition,
+    CyclicPrecondition,
+    ShadowedVariable,
     ArityMismatch,
     EmptyGroup,
     CapExceeded,

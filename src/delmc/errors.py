@@ -75,6 +75,14 @@ class OpenPrecondition(DelmcError):
     """An event precondition has free variables where a sentence is required."""
 
 
+class CyclicPrecondition(DelmcError):
+    """Event models whose preconditions refer to each other, so no update ends."""
+
+
+class ShadowedVariable(DelmcError):
+    """A quantifier binds a variable that its context already holds."""
+
+
 class SchemaError(DelmcError):
     """A model document does not match the expected JSON schema."""
 

@@ -18,9 +18,15 @@ empty context.  Each model supplies the layer-specific part (the frame of
 a context, leaves, the quantifier map, its update and that update's
 transitions); the evaluator holds the rest once.
 
+An update belongs to the model it updates: each model keeps the updates
+built on it, keyed by the event model and the registry its preconditions
+resolve through (both by value), so every query, reduction and update on
+one model object shares one build per key.  A build that raises leaves no
+entry, and an entry lives as long as its model object.
+
 Event preconditions may themselves be dynamic (they are evaluated on the
 original model); cyclic references between event models are detected and
-rejected rather than looping.
+rejected with CyclicPrecondition rather than looping.
 """
 
 from __future__ import annotations
@@ -31,7 +37,9 @@ from typing import Callable, Collection, Dict, FrozenSet, List, Mapping, Optiona
 
 from .errors import (
     CapExceeded,
+    CyclicPrecondition,
     InvariantViolation,
+    ShadowedVariable,
     UnknownAtom,
     UnknownEvent,
     UnknownSymbol,
@@ -98,6 +106,11 @@ class KripkeModel:
     @cached_property
     def val_map(self) -> Dict[str, Subset]:
         return dict(self.valuation)
+
+    @cached_property
+    def _updates(self) -> Dict[tuple, "UpdateResult"]:
+        """The updates built on this model; ``_Evaluator.build_update`` fills it."""
+        return {}
 
     @property
     def atoms(self) -> Tuple[str, ...]:
@@ -254,15 +267,15 @@ def updated_frame(
 
 
 class _Evaluator:
-    """Extensions on either layer, with call-scoped memoisation.
+    """Extensions on either layer, memoised per evaluator; updates kept per model.
 
     ``ext(model, context, phi)`` is the subset of the context's points where
     the formula holds.  The evaluator holds what both layers share: the
     memo, the Boolean connectives, boxes and diamonds as images along the
     dagger of an agent's relation, quantifiers as images along the model's
     drop map, event operators as images along the dagger of an update's
-    transition, and the update memo with its cycle check.  Every image is
-    read off the rows the relation caches (``successors`` along a dagger,
+    transition, and the cycle check on event-model references.  Every image
+    is read off the rows the relation caches (``successors`` along a dagger,
     ``predecessors`` along the relation), so a modal node builds no dagger,
     image map or relation; the ``duality`` suite checks the row helpers
     against the image maps.  A model supplies the rest:
@@ -275,19 +288,24 @@ class _Evaluator:
     - ``build_update(ev, ext)``: the update by an event model, given the
       extension of a closed formula on the model;
     - ``transition(upd, n, e)``: that update's relation from old points to
-      their updated copies under event e.
+      their updated copies under event e;
+    - ``_updates``: the dict of updates built on it, which this class
+      reads and fills.
 
+    The extension memo and the announcement memo last as long as the
+    evaluator.  Updates outlive it: ``build_update`` keeps each finished
+    update on its model under ``(event model, registry)``, so later calls
+    on the same model object, through any entry point, reuse it.
     Announcements stay Kripke-only.  A node a layer does not interpret
     raises UnknownSymbol.  Models key the memo by value (Kripke models) or
-    by identity (sheaf models); an updated model is built once per
-    ``(model, ref)`` and held by the update memo, so its entries recur.
+    by identity (sheaf models).
     """
 
     def __init__(self, registry: Optional[Mapping[str, EventModel]] = None):
         self.registry = dict(registry or {})
+        self.registry_key = frozenset(self.registry.items())
         self.memo: Dict[tuple, Subset] = {}
         self.pal_memo: Dict[Tuple[KripkeModel, Formula], Tuple[KripkeModel, FrameMap]] = {}
-        self.update_memo: Dict[tuple, object] = {}
         self.updating: set = set()
 
     def ext(self, model, context: Tuple[str, ...], phi: Formula) -> Subset:
@@ -328,7 +346,7 @@ class _Evaluator:
             inner = self.ext(model, context, phi.body)
         elif isinstance(phi, (Forall, Exists)):
             if phi.var in context:
-                raise InvariantViolation(
+                raise ShadowedVariable(
                     f"quantified variable {phi.var!r} shadows the context; rename it"
                 )
             inner = self.ext(model, context + (phi.var,), phi.body)
@@ -369,26 +387,28 @@ class _Evaluator:
         return sub, incl
 
     def update(self, model, ref: str):
-        key = (model, ref)
-        hit = self.update_memo.get(key)
-        if hit is not None:
-            return hit
         if ref not in self.registry:
             raise UnresolvedEventModel(f"event model {ref!r} not in registry")
+        key = (model, ref)
         if key in self.updating:
-            raise InvariantViolation(
+            raise CyclicPrecondition(
                 f"cyclic dynamic preconditions while updating with {ref!r}"
             )
         self.updating.add(key)
         try:
-            out = self.build_update(model, self.registry[ref])
+            return self.build_update(model, self.registry[ref])
         finally:
             self.updating.discard(key)
-        self.update_memo[key] = out
-        return out
 
     def build_update(self, model, ev: EventModel):
-        return model.build_update(ev, lambda phi: self.ext(model, (), phi))
+        """The model's update by ev under this registry, built on first use."""
+        key = (ev, self.registry_key)
+        cache = model._updates
+        out = cache.get(key)
+        if out is None:
+            out = model.build_update(ev, lambda phi: self.ext(model, (), phi))
+            cache[key] = out
+        return out
 
 
 def extension(
@@ -396,7 +416,11 @@ def extension(
     phi: Formula,
     registry: Optional[Mapping[str, EventModel]] = None,
 ) -> Subset:
-    """The set of worlds where the formula holds."""
+    """The set of worlds where the formula holds.
+
+    Event operators use the updates kept on the model (and on the updates
+    under them), so a later call on the same model object reuses them.
+    """
     return _Evaluator(registry).ext(model, (), phi)
 
 
@@ -414,7 +438,12 @@ def product_update(
     ev: EventModel,
     registry: Optional[Mapping[str, EventModel]] = None,
 ) -> UpdateResult:
-    """Product update of a model by an event model."""
+    """Product update of a model by an event model.
+
+    The result is kept on the model under ``(ev, registry)``: a second call,
+    or a query or reduction with an event operator resolving to ev under the
+    same registry, returns the same object instead of building it again.
+    """
     return _Evaluator(registry).build_update(model, ev)
 
 

@@ -335,6 +335,20 @@ class _Rewriter:
 
 _STEP_CAP = 200_000
 
+# The largest formula, in nodes, that a reduction may reach.  Announcement
+# and event axioms copy the precondition into the body, so nested operators
+# can grow the formula exponentially (Lutz, AAMAS 2006); past this size the
+# rewrite stops with NotReducible instead of running for minutes.
+MAX_REDUCED_NODES = 1_000
+
+
+def _node_count(phi: Formula) -> int:
+    count, stack = 0, [phi]
+    while stack:
+        count += 1
+        stack.extend(children(stack.pop()))
+    return count
+
 
 def reduce_formula(
     phi: Union[Formula, FormulaInContext],
@@ -347,6 +361,10 @@ def reduce_formula(
     With a model given (and ``verify`` not disabled), the whole formula's
     extension is computed after every rewrite and compared with the
     previous one; a mismatch raises NotReducible naming the failing rule.
+    The check evaluates event operators on the updates kept on the model,
+    so a verified reduce builds no update that an earlier call on the same
+    model object already built.  A rewrite that takes the formula past
+    MAX_REDUCED_NODES raises NotReducible with the size reached.
     """
     if verify is None:
         verify = model is not None
@@ -380,6 +398,7 @@ def reduce_formula(
     reference = evaluator.ext(model, points, body) if verify else None
     steps: List[ReductionStep] = []
     current = body
+    size = _node_count(body)
     while True:
         found = _locate(current, ())
         if found is None:
@@ -388,6 +407,12 @@ def reduce_formula(
             raise NotReducible("reduction did not terminate within the step budget")
         path, redex = found
         rule, replacement = rewriter.step(redex)
+        size += _node_count(replacement) - _node_count(redex)
+        if size > MAX_REDUCED_NODES:
+            raise NotReducible(
+                f"reduction reached {size} nodes after {len(steps) + 1} steps, "
+                f"above the cap of {MAX_REDUCED_NODES}"
+            )
         current = _replace(current, path, replacement)
         steps.append(ReductionStep(rule, redex, replacement, current))
         if verify and evaluator.ext(model, points, current) != reference:

@@ -12,7 +12,9 @@ Formulas are evaluated by the one evaluator of ``models`` (``_Evaluator``),
 which serves both layers; a sheaf model supplies its per-layer part: the
 frame of each context's fibered power, predicate leaves and term values,
 the quantifier drop map, and its pullback update.  Fibered powers depend
-only on the sheaf, which builds each one once.
+only on the sheaf, which builds each one once; pullback updates are kept
+on the sheaf model they update, one per event model and registry, so
+queries, reductions and ``pullback_update`` on one model share them.
 
 Updating by an event model with closed preconditions pulls the whole
 structure back: worlds, individuals, interpretation tables.  The update of
@@ -365,6 +367,8 @@ class SheafModel:
         self.fn_interp_map = {n: fn_interp[n] for n, _ in signature.function_symbols}
         self.rel_interp_map = {n: rel_interp[n] for n, _ in signature.relation_symbols}
         self._drops: Dict[int, Rel] = {}
+        # updates built on this model; _Evaluator.build_update fills it
+        self._updates: Dict[tuple, "SheafUpdate"] = {}
 
     def power(self, n: int) -> FiberedPower:
         return self.sheaf.power(n)
@@ -635,7 +639,11 @@ def interp_formula(
     phi: FormulaInContext,
     registry: Optional[Mapping[str, EventModel]] = None,
 ) -> Subset:
-    """Extension of a formula in context over the context's power carrier."""
+    """Extension of a formula in context over the context's power carrier.
+
+    Event operators use the pullback updates kept on the model, so a later
+    call on the same model object reuses them.
+    """
     return _Evaluator(registry).ext(model, phi.context, phi.body)
 
 
@@ -644,7 +652,12 @@ def pullback_update(
     ev: EventModel,
     registry: Optional[Mapping[str, EventModel]] = None,
 ) -> SheafUpdate:
-    """Update a sheaf model by an event model with closed preconditions."""
+    """Update a sheaf model by an event model with closed preconditions.
+
+    The result is kept on the model under ``(ev, registry)``: a second call,
+    or a query or reduction with an event operator resolving to ev under the
+    same registry, returns the same object instead of building it again.
+    """
     return _Evaluator(registry).build_update(model, ev)
 
 

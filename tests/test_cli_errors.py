@@ -3,7 +3,8 @@
 Covers a file that is not JSON, a document that breaks the schema and a
 formula that does not parse, on `eval`, `update` and `reduce --model`; then
 `reduce` without `--model` in both output forms; then updates past the
-carrier cap; then exit 3 for an internal fault.
+carrier cap and reductions past the size cap; then well-formed queries
+that misuse names; then exit 3 for an internal fault.
 """
 
 import json
@@ -14,6 +15,7 @@ from conftest import data_path
 from delmc import InvariantViolation, cli, models
 from delmc.cli import main
 from delmc.models import MAX_UPDATE_CARRIER
+from delmc.reduction import MAX_REDUCED_NODES
 
 TWO_WORLDS = data_path("two_worlds.json")
 TWO_FIBERS = data_path("two_fibers.json")
@@ -112,15 +114,60 @@ def test_update_checks_the_cap_before_building(capsys, monkeypatch, model, event
     assert captured.err == f"error: update would build {size} points, above the cap of {cap}\n"
 
 
+# Announcements nested five deep: each pal axiom copies the announcement,
+# and the formula passes 4,000 nodes four deep.
+NESTED_ANNOUNCEMENTS = "[!<a>(p & <b>q)]" * 5 + "<a><b>(p|q)"
+
+
+@pytest.mark.parametrize("with_model", [False, True], ids=["bare", "model"])
+def test_reduction_past_the_size_cap_exits_2(capsys, with_model):
+    argv = ["reduce", NESTED_ANNOUNCEMENTS] + (["--model", TWO_WORLDS] if with_model else [])
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: reduction reached ")
+    assert captured.err.endswith(f"nodes after 214 steps, above the cap of {MAX_REDUCED_NODES}\n")
+    assert len(captured.err.splitlines()) == 1
+
+
+def _misuse_argv(case, tmp_path):
+    if case == "shadowing":
+        return ["eval", TWO_FIBERS, "ctx x | forall x. P(x)"]
+    # two event models whose preconditions refer to each other
+    with open(PRIVATE, encoding="utf-8") as handle:
+        template = json.load(handle)
+    argv = ["eval", TWO_WORLDS, "[F,f]p"]
+    for name, other in (("F", "G"), ("G", "F")):
+        event = name.lower()
+        doc = dict(
+            template, name=name, events=[event],
+            relations={"a": [[event, event]], "b": [[event, event]]},
+            preconditions={event: f"[{other},{other.lower()}]p"},
+        )
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        argv += ["--events", str(path)]
+    return argv
+
+
+@pytest.mark.parametrize("case, message", [
+    ("shadowing", "quantified variable 'x' shadows the context; rename it"),
+    ("cycle", "cyclic dynamic preconditions while updating with 'F'"),
+])
+def test_misused_names_exit_2(capsys, tmp_path, case, message):
+    assert main(_misuse_argv(case, tmp_path)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_internal_fault_exits_3(capsys, monkeypatch):
     # A planted fault stands in for a broken invariant.  Bad data does not
     # get this far: the loader and the parser reject it with SchemaError or
-    # ParseError (exit 2), and the kernel's own results lie in their
-    # carriers by construction.  A well-formed query that misuses names,
-    # such as a quantifier that shadows its context or event models whose
-    # preconditions refer to each other, does still end here, because the
-    # evaluator reports it as InvariantViolation; those are the user's to fix
-    # and belong under exit 2, so this test does not pin them.
+    # ParseError (exit 2), the kernel's own results lie in their carriers by
+    # construction, and well-formed queries that misuse names (a quantifier
+    # that shadows its context, event models whose preconditions refer to
+    # each other) raise ShadowedVariable or CyclicPrecondition, which exit 2.
     def broken(*args, **kwargs):
         raise InvariantViolation("planted fault")
 

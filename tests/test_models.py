@@ -13,6 +13,7 @@ from delmc import (
     AgentSet,
     Atom,
     Box,
+    CyclicPrecondition,
     DelBox,
     DelDia,
     Dia,
@@ -20,7 +21,6 @@ from delmc import (
     Exists,
     FiniteSet,
     Forall,
-    InvariantViolation,
     KripkeFrame,
     PalBox,
     PalDia,
@@ -133,7 +133,7 @@ def test_cyclic_preconditions_rejected(two_worlds):
     e = FiniteSet("e", ("e1",))
     frame = KripkeFrame.make(e, AB, {"a": rel(e, e, [("e1", "e1")]), "b": rel(e, e, [])})
     ev = EventModel.make(frame, {"e1": DelBox("LOOP", "e1", Atom("p"))})
-    with pytest.raises(InvariantViolation):
+    with pytest.raises(CyclicPrecondition):
         extension(two_worlds, DelBox("LOOP", "e1", Atom("p")), {"LOOP": ev})
 
 

@@ -27,6 +27,8 @@ from delmc import (
     print_formula,
     reduce_formula,
 )
+from delmc import reduction
+from delmc.formulas import children
 
 P, Q = Atom("p"), Atom("q")
 
@@ -135,3 +137,27 @@ def test_static_formula_reduces_to_itself():
     res = reduce_formula(phi)
     assert res.result == phi
     assert res.steps == ()
+
+
+@pytest.mark.parametrize("with_model", [False, True], ids=["bare", "model"])
+def test_size_cap_counts_every_node(monkeypatch, two_worlds, with_model):
+    # the cap is checked on a running count; hold it to a full recount of
+    # every intermediate formula
+    phi = parse_formula("[!<a>(p & <b>q)]" * 2 + "<a><b>(p|q)")
+    model = two_worlds if with_model else None
+    res = reduce_formula(phi, model)
+    sizes = [len(list(_nodes(step.result))) for step in res.steps]
+    peak = max(sizes)
+    assert peak == 155
+    monkeypatch.setattr(reduction, "MAX_REDUCED_NODES", peak)
+    assert reduce_formula(phi, model).result == res.result
+    monkeypatch.setattr(reduction, "MAX_REDUCED_NODES", peak - 1)
+    first = sizes.index(peak) + 1
+    with pytest.raises(NotReducible, match=f"reached {peak} nodes after {first} steps"):
+        reduce_formula(phi, model)
+
+
+def _nodes(phi):
+    yield phi
+    for kid in children(phi):
+        yield from _nodes(kid)

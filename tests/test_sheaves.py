@@ -12,6 +12,7 @@ from delmc import (
     AgentSet,
     Atom,
     Box,
+    CyclicPrecondition,
     DelBox,
     DelDia,
     Dia,
@@ -26,6 +27,7 @@ from delmc import (
     KripkeModel,
     KripkeSheaf,
     Pred,
+    ShadowedVariable,
     Subset,
     TermInContext,
     UnresolvedEventModel,
@@ -285,7 +287,7 @@ def test_planted_defects_are_detected(mode):
 
 def test_quantifier_shadowing_rejected(two_fibers):
     phi = FormulaInContext(("x",), Exists("x", Pred("P", (Var("x"),))))
-    with pytest.raises(InvariantViolation):
+    with pytest.raises(ShadowedVariable):
         interp_formula(two_fibers, phi)
 
 
@@ -300,7 +302,7 @@ def test_cyclic_preconditions_rejected(two_fibers):
     frame = KripkeFrame.make(e, A, {"a": rel(e, e, [("e1", "e1")])})
     ev = EventModel.make(frame, {"e1": DelBox("LOOP", "e1", Pred("Q", ()))})
     phi = FormulaInContext((), DelBox("LOOP", "e1", Pred("Q", ())))
-    with pytest.raises(InvariantViolation):
+    with pytest.raises(CyclicPrecondition):
         interp_formula(two_fibers, phi, {"LOOP": ev})
 
 
