@@ -12,6 +12,11 @@ resolved against a registry at evaluation time, never stored inline.
 Structural walks (free variables, substitution, node checks, redex search)
 go through one pair of helpers: children(phi) lists a node's subformulas
 and rebuild(phi, kids) puts a node back together over new ones.
+
+Every node computes its hash once, when it is built, from its fields
+(whose hashes its children have already computed), so hashing a formula
+that keys a memo costs the same at any depth.  The value is the one a
+frozen dataclass would compute, so hashes and set orders are unchanged.
 """
 
 from __future__ import annotations
@@ -22,7 +27,20 @@ from typing import FrozenSet, Mapping, Optional, Sequence, Tuple
 from .errors import InvariantViolation, VariableCapture
 
 
-class Formula:
+class _Node:
+    """Base of formula and term nodes: the hash is computed once, at build."""
+
+    __slots__ = ()
+
+    def __post_init__(self):
+        # the fields, in order: the tuple a frozen dataclass hashes
+        object.__setattr__(self, "_hash", hash(tuple(self.__dict__.values())))
+
+    def _cached_hash(self) -> int:
+        return self._hash
+
+
+class Formula(_Node):
     """Base class for all formula nodes."""
 
     __slots__ = ()
@@ -108,7 +126,7 @@ class DelDia(Formula):
     body: Formula
 
 
-class Term:
+class Term(_Node):
     """Base class for term nodes."""
 
     __slots__ = ()
@@ -127,6 +145,7 @@ class Fun(Term):
     def __post_init__(self):
         if not isinstance(self.args, tuple):
             object.__setattr__(self, "args", tuple(self.args))
+        super().__post_init__()
 
 
 @dataclass(frozen=True)
@@ -139,6 +158,7 @@ class Pred(Formula):
     def __post_init__(self):
         if not isinstance(self.args, tuple):
             object.__setattr__(self, "args", tuple(self.args))
+        super().__post_init__()
 
 
 @dataclass(frozen=True)
@@ -152,6 +172,18 @@ class Exists(Formula):
     var: str
     body: Formula
 
+
+
+def _node_classes(cls=_Node):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _node_classes(sub)
+
+
+# @dataclass gives each node class its own recursive __hash__; every node
+# class reads the cached one instead.
+for _cls in _node_classes():
+    _cls.__hash__ = _Node._cached_hash
 
 PROPOSITIONAL_ONLY = (Atom, PalBox, PalDia)
 FIRST_ORDER_ONLY = (Pred, Forall, Exists)

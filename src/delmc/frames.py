@@ -14,7 +14,8 @@ exposed is the common-knowledge relation of a group of agents.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from functools import cached_property
+from typing import List, Mapping, Optional, Sequence, Tuple
 
 from .errors import (
     AgentMismatch,
@@ -30,6 +31,7 @@ from .powerset import Subset
 from .rel import (
     FiniteSet,
     Rel,
+    _rel,
     _unchecked,
     apply_function,
     closure_reflexive_transitive,
@@ -41,6 +43,7 @@ from .rel import (
     leq,
     pair_label,
     tabulate,
+    union_of,
 )
 
 
@@ -82,6 +85,13 @@ class KripkeFrame:
                 raise InvariantViolation(
                     f"relation carrier {r.dom.name!r}/{r.cod.name!r} does not match frame carrier"
                 )
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.carrier, self.agents, self.relations))
 
     @staticmethod
     def make(carrier: FiniteSet, agents: AgentSet, rels: Mapping[str, Rel]) -> "KripkeFrame":
@@ -151,38 +161,44 @@ def is_bounded(m: FrameMap) -> bool:
 
 def _lift(
     carrier: FiniteSet,
-    coords: Sequence[Sequence[str]],
+    coords: Sequence[Sequence[int]],
     targets: Sequence[KripkeFrame],
     agents: AgentSet,
 ) -> KripkeFrame:
     """The initial lift, pointwise: x steps to y when every coordinate steps.
 
-    ``coords[i][k]`` is the image of the i-th carrier element in
-    ``targets[k]``.  Per target, each element reaches the points over its
-    successors; a point steps to what all its coordinates reach.  An empty
-    family relates every pair.
+    ``coords[i][k]`` is the index, in ``targets[k]``'s carrier, of the
+    image of the i-th carrier element.  Per target, each coordinate
+    reaches the mask of the points over its successors; a point's row is
+    the AND of what its coordinates reach.  An empty family relates every
+    pair.
     """
     if any(t.agents != agents for t in targets):
         raise AgentMismatch("initial lift: the frames carry different agent sets")
-    over: List[Dict[str, List[str]]] = [{} for _ in targets]
-    for x, c in zip(carrier, coords):
-        for index, c_k in zip(over, c):
-            index.setdefault(c_k, []).append(x)
+    # over[k][c]: the mask of the points whose k-th coordinate is c
+    over: List[List[int]] = [[0] * len(t.carrier) for t in targets]
+    bit = 1
+    for c in coords:
+        for over_k, c_k in zip(over, c):
+            over_k[c_k] |= bit
+        bit <<= 1
+    used = [[c for c, m in enumerate(over_k) if m] for over_k in over]
     rels = {}
     for a in agents:
         reach = []
-        for t_frame, index in zip(targets, over):
-            succ = t_frame.rel(a).successors
-            reach.append(
-                {c: frozenset(y for t in succ[c] for y in index.get(t, ())) for c in index}
-            )
-        pairs = []
-        for x, c in zip(carrier, coords):
-            steps = carrier.as_set
+        for t_frame, over_k, used_k in zip(targets, over, used):
+            t_rows = t_frame.rel(a).rows
+            reach_k = [0] * len(over_k)
+            for c in used_k:
+                reach_k[c] = union_of(over_k, t_rows[c])
+            reach.append(reach_k)
+        rows = []
+        for c in coords:
+            steps = carrier.full
             for reach_k, c_k in zip(reach, c):
-                steps = steps & reach_k[c_k]
-            pairs.extend((x, y) for y in steps)
-        rels[a] = _unchecked(Rel, dom=carrier, cod=carrier, pairs=frozenset(pairs))
+                steps &= reach_k[c_k]
+            rows.append(steps)
+        rels[a] = _rel(carrier, carrier, rows)
     return KripkeFrame.make(carrier, agents, rels)
 
 
@@ -204,11 +220,14 @@ def lift_points(
     if not targets:
         raise InvariantViolation("lift_points: at least one target frame required")
     carrier = FiniteSet(name, tuple(label for label, _ in points))
-    frame = _lift(carrier, [coords for _, coords in points], targets, targets[0].agents)
+    indexes = [t.carrier.index for t in targets]
+    coords = [
+        [index[c_k] for index, c_k in zip(indexes, c)] for _, c in points
+    ]
+    frame = _lift(carrier, coords, targets, targets[0].agents)
     legs = tuple(
-        _unchecked(FrameMap, src=frame, dst=t, fn=_unchecked(
-            Rel, dom=carrier, cod=t.carrier,
-            pairs=frozenset((label, coords[k]) for label, coords in points),
+        _unchecked(FrameMap, src=frame, dst=t, fn=_rel(
+            carrier, t.carrier, [1 << c[k] for c in coords]
         ))
         for k, t in enumerate(targets)
     )
@@ -245,7 +264,10 @@ def initial_lift(
         agents = targets[0].agents if agents is None else agents
     elif carrier is None or agents is None:
         raise InvariantViolation("initial_lift: empty family needs explicit carrier and agents")
-    coords = [tuple(apply_function(fn, x) for fn in fns) for x in carrier]
+    # each row of a function has one bit: the index of the image
+    coords = [[m.bit_length() - 1 for m in ms] for ms in zip(*(fn.rows for fn in fns))]
+    if not fns:
+        coords = [[] for _ in carrier]
     return _lift(carrier, coords, targets, agents)
 
 

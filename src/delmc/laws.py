@@ -14,7 +14,7 @@ import itertools
 import random
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from .errors import InvariantViolation, NotAPullback, NotReducible
 from .formulas import (
@@ -151,9 +151,11 @@ class _Collector:
         self.failures: List[Tuple[str, str]] = []
         self.started = time.perf_counter()
 
-    def expect(self, case: str, ok: bool, witness: str) -> None:
+    def expect(self, case: str, ok: bool, witness: Union[str, Callable[[], str]]) -> None:
+        """Record a failure when not ok.  The witness may be a zero-argument
+        callable, called only on failure, so passing cases build no text."""
         if not ok:
-            self.failures.append((case, witness))
+            self.failures.append((case, witness() if callable(witness) else witness))
 
     def expect_checks(self, prefix: str, rep: LawReport, with_name: bool = True) -> None:
         """Record each failed check of a report, labelled prefix + check name."""
@@ -208,9 +210,9 @@ def _exhaustive_small_rel_sweep(col: _Collector) -> int:
             for r in rels[(a.name, b.name)]:
                 checked += 2
                 if compose(ia, r) != r or compose(r, ib) != r:
-                    col.expect("exhaustive units", False, _describe_rel(r))
+                    col.expect("exhaustive units", False, lambda: _describe_rel(r))
                 if dagger(dagger(r)) != r:
-                    col.expect("exhaustive dagger involution", False, _describe_rel(r))
+                    col.expect("exhaustive dagger involution", False, lambda: _describe_rel(r))
     for a in smalls:
         for b in smalls:
             ab = rels[(a.name, b.name)]
@@ -225,7 +227,7 @@ def _exhaustive_small_rel_sweep(col: _Collector) -> int:
                             col.expect(
                                 "exhaustive dagger contravariance",
                                 False,
-                                f"r1={_describe_rel(r1)} r2={_describe_rel(r2)}",
+                                lambda: f"r1={_describe_rel(r1)} r2={_describe_rel(r2)}",
                             )
                         for r3 in ac:
                             checked += 1
@@ -233,7 +235,7 @@ def _exhaustive_small_rel_sweep(col: _Collector) -> int:
                                 col.expect(
                                     "exhaustive modularity",
                                     False,
-                                    f"r1={_describe_rel(r1)} r2={_describe_rel(r2)}"
+                                    lambda: f"r1={_describe_rel(r1)} r2={_describe_rel(r2)}"
                                     f" r3={_describe_rel(r3)}",
                                 )
                 for r in ab:
@@ -246,7 +248,7 @@ def _exhaustive_small_rel_sweep(col: _Collector) -> int:
                                 col.expect(
                                     "exhaustive right whiskering",
                                     False,
-                                    f"r={_describe_rel(r)} s={_describe_rel(s)}"
+                                    lambda: f"r={_describe_rel(r)} s={_describe_rel(s)}"
                                     f" t={_describe_rel(t)}",
                                 )
                         for u in ca:
@@ -255,7 +257,7 @@ def _exhaustive_small_rel_sweep(col: _Collector) -> int:
                                 col.expect(
                                     "exhaustive left whiskering",
                                     False,
-                                    f"r={_describe_rel(r)} s={_describe_rel(s)}"
+                                    lambda: f"r={_describe_rel(r)} s={_describe_rel(s)}"
                                     f" u={_describe_rel(u)}",
                                 )
     for a in smalls:
@@ -274,7 +276,7 @@ def _exhaustive_small_rel_sweep(col: _Collector) -> int:
                                     col.expect(
                                         "exhaustive associativity",
                                         False,
-                                        f"r1={_describe_rel(r1)} r2={_describe_rel(r2)}"
+                                        lambda: f"r1={_describe_rel(r1)} r2={_describe_rel(r2)}"
                                         f" r3={_describe_rel(r3)}",
                                     )
     return checked
@@ -301,27 +303,27 @@ def run_rel_laws(seed: int = 0, cases: int = 1000, max_size: int = 5) -> Report:
         col.expect(
             f"{tag}: associativity",
             compose(compose(r1, r2), s) == compose(r1, compose(r2, s)),
-            f"r1={_describe_rel(r1)} r2={_describe_rel(r2)} s={_describe_rel(s)}",
+            lambda: f"r1={_describe_rel(r1)} r2={_describe_rel(r2)} s={_describe_rel(s)}",
         )
         col.expect(
             f"{tag}: left unit",
             compose(identity(a), r1) == r1,
-            _describe_rel(r1),
+            lambda: _describe_rel(r1),
         )
         col.expect(
             f"{tag}: right unit",
             compose(r1, identity(b)) == r1,
-            _describe_rel(r1),
+            lambda: _describe_rel(r1),
         )
         col.expect(
             f"{tag}: dagger involution",
             dagger(dagger(r1)) == r1,
-            _describe_rel(r1),
+            lambda: _describe_rel(r1),
         )
         col.expect(
             f"{tag}: dagger contravariance",
             dagger(compose(r1, r2)) == compose(dagger(r2), dagger(r1)),
-            f"r1={_describe_rel(r1)} r2={_describe_rel(r2)}",
+            lambda: f"r1={_describe_rel(r1)} r2={_describe_rel(r2)}",
         )
         col.expect(
             f"{tag}: dagger fixes identities",
@@ -332,43 +334,53 @@ def run_rel_laws(seed: int = 0, cases: int = 1000, max_size: int = 5) -> Report:
         col.expect(
             f"{tag}: dagger is monotone",
             leq(dagger(r1), dagger(bigger)),
-            f"r1={_describe_rel(r1)} bigger={_describe_rel(bigger)}",
+            lambda: f"r1={_describe_rel(r1)} bigger={_describe_rel(bigger)}",
         )
         col.expect(
             f"{tag}: meet below",
             leq(meet(r1, bigger), r1) and leq(r1, join(r1, bigger)),
-            f"r1={_describe_rel(r1)} other={_describe_rel(bigger)}",
+            lambda: f"r1={_describe_rel(r1)} other={_describe_rel(bigger)}",
         )
         col.expect(
             f"{tag}: modularity",
             check_modularity(r1, r2, r3),
-            f"r1={_describe_rel(r1)} r2={_describe_rel(r2)} r3={_describe_rel(r3)}",
+            lambda: f"r1={_describe_rel(r1)} r2={_describe_rel(r2)} r3={_describe_rel(r3)}",
         )
         smaller = meet(r1, random_relation(rng, a, b))
         col.expect(
             f"{tag}: right whiskering",
             leq(compose(smaller, r2), compose(r1, r2)),
-            f"smaller={_describe_rel(smaller)} r1={_describe_rel(r1)} r2={_describe_rel(r2)}",
+            lambda: f"smaller={_describe_rel(smaller)} r1={_describe_rel(r1)}"
+            f" r2={_describe_rel(r2)}",
         )
         left_leg = random_relation(rng, d, a)
         col.expect(
             f"{tag}: left whiskering",
             leq(compose(left_leg, smaller), compose(left_leg, r1)),
-            f"left={_describe_rel(left_leg)} smaller={_describe_rel(smaller)} r1={_describe_rel(r1)}",
+            lambda: f"left={_describe_rel(left_leg)} smaller={_describe_rel(smaller)}"
+            f" r1={_describe_rel(r1)}",
         )
 
         f = random_function(rng, a, b)
         f_is_function = is_function(f)
-        col.expect(f"{tag}: generated map is a function", f_is_function, _describe_rel(f))
+        col.expect(f"{tag}: generated map is a function", f_is_function, lambda: _describe_rel(f))
         big = a if len(a.elements) >= len(b.elements) else random_carrier(rng, len(b.elements), "a")
         surj = random_surjection(rng, big, b)
-        col.expect(f"{tag}: generated surjection is surjective", is_surjective(surj), _describe_rel(surj))
+        col.expect(
+            f"{tag}: generated surjection is surjective",
+            is_surjective(surj),
+            lambda: _describe_rel(surj),
+        )
         targets = list(b.elements)
         rng.shuffle(targets)
         inj_size = rng.randrange(1, len(b.elements) + 1)
         inj_dom = random_carrier(rng, inj_size, "i")
         inj = Rel(inj_dom, b, frozenset(zip(inj_dom.elements, targets)))
-        col.expect(f"{tag}: distinct-valued map is injective", is_injective(inj), _describe_rel(inj))
+        col.expect(
+            f"{tag}: distinct-valued map is injective",
+            is_injective(inj),
+            lambda: _describe_rel(inj),
+        )
         # (name, relation, its functionality by the dagger definition)
         pointwise_cases = [("f", f, f_is_function), ("r1", r1, is_function(r1))]
         if len(a.elements) >= 2 and len(b.elements) >= 1:
@@ -377,20 +389,22 @@ def run_rel_laws(seed: int = 0, cases: int = 1000, max_size: int = 5) -> Report:
             col.expect(
                 f"{tag}: collapsing map is not injective",
                 not is_injective(collapse),
-                _describe_rel(collapse),
+                lambda: _describe_rel(collapse),
             )
             pointwise_cases.append(("collapse", collapse, is_function(collapse)))
         for name, g, by_dagger in pointwise_cases:
             if is_function_pointwise(g) != by_dagger:
                 col.expect(
-                    f"{tag}: pointwise functionality agrees on {name}", False, _describe_rel(g)
+                    f"{tag}: pointwise functionality agrees on {name}",
+                    False,
+                    lambda: _describe_rel(g),
                 )
 
         tab = tabulate(r1)
         col.expect(
             f"{tag}: tabulation recomposes",
             tab.recompose() == r1,
-            f"r1={_describe_rel(r1)} apex={tab.apex.name}",
+            lambda: f"r1={_describe_rel(r1)} apex={tab.apex.name}",
         )
         col.expect(
             f"{tag}: tabulation legs are functions",
@@ -430,93 +444,91 @@ def run_duality(seed: int = 0, cases: int = 1000, max_size: int = 4) -> Report:
         fm = forall_map(r)
         back = dagger(r)
         for name, along, rows, univ, direct in (
-            ("r", r, r.predecessors, fm, em),
-            ("dagger(r)", back, r.successors, forall_map(back), exists_map(back)),
+            ("r", r, r.pred_rows, fm, em),
+            ("dagger(r)", back, r.rows, forall_map(back), exists_map(back)),
         ):
             for sub in _fixed_subsets(along.dom):
-                agree = forall_image(rows, along.cod, sub.members) == apply(univ, sub).members
-                agree = agree and (
-                    exists_image(rows, along.cod, sub.members) == apply(direct, sub).members
-                )
+                agree = forall_image(rows, sub.mask) == apply(univ, sub).mask
+                agree = agree and exists_image(rows, sub.mask) == apply(direct, sub).mask
                 if not agree:
                     col.expect(
                         f"{tag}: row images along {name} match the image maps",
                         False,
-                        f"r={_describe_rel(r)} s={sub.sorted_members()}",
+                        lambda: f"r={_describe_rel(r)} s={sub.sorted_members()}",
                     )
         col.expect(
             f"{tag}: join-map round trip",
             relation_from_join_map(em) == r,
-            _describe_rel(r),
+            lambda: _describe_rel(r),
         )
         col.expect(
             f"{tag}: meet-map round trip",
             relation_from_meet_map(fm) == r,
-            _describe_rel(r),
+            lambda: _describe_rel(r),
         )
         col.expect(
             f"{tag}: join extension preserves joins",
             verify_preserves_all_joins(em),
-            _describe_rel(r),
+            lambda: _describe_rel(r),
         )
         col.expect(
             f"{tag}: meet extension preserves meets",
             verify_preserves_all_meets(fm),
-            _describe_rel(r),
+            lambda: _describe_rel(r),
         )
         col.expect(
             f"{tag}: direct image adjoint to universal image",
             check_adjunction(r),
-            _describe_rel(r),
+            lambda: _describe_rel(r),
         )
         bid = check_biduality_laws(r, r2)
         col.expect(
             f"{tag}: biduality laws",
             bid.ok,
-            f"failed={bid.failed()} r={_describe_rel(r)} r2={_describe_rel(r2)}",
+            lambda: f"failed={bid.failed()} r={_describe_rel(r)} r2={_describe_rel(r2)}",
         )
         col.expect(
             f"{tag}: join functoriality",
             maps_equal(exists_map(compose(r, r2)), compose_maps(em, exists_map(r2))),
-            f"r={_describe_rel(r)} r2={_describe_rel(r2)}",
+            lambda: f"r={_describe_rel(r)} r2={_describe_rel(r2)}",
         )
         col.expect(
             f"{tag}: meet functoriality",
             maps_equal(forall_map(compose(r, r2)), compose_maps(fm, forall_map(r2))),
-            f"r={_describe_rel(r)} r2={_describe_rel(r2)}",
+            lambda: f"r={_describe_rel(r)} r2={_describe_rel(r2)}",
         )
         bigger = join(r, random_relation(rng, a, b))
         col.expect(
             f"{tag}: order preserved covariantly",
             map_leq(em, exists_map(bigger)),
-            f"r={_describe_rel(r)} bigger={_describe_rel(bigger)}",
+            lambda: f"r={_describe_rel(r)} bigger={_describe_rel(bigger)}",
         )
         col.expect(
             f"{tag}: order reflected contravariantly",
             map_leq(forall_map(bigger), fm),
-            f"r={_describe_rel(r)} bigger={_describe_rel(bigger)}",
+            lambda: f"r={_describe_rel(r)} bigger={_describe_rel(bigger)}",
         )
         if bigger != r:
             col.expect(
                 f"{tag}: strict order not inverted covariantly",
                 not map_leq(exists_map(bigger), em),
-                f"r={_describe_rel(r)} bigger={_describe_rel(bigger)}",
+                lambda: f"r={_describe_rel(r)} bigger={_describe_rel(bigger)}",
             )
             col.expect(
                 f"{tag}: strict order not inverted contravariantly",
                 not map_leq(fm, forall_map(bigger)),
-                f"r={_describe_rel(r)} bigger={_describe_rel(bigger)}",
+                lambda: f"r={_describe_rel(r)} bigger={_describe_rel(bigger)}",
             )
         other = random_relation(rng, a, b)
         col.expect(
             f"{tag}: covariant order is a biconditional",
             leq(r, other) == map_leq(em, exists_map(other)),
-            f"r={_describe_rel(r)} other={_describe_rel(other)}",
+            lambda: f"r={_describe_rel(r)} other={_describe_rel(other)}",
         )
         col.expect(
             f"{tag}: contravariant order is a biconditional",
             leq(r, other) == map_leq(forall_map(other), fm),
-            f"r={_describe_rel(r)} other={_describe_rel(other)}",
+            lambda: f"r={_describe_rel(r)} other={_describe_rel(other)}",
         )
     return col.report(cases)
 
@@ -557,7 +569,7 @@ def run_beck_chevalley(seed: int = 0, cases: int = 500, max_size: int = 4) -> Re
             col.expect(
                 f"{tag}: image law over pullback",
                 ok,
-                f"f={_describe_rel(f)} g={_describe_rel(g)}",
+                lambda: f"f={_describe_rel(f)} g={_describe_rel(g)}",
             )
 
         if pairs:
@@ -668,7 +680,7 @@ def _exhaustive_lift_property(col: _Collector, rng: random.Random) -> int:
                         col.expect(
                             "exhaustive lift property",
                             False,
-                            f"g={_describe_rel(gfn)} z={[sorted(r.pairs) for r in combo]}",
+                            lambda: f"g={_describe_rel(gfn)} z={[sorted(r.pairs) for r in combo]}",
                         )
     return checked
 
@@ -722,7 +734,7 @@ def run_topological(seed: int = 0, cases: int = 500, max_size: int = 5) -> Repor
         col.expect(
             f"{tag}: initial lift is the largest preserved structure",
             largest_preserved_check(lift, [dst], [fn], cands),
-            f"fn={_describe_rel(fn)}",
+            lambda: f"fn={_describe_rel(fn)}",
         )
         z = random_carrier(rng, rng.randrange(1, 4), "z")
         zframe = KripkeFrame.make(
@@ -732,7 +744,7 @@ def run_topological(seed: int = 0, cases: int = 500, max_size: int = 5) -> Repor
         col.expect(
             f"{tag}: maps into the lift are monotone exactly componentwise",
             _lift_biconditional(zframe, gfn, lift, [dst], [fn]),
-            f"g={_describe_rel(gfn)}",
+            lambda: f"g={_describe_rel(gfn)}",
         )
 
         other = random_frame(rng, random_carrier(rng, rng.randrange(1, 4), "s"), agents)
@@ -744,7 +756,7 @@ def run_topological(seed: int = 0, cases: int = 500, max_size: int = 5) -> Repor
             col.expect(
                 f"{tag}: lift of {mode} targets is {mode}",
                 all(pred(closed_lift.rel(a)) for a in closed_lift.agents),
-                f"fn={_describe_rel(fn)} fn2={_describe_rel(fn2)}",
+                lambda: f"fn={_describe_rel(fn)} fn2={_describe_rel(fn2)}",
             )
         prod, p1, p2 = product(dst, other)
         col.expect(
@@ -817,7 +829,7 @@ def run_topological(seed: int = 0, cases: int = 500, max_size: int = 5) -> Repor
         col.expect(
             f"{tag}: shared-knowledge closure is least",
             leq(ck, bigger),
-            f"bigger={_describe_rel(bigger)}",
+            lambda: f"bigger={_describe_rel(bigger)}",
         )
     return col.report(cases + swept)
 

@@ -26,20 +26,28 @@ every tuple over a common world), and ``"predicates"`` the
 relation-symbol extensions (worlds for arity 0, argument tuples
 otherwise).
 
-The loader is where document data is checked, once.  Each relation is
-tested whole, with set operations, for plain two-element lists of
-declared names; the entry-by-entry walk runs only to word the first bad
-entry.  The checked pairs then go into the relation through the private
-trusted constructor, with no second check.  What a document can get
-wrong beyond names and shapes (the sheaf conditions, monotone and
-fiber-preserving interpretations) is checked by the constructors the
-loader calls.
+The loader is where document data is checked, once, and where names
+are resolved.  A relation is stored as successor masks over its
+carrier's index (see ``rel``), and the loader builds them straight from
+the JSON pair lists: one test that every entry is a plain list, then
+one name lookup per name as the rows are built.  A stray name, a bad
+length or an unhashable name falls back to the entry-by-entry walk,
+which words the first bad entry.  The rows then go into the relation
+through the private trusted constructor, with no second check; no set
+of name pairs is built.  A valuation becomes one mask per atom.  What
+a document can get wrong beyond names and shapes (the sheaf conditions,
+monotone and fiber-preserving interpretations) is checked by the
+constructors the loader calls.
+
+Dumping goes the other way: each relation's sorted pairs are read off
+its rows, so a dump is byte for byte what it was when relations were
+pair sets.
 """
 
 from __future__ import annotations
 
 import json
-from itertools import chain
+from itertools import compress
 from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
 
 from .errors import SchemaError
@@ -48,7 +56,7 @@ from .frames import AgentSet, KripkeFrame, FrameMap, frame_map
 from .models import EventModel, KripkeModel
 from .parser import parse_formula, print_formula
 from .powerset import Subset
-from .rel import FiniteSet, Rel, _unchecked, function_from_mapping
+from .rel import FiniteSet, Rel, _unchecked, bit_flags, function_from_mapping
 from .sheaves import FiberedPower, KripkeSheaf, SheafModel, Signature
 
 FORMAT_VERSION = 1
@@ -75,29 +83,32 @@ def _string_list(value: Any, where: str) -> List[str]:
     return value
 
 
-def _pair_list(value: Any, elements: frozenset, where: str) -> frozenset:
+def _pair_rows(value: Any, carrier: FiniteSet, where: str) -> Tuple[int, ...]:
+    """The successor masks of a relation on carrier given as a JSON pair list."""
     if not isinstance(value, list):
         raise SchemaError(f"{where}: expected a list of pairs")
-    try:  # the whole list at once: plain lists of two declared names
-        plain = (
-            set(map(type, value)) <= {list}
-            and set(map(len, value)) <= {2}
-            and elements.issuperset(chain.from_iterable(value))
-        )
-    except TypeError:  # an unhashable name
-        plain = False
-    if not plain:
-        for entry in value:  # word the first bad entry; list subclasses pass
-            if (
-                not isinstance(entry, list)
-                or len(entry) != 2
-                or not all(isinstance(x, str) for x in entry)
-            ):
-                raise SchemaError(f"{where}: each entry must be a two-element list of strings")
-            for x in entry:
-                if x not in elements:
-                    raise SchemaError(f"{where}: undeclared name {x!r}")
-    return frozenset(map(tuple, value))
+    index = carrier.index
+    rows = [0] * len(carrier)
+    if set(map(type, value)) <= {list}:
+        try:  # plain lists of two declared names, looked up as the rows are built
+            for w, v in value:
+                rows[index[w]] |= 1 << index[v]
+            return tuple(rows)
+        except (KeyError, ValueError, TypeError):  # a stray, a bad length, an unhashable name
+            rows = [0] * len(carrier)
+    for entry in value:  # word the first bad entry; list subclasses pass
+        if (
+            not isinstance(entry, list)
+            or len(entry) != 2
+            or not all(isinstance(x, str) for x in entry)
+        ):
+            raise SchemaError(f"{where}: each entry must be a two-element list of strings")
+        for x in entry:
+            if x not in index:
+                raise SchemaError(f"{where}: undeclared name {x!r}")
+        w, v = entry
+        rows[index[w]] |= 1 << index[v]
+    return tuple(rows)
 
 
 def _carrier(doc: Mapping[str, Any], key: str, name: str, where: str) -> FiniteSet:
@@ -127,7 +138,7 @@ def _frame(
     rels = {
         a: _unchecked(
             Rel, dom=carrier, cod=carrier,
-            pairs=_pair_list(table[a], carrier.as_set, f"{where}.{rel_key}.{a}"),
+            rows=_pair_rows(table[a], carrier, f"{where}.{rel_key}.{a}"),
         )
         for a in agents
     }
@@ -155,7 +166,7 @@ def _load_kripke(doc: Mapping[str, Any]) -> KripkeModel:
         for w in members:
             if w not in carrier.as_set:
                 raise SchemaError(f"{where}.valuation.{atom}: undeclared world {w!r}")
-        val[atom] = Subset(carrier, frozenset(members))
+        val[atom] = _unchecked(Subset, carrier=carrier, mask=carrier.mask(members))
     return KripkeModel.make(frame, val)
 
 
@@ -380,8 +391,15 @@ def _print_precondition(pre: Formula) -> str:
 
 
 def _dump_frame(frame: KripkeFrame) -> Dict[str, Any]:
+    """Each agent's pairs, sorted by name, read off the rows."""
+    names = frame.carrier.elements
     return {
-        a: sorted([s, d] for s, d in frame.rel(a).pairs) for a in frame.agents
+        a: sorted(
+            [w, v]
+            for w, m in zip(names, frame.rel(a).rows) if m
+            for v in compress(names, bit_flags(m))
+        )
+        for a in frame.agents
     }
 
 

@@ -22,7 +22,10 @@ An update belongs to the model it updates: each model keeps the updates
 built on it, keyed by the event model and the registry its preconditions
 resolve through (both by value), so every query, reduction and update on
 one model object shares one build per key.  A build that raises leaves no
-entry, and an entry lives as long as its model object.
+entry, and an entry lives as long as its model object.  The model holds
+its updates but an update's way back to its model (``source``) is not
+kept in the model's cache, so the two form no reference cycle and a model
+is freed by reference counting alone.
 
 Event preconditions may themselves be dynamic (they are evaluated on the
 original model); cyclic references between event models are detected and
@@ -31,9 +34,11 @@ rejected with CyclicPrecondition rather than looping.
 
 from __future__ import annotations
 
+import dataclasses
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Collection, Dict, FrozenSet, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 from .errors import (
     CapExceeded,
@@ -79,7 +84,7 @@ from .powerset import (
     forall_map,
     preimage_map,
 )
-from .rel import FiniteSet, Rel, _unchecked, compose, dagger, pair_label
+from .rel import FiniteSet, Rel, _rel, _unchecked, compose, dagger, pair_label
 
 
 @dataclass(frozen=True)
@@ -107,8 +112,16 @@ class KripkeModel:
     def val_map(self) -> Dict[str, Subset]:
         return dict(self.valuation)
 
+    def __hash__(self) -> int:
+        return self._hash
+
     @cached_property
-    def _updates(self) -> Dict[tuple, "UpdateResult"]:
+    def _hash(self) -> int:
+        # computed once: the model keys the evaluator's memo at every node
+        return hash((self.frame, self.valuation))
+
+    @cached_property
+    def _updates(self) -> Dict[tuple, tuple]:
         """The updates built on this model; ``_Evaluator.build_update`` fills it."""
         return {}
 
@@ -145,20 +158,15 @@ class KripkeModel:
         """Product update, given the extension of a closed formula here."""
         frame_x = self.frame
         extents = {e: ext(ev.pre(e)) for e in ev.events}
-        frame, (p_x, p_e), parts = updated_frame(frame_x, ev.frame, extents)
+        frame, (p_x, p_e), _, transitions = updated_frame(
+            frame_x, ev.frame, {e: s.mask for e, s in extents.items()}
+        )
+        # an updated point satisfies an atom when its old world does
+        old_rows = p_x.fn.rows
         val = {
-            n: _unchecked(Subset, carrier=frame.carrier, members=frozenset(
-                lbl for lbl, (w, _) in parts.items() if w in s
-            ))
+            n: _unchecked(Subset, carrier=frame.carrier, mask=exists_image(old_rows, s.mask))
             for n, s in self.valuation
         }
-        # Each transition graphs the pairing w -> (w, e) on the event's extent.
-        transitions = tuple(
-            (e, _unchecked(Rel, dom=frame_x.carrier, cod=frame.carrier, pairs=frozenset(
-                (w, pair_label(w, e)) for w in extents[e].members
-            )))
-            for e in ev.events
-        )
         return UpdateResult(
             source=self,
             events=ev,
@@ -166,7 +174,7 @@ class KripkeModel:
             p_x=p_x,
             p_e=p_e,
             pre_extents=tuple((e, extents[e]) for e in ev.events),
-            transitions=transitions,
+            transitions=tuple((e, transitions[e]) for e in ev.events),
         )
 
 
@@ -215,7 +223,7 @@ class UpdateResult:
     the product of the two frames.
     """
 
-    source: KripkeModel
+    source: Optional[KripkeModel]
     events: EventModel
     updated: KripkeModel
     p_x: FrameMap
@@ -225,6 +233,10 @@ class UpdateResult:
 
     def pre_extent(self, e: str) -> Subset:
         return dict(self.pre_extents)[e]
+
+    def with_source(self, source: Optional[KripkeModel]) -> "UpdateResult":
+        """The same update over another source object (None: no source)."""
+        return dataclasses.replace(self, source=source)
 
     def transition(self, e: str) -> Rel:
         return dict(self.transitions)[e]
@@ -239,50 +251,59 @@ MAX_UPDATE_CARRIER = 10_000
 def updated_frame(
     frame_x: KripkeFrame,
     frame_e: KripkeFrame,
-    extents: Mapping[str, Collection[str]],
-) -> Tuple[KripkeFrame, Tuple[FrameMap, FrameMap], Dict[str, Tuple[str, str]]]:
-    """Frame of an update, given each event's precondition extent.
+    extents: Mapping[str, int],
+) -> Tuple[
+    KripkeFrame, Tuple[FrameMap, FrameMap], Dict[str, Tuple[str, str]], Dict[str, Rel]
+]:
+    """Frame of an update, given each event's precondition extent as a mask.
 
-    The points are the pairs (w, e) with w in the extent of e, world-major;
-    a pair moves to a pair when both components move.  Returns the frame,
-    its two projections, and each point's (old point, event).  Raises
-    CapExceeded, before building anything, when the points would number
-    more than MAX_UPDATE_CARRIER.
+    The points are the pairs (w, e) with w in the extent of e, world-major,
+    labelled "(w,e)"; a pair moves to a pair when both components move.
+    Returns the frame, its two projections, each point's (old point,
+    event), and per event the transition: the relation sending each old
+    point w in the extent of e to (w, e).
+    Raises CapExceeded, before building anything, when the points would
+    number more than MAX_UPDATE_CARRIER.
     """
-    size = sum(len(extents[e]) for e in frame_e.carrier)
+    size = sum(extents[e].bit_count() for e in frame_e.carrier)
     if size > MAX_UPDATE_CARRIER:
         raise CapExceeded(
             f"update would build {size} points, above the cap of {MAX_UPDATE_CARRIER}"
         )
-    points = [
-        (pair_label(w, e), (w, e))
-        for w in frame_x.carrier
-        for e in frame_e.carrier
-        if w in extents[e]
-    ]
+    rows = {e: [0] * len(frame_x.carrier) for e in frame_e.carrier}
+    points = []
+    for i, w in enumerate(frame_x.carrier):
+        for e in frame_e.carrier:
+            if extents[e] >> i & 1:
+                rows[e][i] = 1 << len(points)
+                points.append((pair_label(w, e), (w, e)))
     frame, legs = lift_points(
         f"({frame_x.carrier.name}(x){frame_e.carrier.name})", [frame_x, frame_e], points
     )
-    return frame, legs, dict(points)
+    transitions = {e: _rel(frame_x.carrier, frame.carrier, rows[e]) for e in frame_e.carrier}
+    return frame, legs, dict(points), transitions
 
 
 class _Evaluator:
     """Extensions on either layer, memoised per evaluator; updates kept per model.
 
     ``ext(model, context, phi)`` is the subset of the context's points where
-    the formula holds.  The evaluator holds what both layers share: the
-    memo, the Boolean connectives, boxes and diamonds as images along the
-    dagger of an agent's relation, quantifiers as images along the model's
-    drop map, event operators as images along the dagger of an update's
-    transition, and the cycle check on event-model references.  Every image
-    is read off the rows the relation caches (``successors`` along a dagger,
-    ``predecessors`` along the relation), so a modal node builds no dagger,
-    image map or relation; the ``duality`` suite checks the row helpers
-    against the image maps.  A model supplies the rest:
+    the formula holds; ``mask`` is the same as a mask, and the walk from
+    leaf to root works on masks only.  The evaluator holds what both layers
+    share: the memo, the Boolean connectives as bit operations, boxes and
+    diamonds as images along the dagger of an agent's relation, quantifiers
+    as images along the model's drop map, event operators as images along
+    the dagger of an update's transition, and the cycle check on
+    event-model references.  Every image is read off the relation's rows
+    (``rows`` along a dagger, ``pred_rows`` along the relation), so a modal
+    node builds no dagger, image map or relation; the ``duality`` suite
+    checks the row helpers against the image maps.  A model supplies the
+    rest:
 
     - ``context_frame(n)``: the frame whose carrier holds the points of an
       n-variable context, with one relation per agent;
-    - ``leaf(context, phi)``: the extension of an atom or predicate;
+    - ``leaf(context, phi)``: the extension of an atom or predicate, as a
+      Subset;
     - ``drop_last_map(n)``: the map from the (n+1)- to the n-variable
       context's points that quantifiers take images along (sheaves only);
     - ``build_update(ev, ext)``: the update by an event model, given the
@@ -290,7 +311,10 @@ class _Evaluator:
     - ``transition(upd, n, e)``: that update's relation from old points to
       their updated copies under event e;
     - ``_updates``: the dict of updates built on it, which this class
-      reads and fills.
+      reads and fills;
+    - an update type with ``with_source(model)``: the same update over
+      another source object, which ``build_update`` uses to keep the
+      update detached from its model.
 
     The extension memo and the announcement memo last as long as the
     evaluator.  Updates outlive it: ``build_update`` keeps each finished
@@ -304,70 +328,62 @@ class _Evaluator:
     def __init__(self, registry: Optional[Mapping[str, EventModel]] = None):
         self.registry = dict(registry or {})
         self.registry_key = frozenset(self.registry.items())
-        self.memo: Dict[tuple, Subset] = {}
+        self.memo: Dict[tuple, int] = {}
         self.pal_memo: Dict[Tuple[KripkeModel, Formula], Tuple[KripkeModel, FrameMap]] = {}
         self.updating: set = set()
 
     def ext(self, model, context: Tuple[str, ...], phi: Formula) -> Subset:
+        carrier = model.context_frame(len(context)).carrier
+        return _unchecked(Subset, carrier=carrier, mask=self.mask(model, context, phi))
+
+    def mask(self, model, context: Tuple[str, ...], phi: Formula) -> int:
+        """The extension as a mask over the context's carrier, memoised."""
         key = (model, context, phi)
         hit = self.memo.get(key)
-        if hit is not None:
-            return hit
-        out = self._ext(model, context, phi)
-        self.memo[key] = out
-        return out
+        if hit is None:
+            hit = self.memo[key] = self._mask(model, context, phi)
+        return hit
 
-    def _ext(self, model, context: Tuple[str, ...], phi: Formula) -> Subset:
+    def _mask(self, model, context: Tuple[str, ...], phi: Formula) -> int:
         n = len(context)
-        frame = model.context_frame(n)
-        carrier = frame.carrier
         if isinstance(phi, Top):
-            return _unchecked(Subset, carrier=carrier, members=carrier.as_set)
+            return model.context_frame(n).carrier.full
         if isinstance(phi, Bot):
-            return _unchecked(Subset, carrier=carrier, members=frozenset())
+            return 0
         if isinstance(phi, Not):
-            return self.ext(model, context, phi.body).complement()
+            return model.context_frame(n).carrier.full ^ self.mask(model, context, phi.body)
         if isinstance(phi, And):
-            return self.ext(model, context, phi.left).intersect(
-                self.ext(model, context, phi.right)
-            )
+            return self.mask(model, context, phi.left) & self.mask(model, context, phi.right)
         if isinstance(phi, Or):
-            return self.ext(model, context, phi.left).union(
-                self.ext(model, context, phi.right)
-            )
+            return self.mask(model, context, phi.left) | self.mask(model, context, phi.right)
         if isinstance(phi, Imp):
-            return (
-                self.ext(model, context, phi.left)
-                .complement()
-                .union(self.ext(model, context, phi.right))
-            )
+            left = model.context_frame(n).carrier.full ^ self.mask(model, context, phi.left)
+            return left | self.mask(model, context, phi.right)
         if isinstance(phi, (Box, Dia)):
-            rows = frame.rel(phi.agent).successors
-            inner = self.ext(model, context, phi.body)
+            rows = model.context_frame(n).rel(phi.agent).rows
+            inner = self.mask(model, context, phi.body)
         elif isinstance(phi, (Forall, Exists)):
             if phi.var in context:
                 raise ShadowedVariable(
                     f"quantified variable {phi.var!r} shadows the context; rename it"
                 )
-            inner = self.ext(model, context + (phi.var,), phi.body)
-            rows = model.drop_last_map(n).predecessors
+            inner = self.mask(model, context + (phi.var,), phi.body)
+            rows = model.drop_last_map(n).pred_rows
         elif isinstance(phi, (DelBox, DelDia)):
             upd = self.update(model, phi.model)
             if phi.event not in upd.events.events:
                 raise UnknownEvent(f"event {phi.event!r} not in event model {phi.model!r}")
-            inner = self.ext(upd.updated, context, phi.body)
-            rows = model.transition(upd, n, phi.event).successors
+            inner = self.mask(upd.updated, context, phi.body)
+            rows = model.transition(upd, n, phi.event).rows
         elif isinstance(phi, (PalBox, PalDia)) and isinstance(model, KripkeModel):
             sub, incl = self.pal(model, phi.announcement)
-            rows = incl.fn.predecessors
-            inner = self.ext(sub, context, phi.body)
+            rows = incl.fn.pred_rows
+            inner = self.mask(sub, context, phi.body)
         else:
-            return model.leaf(context, phi)
-        universal = isinstance(phi, (Box, Forall, DelBox, PalBox))
-        image = forall_image if universal else exists_image
-        return _unchecked(
-            Subset, carrier=carrier, members=image(rows, carrier, inner.members)
-        )
+            return model.leaf(context, phi).mask
+        if isinstance(phi, (Box, Forall, DelBox, PalBox)):
+            return forall_image(rows, inner)
+        return exists_image(rows, inner)
 
     def pal(self, model: KripkeModel, sigma: Formula) -> Tuple[KripkeModel, FrameMap]:
         key = (model, sigma)
@@ -376,10 +392,10 @@ class _Evaluator:
             return hit
         extent = self.ext(model, (), sigma)
         frame, incl = subframe(model.frame, extent, tag="!")
+        # the inclusion's rows pick each kept world's bit out of a valuation
+        rows = incl.fn.rows
         val = {
-            n: _unchecked(
-                Subset, carrier=frame.carrier, members=s.members & frame.carrier.as_set
-            )
+            n: _unchecked(Subset, carrier=frame.carrier, mask=exists_image(rows, s.mask))
             for n, s in model.valuation
         }
         sub = KripkeModel.make(frame, val)
@@ -401,13 +417,26 @@ class _Evaluator:
             self.updating.discard(key)
 
     def build_update(self, model, ev: EventModel):
-        """The model's update by ev under this registry, built on first use."""
+        """The model's update by ev under this registry, built on first use.
+
+        The model keeps, per key, the update detached from it (source None)
+        and a weak reference to the update it last handed out, so the
+        model and its updates form no reference cycle: a model is freed
+        as soon as its last reference goes.  While a caller holds an
+        update, every later call returns that same object.
+        """
         key = (ev, self.registry_key)
         cache = model._updates
-        out = cache.get(key)
-        if out is None:
-            out = model.build_update(ev, lambda phi: self.ext(model, (), phi))
-            cache[key] = out
+        entry = cache.get(key)
+        if entry is not None:
+            body, handed_out = entry
+            out = handed_out()
+            if out is None:
+                out = body.with_source(model)
+                cache[key] = (body, weakref.ref(out))
+            return out
+        out = model.build_update(ev, lambda phi: self.ext(model, (), phi))
+        cache[key] = (out.with_source(None), weakref.ref(out))
         return out
 
 
@@ -508,11 +537,11 @@ def _equality_check(
     lhs: Formula,
     rhs: Formula,
 ) -> LawCheck:
-    left = ev.ext(model, (), lhs)
-    right = ev.ext(model, (), rhs)
+    left = ev.mask(model, (), lhs)
+    right = ev.mask(model, (), rhs)
     if left == right:
         return LawCheck(name, True)
-    diff = sorted(left.members.symmetric_difference(right.members))
+    diff = sorted(model.frame.carrier.names(left ^ right))
     return LawCheck(name, False, witness=f"sides differ at {diff}")
 
 
@@ -627,24 +656,26 @@ def _static_pool(
     updated: KripkeModel,
     depth: int,
     class_cap: int = 150,
-) -> List[Tuple[Formula, FrozenSet[str], FrozenSet[str]]]:
+) -> List[Tuple[Formula, int, int]]:
     """Static formulas to the given depth, deduplicated semantically.
 
     Each entry carries the formula's extension on the original and on the
-    updated model, so deeper levels are built by plain set operations.
-    Deduplication keys on that pair of extensions, which makes the sweep
-    exhaustive over semantic classes rather than syntax trees.
+    updated model, as masks, so deeper levels are built by plain bit
+    operations.  Deduplication keys on that pair of extensions, which
+    makes the sweep exhaustive over semantic classes rather than syntax
+    trees.  Each level keeps its first ``class_cap`` classes in the order
+    of their member names.
     """
     x = model.frame.carrier
     u = updated.frame.carrier
-    succ_x = {a: model.frame.rel(a).successors for a in model.frame.agents}
-    succ_u = {a: updated.frame.rel(a).successors for a in updated.frame.agents}
+    full_x, full_u = x.full, u.full
+    rows_x = {a: model.frame.rel(a).rows for a in model.frame.agents}
+    rows_u = {a: updated.frame.rel(a).rows for a in updated.frame.agents}
 
     def sort_key(entry):
         fx, sx, su = entry
-        return (sorted(sx), sorted(su))
+        return (sorted(x.names(sx)), sorted(u.names(su)))
 
-    level: List[Tuple[Formula, FrozenSet[str], FrozenSet[str]]] = []
     seen = set()
 
     def add(f, sx, su, into):
@@ -653,26 +684,26 @@ def _static_pool(
             seen.add(key)
             into.append((f, sx, su))
 
-    base: List[Tuple[Formula, FrozenSet[str], FrozenSet[str]]] = []
-    add(Top(), x.as_set, u.as_set, base)
-    add(Bot(), frozenset(), frozenset(), base)
+    base: List[Tuple[Formula, int, int]] = []
+    add(Top(), full_x, full_u, base)
+    add(Bot(), 0, 0, base)
     for p in model.atoms:
-        add(Atom(p), model.val(p).members, updated.val(p).members, base)
+        add(Atom(p), model.val(p).mask, updated.val(p).mask, base)
     pool = list(base)
     current = list(base)
     for _ in range(depth):
-        fresh: List[Tuple[Formula, FrozenSet[str], FrozenSet[str]]] = []
+        fresh: List[Tuple[Formula, int, int]] = []
         for f, sx, su in current:
-            add(Not(f), x.as_set - sx, u.as_set - su, fresh)
+            add(Not(f), full_x ^ sx, full_u ^ su, fresh)
             for a in model.frame.agents:
-                sx_a, su_a = succ_x[a], succ_u[a]
-                add(Box(a, f), forall_image(sx_a, x, sx), forall_image(su_a, u, su), fresh)
-                add(Dia(a, f), exists_image(sx_a, x, sx), exists_image(su_a, u, su), fresh)
+                rx, ru = rows_x[a], rows_u[a]
+                add(Box(a, f), forall_image(rx, sx), forall_image(ru, su), fresh)
+                add(Dia(a, f), exists_image(rx, sx), exists_image(ru, su), fresh)
         for f1, sx1, su1 in current:
             for f2, sx2, su2 in pool:
                 add(And(f1, f2), sx1 & sx2, su1 & su2, fresh)
                 add(Or(f1, f2), sx1 | sx2, su1 | su2, fresh)
-                add(Imp(f1, f2), (x.as_set - sx1) | sx2, (u.as_set - su1) | su2, fresh)
+                add(Imp(f1, f2), (full_x ^ sx1) | sx2, (full_u ^ su1) | su2, fresh)
         fresh.sort(key=sort_key)
         fresh = fresh[:class_cap]
         pool.extend(fresh)
@@ -703,14 +734,14 @@ def no_learning_check(
     witness = None
     holds = True
     for e in ev_model.events:
-        pre_ext = ev.ext(model, (), ev_model.pre(e)).members
-        rows = upd.transition(e).successors
+        pre_ext = ev.mask(model, (), ev_model.pre(e))
+        rows = upd.transition(e).rows
         for f, sx, su in pool:
-            lhs = forall_image(rows, x, su)
-            rhs = (x.as_set - pre_ext) | (sx & pre_ext)
+            lhs = forall_image(rows, su)
+            rhs = (x.full ^ pre_ext) | (sx & pre_ext)
             if lhs != rhs:
                 holds = False
-                diff = sorted(lhs.symmetric_difference(rhs))
+                diff = sorted(x.names(lhs ^ rhs))
                 witness = f"event {e!r}: event box differs from guarded formula at {diff}"
                 break
         if not holds:

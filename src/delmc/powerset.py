@@ -9,190 +9,224 @@ relations and such maps is exact and is exercised by check functions here.
 Modal reading: the box along a relation is the universal image of its
 dagger; the diamond is the direct image of its dagger.
 
+What is stored: a ``Subset`` is one int mask over ``carrier.index``, and
+a ``PowersetMap`` keeps its table as one mask over the codomain per
+domain element, in domain order.  ``apply`` ORs (join) or ANDs (meet)
+the masks picked out by a subset's bits.  Names are resolved only at
+the boundary: ``Subset(carrier, members)`` takes names and checks them,
+and ``Subset.members``, ``sorted_members()`` and ``PowersetMap.atom_table``
+are lazy views built from the masks.
+
 ``forall_image`` and ``exists_image`` compute the same two images, as
-member sets, straight from a relation's cached rows, with no map built:
-the rows of r are its predecessor sets for an image along r, and its
-successor sets for an image along the dagger of r.  The evaluator reads
-every modal image this way; the ``duality`` law suite holds the two
-helpers to ``apply`` of the image maps.
+masks, straight from a relation's rows, with no map built: ``r.pred_rows``
+for an image along r, and ``r.rows`` for an image along the dagger of r.
+The evaluator reads every modal image this way; the ``duality`` law suite
+holds the two helpers to ``apply`` of the image maps.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
-from typing import AbstractSet, Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple
+from functools import cached_property, reduce
+from itertools import compress
+from operator import and_
+from typing import FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import CapExceeded, CarrierMismatch, InvariantViolation, NotAFunction, NotAPullback
 from .rel import (
     FiniteSet,
     Rel,
+    _rel,
     _unchecked,
+    bit_flags,
     compose,
     dagger,
     is_function,
     leq,
     require_same_carrier,
+    union_of,
 )
 
 JOIN = "join"
 MEET = "meet"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Subset:
-    """A subset of a named carrier."""
+    """A subset of a named carrier, stored as one mask over ``carrier.index``.
+
+    ``Subset(carrier, members)`` checks the named members against the
+    carrier and builds the mask; ``members`` and ``sorted_members()`` are
+    boundary views, built from the mask.
+    """
 
     carrier: FiniteSet
-    members: FrozenSet[str]
+    mask: int
 
-    def __post_init__(self):
-        if not isinstance(self.members, frozenset):
-            object.__setattr__(self, "members", frozenset(self.members))
-        if self.members <= self.carrier.as_set:
-            return
-        for m in self.members:  # word the first stray member
-            if m not in self.carrier:
-                raise InvariantViolation(f"subset member {m!r} not in carrier {self.carrier.name!r}")
+    def __init__(self, carrier: FiniteSet, members: Iterable[str]):
+        if not isinstance(members, frozenset):
+            members = frozenset(members)
+        if not members <= carrier.as_set:
+            for m in members:  # word the first stray member
+                if m not in carrier:
+                    raise InvariantViolation(f"subset member {m!r} not in carrier {carrier.name!r}")
+        self.__dict__.update(carrier=carrier, mask=carrier.mask(members), members=members)
+
+    @cached_property
+    def members(self) -> FrozenSet[str]:
+        """Boundary view: the members, by name."""
+        return frozenset(compress(self.carrier.elements, bit_flags(self.mask)))
 
     def union(self, other: "Subset") -> "Subset":
         require_same_carrier(self.carrier, other.carrier, "union")
-        return _unchecked(Subset, carrier=self.carrier, members=self.members | other.members)
+        return _subset(self.carrier, self.mask | other.mask)
 
     def intersect(self, other: "Subset") -> "Subset":
         require_same_carrier(self.carrier, other.carrier, "intersect")
-        return _unchecked(Subset, carrier=self.carrier, members=self.members & other.members)
+        return _subset(self.carrier, self.mask & other.mask)
 
     def complement(self) -> "Subset":
-        return _unchecked(
-            Subset, carrier=self.carrier, members=self.carrier.as_set - self.members
-        )
+        return _subset(self.carrier, self.carrier.full ^ self.mask)
 
     def leq(self, other: "Subset") -> bool:
         require_same_carrier(self.carrier, other.carrier, "leq")
-        return self.members <= other.members
+        return self.mask | other.mask == other.mask
 
     def __contains__(self, item: object) -> bool:
-        return item in self.members
+        i = self.carrier.index.get(item)
+        return i is not None and bool(self.mask >> i & 1)
 
     def __len__(self) -> int:
-        return len(self.members)
+        return self.mask.bit_count()
 
     def sorted_members(self) -> List[str]:
-        return sorted(self.members, key=lambda e: self.carrier.index[e])
+        return self.carrier.names(self.mask)
 
     def __repr__(self) -> str:
         return f"Subset({self.carrier.name!r}, {self.sorted_members()!r})"
 
 
+def _subset(carrier: FiniteSet, mask: int) -> Subset:
+    return _unchecked(Subset, carrier=carrier, mask=mask)
+
+
 def full_subset(x: FiniteSet) -> Subset:
-    return Subset(x, x.as_set)
+    return _subset(x, x.full)
 
 
 def empty_subset(x: FiniteSet) -> Subset:
-    return Subset(x, frozenset())
+    return _subset(x, 0)
 
 
 def all_subsets(x: FiniteSet) -> Iterable[Subset]:
-    """Every subset of a carrier, in a deterministic order."""
+    """Every subset of a carrier, in a deterministic order: by size, then
+    as ``itertools.combinations`` lists the elements."""
     for k in range(len(x) + 1):
-        for combo in itertools.combinations(x.elements, k):
-            yield Subset(x, frozenset(combo))
+        for combo in itertools.combinations(range(len(x)), k):
+            yield _subset(x, sum(1 << i for i in combo))
 
 
 @dataclass(frozen=True)
 class PowersetMap:
     """A join or meet extension between powerset algebras.
 
-    kind "join": atom_table[w] is the image of the singleton {w}; the map
-    sends S to the union over its members.  kind "meet": atom_table[w] is
-    the value on the co-singleton dom minus {w}; the map sends S to the
-    intersection over the members missing from S (the whole codomain when
-    none are missing).
+    kind "join": ``masks[i]`` is the image of the singleton of
+    ``dom.elements[i]``; the map sends S to the union over its members.
+    kind "meet": ``masks[i]`` is the value on the co-singleton dom minus
+    that element; the map sends S to the intersection over the members
+    missing from S (the whole codomain when none are missing).  The
+    masks lie over ``cod.index``; ``atom_table`` is the same table by
+    name, a boundary view.
     """
 
     dom: FiniteSet
     cod: FiniteSet
     kind: str
-    atom_table: Tuple[Tuple[str, FrozenSet[str]], ...]
+    masks: Tuple[int, ...]
 
     def __post_init__(self):
         if self.kind not in (JOIN, MEET):
             raise InvariantViolation(f"unknown powerset-map kind {self.kind!r}")
-        keys = tuple(k for k, _ in self.atom_table)
-        if keys != self.dom.elements:
-            raise InvariantViolation("atom table keys must list the domain in carrier order")
-        for k, img in self.atom_table:
-            for v in img:
-                if v not in self.cod:
-                    raise InvariantViolation(f"table value {v!r} at {k!r} not in codomain")
+        if len(self.masks) != len(self.dom):
+            raise InvariantViolation("one table mask per domain element required")
+        for k, m in zip(self.dom, self.masks):
+            if not 0 <= m <= self.cod.full:
+                raise InvariantViolation(f"table value at {k!r} not in codomain")
 
     @cached_property
-    def table(self) -> Dict[str, FrozenSet[str]]:
-        return dict(self.atom_table)
+    def atom_table(self) -> Tuple[Tuple[str, FrozenSet[str]], ...]:
+        """Boundary view: each domain element with its value, by name."""
+        names = self.cod.elements
+        return tuple(
+            (w, frozenset(compress(names, bit_flags(m))))
+            for w, m in zip(self.dom.elements, self.masks)
+        )
 
     def __repr__(self) -> str:
         rows = {k: sorted(v) for k, v in self.atom_table}
         return f"PowersetMap({self.kind}, {self.dom.name!r} -> {self.cod.name!r}, {rows!r})"
 
 
-def _make_map(dom: FiniteSet, cod: FiniteSet, kind: str, table: Dict[str, FrozenSet[str]]) -> PowersetMap:
-    """Built unchecked: the callers' tables give values inside cod."""
-    return _unchecked(
-        PowersetMap, dom=dom, cod=cod, kind=kind,
-        atom_table=tuple((w, frozenset(table[w])) for w in dom),
-    )
+def _make_map(dom: FiniteSet, cod: FiniteSet, kind: str, masks: Iterable[int]) -> PowersetMap:
+    """Built unchecked: the callers' masks lie inside cod."""
+    return _unchecked(PowersetMap, dom=dom, cod=cod, kind=kind, masks=tuple(masks))
 
 
 def exists_map(r: Rel) -> PowersetMap:
-    """Direct image along a relation, as a join extension."""
-    return _make_map(r.dom, r.cod, JOIN, {w: r.successors[w] for w in r.dom})
+    """Direct image along a relation, as a join extension: its rows."""
+    return _make_map(r.dom, r.cod, JOIN, r.rows)
 
 
 def forall_map(r: Rel) -> PowersetMap:
     """Universal image along a relation, as a meet extension.
 
     On a co-singleton dom minus {w} the universal image is exactly the
-    codomain points not reached from w.
+    codomain points not reached from w: the complement of w's row.
     """
-    return _make_map(r.dom, r.cod, MEET, {w: r.cod.as_set - r.successors[w] for w in r.dom})
+    full = r.cod.full
+    return _make_map(r.dom, r.cod, MEET, [full ^ m for m in r.rows])
 
 
-def forall_image(
-    rows: Mapping[str, FrozenSet[str]], carrier: FiniteSet, s: AbstractSet[str]
-) -> FrozenSet[str]:
-    """Universal image from rows: the points of carrier whose row lies in s.
+def forall_image(rows: Sequence[int], s: int) -> int:
+    """Universal image from rows: the mask of the rows that lie in s.
 
-    Pass r.predecessors for the image along r (``apply(forall_map(r), s)``)
-    and r.successors for the image along its dagger (the box).
+    Pass ``r.pred_rows`` for the image along r (``apply(forall_map(r), s)``)
+    and ``r.rows`` for the image along its dagger (the box).
     """
-    return frozenset(y for y in carrier if rows[y] <= s)
+    outside = ~s
+    out, bit = 0, 1
+    for m in rows:
+        if not m & outside:
+            out |= bit
+        bit <<= 1
+    return out
 
 
-def exists_image(
-    rows: Mapping[str, FrozenSet[str]], carrier: FiniteSet, s: AbstractSet[str]
-) -> FrozenSet[str]:
-    """Direct image from rows: the points of carrier whose row meets s.
+def exists_image(rows: Sequence[int], s: int) -> int:
+    """Direct image from rows: the mask of the rows that meet s.
 
-    Pass r.predecessors for the image along r (``apply(exists_map(r), s)``)
-    and r.successors for the image along its dagger (the diamond).
+    Pass ``r.pred_rows`` for the image along r (``apply(exists_map(r), s)``)
+    and ``r.rows`` for the image along its dagger (the diamond).
     """
-    return frozenset(y for y in carrier if not rows[y].isdisjoint(s))
+    out, bit = 0, 1
+    for m in rows:
+        if m & s:
+            out |= bit
+        bit <<= 1
+    return out
+
+
+def _apply_mask(h: PowersetMap, s: int) -> int:
+    if h.kind == JOIN:
+        return union_of(h.masks, s)
+    return reduce(and_, compress(h.masks, bit_flags(h.dom.full ^ s)), h.cod.full)
 
 
 def apply(h: PowersetMap, s: Subset) -> Subset:
     if s.carrier != h.dom:
         raise CarrierMismatch(f"apply: subset carrier {s.carrier.name!r} != map domain {h.dom.name!r}")
-    if h.kind == JOIN:
-        out: FrozenSet[str] = frozenset()
-        for w in s.members:
-            out |= h.table[w]
-        return _unchecked(Subset, carrier=h.cod, members=out)
-    out = h.cod.as_set
-    for w in h.dom.as_set - s.members:
-        out &= h.table[w]
-    return _unchecked(Subset, carrier=h.cod, members=out)
+    return _subset(h.cod, _apply_mask(h, s.mask))
 
 
 def preimage_map(f: Rel, kind: str = JOIN) -> PowersetMap:
@@ -211,13 +245,14 @@ def preimage_map(f: Rel, kind: str = JOIN) -> PowersetMap:
 def relation_from_join_map(h: PowersetMap) -> Rel:
     if h.kind != JOIN:
         raise InvariantViolation("relation_from_join_map: map is not a join extension")
-    return Rel(h.dom, h.cod, frozenset((w, v) for w in h.dom for v in h.table[w]))
+    return _rel(h.dom, h.cod, h.masks)
 
 
 def relation_from_meet_map(h: PowersetMap) -> Rel:
     if h.kind != MEET:
         raise InvariantViolation("relation_from_meet_map: map is not a meet extension")
-    return Rel(h.dom, h.cod, frozenset((w, v) for w in h.dom for v in h.cod.as_set - h.table[w]))
+    full = h.cod.full
+    return _rel(h.dom, h.cod, [full ^ m for m in h.masks])
 
 
 def map_leq(h1: PowersetMap, h2: PowersetMap) -> bool:
@@ -231,7 +266,7 @@ def map_leq(h1: PowersetMap, h2: PowersetMap) -> bool:
         raise InvariantViolation("map_leq: mixed representations; compare extensionally instead")
     require_same_carrier(h1.dom, h2.dom, "map_leq")
     require_same_carrier(h1.cod, h2.cod, "map_leq")
-    return all(h1.table[w] <= h2.table[w] for w in h1.dom)
+    return all(a | b == b for a, b in zip(h1.masks, h2.masks))
 
 
 def compose_maps(h1: PowersetMap, h2: PowersetMap) -> PowersetMap:
@@ -240,8 +275,7 @@ def compose_maps(h1: PowersetMap, h2: PowersetMap) -> PowersetMap:
         raise CarrierMismatch("compose_maps: middle carriers differ")
     if h1.kind != h2.kind:
         raise InvariantViolation("compose_maps: mixed representations")
-    table = {w: apply(h2, Subset(h1.cod, h1.table[w])).members for w in h1.dom}
-    return _make_map(h1.dom, h2.cod, h1.kind, table)
+    return _make_map(h1.dom, h2.cod, h1.kind, [_apply_mask(h2, m) for m in h1.masks])
 
 
 def maps_equal(h1: PowersetMap, h2: PowersetMap, cap: int = 12) -> bool:
@@ -249,7 +283,7 @@ def maps_equal(h1: PowersetMap, h2: PowersetMap, cap: int = 12) -> bool:
     require_same_carrier(h1.dom, h2.dom, "maps_equal")
     require_same_carrier(h1.cod, h2.cod, "maps_equal")
     if h1.kind == h2.kind:
-        return h1.atom_table == h2.atom_table
+        return h1.masks == h2.masks
     if len(h1.dom) > cap:
         raise CapExceeded(f"maps_equal: domain size {len(h1.dom)} above cap {cap}")
     return find_apply_witness(h1, h2, cap=cap) is None
@@ -262,7 +296,7 @@ def find_apply_witness(h1: PowersetMap, h2: PowersetMap, cap: int = 12) -> Optio
     if len(h1.dom) > cap:
         raise CapExceeded(f"find_apply_witness: domain size {len(h1.dom)} above cap {cap}")
     for s in all_subsets(h1.dom):
-        if apply(h1, s) != apply(h2, s):
+        if _apply_mask(h1, s.mask) != _apply_mask(h2, s.mask):
             return s
     return None
 
@@ -289,26 +323,23 @@ def verify_preserves_all_joins(h: PowersetMap, cap: int = 12) -> bool:
     """Full-table check that h commutes with arbitrary unions."""
     if len(h.dom) > cap:
         raise CapExceeded(f"verify_preserves_all_joins: domain size above cap {cap}")
-    for s in all_subsets(h.dom):
-        expected: FrozenSet[str] = frozenset()
-        for w in s.members:
-            expected |= apply(h, Subset(h.dom, frozenset([w]))).members
-        if apply(h, s).members != expected:
-            return False
-    return True
+    singletons = [_apply_mask(h, 1 << i) for i in range(len(h.dom))]
+    return all(
+        _apply_mask(h, s.mask) == union_of(singletons, s.mask) for s in all_subsets(h.dom)
+    )
 
 
 def verify_preserves_all_meets(h: PowersetMap, cap: int = 12) -> bool:
     """Full-table check that h commutes with arbitrary intersections."""
     if len(h.dom) > cap:
         raise CapExceeded(f"verify_preserves_all_meets: domain size above cap {cap}")
-    for s in all_subsets(h.dom):
-        expected = h.cod.as_set
-        for w in h.dom.as_set - s.members:
-            expected &= apply(h, Subset(h.dom, h.dom.as_set - frozenset([w]))).members
-        if apply(h, s).members != expected:
-            return False
-    return True
+    full = h.dom.full
+    cosingletons = [_apply_mask(h, full ^ 1 << i) for i in range(len(h.dom))]
+    return all(
+        _apply_mask(h, s.mask)
+        == reduce(and_, compress(cosingletons, bit_flags(full ^ s.mask)), h.cod.full)
+        for s in all_subsets(h.dom)
+    )
 
 
 @dataclass(frozen=True)
@@ -395,12 +426,16 @@ def check_beck_chevalley(p: Rel, q: Rel, f: Rel, g: Rel) -> bool:
         raise CarrierMismatch("check_beck_chevalley: square sides do not line up")
     if compose(p, f) != compose(q, g):
         raise NotAPullback("square does not commute")
-    pairing = {w: (next(iter(p.successors[w])), next(iter(q.successors[w]))) for w in p.dom}
-    if len(set(pairing.values())) != len(pairing):
+    # the apex's points as (row of p, row of q): one bit each, since p and q are functions
+    pairing = list(zip(p.rows, q.rows))
+    if len(set(pairing)) != len(pairing):
         raise NotAPullback("apex does not embed into the fibered product (pairing not injective)")
-    fibered = frozenset(
-        (y, z) for y in f.dom for z in g.dom if f.successors[y] == g.successors[z]
-    )
-    if set(pairing.values()) != set(fibered):
+    fibered = {
+        (1 << y, 1 << z)
+        for y, fy in enumerate(f.rows)
+        for z, gz in enumerate(g.rows)
+        if fy == gz
+    }
+    if set(pairing) != fibered:
         raise NotAPullback("apex image is not the whole fibered product")
     return beck_chevalley_equation(p, q, f, g)

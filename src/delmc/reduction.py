@@ -395,7 +395,7 @@ def reduce_formula(
     rewriter = _Rewriter(registry or {}, in_context=context is not None, used_names=used)
     evaluator = _Evaluator(registry)
     points = context or ()
-    reference = evaluator.ext(model, points, body) if verify else None
+    reference = evaluator.mask(model, points, body) if verify else None
     steps: List[ReductionStep] = []
     current = body
     size = _node_count(body)
@@ -415,7 +415,7 @@ def reduce_formula(
             )
         current = _replace(current, path, replacement)
         steps.append(ReductionStep(rule, redex, replacement, current))
-        if verify and evaluator.ext(model, points, current) != reference:
+        if verify and evaluator.mask(model, points, current) != reference:
             raise InvariantViolation(
                 f"rule {rule!r} changed the extension; this is a library bug"
             )

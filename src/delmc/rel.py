@@ -1,9 +1,21 @@
 """Finite sets and binary relations with dagger structure.
 
-A relation is an explicit set of pairs between two named finite carriers.
-Everything is immutable and hashable, so relations can key caches and sit
-inside frozen dataclasses.  Binary operations demand exact carrier equality
-(same name, same element order); nothing is coerced.
+A relation X -> Y between two named finite carriers is a |X| x |Y|
+Boolean matrix, stored as its rows: ``rows[i]`` is an int mask over
+``cod.index`` with bit j set when ``dom.elements[i]`` is related to
+``cod.elements[j]``.  Composition ORs rows together, the dagger
+transposes, and meet and join act row by row.  The predecessor masks
+(``pred_rows``, the rows of the dagger) are built on first use and kept.
+Everything is immutable and hashable: equality and the hash read the
+carriers and the rows, and the hash is computed once per value.  Binary
+operations demand exact carrier equality (same name, same element
+order); nothing is coerced.
+
+Names are resolved at the boundary only.  ``Rel(dom, cod, pairs)`` and
+``rel()`` take pairs of names; ``.pairs`` and the name-keyed
+``successors`` / ``predecessors`` are lazy views, built on first use
+for the loader's dump, the CLI, the tests and the label-based sheaf code.
+The kernel itself never builds them.
 
 Data is checked where it enters.  The public constructors (``Rel(...)``,
 ``rel()``, ``function_from_mapping``, ``Subset(...)``, ``FrameMap(...)``,
@@ -22,10 +34,46 @@ Composition is written in application order: ``compose(r1, r2)`` relates
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Dict, FrozenSet, Iterable, Iterator, Mapping, Tuple
+from functools import cached_property, reduce
+from itertools import compress
+from operator import and_, or_
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Sequence, Tuple
 
 from .errors import CarrierMismatch, InvariantViolation, NotAFunction
+
+_FLAG = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def bit_flags(mask: int) -> bytes:
+    """One byte per bit of the mask, lowest bit first: 1 where set, else 0.
+
+    Made for ``itertools.compress``: ``compress(seq, bit_flags(mask))``
+    picks the items of seq at the set bits, in order.
+    """
+    return bin(mask)[:1:-1].encode().translate(_FLAG)
+
+
+def union_of(masks: Sequence[int], mask: int) -> int:
+    """The OR of the masks at the set bits of mask (0 when none is set)."""
+    acc = 0
+    while mask:  # take the lowest set bit at a time
+        low = mask & -mask
+        acc |= masks[low.bit_length() - 1]
+        mask ^= low
+    return acc
+
+
+def transpose(rows: Sequence[int], width: int) -> Tuple[int, ...]:
+    """The columns of a Boolean matrix given by its rows of ``width`` bits."""
+    cols = [0] * width
+    bit = 1
+    for m in rows:
+        while m:
+            low = m & -m
+            cols[low.bit_length() - 1] |= bit
+            m ^= low
+        bit <<= 1
+    return tuple(cols)
 
 
 @dataclass(frozen=True)
@@ -33,7 +81,8 @@ class FiniteSet:
     """A named finite carrier with a fixed element order.
 
     The order is part of the value: it pins down iteration, printing and
-    the layout of derived structures, so runs are deterministic.
+    the layout of derived structures (bit i of a mask is ``elements[i]``),
+    so runs are deterministic.
     """
 
     name: str
@@ -48,6 +97,21 @@ class FiniteSet:
                 raise InvariantViolation(f"duplicate element {e!r} in carrier {self.name!r}")
             seen.add(e)
 
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other: object) -> bool:
+        # every binary operation compares carriers, and they are mostly the same object
+        if self is other:
+            return True
+        if type(other) is not FiniteSet:
+            return NotImplemented
+        return self.name == other.name and self.elements == other.elements
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.name, self.elements))
+
     @cached_property
     def as_set(self) -> FrozenSet[str]:
         return frozenset(self.elements)
@@ -55,6 +119,20 @@ class FiniteSet:
     @cached_property
     def index(self) -> Dict[str, int]:
         return {e: i for i, e in enumerate(self.elements)}
+
+    @cached_property
+    def full(self) -> int:
+        """The mask of every element."""
+        return (1 << len(self.elements)) - 1
+
+    def names(self, mask: int) -> List[str]:
+        """The elements at the set bits of a mask, in carrier order."""
+        return list(compress(self.elements, bit_flags(mask)))
+
+    def mask(self, names: Iterable[str]) -> int:
+        """The mask of some elements, named; KeyError on a stranger."""
+        index = self.index
+        return reduce(or_, (1 << index[x] for x in names), 0)
 
     def __iter__(self) -> Iterator[str]:
         return iter(self.elements)
@@ -74,39 +152,72 @@ def require_same_carrier(a: FiniteSet, b: FiniteSet, where: str) -> None:
         raise CarrierMismatch(f"{where}: carrier {a.name!r} != carrier {b.name!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Rel:
-    """A binary relation between two finite carriers, stored as a pair set."""
+    """A binary relation between two finite carriers, stored as successor masks.
+
+    ``Rel(dom, cod, pairs)`` checks the pairs against the carriers and
+    builds the rows; ``rows[i]`` is the mask of the successors of
+    ``dom.elements[i]``.
+    """
 
     dom: FiniteSet
     cod: FiniteSet
-    pairs: FrozenSet[Tuple[str, str]]
+    rows: Tuple[int, ...]
 
-    def __post_init__(self):
-        if not isinstance(self.pairs, frozenset):
-            object.__setattr__(self, "pairs", frozenset(self.pairs))
-        if _within(self.pairs, self.dom.as_set, self.cod.as_set):
-            return
-        for w, v in self.pairs:  # word the first stray or malformed pair
-            if w not in self.dom:
-                raise InvariantViolation(f"pair ({w!r}, {v!r}): {w!r} not in domain {self.dom.name!r}")
-            if v not in self.cod:
-                raise InvariantViolation(f"pair ({w!r}, {v!r}): {v!r} not in codomain {self.cod.name!r}")
+    def __init__(self, dom: FiniteSet, cod: FiniteSet, pairs: Iterable[Tuple[str, str]]):
+        if not isinstance(pairs, frozenset):
+            pairs = frozenset(pairs)
+        if not _within(pairs, dom.as_set, cod.as_set):
+            for w, v in pairs:  # word the first stray or malformed pair
+                if w not in dom:
+                    raise InvariantViolation(f"pair ({w!r}, {v!r}): {w!r} not in domain {dom.name!r}")
+                if v not in cod:
+                    raise InvariantViolation(f"pair ({w!r}, {v!r}): {v!r} not in codomain {cod.name!r}")
+        di, ci = dom.index, cod.index
+        rows = [0] * len(dom)
+        for w, v in pairs:
+            rows[di[w]] |= 1 << ci[v]
+        self.__dict__.update(dom=dom, cod=cod, rows=tuple(rows), pairs=pairs)
+
+    @cached_property
+    def pred_rows(self) -> Tuple[int, ...]:
+        """The predecessor masks, over ``dom.index``, in codomain order."""
+        return transpose(self.rows, len(self.cod))
+
+    @cached_property
+    def pairs(self) -> FrozenSet[Tuple[str, str]]:
+        """Boundary view: the related pairs of names."""
+        cod = self.cod.elements
+        return frozenset(
+            (w, v)
+            for w, m in zip(self.dom.elements, self.rows) if m
+            for v in compress(cod, bit_flags(m))
+        )
 
     @cached_property
     def successors(self) -> Dict[str, FrozenSet[str]]:
-        # lists, not sets: the pairs are distinct, so no row repeats a point
-        succ: Dict[str, list] = {w: [] for w in self.dom}
-        for w, v in self.pairs:
-            succ[w].append(v)
-        return {w: frozenset(vs) for w, vs in succ.items()}
+        """Boundary view: each domain point's successors, by name."""
+        cod = self.cod.elements
+        return {
+            w: frozenset(compress(cod, bit_flags(m))) for w, m in zip(self.dom.elements, self.rows)
+        }
 
     @cached_property
     def predecessors(self) -> Dict[str, FrozenSet[str]]:
-        pred: Dict[str, list] = {v: [] for v in self.cod}
-        for w, v in self.pairs:
-            pred[v].append(w)
-        return {v: frozenset(ws) for v, ws in pred.items()}
+        """Boundary view: each codomain point's predecessors, by name."""
+        dom = self.dom.elements
+        return {
+            v: frozenset(compress(dom, bit_flags(m)))
+            for v, m in zip(self.cod.elements, self.pred_rows)
+        }
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.dom, self.cod, self.rows))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def __contains__(self, pair: object) -> bool:
         return pair in self.pairs
@@ -134,21 +245,26 @@ def _unchecked(cls, **fields):
     return obj
 
 
+def _rel(dom: FiniteSet, cod: FiniteSet, rows: Iterable[int]) -> Rel:
+    """A kernel result: a relation from its rows, through ``_unchecked``."""
+    return _unchecked(Rel, dom=dom, cod=cod, rows=tuple(rows))
+
+
 def rel(dom: FiniteSet, cod: FiniteSet, pairs: Iterable[Tuple[str, str]]) -> Rel:
     """Build a relation from any iterable of pairs."""
     return Rel(dom, cod, frozenset(pairs))
 
 
 def identity(x: FiniteSet) -> Rel:
-    return _unchecked(Rel, dom=x, cod=x, pairs=frozenset((e, e) for e in x))
+    return _rel(x, x, [1 << i for i in range(len(x))])
 
 
 def empty(dom: FiniteSet, cod: FiniteSet) -> Rel:
-    return _unchecked(Rel, dom=dom, cod=cod, pairs=frozenset())
+    return _rel(dom, cod, (0,) * len(dom))
 
 
 def total(dom: FiniteSet, cod: FiniteSet) -> Rel:
-    return _unchecked(Rel, dom=dom, cod=cod, pairs=frozenset((w, v) for w in dom for v in cod))
+    return _rel(dom, cod, (cod.full,) * len(dom))
 
 
 def compose(r1: Rel, r2: Rel) -> Rel:
@@ -157,36 +273,34 @@ def compose(r1: Rel, r2: Rel) -> Rel:
         raise CarrierMismatch(
             f"compose: middle carriers differ ({r1.cod.name!r} vs {r2.dom.name!r})"
         )
-    succ2 = r2.successors
-    out = set()
-    for w, v in r1.pairs:
-        for u in succ2[v]:
-            out.add((w, u))
-    return _unchecked(Rel, dom=r1.dom, cod=r2.cod, pairs=frozenset(out))
+    rows2 = r2.rows
+    return _rel(r1.dom, r2.cod, [union_of(rows2, m) if m else 0 for m in r1.rows])
 
 
 def dagger(r: Rel) -> Rel:
-    """The converse relation."""
-    return _unchecked(Rel, dom=r.cod, cod=r.dom, pairs=frozenset((v, w) for w, v in r.pairs))
+    """The converse relation: the transpose, sharing the cached columns."""
+    back = _rel(r.cod, r.dom, r.pred_rows)
+    back.__dict__["pred_rows"] = r.rows
+    return back
 
 
 def leq(r1: Rel, r2: Rel) -> bool:
     """Inclusion order on a homset."""
     require_same_carrier(r1.dom, r2.dom, "leq")
     require_same_carrier(r1.cod, r2.cod, "leq")
-    return r1.pairs <= r2.pairs
+    return all(a | b == b for a, b in zip(r1.rows, r2.rows))
 
 
 def meet(r1: Rel, r2: Rel) -> Rel:
     require_same_carrier(r1.dom, r2.dom, "meet")
     require_same_carrier(r1.cod, r2.cod, "meet")
-    return _unchecked(Rel, dom=r1.dom, cod=r1.cod, pairs=r1.pairs & r2.pairs)
+    return _rel(r1.dom, r1.cod, map(and_, r1.rows, r2.rows))
 
 
 def join(r1: Rel, r2: Rel) -> Rel:
     require_same_carrier(r1.dom, r2.dom, "join")
     require_same_carrier(r1.cod, r2.cod, "join")
-    return _unchecked(Rel, dom=r1.dom, cod=r1.cod, pairs=r1.pairs | r2.pairs)
+    return _rel(r1.dom, r1.cod, map(or_, r1.rows, r2.rows))
 
 
 def check_modularity(r1: Rel, r2: Rel, r3: Rel) -> bool:
@@ -212,12 +326,12 @@ def is_function(r: Rel) -> bool:
 
 
 def is_function_pointwise(r: Rel) -> bool:
-    """Total and single-valued, read off the rows: one successor per point.
+    """Total and single-valued, read off the rows: one bit per row.
 
     Agrees with ``is_function`` (the ``rel-laws`` suite checks that it
-    does) in time linear in the pairs, with no composite built.
+    does) in time linear in the domain, with no composite built.
     """
-    return all(len(vs) == 1 for vs in r.successors.values())
+    return all(m and not m & (m - 1) for m in r.rows)
 
 
 def is_injective(r: Rel) -> bool:
@@ -250,21 +364,24 @@ def function_from_mapping(dom: FiniteSet, cod: FiniteSet, mapping: Mapping[str, 
     missing = [w for w in dom if w not in mapping]
     if missing:
         raise NotAFunction(f"no value for {missing[0]!r} in mapping")
-    pairs = set()
+    index = cod.index
+    rows = []
     for w in dom:
         v = mapping[w]
-        if v not in cod:
+        j = index.get(v)
+        if j is None:
             raise InvariantViolation(f"mapping sends {w!r} to {v!r}, not in {cod.name!r}")
-        pairs.add((w, v))
-    return _unchecked(Rel, dom=dom, cod=cod, pairs=frozenset(pairs))
+        rows.append(1 << j)
+    return _rel(dom, cod, rows)
 
 
 def apply_function(f: Rel, w: str) -> str:
     """Evaluate a function relation at a point."""
-    image = f.successors.get(w, frozenset())
-    if len(image) != 1:
+    i = f.dom.index.get(w)
+    m = 0 if i is None else f.rows[i]
+    if not m or m & (m - 1):
         raise NotAFunction(f"relation is not a function at {w!r}")
-    return next(iter(image))
+    return f.cod.elements[m.bit_length() - 1]
 
 
 def pair_label(a: str, b: str) -> str:
@@ -296,15 +413,18 @@ class Tabulation:
 
 
 def tabulate(r: Rel) -> Tabulation:
-    ordered = sorted(r.pairs, key=lambda p: (r.dom.index[p[0]], r.cod.index[p[1]]))
-    labels = tuple(pair_label(w, v) for w, v in ordered)
-    apex = FiniteSet(f"tab({r.dom.name},{r.cod.name})", labels)
-    leg1 = _unchecked(
-        Rel, dom=apex, cod=r.dom, pairs=frozenset((pair_label(w, v), w) for w, v in ordered)
+    cod = r.cod.elements
+    ordered = [
+        (i, j)
+        for i, m in enumerate(r.rows)
+        for j in compress(range(len(cod)), bit_flags(m))
+    ]
+    dom = r.dom.elements
+    apex = FiniteSet(
+        f"tab({r.dom.name},{r.cod.name})", tuple(pair_label(dom[i], cod[j]) for i, j in ordered)
     )
-    leg2 = _unchecked(
-        Rel, dom=apex, cod=r.cod, pairs=frozenset((pair_label(w, v), v) for w, v in ordered)
-    )
+    leg1 = _rel(apex, r.dom, [1 << i for i, _ in ordered])
+    leg2 = _rel(apex, r.cod, [1 << j for _, j in ordered])
     return Tabulation(apex, leg1, leg2)
 
 

@@ -24,9 +24,11 @@ sheaf conditions.
 
 from __future__ import annotations
 
+import copy
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import compress
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import (
@@ -65,12 +67,14 @@ from .models import (
     _relation_check,
     updated_frame,
 )
-from .powerset import Subset
+from .powerset import Subset, exists_image
 from .rel import (
     FiniteSet,
     Rel,
+    _rel,
     _unchecked,
     apply_function,
+    bit_flags,
     compose,
     dagger,
     function_from_mapping,
@@ -135,16 +139,15 @@ class SheafCheck:
 
 
 def _unique_lift_witness(total: KripkeFrame, proj_fn: Rel) -> Optional[Tuple[str, str, str, str]]:
-    pi = {a: apply_function(proj_fn, a) for a in total.carrier}
+    names = total.carrier.elements
+    pi = proj_fn.rows  # one bit per individual: its world
     for agent in total.agents:
-        succ = total.rel(agent).successors
-        for a in total.carrier:
-            by_world: Dict[str, str] = {}
-            for b in sorted(succ[a], key=total.carrier.index.__getitem__):
-                w = pi[b]
-                if w in by_world and by_world[w] != b:
-                    return (agent, a, by_world[w], b)
-                by_world[w] = b
+        for a, row in zip(names, total.rel(agent).rows):
+            by_world: Dict[int, int] = {}
+            for b in compress(range(len(names)), bit_flags(row)):
+                first = by_world.setdefault(pi[b], b)
+                if first != b:
+                    return (agent, a, names[first], names[b])
     return None
 
 
@@ -223,10 +226,11 @@ class KripkeSheaf:
     @cached_property
     def fibers(self) -> Dict[str, Tuple[str, ...]]:
         """The individuals over each world, in the total carrier's order."""
-        over: Dict[str, List[str]] = {w: [] for w in self.base.carrier}
-        for a in self.total.carrier:
-            over[self.proj(a)].append(a)
-        return {w: tuple(fib) for w, fib in over.items()}
+        individuals = self.total.carrier.elements
+        return {
+            w: tuple(compress(individuals, bit_flags(m)))
+            for w, m in zip(self.base.carrier, self.proj.fn.pred_rows)
+        }
 
     def fiber(self, w: str) -> Tuple[str, ...]:
         return self.fibers.get(w, ())
@@ -350,8 +354,9 @@ class SheafModel:
                 )
             if not is_monotone(fm):
                 raise NotMonotone(f"interpretation of {name!r} is not monotone")
-            for lbl in power.carrier:
-                if sheaf.proj(fm(lbl)) != power.world_of(lbl):
+            worlds = compose(fm.fn, sheaf.proj.fn).rows
+            for lbl, got, want in zip(power.carrier, worlds, power.proj_to_base.fn.rows):
+                if got != want:
                     raise InvariantViolation(
                         f"interpretation of {name!r} is not fiber preserving at {lbl!r}"
                     )
@@ -418,21 +423,21 @@ class SheafModel:
             raise ArityMismatch(
                 f"relation symbol {phi.name!r} expects {arity} arguments, got {len(phi.args)}"
             )
-        members = self.rel_interp_map[phi.name].members
+        extension = self.rel_interp_map[phi.name]
         if arity == 0:
-            return Subset(
-                carrier,
-                frozenset(lbl for lbl in carrier if power.world_of(lbl) in members),
-            )
+            # the points whose world lies in the extension
+            mask = exists_image(power.proj_to_base.fn.rows, extension.mask)
+            return _unchecked(Subset, carrier=carrier, mask=mask)
         arg_values = [self.term_values(context, t) for t in phi.args]
         arg_power = self.power(arity)
-        chosen = set()
+        members = extension.members
+        mask, bit = 0, 1
         for lbl in carrier:
             tup = tuple(v[lbl] for v in arg_values)
-            arg_lbl = arg_power.label_for(power.world_of(lbl), tup)
-            if arg_lbl in members:
-                chosen.add(lbl)
-        return Subset(carrier, frozenset(chosen))
+            if arg_power.label_for(power.world_of(lbl), tup) in members:
+                mask |= bit
+            bit <<= 1
+        return _unchecked(Subset, carrier=carrier, mask=mask)
 
     def drop_last_map(self, n: int) -> Rel:
         """Projection of the (n+1)-th power onto the n-th, dropping the last
@@ -440,11 +445,12 @@ class SheafModel:
         if n not in self._drops:
             upper = self.power(n + 1)
             lower = self.power(n)
-            pairs = frozenset(
-                (lbl, lower.label_for(w, tup[:-1]))
-                for lbl, tup, w in zip(upper.carrier, upper.tuples, upper.base_worlds)
-            )
-            self._drops[n] = _unchecked(Rel, dom=upper.carrier, cod=lower.carrier, pairs=pairs)
+            index = lower.carrier.index
+            rows = [
+                1 << index[lower.label_for(w, tup[:-1])]
+                for tup, w in zip(upper.tuples, upper.base_worlds)
+            ]
+            self._drops[n] = _rel(upper.carrier, lower.carrier, rows)
         return self._drops[n]
 
     def transition(self, upd: "SheafUpdate", n: int, e: str) -> Rel:
@@ -464,11 +470,12 @@ class SheafModel:
                     f"precondition of event {e!r} has free variables {sorted(open_vars)}"
                 )
             extents[e] = ext(as_sentence(pre).body)
-        new_base, (p_x, p_e), world_parts = updated_frame(base, ev.frame, extents)
-        pulled = {
-            e: {a for w in extents[e].members for a in sheaf.fiber(w)} for e in ev.events
-        }
-        new_total, (p_d, _), ind_parts = updated_frame(total, ev.frame, pulled)
+        world_masks = {e: s.mask for e, s in extents.items()}
+        new_base, (p_x, p_e), world_parts, world_steps = updated_frame(base, ev.frame, world_masks)
+        # the individuals over the extent of each event
+        proj_rows = sheaf.proj.fn.rows
+        pulled = {e: exists_image(proj_rows, m) for e, m in world_masks.items()}
+        new_total, (p_d, _), ind_parts, ind_steps = updated_frame(total, ev.frame, pulled)
         proj_pairs = {
             lbl: pair_label(sheaf.proj(a), e) for lbl, (a, e) in ind_parts.items()
         }
@@ -513,6 +520,10 @@ class SheafModel:
             extents=extents,
             ind_parts=ind_parts,
             world_parts=world_parts,
+            transitions={
+                **{(0, e): r for e, r in world_steps.items()},
+                **{(1, e): r for e, r in ind_steps.items()},
+            },
         )
 
 
@@ -555,6 +566,7 @@ class SheafUpdate:
         extents: Mapping[str, Subset],
         ind_parts: Mapping[str, Tuple[str, str]],
         world_parts: Mapping[str, Tuple[str, str]],
+        transitions: Optional[Mapping[Tuple[int, str], Rel]] = None,
     ):
         self.source = source
         self.events = events
@@ -565,7 +577,14 @@ class SheafUpdate:
         self.extents = dict(extents)
         self.ind_parts = dict(ind_parts)
         self.world_parts = dict(world_parts)
-        self._transitions: Dict[Tuple[int, str], Rel] = {}
+        self._transitions: Dict[Tuple[int, str], Rel] = dict(transitions or {})
+
+    def with_source(self, source: Optional["SheafModel"]) -> "SheafUpdate":
+        """The same update over another source object (None: no source),
+        sharing its transitions as they are built."""
+        other = copy.copy(self)
+        other.source = source
+        return other
 
     def decompose_power_label(self, n: int, label: str) -> Tuple[str, str]:
         """Split a label of the updated n-th power into (old label, event)."""
@@ -581,14 +600,15 @@ class SheafUpdate:
         if key not in self._transitions:
             old_power = self.source.power(n)
             new_power = self.updated.power(n)
-            pairs = set()
+            index = old_power.carrier.index
+            rows = [0] * len(old_power.carrier)
+            bit = 1
             for lbl in new_power.carrier:
                 old_lbl, ev = self.decompose_power_label(n, lbl)
                 if ev == e:
-                    pairs.add((old_lbl, lbl))
-            self._transitions[key] = _unchecked(
-                Rel, dom=old_power.carrier, cod=new_power.carrier, pairs=frozenset(pairs)
-            )
+                    rows[index[old_lbl]] = bit
+                bit <<= 1
+            self._transitions[key] = _rel(old_power.carrier, new_power.carrier, rows)
         return self._transitions[key]
 
     def lift_map(self, f: FrameMap, m: int, n: int) -> FrameMap:

@@ -11,6 +11,7 @@ import fo_oracle  # noqa: F401  (import check: oracles stay in sync with fixture
 import oracle
 from delmc import (
     AgentSet,
+    And,
     Atom,
     Box,
     CyclicPrecondition,
@@ -25,6 +26,7 @@ from delmc import (
     PalBox,
     PalDia,
     KripkeModel,
+    Not,
     Pred,
     Rel,
     Subset,
@@ -309,3 +311,36 @@ def test_static_precondition_modalities(two_worlds):
     )
     assert apply(box_map, lifted) == extension(model, PalBox(Atom("p"), phi))
     assert apply(dia_map, lifted) == extension(model, PalDia(Atom("p"), phi))
+
+
+def test_formula_hash_is_computed_once(monkeypatch):
+    # the evaluator memo keys on formulas: hashing a root reads the hash
+    # its constructor stored, without walking into the children
+    inner = Box("a", Atom("p"))
+    root = And(Not(inner), inner)
+    first = hash(root)
+
+    def no_recursion(self):
+        raise AssertionError("hashing the root recursed into a child")
+
+    for cls in (Atom, Box, Not):
+        monkeypatch.setattr(cls, "__hash__", no_recursion)
+    assert hash(root) == first
+    assert hash(root) == first
+    monkeypatch.undo()
+    # the stored value is the one the frozen dataclass computes from the fields
+    assert first == hash((Not(inner), inner))
+    assert dataclasses.replace(root, right=Atom("q")) == And(Not(inner), Atom("q"))
+
+
+def test_every_node_class_reads_the_cached_hash():
+    # a node class left with the dataclass __hash__ would re-hash its subtree
+    from delmc import formulas
+
+    nodes = [
+        cls for cls in vars(formulas).values()
+        if isinstance(cls, type) and issubclass(cls, formulas._Node) and dataclasses.is_dataclass(cls)
+    ]
+    assert len(nodes) >= 18
+    for cls in nodes:
+        assert cls.__hash__ is formulas._Node._cached_hash, cls.__name__

@@ -73,11 +73,11 @@ def test_forall_map_hand_example():
 
 def test_row_images_hand_example():
     # the box along R reads the successor rows: u's row {a, b} lies in {a, b}
-    assert forall_image(R.successors, X, {"a", "b"}) == {"u"}
-    assert exists_image(R.successors, X, {"c"}) == {"v"}
+    assert forall_image(R.rows, Y.mask({"a", "b"})) == X.mask({"u"})
+    assert exists_image(R.rows, Y.mask({"c"})) == X.mask({"v"})
     # along R itself the rows are the predecessor sets
-    assert forall_image(R.predecessors, Y, {"u"}) == {"a", "b"}
-    assert exists_image(R.predecessors, Y, {"v"}) == {"c"}
+    assert forall_image(R.pred_rows, X.mask({"u"})) == Y.mask({"a", "b"})
+    assert exists_image(R.pred_rows, X.mask({"v"})) == Y.mask({"c"})
 
 
 @st.composite
@@ -91,11 +91,11 @@ def relations_with_subsets(draw):
 @given(relations_with_subsets())
 def test_row_images_match_image_maps(case):
     r, s_dom, s_cod = case
-    assert forall_image(r.predecessors, r.cod, s_dom.members) == apply(forall_map(r), s_dom).members
-    assert exists_image(r.predecessors, r.cod, s_dom.members) == apply(exists_map(r), s_dom).members
+    assert forall_image(r.pred_rows, s_dom.mask) == apply(forall_map(r), s_dom).mask
+    assert exists_image(r.pred_rows, s_dom.mask) == apply(exists_map(r), s_dom).mask
     back = dagger(r)
-    assert forall_image(r.successors, r.dom, s_cod.members) == apply(forall_map(back), s_cod).members
-    assert exists_image(r.successors, r.dom, s_cod.members) == apply(exists_map(back), s_cod).members
+    assert forall_image(r.rows, s_cod.mask) == apply(forall_map(back), s_cod).mask
+    assert exists_image(r.rows, s_cod.mask) == apply(exists_map(back), s_cod).mask
 
 
 def test_row_images_on_empty_carriers_and_relations():
@@ -105,8 +105,8 @@ def test_row_images_on_empty_carriers_and_relations():
         for s in all_subsets(dom):
             # nothing reaches any point: every universal image is full and
             # every direct image empty, as the image maps say
-            assert forall_image(r.predecessors, cod, s.members) == cod.as_set
-            assert exists_image(r.predecessors, cod, s.members) == frozenset()
+            assert forall_image(r.pred_rows, s.mask) == cod.full
+            assert exists_image(r.pred_rows, s.mask) == 0
             assert apply(forall_map(r), s) == full_subset(cod)
             assert apply(exists_map(r), s) == empty_subset(cod)
 

@@ -6,7 +6,9 @@ which checks nothing, so it must stay out of the package's public names
 and out of the modules that read user input or plant defects on purpose.
 """
 
+import ast
 import pathlib
+import re
 
 import pytest
 
@@ -46,6 +48,8 @@ def test_private_constructor_is_not_public():
 def test_input_and_planting_modules_never_build_unchecked(module):
     source = pathlib.Path(delmc.__file__).with_name(f"{module}.py").read_text(encoding="utf-8")
     assert "_unchecked" not in source
+    # nor the kernel's shorthands for _unchecked(Rel, ...) and _unchecked(Subset, ...)
+    assert not re.search(r"\b_(rel|subset)\(", source)
 
 
 @pytest.mark.parametrize(
@@ -89,3 +93,18 @@ def test_public_rel_words_the_stray_pair():
         Rel(X, Y, frozenset({("x1", "y1"), ("x2", "zz")}))
     with pytest.raises(ValueError):
         Rel(X, Y, frozenset({("x1", "y1", "y2")}))
+
+
+def test_benchmark_check_shares_no_kernel():
+    # perfbench/checks.py is the benchmark's independent bitmask oracle: it
+    # may read the formula syntax trees, but no relation, subset or
+    # evaluator code, so it never shares the kernel it checks
+    path = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "checks.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            imported.add(node.module)
+    assert {name for name in imported if name.split(".")[0] == "delmc"} == {"delmc.formulas"}

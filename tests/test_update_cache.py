@@ -6,6 +6,9 @@ registry.  A changed registry builds afresh, and a build that raises leaves
 nothing behind.  Every answer is still held to the pointwise oracles.
 """
 
+import gc
+import weakref
+
 import pytest
 
 import fo_oracle
@@ -138,3 +141,36 @@ def test_a_failed_build_leaves_no_entry(builds, monkeypatch, model_file, events_
     upd = update(model, ev)
     assert update(model, ev) is upd
     assert builds[type(model)] == 3
+
+
+@pytest.mark.parametrize("model_file, events_file, update", [
+    ("two_worlds.json", "private_announcement.json", product_update),
+    ("two_fibers.json", "fo_event.json", pullback_update),
+], ids=["product", "pullback"])
+def test_a_model_with_an_update_is_freed_without_the_collector(
+    model_file, events_file, update
+):
+    # the model keeps its update, but no reference cycle runs back to the
+    # model, so reference counting alone frees it
+    model, ev = _load(model_file), _load(events_file)
+    upd = update(model, ev)
+    assert update(model, ev) is upd and upd.source is model
+    gone = weakref.ref(model)
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        del model, upd
+        assert gone() is None
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+def test_an_update_dropped_by_its_caller_is_handed_out_again(two_worlds, private_announcement_event):
+    # the model keeps the built update; a caller that let go of it gets it
+    # back, over the same model, with no second build
+    first = product_update(two_worlds, private_announcement_event)
+    kept = first.updated
+    del first
+    again = product_update(two_worlds, private_announcement_event)
+    assert again.source is two_worlds and again.updated is kept
