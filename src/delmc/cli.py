@@ -237,8 +237,15 @@ def _cmd_update(args) -> int:
         updated = upd.updated
         base = updated.sheaf.base
         total = updated.sheaf.total
-        world_origins = [(w,) + upd.world_parts[w] for w in base.carrier]
-        ind_origins = [(d,) + upd.ind_parts[d] for d in total.carrier]
+        events = ev_model.events
+        old_worlds = model.sheaf.base.carrier.elements
+        old_individuals = model.sheaf.total.carrier.elements
+        world_origins = [
+            (w, old_worlds[o], events[k]) for w, o, k in zip(base.carrier, *upd.parts(0))
+        ]
+        ind_origins = [
+            (d, old_individuals[a], events[k]) for d, a, k in zip(total.carrier, *upd.parts(1))
+        ]
         extents = {e: upd.extents[e].sorted_members() for e in ev_model.events}
         lines.append(
             f"source worlds: {len(model.sheaf.base.carrier.elements)}, "

@@ -376,10 +376,10 @@ def as_sentence(phi: Formula) -> FormulaInContext:
     Bare atoms are folded into 0-ary predicate applications so that
     propositional-looking preconditions work against first-order models.
     """
+    return FormulaInContext((), _fold_atoms(phi))
 
-    def fold(psi: Formula) -> Formula:
-        if isinstance(psi, Atom):
-            return Pred(psi.name, ())
-        return rebuild(psi, [fold(kid) for kid in children(psi)])
 
-    return FormulaInContext((), fold(phi))
+def _fold_atoms(psi: Formula) -> Formula:
+    if isinstance(psi, Atom):
+        return Pred(psi.name, ())
+    return rebuild(psi, [_fold_atoms(kid) for kid in children(psi)])

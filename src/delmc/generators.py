@@ -390,7 +390,8 @@ def random_sheaf_model(
     if with_binary:
         functions["g"] = 2
         power2 = sheaf.power(2)
-        first = {lbl: power2.tuple_of(lbl)[0] for lbl in power2.carrier}
+        names = sheaf.total.carrier.elements
+        first = {lbl: names[c[0]] for lbl, c in zip(power2.carrier, power2.coords)}
         fn_interp["g"] = FrameMap(
             power2.frame,
             sheaf.total,
@@ -421,70 +422,81 @@ def random_fo_formula(
     fresh: int = 0,
 ) -> Formula:
     """A random formula in the given context over the model's signature."""
-    sig = model.signature
     agents = tuple(model.sheaf.base.agents)
+    return _fo_formula(rng, model.signature, agents, event_refs, context, depth, [fresh])
 
-    def term(ctx: Tuple[str, ...], d: int) -> Formula:
-        unary = [n for n, k in sig.function_symbols if k == 1]
-        nullary = [n for n, k in sig.function_symbols if k == 0]
-        if ctx and (d <= 0 or rng.random() < 0.6):
-            return Var(rng.choice(ctx))
-        if nullary and (not ctx or rng.random() < 0.4):
-            return Fun(rng.choice(nullary), ())
-        if unary and ctx:
-            return Fun(rng.choice(unary), (term(ctx, d - 1),))
-        if nullary:
-            return Fun(rng.choice(nullary), ())
+
+def _fo_term(rng: random.Random, sig: Signature, ctx: Tuple[str, ...], d: int) -> Term:
+    unary = [n for n, k in sig.function_symbols if k == 1]
+    nullary = [n for n, k in sig.function_symbols if k == 0]
+    if ctx and (d <= 0 or rng.random() < 0.6):
         return Var(rng.choice(ctx))
+    if nullary and (not ctx or rng.random() < 0.4):
+        return Fun(rng.choice(nullary), ())
+    if unary and ctx:
+        return Fun(rng.choice(unary), (_fo_term(rng, sig, ctx, d - 1),))
+    if nullary:
+        return Fun(rng.choice(nullary), ())
+    return Var(rng.choice(ctx))
 
-    def atom(ctx: Tuple[str, ...]) -> Formula:
-        has_const = any(k == 0 for _, k in sig.function_symbols)
-        usable = [
-            (n, k) for n, k in sig.relation_symbols if k == 0 or ctx or has_const
-        ]
-        if not usable:
+
+def _fo_atom(rng: random.Random, sig: Signature, ctx: Tuple[str, ...]) -> Formula:
+    has_const = any(k == 0 for _, k in sig.function_symbols)
+    usable = [
+        (n, k) for n, k in sig.relation_symbols if k == 0 or ctx or has_const
+    ]
+    if not usable:
+        return Top()
+    name, arity = rng.choice(usable)
+    if arity == 0:
+        return Pred(name, ())
+    return Pred(name, tuple(_fo_term(rng, sig, ctx, 1) for _ in range(arity)))
+
+
+def _fo_formula(
+    rng: random.Random,
+    sig: Signature,
+    agents: Tuple[str, ...],
+    event_refs: Sequence[Tuple[str, str]],
+    ctx: Tuple[str, ...],
+    d: int,
+    counter: List[int],
+) -> Formula:
+    """random_fo_formula's recursion; counter[0] numbers the bound variables."""
+
+    def sub(inner: Tuple[str, ...] = ctx) -> Formula:
+        return _fo_formula(rng, sig, agents, event_refs, inner, d - 1, counter)
+
+    if d <= 0:
+        roll = rng.random()
+        if roll < 0.08:
             return Top()
-        name, arity = rng.choice(usable)
-        if arity == 0:
-            return Pred(name, ())
-        return Pred(name, tuple(term(ctx, 1) for _ in range(arity)))
-
-    def go(ctx: Tuple[str, ...], d: int, counter: List[int]) -> Formula:
-        if d <= 0:
-            roll = rng.random()
-            if roll < 0.08:
-                return Top()
-            if roll < 0.16:
-                return Bot()
-            return atom(ctx)
-        kinds = ["atom", "not", "and", "or", "imp", "box", "dia", "forall", "exists"]
-        if event_refs:
-            kinds += ["event", "event-dia"]
-        kind = rng.choice(kinds)
-        if kind == "atom":
-            return atom(ctx)
-        if kind == "not":
-            return Not(go(ctx, d - 1, counter))
-        if kind in ("and", "or", "imp"):
-            return {"and": And, "or": Or, "imp": Imp}[kind](
-                go(ctx, d - 1, counter), go(ctx, d - 1, counter)
-            )
-        if kind == "box":
-            return Box(rng.choice(agents), go(ctx, d - 1, counter))
-        if kind == "dia":
-            return Dia(rng.choice(agents), go(ctx, d - 1, counter))
-        if kind in ("forall", "exists"):
+        if roll < 0.16:
+            return Bot()
+        return _fo_atom(rng, sig, ctx)
+    kinds = ["atom", "not", "and", "or", "imp", "box", "dia", "forall", "exists"]
+    if event_refs:
+        kinds += ["event", "event-dia"]
+    kind = rng.choice(kinds)
+    if kind == "atom":
+        return _fo_atom(rng, sig, ctx)
+    if kind == "not":
+        return Not(sub())
+    if kind in ("and", "or", "imp"):
+        return {"and": And, "or": Or, "imp": Imp}[kind](sub(), sub())
+    if kind == "box":
+        return Box(rng.choice(agents), sub())
+    if kind == "dia":
+        return Dia(rng.choice(agents), sub())
+    if kind in ("forall", "exists"):
+        counter[0] += 1
+        v = f"u{counter[0]}"
+        while v in ctx:
             counter[0] += 1
             v = f"u{counter[0]}"
-            while v in ctx:
-                counter[0] += 1
-                v = f"u{counter[0]}"
-            body = go(ctx + (v,), d - 1, counter)
-            return (Forall if kind == "forall" else Exists)(v, body)
-        ref, event = rng.choice(tuple(event_refs))
-        return (DelBox if kind == "event" else DelDia)(ref, event, go(ctx, d - 1, counter))
-
-    return go(context, depth, [fresh])
+        return (Forall if kind == "forall" else Exists)(v, sub(ctx + (v,)))
+    ref, event = rng.choice(tuple(event_refs))
+    return (DelBox if kind == "event" else DelDia)(ref, event, sub())
 
 
 def random_fo_term(

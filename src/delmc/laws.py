@@ -994,8 +994,8 @@ def run_sheaf(seed: int = 0, cases: int = 200, max_size: int = 3) -> Report:
                 total.carrier,
                 power2.carrier,
                 {
-                    a: power2.label_for(model.sheaf.proj(a), (a, a))
-                    for a in total.carrier
+                    a: power2.carrier.elements[power2.point_of[(i, i)]]
+                    for i, a in enumerate(total.carrier)
                 },
             ),
         )

@@ -34,14 +34,20 @@ one name lookup per name as the rows are built.  A stray name, a bad
 length or an unhashable name falls back to the entry-by-entry walk,
 which words the first bad entry.  The rows then go into the relation
 through the private trusted constructor, with no second check; no set
-of name pairs is built.  A valuation becomes one mask per atom.  What
-a document can get wrong beyond names and shapes (the sheaf conditions,
-monotone and fiber-preserving interpretations) is checked by the
-constructors the loader calls.
+of name pairs is built.  A valuation becomes one mask per atom.  In a
+sheaf model, each argument tuple of a function map or a predicate
+extension is resolved by index to its point of the fibered power
+(``FiberedPower.point_of``), after a check that its individuals share a
+world; every such tuple is a point.  Function tables become rows and
+extensions masks over the power's points, and no point label is built
+or looked up.  What a document can get wrong beyond names and shapes
+(the sheaf conditions, monotone and fiber-preserving interpretations)
+is checked by the constructors the loader calls.
 
 Dumping goes the other way: each relation's sorted pairs are read off
 its rows, so a dump is byte for byte what it was when relations were
-pair sets.
+pair sets, and each point of a power is written as its individuals,
+read off its coordinates.
 """
 
 from __future__ import annotations
@@ -56,7 +62,7 @@ from .frames import AgentSet, KripkeFrame, FrameMap, frame_map
 from .models import EventModel, KripkeModel
 from .parser import parse_formula, print_formula
 from .powerset import Subset
-from .rel import FiniteSet, Rel, _unchecked, bit_flags, function_from_mapping
+from .rel import FiniteSet, Rel, _unchecked, bit_flags
 from .sheaves import FiberedPower, KripkeSheaf, SheafModel, Signature
 
 FORMAT_VERSION = 1
@@ -213,19 +219,13 @@ def _tuple_entry(value: Any, arity: int, domain: frozenset, where: str) -> Tuple
     return tuple(value)
 
 
-def _power_label(
-    power: FiberedPower,
-    sheaf: KripkeSheaf,
-    tup: Tuple[str, ...],
-    where: str,
-) -> str:
-    worlds = {sheaf.proj(a) for a in tup}
-    if len(worlds) != 1:
+def _power_point(power: FiberedPower, sheaf: KripkeSheaf, tup: Tuple[str, ...], where: str) -> int:
+    """The point of the power whose individuals are tup, by index."""
+    coords = tuple(map(sheaf.total.carrier.index.__getitem__, tup))
+    if len(set(map(sheaf.power(1).worlds.__getitem__, coords))) != 1:
         raise SchemaError(f"{where}: arguments {list(tup)} do not share a world")
-    label = power.label_for(next(iter(worlds)), tup)
-    if label not in power.carrier.as_set:
-        raise SchemaError(f"{where}: arguments {list(tup)} do not name a point")
-    return label
+    # every tuple over one world is a point, since the power holds them all
+    return power.point_of[coords]
 
 
 def load_sheaf_frames(doc: Mapping[str, Any]) -> Tuple[KripkeFrame, KripkeFrame, FrameMap]:
@@ -293,7 +293,7 @@ def _load_sheaf(doc: Mapping[str, Any]) -> SheafModel:
         arity = functions[name]
         pw = sheaf.power(arity)
         here = f"{where}.functions.{name}"
-        mapping: Dict[str, str] = {}
+        rows = [0] * len(pw.carrier)
         if arity == 0:
             section = _require(entry, "section", dict, here)
             for w, a in section.items():
@@ -301,7 +301,7 @@ def _load_sheaf(doc: Mapping[str, Any]) -> SheafModel:
                     raise SchemaError(f"{here}.section: unknown world {w!r}")
                 if not isinstance(a, str) or a not in total_carrier.as_set:
                     raise SchemaError(f"{here}.section: undeclared individual {a!r}")
-                mapping[w] = a
+                rows[base_carrier.index[w]] = 1 << total_carrier.index[a]
         else:
             table = _require(entry, "map", list, here)
             for i, row in enumerate(table):
@@ -309,19 +309,16 @@ def _load_sheaf(doc: Mapping[str, Any]) -> SheafModel:
                     raise SchemaError(f"{here}.map[{i}]: expected [arguments, value]")
                 args, value = row
                 tup = _tuple_entry(args, arity, total_carrier.as_set, f"{here}.map[{i}]")
-                label = _power_label(pw, sheaf, tup, f"{here}.map[{i}]")
+                point = _power_point(pw, sheaf, tup, f"{here}.map[{i}]")
                 if not isinstance(value, str) or value not in total_carrier.as_set:
                     raise SchemaError(f"{here}.map[{i}]: undeclared individual {value!r}")
-                if label in mapping:
+                if rows[point]:
                     raise SchemaError(f"{here}.map[{i}]: duplicate entry for {args}")
-                mapping[label] = value
-        uncovered = [lbl for lbl in pw.carrier if lbl not in mapping]
-        if uncovered:
-            raise SchemaError(f"{here}: no value for {uncovered[0]!r}")
+                rows[point] = 1 << total_carrier.index[value]
+        if not all(rows):
+            raise SchemaError(f"{here}: no value for {pw.carrier.elements[rows.index(0)]!r}")
         fn_interp[name] = FrameMap(
-            pw.frame,
-            total,
-            function_from_mapping(pw.carrier, total_carrier, mapping),
+            pw.frame, total, _unchecked(Rel, dom=pw.carrier, cod=total_carrier, rows=tuple(rows))
         )
 
     rel_interp: Dict[str, Subset] = {}
@@ -331,16 +328,16 @@ def _load_sheaf(doc: Mapping[str, Any]) -> SheafModel:
         pw = sheaf.power(arity)
         here = f"{where}.predicates.{name}"
         ext = _require(entry, "extension", list, here)
-        members = set()
+        mask = 0
         for i, row in enumerate(ext):
             if arity == 0:
                 if not isinstance(row, str) or row not in base_carrier.as_set:
                     raise SchemaError(f"{here}.extension[{i}]: undeclared world {row!r}")
-                members.add(row)
+                mask |= 1 << base_carrier.index[row]
             else:
                 tup = _tuple_entry(row, arity, total_carrier.as_set, f"{here}.extension[{i}]")
-                members.add(_power_label(pw, sheaf, tup, f"{here}.extension[{i}]"))
-        rel_interp[name] = Subset(pw.carrier, frozenset(members))
+                mask |= 1 << _power_point(pw, sheaf, tup, f"{here}.extension[{i}]")
+        rel_interp[name] = _unchecked(Subset, carrier=pw.carrier, mask=mask)
 
     return SheafModel(sheaf, signature, fn_interp, rel_interp)
 
@@ -431,9 +428,13 @@ def dump_model(model: LoadedModel, name: Optional[str] = None) -> Dict[str, Any]
         doc["fibers"] = {w: list(sheaf.fiber(w)) for w in sheaf.base.carrier}
         doc["domain_relation"] = _dump_frame(sheaf.total)
 
-        def by_world(pw: FiberedPower) -> List[str]:
-            # rows world by world, the order the loader rebuilds from "fibers"
-            return sorted(pw.carrier, key=lambda lbl: sheaf.base.carrier.index[pw.world_of(lbl)])
+        names = sheaf.total.carrier.elements
+
+        def by_world(pw: FiberedPower) -> List[Tuple[int, List[str]]]:
+            # each point's individuals, world by world: the order the loader
+            # rebuilds from "fibers"
+            order = sorted(range(len(pw.carrier)), key=pw.worlds.__getitem__)
+            return [(p, [names[c] for c in pw.coords[p]]) for p in order]
 
         functions: Dict[str, Any] = {}
         for fname, arity in model.signature.function_symbols:
@@ -445,9 +446,10 @@ def dump_model(model: LoadedModel, name: Optional[str] = None) -> Dict[str, Any]
                     "section": {w: fm(w) for w in pw.carrier},
                 }
             else:
+                values = fm.fn.rows
                 functions[fname] = {
                     "arity": arity,
-                    "map": [[list(pw.tuple_of(lbl)), fm(lbl)] for lbl in by_world(pw)],
+                    "map": [[args, names[values[p].bit_length() - 1]] for p, args in by_world(pw)],
                 }
         doc["functions"] = functions
         predicates: Dict[str, Any] = {}
@@ -457,7 +459,7 @@ def dump_model(model: LoadedModel, name: Optional[str] = None) -> Dict[str, Any]
             if arity == 0:
                 ext: List[Any] = sub.sorted_members()
             else:
-                ext = [list(pw.tuple_of(lbl)) for lbl in by_world(pw) if lbl in sub.members]
+                ext = [args for p, args in by_world(pw) if sub.mask >> p & 1]
             predicates[rname] = {"arity": arity, "extension": ext}
         doc["predicates"] = predicates
         return doc

@@ -158,7 +158,7 @@ class KripkeModel:
         """Product update, given the extension of a closed formula here."""
         frame_x = self.frame
         extents = {e: ext(ev.pre(e)) for e in ev.events}
-        frame, (p_x, p_e), _, transitions = updated_frame(
+        frame, (p_x, p_e), transitions = updated_frame(
             frame_x, ev.frame, {e: s.mask for e, s in extents.items()}
         )
         # an updated point satisfies an atom when its old world does
@@ -252,16 +252,14 @@ def updated_frame(
     frame_x: KripkeFrame,
     frame_e: KripkeFrame,
     extents: Mapping[str, int],
-) -> Tuple[
-    KripkeFrame, Tuple[FrameMap, FrameMap], Dict[str, Tuple[str, str]], Dict[str, Rel]
-]:
+) -> Tuple[KripkeFrame, Tuple[FrameMap, FrameMap], Dict[str, Rel]]:
     """Frame of an update, given each event's precondition extent as a mask.
 
     The points are the pairs (w, e) with w in the extent of e, world-major,
     labelled "(w,e)"; a pair moves to a pair when both components move.
-    Returns the frame, its two projections, each point's (old point,
-    event), and per event the transition: the relation sending each old
-    point w in the extent of e to (w, e).
+    Returns the frame, its two projections, which read off each point's
+    old point and event, and per event the transition: the relation
+    sending each old point w in the extent of e to (w, e).
     Raises CapExceeded, before building anything, when the points would
     number more than MAX_UPDATE_CARRIER.
     """
@@ -281,7 +279,7 @@ def updated_frame(
         f"({frame_x.carrier.name}(x){frame_e.carrier.name})", [frame_x, frame_e], points
     )
     transitions = {e: _rel(frame_x.carrier, frame.carrier, rows[e]) for e in frame_e.carrier}
-    return frame, legs, dict(points), transitions
+    return frame, legs, transitions
 
 
 class _Evaluator:

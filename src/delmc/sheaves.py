@@ -20,6 +20,15 @@ Updating by an event model with closed preconditions pulls the whole
 structure back: worlds, individuals, interpretation tables.  The update of
 a sheaf model is again a sheaf model; the constructor re-checks the three
 sheaf conditions.
+
+Points carry their structure as indices.  A point of a fibered power is a
+tuple of individuals over a world, read off the power's legs; a point of
+an updated power is an old point under an event, read off the update's
+projections.  Terms evaluate to individual indices, predicates and
+function tables are looked up by point index, and transitions, drop maps
+and updated tables are built from these indices.  Carrier labels such as
+"((a,e1),(b,e1))" are made for output only (dumps, the command line) and
+are never parsed back.
 """
 
 from __future__ import annotations
@@ -29,7 +38,7 @@ import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import compress
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import (
     ArityMismatch,
@@ -246,11 +255,18 @@ class KripkeSheaf:
 class FiberedPower:
     """The n-th fibered power of a sheaf projection.
 
-    Carrier elements are n-tuples of individuals lying over a common
-    world; the frame is the initial lift of the component projections
-    together with the projection to the base, so tuples step exactly when
-    all components step.  n = 0 is the base itself with the identity,
-    n = 1 is the total frame with the projection.
+    A point is an n-tuple of individuals over a common world; the frame is
+    the initial lift of the component projections together with the
+    projection to the base, so tuples step exactly when all components
+    step.  n = 0 is the base itself with the identity, n = 1 is the total
+    frame with the projection.
+
+    A point carries its structure as indices read off those legs' rows:
+    ``coords`` its individuals (indices in the total carrier), ``worlds``
+    its world (an index in the base carrier), and ``point_of`` finds a
+    point of a positive power from its coordinates.  Carrier labels such
+    as "(a,b)" are for output only; ``tuple_of`` and ``world_of`` read a
+    label's point back by name.
     """
 
     n: int
@@ -258,29 +274,51 @@ class FiberedPower:
     frame: KripkeFrame
     proj_to_base: FrameMap
     component_projections: Tuple[FrameMap, ...]
-    tuples: Tuple[Tuple[str, ...], ...]
-    base_worlds: Tuple[str, ...]
 
     @cached_property
-    def tuple_map(self) -> Dict[str, Tuple[str, ...]]:
-        return dict(zip(self.carrier.elements, self.tuples))
+    def coords(self) -> Tuple[Tuple[int, ...], ...]:
+        if not self.n:
+            return ((),) * len(self.carrier)
+        return tuple(zip(*map(_targets, self.component_projections)))
 
     @cached_property
-    def world_map(self) -> Dict[str, str]:
-        return dict(zip(self.carrier.elements, self.base_worlds))
+    def worlds(self) -> List[int]:
+        return _targets(self.proj_to_base)
+
+    @cached_property
+    def point_of(self) -> Dict[Tuple[int, ...], int]:
+        return {c: i for i, c in enumerate(self.coords)}
+
+    def points(self, worlds: Sequence[int], tuples: Iterable[Tuple[int, ...]]) -> List[int]:
+        """The point over each world with each tuple of coordinates: the
+        world itself for n = 0, which has no coordinates."""
+        if not self.n:
+            return list(worlds)
+        point_of = self.point_of
+        return [point_of[t] for t in tuples]
 
     def tuple_of(self, label: str) -> Tuple[str, ...]:
-        return self.tuple_map[label]
+        names = self.component_projections[0].dst.carrier.elements if self.n else ()
+        return tuple(names[c] for c in self.coords[self.carrier.index[label]])
 
     def world_of(self, label: str) -> str:
-        return self.world_map[label]
+        return self.proj_to_base.dst.carrier.elements[self.worlds[self.carrier.index[label]]]
 
-    def label_for(self, world: str, tup: Tuple[str, ...]) -> str:
-        if self.n == 0:
-            return world
-        if self.n == 1:
-            return tup[0]
-        return tuple_label(tup)
+
+def _targets(fm: FrameMap) -> List[int]:
+    """The index of each point's image under a frame map."""
+    return [m.bit_length() - 1 for m in fm.fn.rows]
+
+
+def _pulled(mask: int, points: Sequence[int]) -> int:
+    """The positions k whose points[k] lies in mask, as a mask: the inverse
+    image of mask along k -> points[k]."""
+    out, bit = 0, 1
+    for p in points:
+        if mask >> p & 1:
+            out |= bit
+        bit <<= 1
+    return out
 
 
 def fibered_power(sheaf: KripkeSheaf, n: int) -> FiberedPower:
@@ -289,40 +327,16 @@ def fibered_power(sheaf: KripkeSheaf, n: int) -> FiberedPower:
     base = sheaf.base
     total = sheaf.total
     if n == 0:
-        return FiberedPower(
-            n=0,
-            carrier=base.carrier,
-            frame=base,
-            proj_to_base=identity_map(base),
-            component_projections=(),
-            tuples=tuple(() for _ in base.carrier),
-            base_worlds=base.carrier.elements,
-        )
+        return FiberedPower(0, base.carrier, base, identity_map(base), ())
     if n == 1:
-        return FiberedPower(
-            n=1,
-            carrier=total.carrier,
-            frame=total,
-            proj_to_base=sheaf.proj,
-            component_projections=(identity_map(total),),
-            tuples=tuple((a,) for a in total.carrier),
-            base_worlds=tuple(sheaf.proj(a) for a in total.carrier),
-        )
+        return FiberedPower(1, total.carrier, total, sheaf.proj, (identity_map(total),))
     points = [
         (tuple_label(t), t + (w,))
         for w in base.carrier
         for t in itertools.product(sheaf.fiber(w), repeat=n)
     ]
     frame, legs = lift_points(f"({total.carrier.name}^{n})", [total] * n + [base], points)
-    return FiberedPower(
-        n=n,
-        carrier=frame.carrier,
-        frame=frame,
-        proj_to_base=legs[n],
-        component_projections=legs[:n],
-        tuples=tuple(coords[:n] for _, coords in points),
-        base_worlds=tuple(coords[n] for _, coords in points),
-    )
+    return FiberedPower(n, frame.carrier, frame, legs[n], legs[:n])
 
 
 class SheafModel:
@@ -378,33 +392,37 @@ class SheafModel:
     def power(self, n: int) -> FiberedPower:
         return self.sheaf.power(n)
 
-    def term_values(self, context: Tuple[str, ...], t: Term) -> Dict[str, str]:
-        """Value of a term at every point of the context's power carrier."""
+    def term_indices(self, context: Tuple[str, ...], t: Term) -> List[int]:
+        """Value of a term at each point of the context's power, as an index
+        in the total carrier."""
         power = self.power(len(context))
         if isinstance(t, Var):
             try:
                 i = context.index(t.name)
             except ValueError:
                 raise InvariantViolation(f"variable {t.name!r} not in context") from None
-            if power.n == 1:
-                return {lbl: lbl for lbl in power.carrier}
-            return {lbl: power.tuple_of(lbl)[i] for lbl in power.carrier}
+            return [c[i] for c in power.coords]
         if isinstance(t, Fun):
             arity = self.signature.fn_arity(t.name)
             if len(t.args) != arity:
                 raise ArityMismatch(
                     f"function symbol {t.name!r} expects {arity} arguments, got {len(t.args)}"
                 )
-            fm = self.fn_interp_map[t.name]
-            arg_values = [self.term_values(context, a) for a in t.args]
-            arg_power = self.power(arity)
-            out = {}
-            for lbl in power.carrier:
-                tup = tuple(v[lbl] for v in arg_values)
-                arg_lbl = arg_power.label_for(power.world_of(lbl), tup)
-                out[lbl] = fm(arg_lbl)
-            return out
+            rows = self.fn_interp_map[t.name].fn.rows
+            return [rows[p].bit_length() - 1 for p in self.arg_points(context, t.args)]
         raise InvariantViolation(f"unknown term node {type(t).__name__}")
+
+    def arg_points(self, context: Tuple[str, ...], args: Sequence[Term]) -> List[int]:
+        """At each point of the context's power, the point of the
+        len(args)-th power that the argument terms take it to."""
+        values = [self.term_indices(context, a) for a in args]
+        return self.power(len(args)).points(self.power(len(context)).worlds, zip(*values))
+
+    def term_values(self, context: Tuple[str, ...], t: Term) -> Dict[str, str]:
+        """Value of a term at every point of the context's power carrier, by name."""
+        names = self.sheaf.total.carrier.elements
+        labels = self.power(len(context)).carrier
+        return {lbl: names[i] for lbl, i in zip(labels, self.term_indices(context, t))}
 
     # The evaluator's per-layer interface (see models._Evaluator).
 
@@ -416,28 +434,14 @@ class SheafModel:
             raise UnknownSymbol(
                 f"{type(phi).__name__} node cannot be interpreted in a context"
             )
-        power = self.power(len(context))
-        carrier = power.carrier
         arity = self.signature.rel_arity(phi.name)
         if len(phi.args) != arity:
             raise ArityMismatch(
                 f"relation symbol {phi.name!r} expects {arity} arguments, got {len(phi.args)}"
             )
-        extension = self.rel_interp_map[phi.name]
-        if arity == 0:
-            # the points whose world lies in the extension
-            mask = exists_image(power.proj_to_base.fn.rows, extension.mask)
-            return _unchecked(Subset, carrier=carrier, mask=mask)
-        arg_values = [self.term_values(context, t) for t in phi.args]
-        arg_power = self.power(arity)
-        members = extension.members
-        mask, bit = 0, 1
-        for lbl in carrier:
-            tup = tuple(v[lbl] for v in arg_values)
-            if arg_power.label_for(power.world_of(lbl), tup) in members:
-                mask |= bit
-            bit <<= 1
-        return _unchecked(Subset, carrier=carrier, mask=mask)
+        # arity 0: the points whose world lies in the extension
+        mask = _pulled(self.rel_interp_map[phi.name].mask, self.arg_points(context, phi.args))
+        return _unchecked(Subset, carrier=self.power(len(context)).carrier, mask=mask)
 
     def drop_last_map(self, n: int) -> Rel:
         """Projection of the (n+1)-th power onto the n-th, dropping the last
@@ -445,12 +449,8 @@ class SheafModel:
         if n not in self._drops:
             upper = self.power(n + 1)
             lower = self.power(n)
-            index = lower.carrier.index
-            rows = [
-                1 << index[lower.label_for(w, tup[:-1])]
-                for tup, w in zip(upper.tuples, upper.base_worlds)
-            ]
-            self._drops[n] = _rel(upper.carrier, lower.carrier, rows)
+            points = lower.points(upper.worlds, (c[:-1] for c in upper.coords))
+            self._drops[n] = _rel(upper.carrier, lower.carrier, [1 << p for p in points])
         return self._drops[n]
 
     def transition(self, upd: "SheafUpdate", n: int, e: str) -> Rel:
@@ -459,8 +459,6 @@ class SheafModel:
     def build_update(self, ev: EventModel, ext: Callable[[Formula], Subset]) -> "SheafUpdate":
         """Pullback update, given the extension of a closed formula here."""
         sheaf = self.sheaf
-        base = sheaf.base
-        total = sheaf.total
         extents: Dict[str, Subset] = {}
         for e in ev.events:
             pre = ev.pre(e)
@@ -471,45 +469,41 @@ class SheafModel:
                 )
             extents[e] = ext(as_sentence(pre).body)
         world_masks = {e: s.mask for e, s in extents.items()}
-        new_base, (p_x, p_e), world_parts, world_steps = updated_frame(base, ev.frame, world_masks)
+        new_base, (p_x, p_e), world_steps = updated_frame(sheaf.base, ev.frame, world_masks)
         # the individuals over the extent of each event
         proj_rows = sheaf.proj.fn.rows
         pulled = {e: exists_image(proj_rows, m) for e, m in world_masks.items()}
-        new_total, (p_d, _), ind_parts, ind_steps = updated_frame(total, ev.frame, pulled)
-        proj_pairs = {
-            lbl: pair_label(sheaf.proj(a), e) for lbl, (a, e) in ind_parts.items()
-        }
-        new_proj = FrameMap(
-            new_total,
-            new_base,
-            function_from_mapping(new_total.carrier, new_base.carrier, proj_pairs),
-        )
+        new_total, (p_d, p_de), ind_steps = updated_frame(sheaf.total, ev.frame, pulled)
+        parts = {0: (_targets(p_x), _targets(p_e)), 1: (_targets(p_d), _targets(p_de))}
+        # (a, e) lies over (proj(a), e), the copy of proj(a) under e
+        events = ev.events
+        world_rows = [world_steps[e].rows for e in events]
+        ind_rows = [ind_steps[e].rows for e in events]
+        pi = self.power(1).worlds
+        new_proj = FrameMap(new_total, new_base, _rel(
+            new_total.carrier, new_base.carrier,
+            [world_rows[k][pi[a]] for a, k in zip(*parts[1])],
+        ))
         new_sheaf = KripkeSheaf(new_total, new_base, new_proj)
-
-        def split(n: int, lbl: str) -> Tuple[str, str]:
-            return _split_label(self.power(n), new_sheaf.power(n), world_parts, ind_parts, lbl)
 
         fn_interp: Dict[str, FrameMap] = {}
         for name, arity in self.signature.function_symbols:
-            old_fm = self.fn_interp_map[name]
+            # the value at (t, e) is the copy under e of the value at t
+            values = _targets(self.fn_interp_map[name])
+            old_points, point_events = _updated_parts(parts, arity, sheaf, new_sheaf)
             new_power = new_sheaf.power(arity)
-            mapping = {}
-            for lbl in new_power.carrier:
-                old_lbl, e = split(arity, lbl)
-                mapping[lbl] = pair_label(old_fm(old_lbl), e)
-            fn_interp[name] = FrameMap(
-                new_power.frame,
-                new_total,
-                function_from_mapping(new_power.carrier, new_total.carrier, mapping),
-            )
+            fn_interp[name] = FrameMap(new_power.frame, new_total, _rel(
+                new_power.carrier, new_total.carrier,
+                [ind_rows[k][values[t]] for t, k in zip(old_points, point_events)],
+            ))
         rel_interp: Dict[str, Subset] = {}
         for name, arity in self.signature.relation_symbols:
-            old_members = self.rel_interp_map[name].members
-            new_power = new_sheaf.power(arity)
-            chosen = frozenset(
-                lbl for lbl in new_power.carrier if split(arity, lbl)[0] in old_members
+            old_points, _ = _updated_parts(parts, arity, sheaf, new_sheaf)
+            rel_interp[name] = _unchecked(
+                Subset,
+                carrier=new_sheaf.power(arity).carrier,
+                mask=_pulled(self.rel_interp_map[name].mask, old_points),
             )
-            rel_interp[name] = Subset(new_power.carrier, chosen)
         return SheafUpdate(
             source=self,
             events=ev,
@@ -518,8 +512,7 @@ class SheafModel:
             p_e=p_e,
             p_d=p_d,
             extents=extents,
-            ind_parts=ind_parts,
-            world_parts=world_parts,
+            parts=parts,
             transitions={
                 **{(0, e): r for e, r in world_steps.items()},
                 **{(1, e): r for e, r in ind_steps.items()},
@@ -527,32 +520,39 @@ class SheafModel:
         )
 
 
-def _split_label(
-    old_power: FiberedPower,
-    new_power: FiberedPower,
-    world_parts: Mapping[str, Tuple[str, str]],
-    ind_parts: Mapping[str, Tuple[str, str]],
-    label: str,
-) -> Tuple[str, str]:
-    """Split a label of an updated power into (old label, event)."""
-    if new_power.n == 0:
-        return world_parts[label]
-    parts = [ind_parts[a] for a in new_power.tuple_of(label)]
-    events = {e for _, e in parts}
-    if len(events) != 1:
-        raise InvariantViolation(f"updated tuple {label!r} mixes events")
-    old_world, _ = world_parts[new_power.world_of(label)]
-    return old_power.label_for(old_world, tuple(a for a, _ in parts)), next(iter(events))
+def _updated_parts(
+    parts: Dict[int, Tuple[List[int], List[int]]],
+    n: int,
+    old: KripkeSheaf,
+    new: KripkeSheaf,
+) -> Tuple[List[int], List[int]]:
+    """The (old point, event) of each point of the updated n-th power, as
+    indices; parts holds n = 0 and 1, read off the update's legs, and keeps
+    each n >= 2 once built.  An updated tuple ((a1,e), ..., (an,e)) is the
+    old tuple (a1, ..., an) under e."""
+    if n not in parts:
+        d_old, d_ev = parts[1]
+        point_of = old.power(n).point_of
+        coords = new.power(n).coords
+        parts[n] = (
+            [point_of[tuple(map(d_old.__getitem__, t))] for t in coords],
+            [d_ev[t[0]] for t in coords],
+        )
+    return parts[n]
 
 
 class SheafUpdate:
     """Result of a pullback update: the new model plus all transition data.
 
     Worlds of the new base are pairs of an old world and an event; new
-    individuals are pairs of an old individual and an event.  For each
-    arity n and event e, transition(n, e) relates an old n-tuple to its
-    updated copy when the tuple's world satisfies the event's
-    precondition.
+    individuals are pairs of an old individual and an event.  A point of
+    an updated power is an old point under an event; ``parts(n)`` gives
+    each one's (old point, event) as indices (in the source's n-th power
+    and the event carrier), read off the update's projections ``p_x``,
+    ``p_e``, ``p_d`` and the individuals' event leg, never off a label;
+    n = 0 gives the worlds' and n = 1 the individuals'.  For each arity n
+    and event e, transition(n, e) relates an old n-tuple to its updated
+    copy when the tuple's world satisfies the event's precondition.
     """
 
     def __init__(
@@ -564,8 +564,7 @@ class SheafUpdate:
         p_e: FrameMap,
         p_d: FrameMap,
         extents: Mapping[str, Subset],
-        ind_parts: Mapping[str, Tuple[str, str]],
-        world_parts: Mapping[str, Tuple[str, str]],
+        parts: Dict[int, Tuple[List[int], List[int]]],
         transitions: Optional[Mapping[Tuple[int, str], Rel]] = None,
     ):
         self.source = source
@@ -575,69 +574,52 @@ class SheafUpdate:
         self.p_e = p_e
         self.p_d = p_d
         self.extents = dict(extents)
-        self.ind_parts = dict(ind_parts)
-        self.world_parts = dict(world_parts)
+        self._parts = parts
         self._transitions: Dict[Tuple[int, str], Rel] = dict(transitions or {})
 
     def with_source(self, source: Optional["SheafModel"]) -> "SheafUpdate":
         """The same update over another source object (None: no source),
-        sharing its transitions as they are built."""
+        sharing its parts and transitions as they are built."""
         other = copy.copy(self)
         other.source = source
         return other
 
-    def decompose_power_label(self, n: int, label: str) -> Tuple[str, str]:
-        """Split a label of the updated n-th power into (old label, event)."""
-        return _split_label(
-            self.source.power(n), self.updated.power(n), self.world_parts, self.ind_parts, label
-        )
+    def parts(self, n: int) -> Tuple[List[int], List[int]]:
+        """Per point of the updated n-th power, its old point and its event,
+        as indices; built once per n."""
+        return _updated_parts(self._parts, n, self.source.sheaf, self.updated.sheaf)
 
     def transition(self, n: int, e: str) -> Rel:
-        """Relation from old n-tuples to their updated copies for one event."""
+        """Relation from old n-tuples to their updated copies for one event;
+        the first call for an n builds those of every event."""
         if e not in self.events.events:
             raise UnknownEvent(f"event {e!r} not in event model")
-        key = (n, e)
-        if key not in self._transitions:
-            old_power = self.source.power(n)
-            new_power = self.updated.power(n)
-            index = old_power.carrier.index
-            rows = [0] * len(old_power.carrier)
+        if (n, e) not in self._transitions:
+            old_carrier = self.source.power(n).carrier
+            new_carrier = self.updated.power(n).carrier
+            events = self.events.events
+            rows = [[0] * len(old_carrier) for _ in events]
             bit = 1
-            for lbl in new_power.carrier:
-                old_lbl, ev = self.decompose_power_label(n, lbl)
-                if ev == e:
-                    rows[index[old_lbl]] = bit
+            for t, k in zip(*self.parts(n)):
+                rows[k][t] = bit
                 bit <<= 1
-            self._transitions[key] = _rel(old_power.carrier, new_power.carrier, rows)
-        return self._transitions[key]
+            for name, r in zip(events, rows):
+                self._transitions[(n, name)] = _rel(old_carrier, new_carrier, r)
+        return self._transitions[(n, e)]
 
     def lift_map(self, f: FrameMap, m: int, n: int) -> FrameMap:
-        """Pull a map between source powers back to the updated powers."""
-        src_m = self.source.power(m)
-        if f.src != src_m.frame or f.dst != self.source.power(n).frame:
+        """Pull a map between source powers back to the updated powers: the
+        copy of t under e goes to the copy of f(t) under e."""
+        if f.src != self.source.power(m).frame or f.dst != self.source.power(n).frame:
             raise CarrierMismatch("lift_map: map does not connect the stated powers")
         new_m = self.updated.power(m)
         new_n = self.updated.power(n)
-        mapping = {}
-        for lbl in new_m.carrier:
-            old_lbl, e = self.decompose_power_label(m, lbl)
-            target_old = f(old_lbl)
-            mapping[lbl] = self._recompose(n, target_old, e)
-        return FrameMap(
-            new_m.frame,
-            new_n.frame,
-            function_from_mapping(new_m.carrier, new_n.carrier, mapping),
-        )
-
-    def _recompose(self, n: int, old_label: str, e: str) -> str:
-        old_power = self.source.power(n)
-        new_power = self.updated.power(n)
-        if n == 0:
-            return pair_label(old_label, e)
-        tup = old_power.tuple_of(old_label)
-        new_tup = tuple(pair_label(a, e) for a in tup)
-        old_world = old_power.world_of(old_label)
-        return new_power.label_for(pair_label(old_world, e), new_tup)
+        values = _targets(f)
+        steps = [self.transition(n, e).rows for e in self.events.events]
+        return FrameMap(new_m.frame, new_n.frame, _rel(
+            new_m.carrier, new_n.carrier,
+            [steps[k][values[t]] for t, k in zip(*self.parts(m))],
+        ))
 
 
 def interp_term(
@@ -704,27 +686,19 @@ def _substitution_routes(
     evaluator = _Evaluator(reg)
     mapping = dict(zip(phi.context, [t.term for t in terms]))
 
-    out_power = model.power(len(out_context))
-    in_power = model.power(len(phi.context))
-    value_maps = [model.term_values(out_context, t.term) for t in terms]
-
-    def tuple_image(lbl: str) -> str:
-        tup = tuple(v[lbl] for v in value_maps)
-        return in_power.label_for(out_power.world_of(lbl), tup)
+    carrier = model.power(len(out_context)).carrier
+    points = model.arg_points(out_context, [t.term for t in terms])
 
     checks: List[LawCheck] = []
     for name, wrapped in wrappers:
         substituted = substitute(wrapped, mapping)
-        direct = evaluator.ext(model, out_context, substituted)
-        inner = evaluator.ext(model, phi.context, wrapped)
-        pulled = frozenset(
-            lbl for lbl in out_power.carrier if tuple_image(lbl) in inner.members
-        )
-        if direct.members == pulled:
+        direct = evaluator.mask(model, out_context, substituted)
+        pulled = _pulled(evaluator.mask(model, phi.context, wrapped), points)
+        if direct == pulled:
             checks.append(LawCheck(name, True))
         else:
-            diff = sorted(direct.members.symmetric_difference(pulled))
-            checks.append(LawCheck(name, False, witness=f"routes differ at {diff}"))
+            diff = carrier.names(direct ^ pulled)
+            checks.append(LawCheck(name, False, witness=f"routes differ at {sorted(diff)}"))
     return LawReport(tuple(checks))
 
 

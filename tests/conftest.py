@@ -33,6 +33,21 @@ def data_path(name: str) -> str:
     return os.path.join(DATA_DIR, name)
 
 
+# Edits to the two_fibers.json document, each with the loader's message: a
+# binary function entry and a binary predicate entry whose arguments lie
+# over w1 and w2
+ACROSS_WORLDS = [
+    (
+        lambda d: d["functions"].update(g={"arity": 2, "map": [[["d1", "d3"], "d1"]]}),
+        "sheaf-model.functions.g.map[0]: arguments ['d1', 'd3'] do not share a world",
+    ),
+    (
+        lambda d: d["predicates"].update(R={"arity": 2, "extension": [["d1", "d2"], ["d2", "d3"]]}),
+        "sheaf-model.predicates.R.extension[1]: arguments ['d2', 'd3'] do not share a world",
+    ),
+]
+
+
 # ---------------------------------------------------------------------------
 # Acceptance recording: tests append one line per criterion, the terminal
 # summary prints them as a pass/fail block at the end of the run.

@@ -3,15 +3,16 @@
 Covers a file that is not JSON, a document that breaks the schema and a
 formula that does not parse, on `eval`, `update` and `reduce --model`; then
 `reduce` without `--model` in both output forms; then updates past the
-carrier cap and reductions past the size cap; then well-formed queries
-that misuse names; then exit 3 for an internal fault.
+carrier cap and reductions past the size cap; then sheaf documents whose
+function or predicate arguments lie over two worlds; then well-formed
+queries that misuse names; then exit 3 for an internal fault.
 """
 
 import json
 
 import pytest
 
-from conftest import data_path
+from conftest import ACROSS_WORLDS, data_path
 from delmc import InvariantViolation, cli, models
 from delmc.cli import main
 from delmc.models import MAX_UPDATE_CARRIER
@@ -128,6 +129,19 @@ def test_reduction_past_the_size_cap_exits_2(capsys, with_model):
     assert captured.err.startswith("error: reduction reached ")
     assert captured.err.endswith(f"nodes after 214 steps, above the cap of {MAX_REDUCED_NODES}\n")
     assert len(captured.err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("mutate, message", ACROSS_WORLDS, ids=["function", "predicate"])
+def test_arguments_over_two_worlds_exit_2(capsys, tmp_path, mutate, message):
+    with open(TWO_FIBERS, encoding="utf-8") as handle:
+        doc = json.load(handle)
+    mutate(doc)
+    path = tmp_path / "across.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["eval", str(path), "Q"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {path}: {message}\n"
 
 
 def _misuse_argv(case, tmp_path):

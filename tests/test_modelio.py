@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
+from conftest import ACROSS_WORLDS
 from delmc import (
     AgentSet,
     EventModel,
@@ -191,6 +192,13 @@ def test_sheaf_schema_errors():
     with pytest.raises(SchemaError) as exc:
         load_sheaf_frames(broken(doc, lambda d: d.update(kind="kripke-model")))
     assert "sheaf-model" in str(exc.value)
+
+
+@pytest.mark.parametrize("mutate, message", ACROSS_WORLDS, ids=["function", "predicate"])
+def test_arguments_over_two_worlds_rejected(mutate, message):
+    with pytest.raises(SchemaError) as exc:
+        load_model(broken(sheaf_doc(), mutate))
+    assert str(exc.value) == message
 
 
 def test_unknown_kind_rejected():

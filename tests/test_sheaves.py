@@ -1,5 +1,6 @@
 """First-order semantics on sheaves: interpretation, powers, pullback update."""
 
+import gc
 import random
 import re
 
@@ -32,6 +33,7 @@ from delmc import (
     TermInContext,
     UnresolvedEventModel,
     Var,
+    as_sentence,
     check_substitution_box_commutation,
     check_substitution_functoriality,
     check_transition_commutation,
@@ -65,6 +67,82 @@ def tuple_form(power, ext):
 
 def pair(w, e):
     return f"({w},{e})"
+
+
+def by_name(power):
+    """Each point's label, keyed by its (world, tuple of individuals)."""
+    return {(power.world_of(lbl), power.tuple_of(lbl)): lbl for lbl in power.carrier}
+
+
+def reference_copy(upd, n, old_label, e):
+    """The updated copy under e of a point of the source's n-th power,
+    found from names alone, or None when its world is outside e's
+    precondition extent: the copy of the tuple (a1, ..., an) over w is the
+    tuple ((a1,e), ..., (an,e)) over (w,e)."""
+    old_power = upd.source.power(n)
+    w = old_power.world_of(old_label)
+    if w not in upd.extents[e].members:
+        return None
+    key = (pair(w, e), tuple(pair(a, e) for a in old_power.tuple_of(old_label)))
+    return by_name(upd.updated.power(n))[key]
+
+
+def reference_transition(upd, n, e):
+    pairs = ((old, reference_copy(upd, n, old, e)) for old in upd.source.power(n).carrier)
+    return {(old, new) for old, new in pairs if new is not None}
+
+
+def reference_lift(upd, f, m, n):
+    """The pairs of lift_map(f, m, n): the copy of t goes to the copy of f(t)."""
+    return {
+        (new, reference_copy(upd, n, f(old), e))
+        for e in upd.events.events
+        for old, new in reference_transition(upd, m, e)
+    }
+
+
+def maps_between_powers(model):
+    """(map, m, n) for maps from the m-th to the n-th power of the model:
+    projections, drop maps, the diagonal and the function tables."""
+    sheaf = model.sheaf
+    out = []
+    for n in (1, 2, 3):
+        power = model.power(n)
+        out.append((power.proj_to_base, n, 0))
+        out += [(leg, n, 1) for leg in power.component_projections]
+        out.append((frame_map(power.frame, model.power(n - 1).frame, dict(
+            model.drop_last_map(n - 1).pairs)), n, n - 1))
+    square = by_name(model.power(2))
+    diagonal = {a: square[(sheaf.proj(a), (a, a))] for a in sheaf.total.carrier}
+    out.append((frame_map(sheaf.total, model.power(2).frame, diagonal), 1, 2))
+    for name, arity in model.signature.function_symbols:
+        out.append((model.fn_interp_map[name], arity, 1))
+    return out
+
+
+def check_updated_points(model, ev):
+    upd = pullback_update(model, ev)
+    for n in range(4):
+        for e in ev.events:
+            assert upd.transition(n, e).pairs == reference_transition(upd, n, e)
+        # every updated point is the copy of exactly one old point
+        copies = [new for e in ev.events for _, new in reference_transition(upd, n, e)]
+        assert sorted(copies) == sorted(upd.updated.power(n).carrier)
+    for f, m, n in maps_between_powers(model):
+        lifted = upd.lift_map(f, m, n)
+        assert lifted.fn.pairs == reference_lift(upd, f, m, n)
+
+
+def test_updated_points_match_the_label_reference(two_fibers, fo_event):
+    check_updated_points(two_fibers, fo_event)
+
+
+@settings(max_examples=30)
+@given(st.integers(min_value=0, max_value=2 ** 32 - 1))
+def test_updated_points_match_the_label_reference_on_generated_models(seed):
+    rng = random.Random(seed)
+    model = random_small_model(rng)
+    check_updated_points(model, random_fo_event_model(rng, model, rng.randrange(1, 3)))
 
 
 def random_small_model(rng, max_fiber=2):
@@ -222,8 +300,7 @@ def test_update_yields_sheaf_and_transitions(two_fibers, fo_event):
         for n in (0, 1, 2):
             t = upd.transition(n, e)
             for (old, new) in t.pairs:
-                got_old, got_e = upd.decompose_power_label(n, new)
-                assert got_old == old and got_e == e
+                assert reference_copy(upd, n, old, e) == new
 
 
 def test_fibered_power_round_trips(two_fibers):
@@ -235,7 +312,10 @@ def test_fibered_power_round_trips(two_fibers):
             w = power.world_of(lbl)
             assert len(tup) == n
             assert all(sheaf.proj(a) == w for a in tup)
-            assert power.label_for(w, tup) == lbl
+            # the label is made from the point, and the point found from its coordinates
+            assert lbl == (w if n == 0 else tup[0] if n == 1 else "(" + ",".join(tup) + ")")
+            i = power.carrier.index[lbl]
+            assert power.points([power.worlds[i]], [power.coords[i]]) == [i]
         # every in-fiber tuple is present
         count = sum(len(sheaf.fiber(w)) ** n for w in sheaf.base.carrier)
         assert len(power.carrier) == count
@@ -337,3 +417,20 @@ def test_transition_commutation_smoke(two_fibers, fo_event):
     assert rep.ok, rep.failures()
     rep2 = check_transition_commutation(upd, two_fibers.fn_interp_map["f"], 1, 1)
     assert rep2.ok, rep2.failures()
+
+
+def test_formula_helpers_leave_no_reference_cycles(two_fibers):
+    # as_sentence and random_fo_formula recurse through module-level
+    # functions, so reference counting alone frees what a call leaves
+    rng = random.Random(0)
+    refs = [("E", "e1"), ("E", "e2")]
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(50):
+            phi = random_fo_formula(rng, two_fibers, ("x",), 3, event_refs=refs)
+            as_sentence(Box("a", Exists("x", phi)))
+            as_sentence(Dia("a", Atom("p")))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
