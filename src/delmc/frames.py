@@ -7,14 +7,23 @@ pullbacks, product updates and fibered powers are all built the same way,
 by one builder, ``lift_points``: fix a carrier of points, each mapped to a
 family of target frames, and equip it with the coarsest relations making
 those maps monotone (the initial lift), where a point steps to another
-exactly when every coordinate steps.  The one colimit-style operation
-exposed is the common-knowledge relation of a group of agents.
+exactly when every coordinate steps.  ``initial_lift`` computes the same
+lift of a given family of functions.
+
+Points are given by index columns: column k holds, for each point in
+carrier order, the index of its k-th coordinate in the k-th target's
+carrier.  Each construction passes the indices it already holds, and
+the labels it makes from them, so no name is looked up again.  The lift
+works column by column on masks (see ``_lift``).  The one colimit-style
+operation exposed is the common-knowledge relation of a group of agents.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial, reduce
+from itertools import compress
+from operator import and_
 from typing import List, Mapping, Optional, Sequence, Tuple
 
 from .errors import (
@@ -34,6 +43,7 @@ from .rel import (
     _rel,
     _unchecked,
     apply_function,
+    bit_flags,
     closure_reflexive_transitive,
     compose,
     function_from_mapping,
@@ -161,43 +171,35 @@ def is_bounded(m: FrameMap) -> bool:
 
 def _lift(
     carrier: FiniteSet,
-    coords: Sequence[Sequence[int]],
+    cols: Sequence[Sequence[int]],
     targets: Sequence[KripkeFrame],
     agents: AgentSet,
 ) -> KripkeFrame:
-    """The initial lift, pointwise: x steps to y when every coordinate steps.
+    """The initial lift, column by column: x steps to y when every coordinate steps.
 
-    ``coords[i][k]`` is the index, in ``targets[k]``'s carrier, of the
-    image of the i-th carrier element.  Per target, each coordinate
-    reaches the mask of the points over its successors; a point's row is
-    the AND of what its coordinates reach.  An empty family relates every
-    pair.
+    ``cols[k][p]`` is the index, in ``targets[k]``'s carrier, of point p's
+    k-th coordinate.  Per column, ``over[c]`` is the mask of the points
+    whose coordinate is c, and per agent ``reach[c]`` the mask of the
+    points over c's successors; a point's row is the AND, across columns,
+    of what its coordinates reach.  An empty family relates every pair.
     """
     if any(t.agents != agents for t in targets):
         raise AgentMismatch("initial lift: the frames carry different agent sets")
-    # over[k][c]: the mask of the points whose k-th coordinate is c
-    over: List[List[int]] = [[0] * len(t.carrier) for t in targets]
-    bit = 1
-    for c in coords:
-        for over_k, c_k in zip(over, c):
-            over_k[c_k] |= bit
-        bit <<= 1
-    used = [[c for c, m in enumerate(over_k) if m] for over_k in over]
+    bits = [1 << p for p in range(len(carrier))]
+    over: List[List[int]] = []
+    for t, col in zip(targets, cols):
+        over_k = [0] * len(t.carrier)
+        for c, bit in zip(col, bits):
+            over_k[c] |= bit
+        over.append(over_k)
     rels = {}
     for a in agents:
-        reach = []
-        for t_frame, over_k, used_k in zip(targets, over, used):
-            t_rows = t_frame.rel(a).rows
-            reach_k = [0] * len(over_k)
-            for c in used_k:
-                reach_k[c] = union_of(over_k, t_rows[c])
-            reach.append(reach_k)
-        rows = []
-        for c in coords:
-            steps = carrier.full
-            for reach_k, c_k in zip(reach, c):
-                steps &= reach_k[c_k]
-            rows.append(steps)
+        steps = []
+        for t, col, over_k in zip(targets, cols, over):
+            reach = [union_of(over_k, r) if m else 0 for m, r in zip(over_k, t.rel(a).rows)]
+            steps.append(map(reach.__getitem__, col))
+        # a point's row: the AND across columns of what its coordinates reach
+        rows = reduce(partial(map, and_), steps) if steps else [carrier.full] * len(carrier)
         rels[a] = _rel(carrier, carrier, rows)
     return KripkeFrame.make(carrier, agents, rels)
 
@@ -205,31 +207,27 @@ def _lift(
 def lift_points(
     name: str,
     targets: Sequence[KripkeFrame],
-    points: Sequence[Tuple[str, Sequence[str]]],
+    labels: Sequence[str],
+    cols: Sequence[Sequence[int]],
 ) -> Tuple[KripkeFrame, Tuple[FrameMap, ...]]:
-    """A frame on named points over a family of frames, with its legs.
+    """A frame on labelled points over a family of frames, with its legs.
 
-    ``points`` lists ``(label, coords)`` in carrier order, ``coords[k]``
-    an element of ``targets[k]``.  The carrier is named ``name``; leg k
-    sends each point to its k-th coordinate; the relations are the initial
-    lift of the legs.  Products, subframes, pullbacks, product updates and
-    fibered powers are all built here.  The points are the caller's to
-    get right: the legs are functions into their targets by construction
-    and are built unchecked.
+    ``labels`` names the points in carrier order, and ``cols[k][p]`` is the
+    index, in ``targets[k]``'s carrier, of point p's k-th coordinate.  The
+    carrier is named ``name``; leg k sends each point to its k-th
+    coordinate; the relations are the initial lift of the legs.  Products,
+    subframes, pullbacks, product updates and fibered powers are all built
+    here, from the indices they already hold.  The points are the caller's
+    to get right: the legs are functions into their targets by
+    construction and are built unchecked.
     """
     if not targets:
         raise InvariantViolation("lift_points: at least one target frame required")
-    carrier = FiniteSet(name, tuple(label for label, _ in points))
-    indexes = [t.carrier.index for t in targets]
-    coords = [
-        [index[c_k] for index, c_k in zip(indexes, c)] for _, c in points
-    ]
-    frame = _lift(carrier, coords, targets, targets[0].agents)
+    carrier = FiniteSet(name, tuple(labels))
+    frame = _lift(carrier, cols, targets, targets[0].agents)
     legs = tuple(
-        _unchecked(FrameMap, src=frame, dst=t, fn=_rel(
-            carrier, t.carrier, [1 << c[k] for c in coords]
-        ))
-        for k, t in enumerate(targets)
+        _unchecked(FrameMap, src=frame, dst=t, fn=_rel(carrier, t.carrier, [1 << c for c in col]))
+        for t, col in zip(targets, cols)
     )
     return frame, legs
 
@@ -265,10 +263,8 @@ def initial_lift(
     elif carrier is None or agents is None:
         raise InvariantViolation("initial_lift: empty family needs explicit carrier and agents")
     # each row of a function has one bit: the index of the image
-    coords = [[m.bit_length() - 1 for m in ms] for ms in zip(*(fn.rows for fn in fns))]
-    if not fns:
-        coords = [[] for _ in carrier]
-    return _lift(carrier, coords, targets, agents)
+    cols = [[m.bit_length() - 1 for m in fn.rows] for fn in fns]
+    return _lift(carrier, cols, targets, agents)
 
 
 def largest_preserved_check(
@@ -310,12 +306,28 @@ def common_knowledge_relation(f: KripkeFrame, group: Sequence[str]) -> Rel:
     return closure_reflexive_transitive(union)
 
 
+def lift_pairs(
+    name: str, f1: KripkeFrame, f2: KripkeFrame, pairs: Sequence[Tuple[int, int]]
+) -> Tuple[KripkeFrame, Tuple[FrameMap, ...]]:
+    """``lift_points`` on pairs (i, j) of indices into the carriers of f1 and
+    f2, in the given order, each labelled "(w,v)" by the names at i and j."""
+    names1, names2 = f1.carrier.elements, f2.carrier.elements
+    return lift_points(
+        name,
+        [f1, f2],
+        [pair_label(names1[i], names2[j]) for i, j in pairs],
+        [[i for i, _ in pairs], [j for _, j in pairs]],
+    )
+
+
 def product(f1: KripkeFrame, f2: KripkeFrame) -> Tuple[KripkeFrame, FrameMap, FrameMap]:
     """Binary product: pair carrier, componentwise relations via initial lift."""
-    frame, (proj1, proj2) = lift_points(
+    n1, n2 = len(f1.carrier), len(f2.carrier)
+    frame, (proj1, proj2) = lift_pairs(
         f"({f1.carrier.name}x{f2.carrier.name})",
-        [f1, f2],
-        [(pair_label(w, v), (w, v)) for w in f1.carrier for v in f2.carrier],
+        f1,
+        f2,
+        [(i, j) for i in range(n1) for j in range(n2)],
     )
     return frame, proj1, proj2
 
@@ -330,9 +342,26 @@ def subframe(f: KripkeFrame, s: Subset, tag: str = "sub") -> Tuple[KripkeFrame, 
     if s.carrier != f.carrier:
         raise CarrierMismatch("subframe: subset carrier is not the frame carrier")
     frame, (incl,) = lift_points(
-        f"({f.carrier.name}|{tag})", [f], [(w, (w,)) for w in f.carrier if w in s.members]
+        f"({f.carrier.name}|{tag})",
+        [f],
+        f.carrier.names(s.mask),
+        [list(compress(range(len(f.carrier)), bit_flags(s.mask)))],
     )
     return frame, incl
+
+
+def image_indices(fm: FrameMap) -> List[int]:
+    """The index, in the target carrier, of each point's image under a frame map."""
+    return [m.bit_length() - 1 for m in fm.fn.rows]
+
+
+def fibered_pairs(f: FrameMap, g: FrameMap) -> List[Tuple[int, int]]:
+    """The pairs (i, j) of source indices with f(i) = g(j), i-major."""
+    over = g.fn.pred_rows  # the points of g's source over each target point
+    js = range(len(g.src.carrier))
+    return [
+        (i, j) for i, x in enumerate(image_indices(f)) for j in compress(js, bit_flags(over[x]))
+    ]
 
 
 def pullback(f: FrameMap, g: FrameMap) -> Tuple[KripkeFrame, FrameMap, FrameMap]:
@@ -348,10 +377,8 @@ def pullback(f: FrameMap, g: FrameMap) -> Tuple[KripkeFrame, FrameMap, FrameMap]
     if not is_monotone(f) or not is_monotone(g):
         raise NotMonotone("pullback: both maps must be monotone")
     y, z = f.src, g.src
-    frame, (proj1, proj2) = lift_points(
-        f"({y.carrier.name}x[{f.dst.carrier.name}]{z.carrier.name})",
-        [y, z],
-        [(pair_label(w, v), (w, v)) for w in y.carrier for v in z.carrier if f(w) == g(v)],
+    frame, (proj1, proj2) = lift_pairs(
+        f"({y.carrier.name}x[{f.dst.carrier.name}]{z.carrier.name})", y, z, fibered_pairs(f, g)
     )
     return frame, proj1, proj2
 

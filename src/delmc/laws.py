@@ -111,6 +111,7 @@ from .rel import (
     tabulate,
 )
 from .sheaves import (
+    check_pullback_update,
     check_substitution_box_commutation,
     check_substitution_functoriality,
     check_transition_commutation,
@@ -976,6 +977,7 @@ def run_sheaf(seed: int = 0, cases: int = 200, max_size: int = 3) -> Report:
 
         ev = random_fo_event_model(rng, model, rng.randrange(1, 3))
         upd = pullback_update(model, ev)
+        col.expect_checks(f"{tag}: update: ", check_pullback_update(upd))
         upd_sheaf = upd.updated.sheaf
         chk3 = is_kripke_sheaf(upd_sheaf.total, upd_sheaf.base, upd_sheaf.proj)
         col.expect(

@@ -69,7 +69,7 @@ from .formulas import (
     Top,
     big_and,
 )
-from .frames import FrameMap, KripkeFrame, is_bounded, lift_points, product, subframe
+from .frames import FrameMap, KripkeFrame, is_bounded, lift_pairs, product, subframe
 from .powerset import (
     JOIN,
     MEET,
@@ -263,22 +263,21 @@ def updated_frame(
     Raises CapExceeded, before building anything, when the points would
     number more than MAX_UPDATE_CARRIER.
     """
-    size = sum(extents[e].bit_count() for e in frame_e.carrier)
+    events = frame_e.carrier.elements
+    masks = [extents[e] for e in events]
+    size = sum(m.bit_count() for m in masks)
     if size > MAX_UPDATE_CARRIER:
         raise CapExceeded(
             f"update would build {size} points, above the cap of {MAX_UPDATE_CARRIER}"
         )
-    rows = {e: [0] * len(frame_x.carrier) for e in frame_e.carrier}
-    points = []
-    for i, w in enumerate(frame_x.carrier):
-        for e in frame_e.carrier:
-            if extents[e] >> i & 1:
-                rows[e][i] = 1 << len(points)
-                points.append((pair_label(w, e), (w, e)))
-    frame, legs = lift_points(
-        f"({frame_x.carrier.name}(x){frame_e.carrier.name})", [frame_x, frame_e], points
+    pairs = [(i, k) for i in range(len(frame_x.carrier)) for k, m in enumerate(masks) if m >> i & 1]
+    frame, legs = lift_pairs(
+        f"({frame_x.carrier.name}(x){frame_e.carrier.name})", frame_x, frame_e, pairs
     )
-    transitions = {e: _rel(frame_x.carrier, frame.carrier, rows[e]) for e in frame_e.carrier}
+    rows = [[0] * len(frame_x.carrier) for _ in events]
+    for p, (i, k) in enumerate(pairs):
+        rows[k][i] = 1 << p
+    transitions = {e: _rel(frame_x.carrier, frame.carrier, r) for e, r in zip(events, rows)}
     return frame, legs, transitions
 
 

@@ -91,11 +91,12 @@ class FiniteSet:
     def __post_init__(self):
         if not isinstance(self.elements, tuple):
             object.__setattr__(self, "elements", tuple(self.elements))
-        seen = set()
-        for e in self.elements:
-            if e in seen:
-                raise InvariantViolation(f"duplicate element {e!r} in carrier {self.name!r}")
-            seen.add(e)
+        if len(set(self.elements)) != len(self.elements):
+            seen = set()
+            for e in self.elements:  # word the first duplicate
+                if e in seen:
+                    raise InvariantViolation(f"duplicate element {e!r} in carrier {self.name!r}")
+                seen.add(e)
 
     def __hash__(self) -> int:
         return self._hash
@@ -387,11 +388,6 @@ def apply_function(f: Rel, w: str) -> str:
 def pair_label(a: str, b: str) -> str:
     """Canonical label for an element of a binary product carrier."""
     return f"({a},{b})"
-
-
-def tuple_label(items: Tuple[str, ...]) -> str:
-    """Canonical label for an n-tuple element, n >= 2 in practice."""
-    return "(" + ",".join(items) + ")"
 
 
 @dataclass(frozen=True)

@@ -12,14 +12,17 @@ Formulas are evaluated by the one evaluator of ``models`` (``_Evaluator``),
 which serves both layers; a sheaf model supplies its per-layer part: the
 frame of each context's fibered power, predicate leaves and term values,
 the quantifier drop map, and its pullback update.  Fibered powers depend
-only on the sheaf, which builds each one once; pullback updates are kept
-on the sheaf model they update, one per event model and registry, so
-queries, reductions and ``pullback_update`` on one model share them.
+only on the sheaf, which builds each one once, and raises CapExceeded
+before building one of more than ``MAX_POWER_CARRIER`` points; pullback
+updates are kept on the sheaf model they update, one per event model and
+registry, so queries, reductions and ``pullback_update`` on one model
+share them.
 
 Updating by an event model with closed preconditions pulls the whole
 structure back: worlds, individuals, interpretation tables.  The update of
-a sheaf model is again a sheaf model; the constructor re-checks the three
-sheaf conditions.
+a sheaf model is again a sheaf model.  It is built trusted, like every
+kernel result; ``check_pullback_update`` re-proves the sheaf conditions
+and the tables, and the ``sheaf`` law suite runs it on every case.
 
 Points carry their structure as indices.  A point of a fibered power is a
 tuple of individuals over a world, read off the power's legs; a point of
@@ -42,8 +45,11 @@ from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, 
 
 from .errors import (
     ArityMismatch,
+    CapExceeded,
     CarrierMismatch,
+    DelmcError,
     InvariantViolation,
+    NotAFunction,
     NotMonotone,
     OpenPrecondition,
     UnknownEvent,
@@ -67,7 +73,17 @@ from .formulas import (
     free_vars,
     substitute,
 )
-from .frames import FrameMap, KripkeFrame, identity_map, is_bounded, is_monotone, lift_points
+from .frames import (
+    FrameMap,
+    KripkeFrame,
+    fibered_pairs,
+    identity_map,
+    image_indices,
+    is_bounded,
+    is_monotone,
+    lift_pairs,
+    lift_points,
+)
 from .models import (
     EventModel,
     LawCheck,
@@ -88,8 +104,6 @@ from .rel import (
     dagger,
     function_from_mapping,
     is_surjective,
-    pair_label,
-    tuple_label,
 )
 
 
@@ -193,18 +207,15 @@ def is_kripke_sheaf(total: KripkeFrame, base: KripkeFrame, proj: FrameMap) -> Sh
     """
     surjective, bounded, unique, failure = _sheaf_conditions(total, base, proj)
     # the binary fibered power of the projection, with no sheaf assumptions
-    pi = {a: proj(a) for a in total.carrier}
-    square_frame, _ = lift_points(
-        f"({total.carrier.name}^2)",
-        [total, total],
-        [(pair_label(a, b), (a, b)) for a in total.carrier for b in total.carrier if pi[a] == pi[b]],
+    pairs = fibered_pairs(proj, proj)
+    square_frame, _ = lift_pairs(f"({total.carrier.name}^2)", total, total, pairs)
+    diag = [0] * len(total.carrier)
+    for p, (a, b) in enumerate(pairs):
+        if a == b:
+            diag[a] = 1 << p
+    delta_bounded = is_bounded(
+        FrameMap(total, square_frame, _rel(total.carrier, square_frame.carrier, diag))
     )
-    diag = Rel(
-        total.carrier,
-        square_frame.carrier,
-        frozenset((a, pair_label(a, a)) for a in total.carrier),
-    )
-    delta_bounded = is_bounded(FrameMap(total, square_frame, diag))
     return SheafCheck(
         is_sheaf=failure is None,
         failure=failure,
@@ -279,11 +290,11 @@ class FiberedPower:
     def coords(self) -> Tuple[Tuple[int, ...], ...]:
         if not self.n:
             return ((),) * len(self.carrier)
-        return tuple(zip(*map(_targets, self.component_projections)))
+        return tuple(zip(*map(image_indices, self.component_projections)))
 
     @cached_property
     def worlds(self) -> List[int]:
-        return _targets(self.proj_to_base)
+        return image_indices(self.proj_to_base)
 
     @cached_property
     def point_of(self) -> Dict[Tuple[int, ...], int]:
@@ -305,11 +316,6 @@ class FiberedPower:
         return self.proj_to_base.dst.carrier.elements[self.worlds[self.carrier.index[label]]]
 
 
-def _targets(fm: FrameMap) -> List[int]:
-    """The index of each point's image under a frame map."""
-    return [m.bit_length() - 1 for m in fm.fn.rows]
-
-
 def _pulled(mask: int, points: Sequence[int]) -> int:
     """The positions k whose points[k] lies in mask, as a mask: the inverse
     image of mask along k -> points[k]."""
@@ -321,7 +327,19 @@ def _pulled(mask: int, points: Sequence[int]) -> int:
     return out
 
 
+# The largest fibered power a sheaf builds.  A context of n variables needs
+# the n-th power, whose size grows as the n-th power of the fibers; past this
+# size fibered_power raises CapExceeded instead of exhausting memory.
+MAX_POWER_CARRIER = 10_000
+
+
 def fibered_power(sheaf: KripkeSheaf, n: int) -> FiberedPower:
+    """The n-th fibered power: per world in base order, the n-tuples of its
+    fiber in lexicographic order, labelled "(a,b,...)".
+
+    Raises CapExceeded, before building anything, when the points would
+    number more than MAX_POWER_CARRIER.
+    """
     if n < 0:
         raise InvariantViolation("fibered_power: negative arity")
     base = sheaf.base
@@ -330,13 +348,73 @@ def fibered_power(sheaf: KripkeSheaf, n: int) -> FiberedPower:
         return FiberedPower(0, base.carrier, base, identity_map(base), ())
     if n == 1:
         return FiberedPower(1, total.carrier, total, sheaf.proj, (identity_map(total),))
-    points = [
-        (tuple_label(t), t + (w,))
-        for w in base.carrier
-        for t in itertools.product(sheaf.fiber(w), repeat=n)
-    ]
-    frame, legs = lift_points(f"({total.carrier.name}^{n})", [total] * n + [base], points)
-    return FiberedPower(n, frame.carrier, frame, legs[n], legs[:n])
+    individuals = range(len(total.carrier))
+    fibers = [list(compress(individuals, bit_flags(m))) for m in sheaf.proj.fn.pred_rows]
+    size = sum(len(f) ** n for f in fibers)
+    if size > MAX_POWER_CARRIER:
+        raise CapExceeded(
+            f"fibered power {n} would build {size} points, above the cap of {MAX_POWER_CARRIER}"
+        )
+    coords = [t for f in fibers for t in itertools.product(f, repeat=n)]
+    worlds = [w for w, f in enumerate(fibers) for _ in range(len(f) ** n)]
+    names = total.carrier.elements
+    # the same tuples again, of names: each point's label
+    named = [[names[i] for i in f] for f in fibers]
+    frame, legs = lift_points(
+        f"({total.carrier.name}^{n})",
+        [total] * n + [base],
+        [f"({','.join(t)})" for f in named for t in itertools.product(f, repeat=n)],
+        [[t[k] for t in coords] for k in range(n)] + [worlds],
+    )
+    power = FiberedPower(n, frame.carrier, frame, legs[n], legs[:n])
+    # the points' structure is known here; the legs' rows agree with it
+    power.__dict__.update(coords=tuple(coords), worlds=worlds)
+    return power
+
+
+def _function_fault(
+    name: str, arity: int, fm: FrameMap, sheaf: KripkeSheaf
+) -> Optional[DelmcError]:
+    """Why fm cannot interpret an arity-ary function symbol over the sheaf,
+    naming the first bad point, or None when it can: it must be a
+    function from the arity-th power into the individuals, monotone and
+    fiber preserving."""
+    power = sheaf.power(arity)
+    if fm.src != power.frame or fm.dst != sheaf.total:
+        return CarrierMismatch(
+            f"interpretation of {name!r} must map the {arity}-th power into the individuals"
+        )
+    labels = power.carrier.elements
+    for lbl, m in zip(labels, fm.fn.rows):
+        if not m or m & (m - 1):
+            return NotAFunction(f"interpretation of {name!r} is not a function at {lbl!r}")
+    values = image_indices(fm)
+    for a in fm.src.agents:
+        # monotone: the values at a point's successors are successors of its value
+        steps = fm.dst.rel(a).rows
+        for lbl, pushed, v in zip(labels, compose(fm.src.rel(a), fm.fn).rows, values):
+            if pushed & ~steps[v]:
+                return NotMonotone(
+                    f"interpretation of {name!r} is not monotone at {lbl!r} (agent {a!r})"
+                )
+    worlds = sheaf.proj.fn.rows
+    for lbl, v, want in zip(labels, values, power.proj_to_base.fn.rows):
+        if worlds[v] != want:
+            return InvariantViolation(
+                f"interpretation of {name!r} is not fiber preserving at {lbl!r}"
+            )
+    return None
+
+
+def _predicate_fault(
+    name: str, arity: int, sub: Subset, sheaf: KripkeSheaf
+) -> Optional[DelmcError]:
+    """Why sub cannot interpret an arity-ary relation symbol, or None."""
+    if sub.carrier != sheaf.power(arity).carrier:
+        return CarrierMismatch(
+            f"interpretation of {name!r} must be a subset of the {arity}-th power carrier"
+        )
+    return None
 
 
 class SheafModel:
@@ -345,7 +423,9 @@ class SheafModel:
     Function symbols of arity n are maps from the n-th fibered power to
     the total frame that are monotone and fiber preserving; relation
     symbols of arity n are subsets of the n-th power carrier (arity 0:
-    subsets of the base).  Both are validated at construction.
+    subsets of the base).  Both are validated at construction.  A
+    pullback update builds its result with ``_unchecked`` instead, and
+    ``check_pullback_update`` proves the same conditions of it.
     """
 
     def __init__(
@@ -355,34 +435,20 @@ class SheafModel:
         fn_interp: Mapping[str, FrameMap],
         rel_interp: Mapping[str, Subset],
     ):
-        self.sheaf = sheaf
-        self.signature = signature
         for name, arity in signature.function_symbols:
             if name not in fn_interp:
                 raise UnknownSymbol(f"no interpretation for function symbol {name!r}")
-            fm = fn_interp[name]
-            power = self.power(arity)
-            if fm.src != power.frame or fm.dst != sheaf.total:
-                raise CarrierMismatch(
-                    f"interpretation of {name!r} must map the {arity}-th power into the individuals"
-                )
-            if not is_monotone(fm):
-                raise NotMonotone(f"interpretation of {name!r} is not monotone")
-            worlds = compose(fm.fn, sheaf.proj.fn).rows
-            for lbl, got, want in zip(power.carrier, worlds, power.proj_to_base.fn.rows):
-                if got != want:
-                    raise InvariantViolation(
-                        f"interpretation of {name!r} is not fiber preserving at {lbl!r}"
-                    )
+            fault = _function_fault(name, arity, fn_interp[name], sheaf)
+            if fault is not None:
+                raise fault
         for name, arity in signature.relation_symbols:
             if name not in rel_interp:
                 raise UnknownSymbol(f"no interpretation for relation symbol {name!r}")
-            sub = rel_interp[name]
-            power = self.power(arity)
-            if sub.carrier != power.carrier:
-                raise CarrierMismatch(
-                    f"interpretation of {name!r} must be a subset of the {arity}-th power carrier"
-                )
+            fault = _predicate_fault(name, arity, rel_interp[name], sheaf)
+            if fault is not None:
+                raise fault
+        self.sheaf = sheaf
+        self.signature = signature
         self.fn_interp_map = {n: fn_interp[n] for n, _ in signature.function_symbols}
         self.rel_interp_map = {n: rel_interp[n] for n, _ in signature.relation_symbols}
         self._drops: Dict[int, Rel] = {}
@@ -474,25 +540,31 @@ class SheafModel:
         proj_rows = sheaf.proj.fn.rows
         pulled = {e: exists_image(proj_rows, m) for e, m in world_masks.items()}
         new_total, (p_d, p_de), ind_steps = updated_frame(sheaf.total, ev.frame, pulled)
-        parts = {0: (_targets(p_x), _targets(p_e)), 1: (_targets(p_d), _targets(p_de))}
+        parts = {
+            0: (image_indices(p_x), image_indices(p_e)),
+            1: (image_indices(p_d), image_indices(p_de)),
+        }
         # (a, e) lies over (proj(a), e), the copy of proj(a) under e
         events = ev.events
         world_rows = [world_steps[e].rows for e in events]
         ind_rows = [ind_steps[e].rows for e in events]
         pi = self.power(1).worlds
-        new_proj = FrameMap(new_total, new_base, _rel(
+        # the result is built trusted; check_pullback_update re-proves it
+        new_proj = _unchecked(FrameMap, src=new_total, dst=new_base, fn=_rel(
             new_total.carrier, new_base.carrier,
             [world_rows[k][pi[a]] for a, k in zip(*parts[1])],
         ))
-        new_sheaf = KripkeSheaf(new_total, new_base, new_proj)
+        new_sheaf = _unchecked(
+            KripkeSheaf, total=new_total, base=new_base, proj=new_proj, _powers={}
+        )
 
         fn_interp: Dict[str, FrameMap] = {}
         for name, arity in self.signature.function_symbols:
             # the value at (t, e) is the copy under e of the value at t
-            values = _targets(self.fn_interp_map[name])
+            values = image_indices(self.fn_interp_map[name])
             old_points, point_events = _updated_parts(parts, arity, sheaf, new_sheaf)
             new_power = new_sheaf.power(arity)
-            fn_interp[name] = FrameMap(new_power.frame, new_total, _rel(
+            fn_interp[name] = _unchecked(FrameMap, src=new_power.frame, dst=new_total, fn=_rel(
                 new_power.carrier, new_total.carrier,
                 [ind_rows[k][values[t]] for t, k in zip(old_points, point_events)],
             ))
@@ -504,10 +576,19 @@ class SheafModel:
                 carrier=new_sheaf.power(arity).carrier,
                 mask=_pulled(self.rel_interp_map[name].mask, old_points),
             )
+        updated = _unchecked(
+            SheafModel,
+            sheaf=new_sheaf,
+            signature=self.signature,
+            fn_interp_map=fn_interp,
+            rel_interp_map=rel_interp,
+            _drops={},
+            _updates={},
+        )
         return SheafUpdate(
             source=self,
             events=ev,
-            updated=SheafModel(new_sheaf, self.signature, fn_interp, rel_interp),
+            updated=updated,
             p_x=p_x,
             p_e=p_e,
             p_d=p_d,
@@ -614,7 +695,7 @@ class SheafUpdate:
             raise CarrierMismatch("lift_map: map does not connect the stated powers")
         new_m = self.updated.power(m)
         new_n = self.updated.power(n)
-        values = _targets(f)
+        values = image_indices(f)
         steps = [self.transition(n, e).rows for e in self.events.events]
         return FrameMap(new_m.frame, new_n.frame, _rel(
             new_m.carrier, new_n.carrier,
@@ -784,6 +865,40 @@ def check_transition_commutation(
                 compose(dagger(f.fn), upd.transition(m, e)),
             )
         )
+    return LawReport(tuple(checks))
+
+
+def check_pullback_update(upd: SheafUpdate) -> LawReport:
+    """The updated model satisfies what its constructors would have checked.
+
+    ``build_update`` builds its result trusted; this re-proves it: the
+    updated projection is a function, the updated structure meets the
+    three sheaf conditions, and each updated function table is a monotone,
+    fiber-preserving function on its power, each predicate a subset of
+    its power.  A failed check names the first bad point; when the
+    projection is no function, nothing further is checked.
+    """
+    model = upd.updated
+    sheaf = model.sheaf
+    over = [(a, m.bit_count()) for a, m in zip(sheaf.total.carrier, sheaf.proj.fn.rows)]
+    bad = [f"{a!r} lies over {k} worlds" for a, k in over if k != 1]
+    checks = [LawCheck("projection is a function", not bad, witness=bad[0] if bad else None)]
+    if bad:  # the other checks read the projection as a function
+        return LawReport(tuple(checks))
+    failure = _sheaf_conditions(sheaf.total, sheaf.base, sheaf.proj)[-1]
+    checks.append(LawCheck("updated structure is a sheaf", failure is None, witness=failure))
+    tables = model.fn_interp_map
+    faults = [
+        (f"function table {name!r}", _function_fault(name, arity, tables[name], sheaf))
+        for name, arity in model.signature.function_symbols
+    ]
+    predicates = model.rel_interp_map
+    faults += [
+        (f"predicate {name!r}", _predicate_fault(name, arity, predicates[name], sheaf))
+        for name, arity in model.signature.relation_symbols
+    ]
+    for name, fault in faults:
+        checks.append(LawCheck(name, fault is None, witness=fault and str(fault)))
     return LawReport(tuple(checks))
 
 

@@ -2,21 +2,24 @@
 
 Covers a file that is not JSON, a document that breaks the schema and a
 formula that does not parse, on `eval`, `update` and `reduce --model`; then
-`reduce` without `--model` in both output forms; then updates past the
-carrier cap and reductions past the size cap; then sheaf documents whose
-function or predicate arguments lie over two worlds; then well-formed
-queries that misuse names; then exit 3 for an internal fault.
+`reduce` without `--model` in both output forms; then updates and
+fibered powers past the carrier caps and reductions past the size cap;
+then sheaf documents whose function or predicate arguments lie over two
+worlds; then well-formed queries that misuse names; then exit 3 for an
+internal fault.
 """
 
 import json
+import time
 
 import pytest
 
 from conftest import ACROSS_WORLDS, data_path
-from delmc import InvariantViolation, cli, models
+from delmc import InvariantViolation, cli, models, sheaves
 from delmc.cli import main
 from delmc.models import MAX_UPDATE_CARRIER
 from delmc.reduction import MAX_REDUCED_NODES
+from delmc.sheaves import MAX_POWER_CARRIER
 
 TWO_WORLDS = data_path("two_worlds.json")
 TWO_FIBERS = data_path("two_fibers.json")
@@ -113,6 +116,40 @@ def test_update_checks_the_cap_before_building(capsys, monkeypatch, model, event
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: update would build {size} points, above the cap of {cap}\n"
+
+
+# Two ways to need the 16th and the 18th fibered power of two_fibers, whose
+# fibers hold 2 and 1 individuals: 2**n + 1 points for n variables
+CONTEXT_16 = "ctx " + ",".join(f"x{i}" for i in range(1, 17)) + " | P(x1)"
+NESTED_18 = "ctx | " + "".join(f"forall x{i}. " for i in range(1, 19)) + "P(x1)"
+
+
+@pytest.mark.parametrize("formula, n, size", [
+    (CONTEXT_16, 16, 65_537),
+    (NESTED_18, 18, 262_145),
+], ids=["context", "nested"])
+def test_fibered_powers_past_the_cap_exit_2(capsys, formula, n, size):
+    started = time.perf_counter()
+    assert main(["eval", TWO_FIBERS, formula]) == 2
+    assert time.perf_counter() - started < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: fibered power {n} would build {size} points, above the cap of {MAX_POWER_CARRIER}\n"
+    )
+
+
+def test_fibered_power_checks_the_cap_before_building(capsys, monkeypatch):
+    def build(*args):
+        raise AssertionError("lift_points called past the cap")
+
+    monkeypatch.setattr(sheaves, "MAX_POWER_CARRIER", 4)
+    monkeypatch.setattr(sheaves, "lift_points", build)
+    # the binary power of two_fibers has 2**2 + 1 points
+    assert main(["eval", TWO_FIBERS, "ctx x,y | P(x)"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: fibered power 2 would build 5 points, above the cap of 4\n"
 
 
 # Announcements nested five deep: each pal axiom copies the announcement,

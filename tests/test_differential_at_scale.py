@@ -4,8 +4,9 @@ The law suites draw models of at most five worlds and bases of at most
 three.  These tests run the same answers, one fixed seed per layer, on
 larger inputs where the pointwise oracles still finish in a second or
 two: product update and evaluation with event operators on Kripke
-models, pullback update and evaluation in context on sheaf models, and a
-dump/load round trip of a generated 400-world model.
+models, pullback update (re-proved by ``check_pullback_update``) and
+evaluation in context on sheaf models, and a dump/load round trip of a
+generated 400-world model.
 """
 
 import random
@@ -19,6 +20,7 @@ from delmc import (
     FiniteSet,
     FormulaInContext,
     KripkeModel,
+    check_pullback_update,
     dump_model,
     extension,
     interp_formula,
@@ -84,7 +86,10 @@ def test_sheaf_layer_matches_oracle_at_scale():
         ev = random_fo_event_model(rng, model, 3)
         o, oev = fo_oracle.from_sheaf_model(model), fo_oracle.from_event_model(ev)
 
-        new = pullback_update(model, ev).updated.sheaf
+        upd = pullback_update(model, ev)
+        report = check_pullback_update(upd)
+        assert report.ok, report.failures()
+        new = upd.updated.sheaf
         want = fo_oracle.update(o, oev, {})
         assert list(new.base.carrier) == [pair(*x) for x in want["base_worlds"]]
         assert set(new.total.carrier) == {pair(*x) for x in want["individuals"]}

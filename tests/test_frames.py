@@ -33,7 +33,6 @@ from delmc import (
     compose_maps,
     dagger,
     extension,
-    fibered_power,
     forall_map,
     frame_map,
     function_from_mapping,
@@ -53,6 +52,7 @@ from delmc import (
     preimage_map,
     product,
     pullback,
+    pullback_update,
     rel,
     subframe,
     total,
@@ -60,14 +60,17 @@ from delmc import (
 from delmc.generators import (
     random_bounded_map,
     random_carrier,
+    random_fo_event_model,
     random_formula,
     random_frame,
     random_model,
     random_monotone_map,
     random_relation,
     random_sheaf,
+    random_sheaf_model,
     random_subset,
 )
+from delmc.models import updated_frame
 from delmc.powerset import MEET
 
 A = AgentSet(("a",))
@@ -204,14 +207,46 @@ def test_constructions_match_reference_lift(seed):
     apex, q1, q2 = pullback(f, g)
     assert_lift_of_legs(apex, [f.src, g.src], [q1.fn, q2.fn])
 
+    extents = {e: random_subset(rng, f1.carrier).mask for e in f2.carrier}
+    upd, (p_x, p_e), _ = updated_frame(f1, f2, extents)
+    assert_lift_of_legs(upd, [f1, f2], [p_x.fn, p_e.fn])
+
     sheaf = random_sheaf(rng, f1, max_fiber=2)
-    for n in (2, 3):
-        power = fibered_power(sheaf, n)
-        assert_lift_of_legs(
-            power.frame,
-            [sheaf.total] * n + [sheaf.base],
-            [c.fn for c in power.component_projections] + [power.proj_to_base.fn],
-        )
+    model = random_sheaf_model(rng, sheaf)
+    updated = pullback_update(model, random_fo_event_model(rng, model, rng.randrange(1, 3)))
+    for sh in (sheaf, updated.updated.sheaf):
+        for n in (2, 3):
+            power = sh.power(n)
+            assert_lift_of_legs(
+                power.frame,
+                [sh.total] * n + [sh.base],
+                [c.fn for c in power.component_projections] + [power.proj_to_base.fn],
+            )
+
+
+@given(st.integers(min_value=0, max_value=2 ** 32 - 1))
+def test_pair_carriers_keep_their_labels(seed):
+    # the labels, in order, as built by name before the constructions took indices
+    rng = random.Random(seed)
+    agents = AB if rng.random() < 0.5 else A
+    f1 = random_frame(rng, random_carrier(rng, rng.randrange(1, 4), "w"), agents)
+    f2 = random_frame(rng, random_carrier(rng, rng.randrange(1, 4), "v"), agents)
+
+    prod, _, _ = product(f1, f2)
+    assert list(prod.carrier) == [f"({w},{v})" for w in f1.carrier for v in f2.carrier]
+
+    f = random_monotone_map(rng, rng.randrange(1, 4), f1, prefix="y")
+    g = random_monotone_map(rng, rng.randrange(1, 4), f1, prefix="z")
+    apex, _, _ = pullback(f, g)
+    assert list(apex.carrier) == [
+        f"({y},{z})" for y in f.src.carrier for z in g.src.carrier if f(y) == g(z)
+    ]
+
+    extents = {e: random_subset(rng, f1.carrier) for e in f2.carrier}
+    upd, _, _ = updated_frame(f1, f2, {e: s.mask for e, s in extents.items()})
+    assert list(upd.carrier) == [
+        f"({w},{e})" for w in f1.carrier for e in f2.carrier if w in extents[e].members
+    ]
 
 
 def test_largest_preserved_check():

@@ -1,5 +1,6 @@
 """First-order semantics on sheaves: interpretation, powers, pullback update."""
 
+import copy
 import gc
 import random
 import re
@@ -22,18 +23,21 @@ from delmc import (
     FiniteSet,
     Forall,
     FormulaInContext,
+    FrameMap,
     Fun,
     InvariantViolation,
     KripkeFrame,
     KripkeModel,
     KripkeSheaf,
     Pred,
+    Rel,
     ShadowedVariable,
     Subset,
     TermInContext,
     UnresolvedEventModel,
     Var,
     as_sentence,
+    check_pullback_update,
     check_substitution_box_commutation,
     check_substitution_functoriality,
     check_transition_commutation,
@@ -57,6 +61,7 @@ from delmc.generators import (
     random_sheaf,
     random_sheaf_model,
 )
+from delmc.rel import _unchecked
 
 A = AgentSet(("a",))
 
@@ -293,7 +298,8 @@ def test_update_interp_matches_oracle(seed):
 
 def test_update_yields_sheaf_and_transitions(two_fibers, fo_event):
     upd = pullback_update(two_fibers, fo_event)
-    new_sheaf = upd.updated.sheaf  # construction validates the sheaf conditions
+    assert check_pullback_update(upd).ok
+    new_sheaf = upd.updated.sheaf
     chk = is_kripke_sheaf(new_sheaf.total, new_sheaf.base, new_sheaf.proj)
     assert chk.is_sheaf and chk.characterization_agrees
     for e in fo_event.events:
@@ -301,6 +307,51 @@ def test_update_yields_sheaf_and_transitions(two_fibers, fo_event):
             t = upd.transition(n, e)
             for (old, new) in t.pairs:
                 assert reference_copy(upd, n, old, e) == new
+
+
+def _planted(upd, fn=None, proj=None):
+    """The update with its function table f or its projection replaced by a
+    planted one, built past the constructors that would reject it."""
+    model = copy.copy(upd.updated)
+    sheaf = model.sheaf
+    if fn is not None:
+        power = sheaf.power(1)
+        model.fn_interp_map = {"f": FrameMap(power.frame, sheaf.total, rel(
+            power.carrier, sheaf.total.carrier, fn.items()
+        ))}
+    if proj is not None:
+        bad = Rel(sheaf.total.carrier, sheaf.base.carrier, proj)
+        model.sheaf = _unchecked(
+            KripkeSheaf, total=sheaf.total, base=sheaf.base,
+            proj=_unchecked(FrameMap, src=sheaf.total, dst=sheaf.base, fn=bad), _powers={},
+        )
+    planted = copy.copy(upd)
+    planted.updated = model
+    return planted
+
+
+def test_pullback_update_check_catches_planted_defects(two_fibers, fo_event):
+    upd = pullback_update(two_fibers, fo_event)
+    assert check_pullback_update(upd).ok
+    f = upd.updated.fn_interp_map["f"]
+    table = {x: f(x) for x in f.src.carrier}
+    # every individual steps to (d3,e2) alone, so f must fix it to be monotone
+    assert table["(d3,e2)"] == "(d3,e2)"
+
+    def failures(planted):
+        return [(c.name, c.witness) for c in check_pullback_update(planted).failures()]
+
+    assert failures(_planted(upd, fn={**table, "(d3,e2)": "(d1,e1)"})) == [
+        ("function table 'f'", "interpretation of 'f' is not monotone at '(d1,e1)' (agent 'a')"),
+    ]
+    # a constant map to (d3,e2) is monotone, but leaves the fiber of (w1,e1)
+    assert failures(_planted(upd, fn={x: "(d3,e2)" for x in table})) == [
+        ("function table 'f'", "interpretation of 'f' is not fiber preserving at '(d1,e1)'"),
+    ]
+    pairs = upd.updated.sheaf.proj.fn.pairs | {("(d3,e2)", "(w1,e2)")}
+    assert failures(_planted(upd, proj=pairs)) == [
+        ("projection is a function", "'(d3,e2)' lies over 2 worlds"),
+    ]
 
 
 def test_fibered_power_round_trips(two_fibers):
@@ -319,6 +370,10 @@ def test_fibered_power_round_trips(two_fibers):
         # every in-fiber tuple is present
         count = sum(len(sheaf.fiber(w)) ** n for w in sheaf.base.carrier)
         assert len(power.carrier) == count
+        # the points' indices are the ones the legs read off
+        images = [[m.bit_length() - 1 for m in leg.fn.rows] for leg in power.component_projections]
+        assert list(power.coords) == (list(zip(*images)) if n else [()] * count)
+        assert list(power.worlds) == [m.bit_length() - 1 for m in power.proj_to_base.fn.rows]
 
 
 def test_power_zero_and_one_are_base_and_total(two_fibers):
