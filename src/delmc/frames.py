@@ -179,24 +179,33 @@ def _lift(
 
     ``cols[k][p]`` is the index, in ``targets[k]``'s carrier, of point p's
     k-th coordinate.  Per column, ``over[c]`` is the mask of the points
-    whose coordinate is c, and per agent ``reach[c]`` the mask of the
-    points over c's successors; a point's row is the AND, across columns,
-    of what its coordinates reach.  An empty family relates every pair.
+    whose coordinate is c, and the column's image is the mask of the
+    target points some point lies over.  Per agent, ``reach[c]`` is the
+    mask of the points over c's successors, and only successors inside
+    the image are walked: the others have no point over them.  A point's
+    row is the AND, across columns, of what its coordinates reach.  An
+    empty family relates every pair.
     """
     if any(t.agents != agents for t in targets):
         raise AgentMismatch("initial lift: the frames carry different agent sets")
     bits = [1 << p for p in range(len(carrier))]
     over: List[List[int]] = []
+    images: List[int] = []
     for t, col in zip(targets, cols):
         over_k = [0] * len(t.carrier)
         for c, bit in zip(col, bits):
             over_k[c] |= bit
         over.append(over_k)
+        images.append(
+            t.carrier.full if all(over_k) else sum(1 << c for c, m in enumerate(over_k) if m)
+        )
     rels = {}
     for a in agents:
         steps = []
-        for t, col, over_k in zip(targets, cols, over):
-            reach = [union_of(over_k, r) if m else 0 for m, r in zip(over_k, t.rel(a).rows)]
+        for t, col, over_k, image in zip(targets, cols, over, images):
+            reach = [
+                union_of(over_k, r & image) if m else 0 for m, r in zip(over_k, t.rel(a).rows)
+            ]
             steps.append(map(reach.__getitem__, col))
         # a point's row: the AND across columns of what its coordinates reach
         rows = reduce(partial(map, and_), steps) if steps else [carrier.full] * len(carrier)

@@ -44,10 +44,11 @@ or looked up.  What a document can get wrong beyond names and shapes
 (the sheaf conditions, monotone and fiber-preserving interpretations)
 is checked by the constructors the loader calls.
 
-Dumping goes the other way: each relation's sorted pairs are read off
-its rows, so a dump is byte for byte what it was when relations were
-pair sets, and each point of a power is written as its individuals,
-read off its coordinates.
+Dumping goes the other way: each relation's pairs are read off its
+rows in name order, sources by name and each row's successors by name,
+so a dump is byte for byte what it was when relations were sorted pair
+sets, and no pair is sorted; each point of a power is written as its
+individuals, read off its coordinates.
 """
 
 from __future__ import annotations
@@ -388,16 +389,23 @@ def _print_precondition(pre: Formula) -> str:
 
 
 def _dump_frame(frame: KripkeFrame) -> Dict[str, Any]:
-    """Each agent's pairs, sorted by name, read off the rows."""
+    """Each agent's pairs in name order, read off the rows with no pair sort.
+
+    The sources are walked in name order and each row's successor names
+    are sorted; names are unique, so this is the order ``sorted()`` gives
+    the ``[w, v]`` pairs.
+    """
     names = frame.carrier.elements
-    return {
-        a: sorted(
-            [w, v]
-            for w, m in zip(names, frame.rel(a).rows) if m
-            for v in compress(names, bit_flags(m))
-        )
-        for a in frame.agents
-    }
+    order = sorted(range(len(names)), key=names.__getitem__)
+    out = {}
+    for a in frame.agents:
+        rows = frame.rel(a).rows
+        out[a] = [
+            [names[i], v]
+            for i in order if rows[i]
+            for v in sorted(compress(names, bit_flags(rows[i])))
+        ]
+    return out
 
 
 def dump_model(model: LoadedModel, name: Optional[str] = None) -> Dict[str, Any]:

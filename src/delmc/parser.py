@@ -20,8 +20,8 @@ same tree, so parsing a printed formula is the identity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Mapping, Optional, Tuple, Union
+import re
+from typing import List, Mapping, NamedTuple, Optional, Tuple, Union
 
 from .errors import ParseError
 from .formulas import (
@@ -55,7 +55,7 @@ parentheses, right side of an implication, later operand of an ``&`` or
 ``|`` chain and function argument list is one level.  The parser, the
 evaluator and the printer all recurse that deep."""
 
-_KEYWORDS = ("true", "false", "forall", "exists", "ctx")
+_KEYWORDS = {word: word.upper() for word in ("true", "false", "forall", "exists", "ctx")}
 _SYMBOLS = {
     "->": "ARROW",
     "~": "TILDE",
@@ -72,9 +72,16 @@ _SYMBOLS = {
     "!": "BANG",
 }
 
+# One token after any blanks: a word (``\w`` is exactly ``str.isalnum`` or
+# "_"), a symbol, a line break or any other character, which is an error.
+# Blanks up to the end match no group, so trailing blanks are read once.
+_TOKEN = re.compile(
+    r"[ \t\r]*(?:(?P<word>\w+)|(?P<symbol>->|[~&|()\[\]<>,.!])|(?P<newline>\n)|(?P<other>.)|\Z)",
+    re.DOTALL,
+)
 
-@dataclass(frozen=True)
-class _Token:
+
+class _Token(NamedTuple):
     kind: str
     text: str
     line: int
@@ -83,44 +90,24 @@ class _Token:
 
 def _tokenize(text: str) -> List[_Token]:
     out: List[_Token] = []
-    line, col = 1, 1
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            i += 1
+    line, line_start = 1, 0  # a column counts characters from its line's start
+    for m in _TOKEN.finditer(text):
+        group = m.lastgroup
+        if group is None:  # blanks up to the end
+            break
+        tok = m[group]
+        col = m.start(group) - line_start + 1
+        if group == "word" and (tok[0].isalpha() or tok[0] == "_"):
+            out.append(_Token(_KEYWORDS.get(tok, "IDENT"), tok, line, col))
+        elif group == "symbol":
+            out.append(_Token(_SYMBOLS[tok], tok, line, col))
+        elif group == "newline":
             line += 1
-            col = 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            word = text[i:j]
-            kind = word.upper() if word in _KEYWORDS else "IDENT"
-            out.append(_Token(kind, word, line, col))
-            col += j - i
-            i = j
-            continue
-        if text.startswith("->", i):
-            out.append(_Token("ARROW", "->", line, col))
-            i += 2
-            col += 2
-            continue
-        if ch in _SYMBOLS:
-            out.append(_Token(_SYMBOLS[ch], ch, line, col))
-            i += 1
-            col += 1
-            continue
-        raise ParseError(
-            f"unexpected character {ch!r}", line, col, expected=None, found=ch
-        )
-    out.append(_Token("EOF", "", line, col))
+            line_start = m.end()
+        else:  # a stray character, or a word that starts with neither a letter nor "_"
+            ch = tok[0]
+            raise ParseError(f"unexpected character {ch!r}", line, col, expected=None, found=ch)
+    out.append(_Token("EOF", "", line, len(text) - line_start + 1))
     return out
 
 
@@ -133,8 +120,8 @@ class _Parser:
         self.in_context = in_context
         self.depth = 0
 
-    def peek(self, ahead: int = 0) -> _Token:
-        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
+    def peek(self) -> _Token:
+        return self.tokens[self.pos]  # advance never moves past EOF
 
     def advance(self) -> _Token:
         tok = self.tokens[self.pos]

@@ -224,6 +224,26 @@ def test_constructions_match_reference_lift(seed):
             )
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_lifts_over_partial_images_match_reference_lift(seed):
+    # a sparse subframe of a frame past 64 worlds, with points on both sides
+    # of bit 64, and an update whose extents leave worlds and an event out:
+    # the lift walks only the successors inside each column's image
+    rng = random.Random(seed)
+    f1 = random_frame(rng, random_carrier(rng, rng.randrange(70, 90), "w"), AB)
+    names = f1.carrier.elements
+    kept = rng.sample(names[:64], 4) + rng.sample(names[64:], 4)
+    sub, incl = subframe(f1, Subset(f1.carrier, kept))
+    assert_lift_of_legs(sub, [f1], [incl.fn])
+
+    f2 = random_frame(rng, random_carrier(rng, 3, "e"), AB)
+    extents = {e: random_subset(rng, f1.carrier, 0.15).mask for e in f2.carrier}
+    extents["e3"] = 0
+    upd, (p_x, p_e), _ = updated_frame(f1, f2, extents)
+    assert extents["e1"] | extents["e2"] != f1.carrier.full
+    assert_lift_of_legs(upd, [f1, f2], [p_x.fn, p_e.fn])
+
+
 @given(st.integers(min_value=0, max_value=2 ** 32 - 1))
 def test_pair_carriers_keep_their_labels(seed):
     # the labels, in order, as built by name before the constructions took indices

@@ -21,10 +21,13 @@ from delmc import (
     load_file,
     load_model,
     load_sheaf_frames,
+    product_update,
+    pullback_update,
 )
 from delmc.generators import (
     random_carrier,
     random_event_model,
+    random_fo_event_model,
     random_frame,
     random_model,
     random_sheaf,
@@ -108,6 +111,34 @@ def test_round_trip_random_sheaf_models(seed):
     model = random_sheaf_model(rng, random_sheaf(rng, base, max_fiber=2))
     doc = dump_model(model, "s")
     assert dump_model(load_model(doc), "s") == doc
+
+
+def assert_pairs_in_name_order(doc, frame, key):
+    for a in frame.agents:
+        assert doc[key][a] == sorted([w, v] for w, v in frame.rel(a).pairs)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_dump_writes_pairs_in_name_order(seed):
+    # at 11 worlds and more, carrier order ("w2" before "w10") is not name
+    # order, nor is it among update labels such as "(w10,e1)" and "(w1,e1)"
+    rng = random.Random(seed)
+    model = random_model(rng, rng.randrange(11, 16), AB)
+    ev = random_event_model(rng, 3, AB, ("p", "q"))
+    updated = product_update(model, ev).updated
+    for m in (model, ev, updated):
+        assert_pairs_in_name_order(dump_model(m), m.frame, "relations")
+    assert list(model.frame.carrier) != sorted(model.frame.carrier)
+    assert list(updated.frame.carrier) != sorted(updated.frame.carrier)
+
+    base = random_frame(rng, random_carrier(rng, rng.randrange(11, 14), prefix="w"), AB)
+    sheaf_model = random_sheaf_model(rng, random_sheaf(rng, base, max_fiber=2))
+    upd = pullback_update(sheaf_model, random_fo_event_model(rng, sheaf_model, 2)).updated
+    for m in (sheaf_model, upd):
+        doc = dump_model(m)
+        assert_pairs_in_name_order(doc, m.sheaf.base, "relations")
+        assert_pairs_in_name_order(doc, m.sheaf.total, "domain_relation")
+    assert list(sheaf_model.sheaf.total.carrier) != sorted(sheaf_model.sheaf.total.carrier)
 
 
 def test_dump_file_load_file(tmp_path):

@@ -1,6 +1,8 @@
 """Concrete syntax: parsing, printing, precedence, error positions."""
 
 import random
+import re
+import sys
 
 import pytest
 from hypothesis import given
@@ -31,7 +33,7 @@ from delmc import (
     parse_term,
     print_formula,
 )
-from delmc.parser import MAX_NESTING
+from delmc.parser import MAX_NESTING, _tokenize
 from delmc.generators import (
     random_carrier,
     random_fo_event_model,
@@ -192,3 +194,126 @@ def test_printer_emits_minimal_parens():
     assert print_formula(And(Or(P, Q), R)) == "(p | q) & r"
     assert print_formula(Not(Box("a", P))) == "~[a]p"
     assert print_formula(Box("a", Not(P))) == "[a]~p"
+
+
+# ---------------------------------------------------------------------------
+# The tokenizer against a character-by-character reference: the walk the
+# compiled-regex tokenizer replaced, kept here as the specification.
+
+_REFERENCE_KEYWORDS = ("true", "false", "forall", "exists", "ctx")
+_REFERENCE_SYMBOLS = {
+    "~": "TILDE", "&": "AMP", "|": "BAR", "(": "LPAREN", ")": "RPAREN",
+    "[": "LBRACK", "]": "RBRACK", "<": "LANGLE", ">": "RANGLE",
+    ",": "COMMA", ".": "DOT", "!": "BANG",
+}
+
+
+def reference_tokenize(text):
+    """(kind, text, line, column) per token, or ParseError at the first stray."""
+    out = []
+    line, col = 1, 1
+    i, n = 0, len(text)
+    while i < n:
+        ch = text[i]
+        if ch == "\n":
+            i += 1
+            line += 1
+            col = 1
+            continue
+        if ch in " \t\r":
+            i += 1
+            col += 1
+            continue
+        if ch.isalpha() or ch == "_":
+            j = i
+            while j < n and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            word = text[i:j]
+            kind = word.upper() if word in _REFERENCE_KEYWORDS else "IDENT"
+            out.append((kind, word, line, col))
+            col += j - i
+            i = j
+            continue
+        if text.startswith("->", i):
+            out.append(("ARROW", "->", line, col))
+            i += 2
+            col += 2
+            continue
+        if ch in _REFERENCE_SYMBOLS:
+            out.append((_REFERENCE_SYMBOLS[ch], ch, line, col))
+            i += 1
+            col += 1
+            continue
+        raise ParseError(f"unexpected character {ch!r}", line, col, expected=None, found=ch)
+    out.append(("EOF", "", line, col))
+    return out
+
+
+def tokens_or_error(tokenize, text):
+    try:
+        return [tuple(t) for t in tokenize(text)]
+    except ParseError as exc:
+        return ("error", str(exc), exc.line, exc.column, exc.expected, exc.found)
+
+
+HOSTILE = [
+    "", " ", "\n", "p\u00b2", "\u00b2p", "p\u00a0& q", "p\r\n& q", "\r\n\r\n  p",
+    "p  \n  ", "1p", "p1", "__", "_1", "x y", "\u00bd", "\u216b", "\u01c5x", "\u00e9 & \u00f1",
+    "\u0301p", "\uff41", "\u0663x", "x\u0663", "\U0001d4b3 & y", "\u65e5\u672c & \u8a9e",
+    "->", "-", "- >", "p-->q", "p->->q", "<-", "p\x00", "p\x0bq", "p\x0cq", "p\u2028q",
+    "p\u3000q", "\ud800", "[!p]<a>q", "ctx x | forall y. R(x, y) -> P(f(x))",
+    "p" + " " * 5000, " " * 5000 + "@", "p -> \n\n\n  ~q\r", "\t\t\tp\n\t&\n\n\u00b2",
+]
+
+
+@pytest.mark.parametrize("text", HOSTILE, ids=range(len(HOSTILE)))
+def test_tokenizer_matches_reference_on_hostile_text(text):
+    assert tokens_or_error(_tokenize, text) == tokens_or_error(reference_tokenize, text)
+
+
+def test_tokenizer_error_positions():
+    # a word must start with a letter or "_"; lines break at "\n" only
+    with pytest.raises(ParseError) as exc:
+        _tokenize("p &\r\n  \u00b2p")
+    assert (exc.value.line, exc.value.column, exc.value.found) == (2, 3, "\u00b2")
+    with pytest.raises(ParseError) as exc:
+        _tokenize("p\u00a0& q")
+    assert (exc.value.line, exc.value.column, exc.value.found) == (1, 2, "\u00a0")
+    assert [t.text for t in _tokenize("p\u00b2 & q")] == ["p\u00b2", "&", "q", ""]
+
+
+_ALPHABET = list("pqxyzPR_019 \t\r\n&|~()[]<>,.!-@") + [
+    "\u00b2", "\u00a0", "\u00e9", "\u0663", "\u00bd", "\u01c5", "\u0301", "\uff41",
+    "\U0001d4b3", "\x0b", "\u2028",
+]
+
+
+@given(st.text(alphabet=_ALPHABET, max_size=40))
+def test_tokenizer_matches_reference_on_random_text(text):
+    assert tokens_or_error(_tokenize, text) == tokens_or_error(reference_tokenize, text)
+
+
+@given(st.integers(min_value=0, max_value=2 ** 32 - 1))
+def test_tokenizer_matches_reference_on_formula_texts(seed):
+    # printed formulas, with their blanks turned into runs of blanks and line breaks
+    rng = random.Random(seed)
+    base = random_frame(rng, random_carrier(rng, 2, prefix="w"), AgentSet(("a",)))
+    model = random_sheaf_model(rng, random_sheaf(rng, base, max_fiber=2))
+    refs = [("E", "e1"), ("F", "e2")]
+    texts = [
+        print_formula(random_formula(rng, ("p", "q"), ("a", "b"), depth=3, event_refs=refs)),
+        print_formula(FormulaInContext(("x0",), random_fo_formula(rng, model, ("x0",), depth=2))),
+    ]
+    for text in texts:
+        spaced = "".join(
+            rng.choice([" ", "\t", "\r\n", "\n  ", "  "]) if ch == " " else ch for ch in text
+        )
+        for t in (text, spaced):
+            assert tokens_or_error(_tokenize, t) == tokens_or_error(reference_tokenize, t)
+
+
+def test_word_pattern_is_isalnum_or_underscore():
+    # the tokenizer's words are \w runs; the reference reads isalnum or "_"
+    word = re.compile(r"\w")
+    chars = map(chr, range(sys.maxunicode + 1))
+    assert [c for c in chars if bool(word.match(c)) != (c.isalnum() or c == "_")] == []
