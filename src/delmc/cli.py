@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from . import laws as laws_mod
 from .errors import (
@@ -144,7 +144,7 @@ def _cmd_eval(args) -> int:
         context = fic.context
 
     carrier = ext.carrier
-    members = ext.sorted_members()
+    members = ext.members_in_order()
     payload: Dict[str, object] = {
         "formula": shown,
         "carrier": list(carrier.elements),
@@ -176,7 +176,7 @@ def _cmd_eval(args) -> int:
 # update
 
 
-def _dot_frame(frame: KripkeFrame, fibers: Optional[Dict[str, List[str]]] = None) -> str:
+def _dot_frame(frame: KripkeFrame, fibers: Optional[Mapping[str, Sequence[str]]] = None) -> str:
     out = ["digraph {", "  rankdir=LR;", '  node [shape=ellipse, fontname="Helvetica"];']
     for w in frame.carrier:
         if fibers:
@@ -213,7 +213,7 @@ def _cmd_update(args) -> int:
         origins = [
             (w, upd.p_x(w), upd.p_e(w)) for w in updated.frame.carrier
         ]
-        extents = {e: upd.pre_extent(e).sorted_members() for e in ev_model.events}
+        extents = {e: upd.pre_extent(e).members_in_order() for e in ev_model.events}
         lines.append(f"source worlds: {len(model.frame.carrier.elements)}")
         lines.append(f"events: {', '.join(ev_model.events)}")
         for e in ev_model.events:
@@ -246,7 +246,7 @@ def _cmd_update(args) -> int:
         ind_origins = [
             (d, old_individuals[a], events[k]) for d, a, k in zip(total.carrier, *upd.parts(1))
         ]
-        extents = {e: upd.extents[e].sorted_members() for e in ev_model.events}
+        extents = {e: upd.extents[e].members_in_order() for e in ev_model.events}
         lines.append(
             f"source worlds: {len(model.sheaf.base.carrier.elements)}, "
             f"individuals: {len(model.sheaf.total.carrier.elements)}"
@@ -271,11 +271,7 @@ def _cmd_update(args) -> int:
                 {"individual": d, "source": old, "event": e} for d, old, e in ind_origins
             ],
         }
-        fibers = {
-            w: [d for d in total.carrier if updated.sheaf.proj(d) == w]
-            for w in base.carrier
-        }
-        dot_frame, dot_fibers = base, fibers
+        dot_frame, dot_fibers = base, updated.sheaf.fibers
         out_model = updated
 
     if args.out:

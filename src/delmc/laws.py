@@ -455,7 +455,7 @@ def run_duality(seed: int = 0, cases: int = 1000, max_size: int = 4) -> Report:
                     col.expect(
                         f"{tag}: row images along {name} match the image maps",
                         False,
-                        lambda: f"r={_describe_rel(r)} s={sub.sorted_members()}",
+                        lambda: f"r={_describe_rel(r)} s={sub.members_in_order()}",
                     )
         col.expect(
             f"{tag}: join-map round trip",
@@ -667,11 +667,7 @@ def _exhaustive_lift_property(col: _Collector, rng: random.Random) -> int:
         lift = initial_lift(targets, fns)
         for z_size in (0, 1, 2):
             z = FiniteSet(f"z{z_size}", tuple(f"z{k}" for k in range(z_size)))
-            cells = [(u, v) for u in z.elements for v in z.elements]
-            z_rels = [
-                Rel(z, z, frozenset(c for j, c in enumerate(cells) if bits >> j & 1))
-                for bits in range(1 << len(cells))
-            ]
+            z_rels = _all_relations(z, z)
             for images in itertools.product(dom.elements, repeat=z_size):
                 gfn = Rel(z, dom, frozenset(zip(z.elements, images)))
                 for combo in itertools.product(z_rels, repeat=n_agents):

@@ -418,7 +418,7 @@ def dump_model(model: LoadedModel, name: Optional[str] = None) -> Dict[str, Any]
         doc["worlds"] = list(model.frame.carrier.elements)
         doc["agents"] = list(model.frame.agents.agents)
         doc["relations"] = _dump_frame(model.frame)
-        doc["valuation"] = {a: model.val(a).sorted_members() for a in model.atoms}
+        doc["valuation"] = {a: model.val(a).members_in_order() for a in model.atoms}
         return doc
     if isinstance(model, EventModel):
         doc["kind"] = "event-model"
@@ -465,7 +465,7 @@ def dump_model(model: LoadedModel, name: Optional[str] = None) -> Dict[str, Any]
             sub = model.rel_interp_map[rname]
             pw = model.power(arity)
             if arity == 0:
-                ext: List[Any] = sub.sorted_members()
+                ext: List[Any] = sub.members_in_order()
             else:
                 ext = [args for p, args in by_world(pw) if sub.mask >> p & 1]
             predicates[rname] = {"arity": arity, "extension": ext}

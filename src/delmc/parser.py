@@ -81,6 +81,14 @@ _TOKEN = re.compile(
 )
 
 
+# Each opening bracket: its closer (token kind and text) and the
+# announcement, event and modal nodes it builds.
+_BRACKETS = {
+    "LBRACK": ("RBRACK", "']'", PalBox, DelBox, Box),
+    "LANGLE": ("RANGLE", "'>'", PalDia, DelDia, Dia),
+}
+
+
 class _Token(NamedTuple):
     kind: str
     text: str
@@ -190,49 +198,30 @@ class _Parser:
         if tok.kind == "TILDE":
             self.advance()
             return Not(self.nested(self.unary))
-        if tok.kind == "LBRACK":
-            return self.box()
-        if tok.kind == "LANGLE":
-            return self.diamond()
+        if tok.kind in _BRACKETS:
+            return self.bracket()
         if tok.kind in ("FORALL", "EXISTS"):
             return self.quantifier()
         return self.atom()
 
-    def box(self) -> Formula:
-        self.advance()
+    def bracket(self) -> Formula:
+        """A box or diamond, read from ``[`` or ``<``: announcement, event or modal."""
+        closer, closer_text, pal, event, modal = _BRACKETS[self.advance().kind]
         if self.peek().kind == "BANG":
             if self.in_context:
                 raise self.fail("an agent or event pair (announcements are propositional)")
             self.advance()
             sigma = self.nested(self.formula)
-            self.expect("RBRACK", "']'")
-            return PalBox(sigma, self.nested(self.unary))
+            self.expect(closer, closer_text)
+            return pal(sigma, self.nested(self.unary))
         name = self.expect("IDENT", "an agent, or an event-model name").text
         if self.peek().kind == "COMMA":
             self.advance()
-            event = self.expect("IDENT", "an event name").text
-            self.expect("RBRACK", "']'")
-            return DelBox(name, event, self.nested(self.unary))
-        self.expect("RBRACK", "']'")
-        return Box(name, self.nested(self.unary))
-
-    def diamond(self) -> Formula:
-        self.advance()
-        if self.peek().kind == "BANG":
-            if self.in_context:
-                raise self.fail("an agent or event pair (announcements are propositional)")
-            self.advance()
-            sigma = self.nested(self.formula)
-            self.expect("RANGLE", "'>'")
-            return PalDia(sigma, self.nested(self.unary))
-        name = self.expect("IDENT", "an agent, or an event-model name").text
-        if self.peek().kind == "COMMA":
-            self.advance()
-            event = self.expect("IDENT", "an event name").text
-            self.expect("RANGLE", "'>'")
-            return DelDia(name, event, self.nested(self.unary))
-        self.expect("RANGLE", "'>'")
-        return Dia(name, self.nested(self.unary))
+            ev = self.expect("IDENT", "an event name").text
+            self.expect(closer, closer_text)
+            return event(name, ev, self.nested(self.unary))
+        self.expect(closer, closer_text)
+        return modal(name, self.nested(self.unary))
 
     def quantifier(self) -> Formula:
         tok = self.advance()
@@ -399,29 +388,19 @@ def _render(phi: Formula, level: int, left_of_binary: bool, full: bool) -> Tuple
             return phi.name, False
         args = ", ".join(_print_term(t) for t in phi.args)
         return f"{phi.name}({args})", False
-    if isinstance(phi, Not):
+    if isinstance(phi, (Not, Box, Dia, PalBox, PalDia, DelBox, DelDia)):
+        if isinstance(phi, Not):
+            head = "~"
+        else:
+            if isinstance(phi, (Box, Dia)):
+                inside = phi.agent
+            elif isinstance(phi, (PalBox, PalDia)):
+                inside = "!" + _render(phi.announcement, 0, False, full)[0]
+            else:
+                inside = f"{phi.model},{phi.event}"
+            head = f"<{inside}>" if isinstance(phi, (Dia, PalDia, DelDia)) else f"[{inside}]"
         body, open_end = _render(phi.body, _UNARY_LEVEL, False, full)
-        return wrap(f"~{body}", open_end, _UNARY_LEVEL)
-    if isinstance(phi, Box):
-        body, open_end = _render(phi.body, _UNARY_LEVEL, False, full)
-        return wrap(f"[{phi.agent}]{body}", open_end, _UNARY_LEVEL)
-    if isinstance(phi, Dia):
-        body, open_end = _render(phi.body, _UNARY_LEVEL, False, full)
-        return wrap(f"<{phi.agent}>{body}", open_end, _UNARY_LEVEL)
-    if isinstance(phi, PalBox):
-        sigma, _ = _render(phi.announcement, 0, False, full)
-        body, open_end = _render(phi.body, _UNARY_LEVEL, False, full)
-        return wrap(f"[!{sigma}]{body}", open_end, _UNARY_LEVEL)
-    if isinstance(phi, PalDia):
-        sigma, _ = _render(phi.announcement, 0, False, full)
-        body, open_end = _render(phi.body, _UNARY_LEVEL, False, full)
-        return wrap(f"<!{sigma}>{body}", open_end, _UNARY_LEVEL)
-    if isinstance(phi, DelBox):
-        body, open_end = _render(phi.body, _UNARY_LEVEL, False, full)
-        return wrap(f"[{phi.model},{phi.event}]{body}", open_end, _UNARY_LEVEL)
-    if isinstance(phi, DelDia):
-        body, open_end = _render(phi.body, _UNARY_LEVEL, False, full)
-        return wrap(f"<{phi.model},{phi.event}>{body}", open_end, _UNARY_LEVEL)
+        return wrap(head + body, open_end, _UNARY_LEVEL)
     if isinstance(phi, (Forall, Exists)):
         word = "forall" if isinstance(phi, Forall) else "exists"
         body, _ = _render(phi.body, 0, False, full)

@@ -14,7 +14,7 @@ a ``PowersetMap`` keeps its table as one mask over the codomain per
 domain element, in domain order.  ``apply`` ORs (join) or ANDs (meet)
 the masks picked out by a subset's bits.  Names are resolved only at
 the boundary: ``Subset(carrier, members)`` takes names and checks them,
-and ``Subset.members``, ``sorted_members()`` and ``PowersetMap.atom_table``
+and ``Subset.members``, ``members_in_order()`` and ``PowersetMap.atom_table``
 are lazy views built from the masks.
 
 ``forall_image`` and ``exists_image`` compute the same two images, as
@@ -57,7 +57,7 @@ class Subset:
     """A subset of a named carrier, stored as one mask over ``carrier.index``.
 
     ``Subset(carrier, members)`` checks the named members against the
-    carrier and builds the mask; ``members`` and ``sorted_members()`` are
+    carrier and builds the mask; ``members`` and ``members_in_order()`` are
     boundary views, built from the mask.
     """
 
@@ -100,11 +100,12 @@ class Subset:
     def __len__(self) -> int:
         return self.mask.bit_count()
 
-    def sorted_members(self) -> List[str]:
+    def members_in_order(self) -> List[str]:
+        """The members' names in carrier order."""
         return self.carrier.names(self.mask)
 
     def __repr__(self) -> str:
-        return f"Subset({self.carrier.name!r}, {self.sorted_members()!r})"
+        return f"Subset({self.carrier.name!r}, {self.members_in_order()!r})"
 
 
 def _subset(carrier: FiniteSet, mask: int) -> Subset:

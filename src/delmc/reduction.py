@@ -11,6 +11,24 @@ a machine-checked equivalence proof for that model.
 Propositional formulas reduce against plain relational models; formulas
 in a context reduce against sheaf models, with the quantifier axioms
 commuting event operators past binders.
+
+All the axioms come from one pattern (van Ditmarsch, van der Hoek and
+Kooi, *Dynamic Epistemic Logic*, 2007, ch. 4 and 6), written once in
+``_Rewriter.step``:
+
+- An announcement ``[!s]`` is the update by a one-event model whose
+  event has precondition s and sees only itself, so announcements and
+  events share every rule; announcements just have no first-order ones.
+- The guard is ``pre -> ...`` for a box and ``pre & ...`` for a diamond.
+  The operator moves into the body's parts with its own polarity, except
+  below a modality or quantifier, which sets it: ``[a]`` takes boxes at
+  the event's a-successors joined by ``&``, ``<a>`` diamonds joined by
+  ``|``; ``forall`` takes a box and ``exists`` a diamond.
+- The self-dual cases differ between box and diamond.  A box over true
+  and a diamond over false are unchanged; the other constant leaves the
+  guard alone (``~pre``, ``pre``).  A box over ``&``, a diamond over
+  ``&`` or ``|``, and a quantifier of the operator's own polarity
+  (forall under a box, exists under a diamond) need no guard.
 """
 
 from __future__ import annotations
@@ -21,6 +39,7 @@ from typing import List, Mapping, Optional, Sequence, Tuple, Union
 from .errors import InvariantViolation, NotReducible, UnresolvedEventModel
 from .formulas import (
     DYNAMIC,
+    FIRST_ORDER_ONLY,
     And,
     Atom,
     Bot,
@@ -123,6 +142,18 @@ def _rename_bound(phi: Formula, mapping: Mapping[str, Term], fresh) -> Formula:
     return rebuild(phi, [_rename_bound(kid, mapping, fresh) for kid in children(phi)])
 
 
+# The name of every axiom, by (announcement?, diamond?, body kind); a
+# body kind with no key has no axiom.  Announcements stay propositional.
+_RULES = {
+    (pal, diamond, kind): (
+        f"{'pal' if pal else 'event'}{'-dia' if diamond else ''}-{kind.__name__.lower()}"
+    )
+    for pal in (True, False)
+    for diamond in (False, True)
+    for kind in (Top, Bot, Atom, Not, And, Or, Imp, Box, Dia) + (() if pal else FIRST_ORDER_ONLY)
+}
+
+
 class _Rewriter:
     def __init__(
         self,
@@ -178,159 +209,54 @@ class _Rewriter:
         return [e for e in frame.carrier if e in succ]
 
     def step(self, redex: Formula) -> Tuple[str, Formula]:
-        if isinstance(redex, PalBox):
-            return self.pal_box(redex.announcement, redex.body)
-        if isinstance(redex, PalDia):
-            return self.pal_dia(redex.announcement, redex.body)
-        if isinstance(redex, DelBox):
-            return self.del_box(redex.model, redex.event, redex.body)
-        if isinstance(redex, DelDia):
-            return self.del_dia(redex.model, redex.event, redex.body)
-        raise NotReducible(f"no reduction rule for {type(redex).__name__}")
+        """The axiom for one redex: its rule name and its replacement.
 
-    def pal_box(self, sigma: Formula, body: Formula) -> Tuple[str, Formula]:
-        if isinstance(body, Top):
-            return "pal-top", Top()
-        if isinstance(body, Bot):
-            return "pal-bot", Not(sigma)
-        if isinstance(body, Atom):
-            return "pal-atom", Imp(sigma, body)
-        if isinstance(body, Not):
-            return "pal-not", Imp(sigma, Not(PalBox(sigma, body.body)))
-        if isinstance(body, And):
-            return "pal-and", And(PalBox(sigma, body.left), PalBox(sigma, body.right))
-        if isinstance(body, Or):
-            return "pal-or", Imp(
-                sigma, Or(PalBox(sigma, body.left), PalBox(sigma, body.right))
-            )
-        if isinstance(body, Imp):
-            return "pal-imp", Imp(
-                sigma, Imp(PalBox(sigma, body.left), PalBox(sigma, body.right))
-            )
-        if isinstance(body, Box):
-            return "pal-box", Imp(sigma, Box(body.agent, PalBox(sigma, body.body)))
-        if isinstance(body, Dia):
-            return "pal-dia", Imp(sigma, Dia(body.agent, PalDia(sigma, body.body)))
-        raise NotReducible(
-            f"announcement over a {type(body).__name__} body has no reduction rule"
-        )
+        ``op(diamond, event, body)`` rebuilds the redex's operator with the
+        given polarity, event (unused by an announcement) and body.
+        """
+        pal = type(redex) in (PalBox, PalDia)
+        if not pal and type(redex) not in (DelBox, DelDia):
+            raise NotReducible(f"no reduction rule for {type(redex).__name__}")
+        diamond = type(redex) in (PalDia, DelDia)
+        body = redex.body
+        kind = type(body)
+        if pal:
+            pre, event = redex.announcement, None
 
-    def pal_dia(self, sigma: Formula, body: Formula) -> Tuple[str, Formula]:
-        if isinstance(body, Top):
-            return "pal-dia-top", sigma
-        if isinstance(body, Bot):
-            return "pal-dia-bot", Bot()
-        if isinstance(body, Atom):
-            return "pal-dia-atom", And(sigma, body)
-        if isinstance(body, Not):
-            return "pal-dia-not", And(sigma, Not(PalDia(sigma, body.body)))
-        if isinstance(body, And):
-            return "pal-dia-and", And(PalDia(sigma, body.left), PalDia(sigma, body.right))
-        if isinstance(body, Or):
-            return "pal-dia-or", Or(PalDia(sigma, body.left), PalDia(sigma, body.right))
-        if isinstance(body, Imp):
-            return "pal-dia-imp", And(
-                sigma, Imp(PalDia(sigma, body.left), PalDia(sigma, body.right))
-            )
-        if isinstance(body, Box):
-            return "pal-dia-box", And(sigma, Box(body.agent, PalBox(sigma, body.body)))
-        if isinstance(body, Dia):
-            return "pal-dia-dia", And(sigma, Dia(body.agent, PalDia(sigma, body.body)))
-        raise NotReducible(
-            f"announcement over a {type(body).__name__} body has no reduction rule"
-        )
+            def op(dia: bool, _: None, sub: Formula) -> Formula:
+                return PalDia(pre, sub) if dia else PalBox(pre, sub)
 
-    def del_box(self, ref: str, event: str, body: Formula) -> Tuple[str, Formula]:
-        pre = self.precondition(ref, event)
-        if isinstance(body, Top):
-            return "event-top", Top()
-        if isinstance(body, Bot):
-            return "event-bot", Not(pre)
-        if isinstance(body, Atom):
-            return "event-atom", Imp(pre, body)
-        if isinstance(body, Pred):
-            return "event-pred", Imp(pre, body)
-        if isinstance(body, Not):
-            return "event-not", Imp(pre, Not(DelBox(ref, event, body.body)))
-        if isinstance(body, And):
-            return "event-and", And(
-                DelBox(ref, event, body.left), DelBox(ref, event, body.right)
-            )
-        if isinstance(body, Or):
-            return "event-or", Imp(
-                pre, Or(DelBox(ref, event, body.left), DelBox(ref, event, body.right))
-            )
-        if isinstance(body, Imp):
-            return "event-imp", Imp(
-                pre, Imp(DelBox(ref, event, body.left), DelBox(ref, event, body.right))
-            )
-        if isinstance(body, Box):
-            parts = [
-                Box(body.agent, DelBox(ref, e2, body.body))
-                for e2 in self.successors(ref, event, body.agent)
-            ]
-            return "event-box", Imp(pre, big_and(parts))
-        if isinstance(body, Dia):
-            parts = [
-                Dia(body.agent, DelDia(ref, e2, body.body))
-                for e2 in self.successors(ref, event, body.agent)
-            ]
-            return "event-dia", Imp(pre, big_or(parts))
-        if isinstance(body, Forall):
-            return "event-forall", Forall(body.var, DelBox(ref, event, body.body))
-        if isinstance(body, Exists):
-            return "event-exists", Imp(
-                pre, Exists(body.var, DelDia(ref, event, body.body))
-            )
-        raise NotReducible(
-            f"event operator over a {type(body).__name__} body has no reduction rule"
-        )
+        else:  # looked up, and freshened, even where the rule drops it
+            ref, event = redex.model, redex.event
+            pre = self.precondition(ref, event)
 
-    def del_dia(self, ref: str, event: str, body: Formula) -> Tuple[str, Formula]:
-        pre = self.precondition(ref, event)
-        if isinstance(body, Top):
-            return "event-dia-top", pre
-        if isinstance(body, Bot):
-            return "event-dia-bot", Bot()
-        if isinstance(body, Atom):
-            return "event-dia-atom", And(pre, body)
-        if isinstance(body, Pred):
-            return "event-dia-pred", And(pre, body)
-        if isinstance(body, Not):
-            return "event-dia-not", And(pre, Not(DelDia(ref, event, body.body)))
-        if isinstance(body, And):
-            return "event-dia-and", And(
-                DelDia(ref, event, body.left), DelDia(ref, event, body.right)
+            def op(dia: bool, e: str, sub: Formula) -> Formula:
+                return DelDia(ref, e, sub) if dia else DelBox(ref, e, sub)
+
+        rule = _RULES.get((pal, diamond, kind))
+        if rule is None:
+            raise NotReducible(
+                f"{'announcement' if pal else 'event operator'} over a "
+                f"{kind.__name__} body has no reduction rule"
             )
-        if isinstance(body, Or):
-            return "event-dia-or", Or(
-                DelDia(ref, event, body.left), DelDia(ref, event, body.right)
-            )
-        if isinstance(body, Imp):
-            return "event-dia-imp", And(
-                pre, Imp(DelDia(ref, event, body.left), DelDia(ref, event, body.right))
-            )
-        if isinstance(body, Box):
-            parts = [
-                Box(body.agent, DelBox(ref, e2, body.body))
-                for e2 in self.successors(ref, event, body.agent)
-            ]
-            return "event-dia-box", And(pre, big_and(parts))
-        if isinstance(body, Dia):
-            parts = [
-                Dia(body.agent, DelDia(ref, e2, body.body))
-                for e2 in self.successors(ref, event, body.agent)
-            ]
-            return "event-dia-dia", And(pre, big_or(parts))
-        if isinstance(body, Forall):
-            return "event-dia-forall", And(
-                pre, Forall(body.var, DelBox(ref, event, body.body))
-            )
-        if isinstance(body, Exists):
-            return "event-dia-exists", Exists(body.var, DelDia(ref, event, body.body))
-        raise NotReducible(
-            f"event operator over a {type(body).__name__} body has no reduction rule"
-        )
+        guard = And if diamond else Imp
+        if kind is Top or kind is Bot:
+            if diamond == (kind is Bot):
+                return rule, body
+            return rule, pre if diamond else Not(pre)
+        if kind is Atom or kind is Pred:
+            return rule, guard(pre, body)
+        if kind is Not:
+            return rule, guard(pre, Not(op(diamond, event, body.body)))
+        if kind is Box or kind is Dia:
+            events = (event,) if pal else self.successors(ref, event, body.agent)
+            parts = [kind(body.agent, op(kind is Dia, e, body.body)) for e in events]
+            return rule, guard(pre, (big_or if kind is Dia else big_and)(parts))
+        if kind is Forall or kind is Exists:
+            out = kind(body.var, op(kind is Exists, event, body.body))
+            return rule, out if diamond == (kind is Exists) else guard(pre, out)
+        out = kind(op(diamond, event, body.left), op(diamond, event, body.right))
+        return rule, out if kind is And or (diamond and kind is Or) else guard(pre, out)
 
 
 _STEP_CAP = 200_000

@@ -102,7 +102,6 @@ from .rel import (
     bit_flags,
     compose,
     dagger,
-    function_from_mapping,
     is_surjective,
 )
 
@@ -484,12 +483,6 @@ class SheafModel:
         values = [self.term_indices(context, a) for a in args]
         return self.power(len(args)).points(self.power(len(context)).worlds, zip(*values))
 
-    def term_values(self, context: Tuple[str, ...], t: Term) -> Dict[str, str]:
-        """Value of a term at every point of the context's power carrier, by name."""
-        names = self.sheaf.total.carrier.elements
-        labels = self.power(len(context)).carrier
-        return {lbl: names[i] for lbl, i in zip(labels, self.term_indices(context, t))}
-
     # The evaluator's per-layer interface (see models._Evaluator).
 
     def context_frame(self, n: int) -> KripkeFrame:
@@ -709,12 +702,9 @@ def interp_term(
 ) -> FrameMap:
     """Denotation of a term in context: a map from the context's power."""
     power = model.power(len(term.context))
-    values = model.term_values(term.context, term.term)
-    return FrameMap(
-        power.frame,
-        model.sheaf.total,
-        function_from_mapping(power.carrier, model.sheaf.total.carrier, values),
-    )
+    total = model.sheaf.total
+    rows = [1 << i for i in model.term_indices(term.context, term.term)]
+    return FrameMap(power.frame, total, _rel(power.carrier, total.carrier, rows))
 
 
 def interp_formula(

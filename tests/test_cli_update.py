@@ -102,6 +102,19 @@ def test_update_dot_file_is_a_digraph(capsys, tmp_path, layer):
     assert '"(w1,' in text
 
 
+def test_update_sheaf_dot_nodes_list_their_fibers(capsys, tmp_path):
+    dot = tmp_path / "updated.dot"
+    assert main(["update", TWO_FIBERS, FO_EVENT, "--dot", str(dot)]) == 0
+    capsys.readouterr()
+    lines = dot.read_text(encoding="utf-8").splitlines()
+    nodes = [line for line in lines if "[label=" in line and "->" not in line]
+    assert nodes == [
+        '  "(w1,e1)" [label="(w1,e1)\\n{(d1,e1), (d2,e1)}"];',
+        '  "(w1,e2)" [label="(w1,e2)\\n{(d1,e2), (d2,e2)}"];',
+        '  "(w2,e2)" [label="(w2,e2)\\n{(d3,e2)}"];',
+    ]
+
+
 def test_update_by_a_kripke_model_exits_2(capsys):
     assert main(["update", TWO_WORLDS, TWO_WORLDS]) == 2
     captured = capsys.readouterr()

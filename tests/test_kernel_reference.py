@@ -4,7 +4,7 @@ A relation is stored as successor masks and a subset as one mask; the
 reference below computes every kernel operation on plain sets of name
 pairs and of names, straight from the definitions.  Carriers have 0-5
 points, and empty relations are drawn explicitly.  The boundary views
-(``.pairs``, ``.members``, ``sorted_members()``, ``repr``) are pinned on
+(``.pairs``, ``.members``, ``members_in_order()``, ``repr``) are pinned on
 the fixtures.
 """
 
@@ -222,7 +222,7 @@ def test_views_on_two_worlds(two_worlds):
     assert ra.predecessors == {"w1": {"w1"}, "w2": {"w2"}}
     p, q = two_worlds.val("p"), two_worlds.val("q")
     assert repr(p) == "Subset('W', ['w1'])" and repr(q) == "Subset('W', ['w1', 'w2'])"
-    assert p.members == {"w1"} and q.sorted_members() == ["w1", "w2"]
+    assert p.members == {"w1"} and q.members_in_order() == ["w1", "w2"]
     assert len(q) == 2 and "w2" in q and "w2" not in p and "zz" not in p
 
 

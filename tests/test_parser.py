@@ -317,3 +317,41 @@ def test_word_pattern_is_isalnum_or_underscore():
     word = re.compile(r"\w")
     chars = map(chr, range(sys.maxunicode + 1))
     assert [c for c in chars if bool(word.match(c)) != (c.isalnum() or c == "_")] == []
+
+
+# (message, line, column, expected, found) for each malformed bracket form:
+# a wrong closer, a missing name and an announcement under a context header
+BRACKET_ERRORS = {
+    "[a>p": ("expected ']', found '>'", 1, 3, "']'", ">"),
+    "<a]p": ("expected '>', found ']'", 1, 3, "'>'", "]"),
+    "[E,e>p": ("expected ']', found '>'", 1, 5, "']'", ">"),
+    "<E,e]p": ("expected '>', found ']'", 1, 5, "'>'", "]"),
+    "[!p>q": ("expected ']', found '>'", 1, 4, "']'", ">"),
+    "<!p]q": ("expected '>', found ']'", 1, 4, "'>'", "]"),
+    "[E,]p": ("expected an event name, found ']'", 1, 4, "an event name", "]"),
+    "<E,>p": ("expected an event name, found '>'", 1, 4, "an event name", ">"),
+    "[>p": (
+        "expected an agent, or an event-model name, found '>'",
+        1, 2, "an agent, or an event-model name", ">",
+    ),
+    "<]p": (
+        "expected an agent, or an event-model name, found ']'",
+        1, 2, "an agent, or an event-model name", "]",
+    ),
+    "ctx | [!p]q": (
+        "expected an agent or event pair (announcements are propositional), found '!'",
+        1, 8, "an agent or event pair (announcements are propositional)", "!",
+    ),
+    "ctx | <!p>q": (
+        "expected an agent or event pair (announcements are propositional), found '!'",
+        1, 8, "an agent or event pair (announcements are propositional)", "!",
+    ),
+}
+
+
+@pytest.mark.parametrize("text", sorted(BRACKET_ERRORS))
+def test_bracket_parse_errors_are_pinned(text):
+    with pytest.raises(ParseError) as exc:
+        parse_formula(text)
+    err = exc.value
+    assert (err.args[0], err.line, err.column, err.expected, err.found) == BRACKET_ERRORS[text]
