@@ -205,77 +205,37 @@ def _cmd_update(args) -> int:
     if ev_name and ev_name not in registry:
         registry[ev_name] = ev_model
 
-    lines: List[str] = []
-    payload: Dict[str, object] = {}
+    # the world report reads the projections p_x, p_e, which both layers carry
+    sizes, individuals, fibers = ("", ""), {}, None
     if isinstance(model, KripkeModel):
         upd = product_update(model, ev_model, registry)
-        updated = upd.updated
-        origins = [
-            (w, upd.p_x(w), upd.p_e(w)) for w in updated.frame.carrier
-        ]
-        extents = {e: upd.pre_extent(e).members_in_order() for e in ev_model.events}
-        lines.append(f"source worlds: {len(model.frame.carrier.elements)}")
-        lines.append(f"events: {', '.join(ev_model.events)}")
-        for e in ev_model.events:
-            lines.append(f"  precondition extent of {e}: {' '.join(extents[e]) or '(empty)'}")
-        lines.append(f"updated worlds: {len(updated.frame.carrier.elements)}")
-        for w, old, e in origins:
-            lines.append(f"  {w} <- {old} via {e}")
-        payload = {
-            "source_worlds": list(model.frame.carrier.elements),
-            "events": list(ev_model.events),
-            "precondition_extents": extents,
-            "updated_worlds": [
-                {"world": w, "source": old, "event": e} for w, old, e in origins
-            ],
-        }
-        dot_frame, dot_fibers = updated.frame, None
-        out_model = updated
+        worlds, new_worlds, extents = model.frame, upd.updated.frame, dict(upd.pre_extents)
     else:
-        assert isinstance(model, SheafModel)
         upd = pullback_update(model, ev_model, registry)
-        updated = upd.updated
-        base = updated.sheaf.base
-        total = updated.sheaf.total
-        events = ev_model.events
-        old_worlds = model.sheaf.base.carrier.elements
-        old_individuals = model.sheaf.total.carrier.elements
-        world_origins = [
-            (w, old_worlds[o], events[k]) for w, o, k in zip(base.carrier, *upd.parts(0))
-        ]
-        ind_origins = [
-            (d, old_individuals[a], events[k]) for d, a, k in zip(total.carrier, *upd.parts(1))
-        ]
-        extents = {e: upd.extents[e].members_in_order() for e in ev_model.events}
-        lines.append(
-            f"source worlds: {len(model.sheaf.base.carrier.elements)}, "
-            f"individuals: {len(model.sheaf.total.carrier.elements)}"
-        )
-        lines.append(f"events: {', '.join(ev_model.events)}")
-        for e in ev_model.events:
-            lines.append(f"  precondition extent of {e}: {' '.join(extents[e]) or '(empty)'}")
-        lines.append(
-            f"updated worlds: {len(base.carrier.elements)}, "
-            f"individuals: {len(total.carrier.elements)}"
-        )
-        for w, old, e in world_origins:
-            lines.append(f"  {w} <- {old} via {e}")
-        payload = {
-            "source_worlds": list(model.sheaf.base.carrier.elements),
-            "events": list(ev_model.events),
-            "precondition_extents": extents,
-            "updated_worlds": [
-                {"world": w, "source": old, "event": e} for w, old, e in world_origins
-            ],
-            "updated_individuals": [
-                {"individual": d, "source": old, "event": e} for d, old, e in ind_origins
-            ],
-        }
-        dot_frame, dot_fibers = base, updated.sheaf.fibers
-        out_model = updated
-
+        worlds, new_worlds, extents = model.sheaf.base, upd.updated.sheaf.base, upd.extents
+        inds, new_inds = model.sheaf.total.carrier, upd.updated.sheaf.total.carrier
+        sizes = (f", individuals: {len(inds)}", f", individuals: {len(new_inds)}")
+        individuals = {"updated_individuals": [
+            {"individual": d, "source": inds.elements[a], "event": ev_model.events[k]}
+            for d, a, k in zip(new_inds, *upd.parts(1))
+        ]}
+        fibers = upd.updated.sheaf.fibers
+    events = ev_model.events
+    extents = {e: extents[e].members_in_order() for e in events}
+    origins = [(w, upd.p_x(w), upd.p_e(w)) for w in new_worlds.carrier]
+    lines = [f"source worlds: {len(worlds.carrier)}{sizes[0]}", f"events: {', '.join(events)}"]
+    lines += [f"  precondition extent of {e}: {' '.join(extents[e]) or '(empty)'}" for e in events]
+    lines.append(f"updated worlds: {len(new_worlds.carrier)}{sizes[1]}")
+    lines += [f"  {w} <- {old} via {e}" for w, old, e in origins]
+    payload: Dict[str, object] = {
+        "source_worlds": list(worlds.carrier.elements),
+        "events": list(events),
+        "precondition_extents": extents,
+        "updated_worlds": [{"world": w, "source": old, "event": e} for w, old, e in origins],
+        **individuals,
+    }
     if args.out:
-        doc = dump_model(out_model, name=model_name and f"{model_name}-updated")
+        doc = dump_model(upd.updated, name=model_name and f"{model_name}-updated")
         with open(args.out, "w", encoding="utf-8") as handle:
             json.dump(doc, handle, indent=2)
             handle.write("\n")
@@ -283,7 +243,7 @@ def _cmd_update(args) -> int:
         payload["out"] = args.out
     if args.dot:
         with open(args.dot, "w", encoding="utf-8") as handle:
-            handle.write(_dot_frame(dot_frame, dot_fibers))
+            handle.write(_dot_frame(new_worlds, fibers))
         lines.append(f"dot graph written to {args.dot}")
         payload["dot"] = args.dot
     _emit(args, payload, lines)

@@ -369,15 +369,10 @@ def _monotone_section(rng: random.Random, sheaf: KripkeSheaf, tries: int = 24) -
     return None
 
 
-def random_sheaf_model(
-    rng: random.Random,
-    sheaf: KripkeSheaf,
-    n_unary_preds: int = 2,
-    with_binary: bool = True,
-) -> SheafModel:
-    """Interpretation tables over a sheaf: named predicates of arity 0..2,
-    a unary function, a binary projection, and a constant when a monotone
-    section exists."""
+def random_sheaf_model(rng: random.Random, sheaf: KripkeSheaf) -> SheafModel:
+    """Interpretation tables over a sheaf: a unary function f, a binary
+    projection g, a constant c when a monotone section exists, and the
+    predicates Q (arity 0), P1 and P2 (arity 1) and R2 (arity 2)."""
     functions: Dict[str, int] = {"f": 1}
     fn_interp: Dict[str, FrameMap] = {}
     power1 = sheaf.power(1)
@@ -387,28 +382,22 @@ def random_sheaf_model(
         functions["c"] = 0
         power0 = sheaf.power(0)
         fn_interp["c"] = FrameMap(power0.frame, sheaf.total, section)
-    if with_binary:
-        functions["g"] = 2
-        power2 = sheaf.power(2)
-        names = sheaf.total.carrier.elements
-        first = {lbl: names[c[0]] for lbl, c in zip(power2.carrier, power2.coords)}
-        fn_interp["g"] = FrameMap(
-            power2.frame,
-            sheaf.total,
-            Rel(power2.carrier, sheaf.total.carrier, frozenset(first.items())),
-        )
-    relations: Dict[str, int] = {"Q": 0}
+    functions["g"] = 2
+    power2 = sheaf.power(2)
+    names = sheaf.total.carrier.elements
+    first = {lbl: names[c[0]] for lbl, c in zip(power2.carrier, power2.coords)}
+    fn_interp["g"] = FrameMap(
+        power2.frame,
+        sheaf.total,
+        Rel(power2.carrier, sheaf.total.carrier, frozenset(first.items())),
+    )
+    relations = {"Q": 0, "P1": 1, "P2": 1, "R2": 2}
     rel_interp: Dict[str, Subset] = {
-        "Q": random_subset(rng, sheaf.base.carrier)
+        "Q": random_subset(rng, sheaf.base.carrier),
+        "P1": random_subset(rng, sheaf.total.carrier),
+        "P2": random_subset(rng, sheaf.total.carrier),
+        "R2": random_subset(rng, power2.carrier),
     }
-    for i in range(n_unary_preds):
-        name = f"P{i + 1}"
-        relations[name] = 1
-        rel_interp[name] = random_subset(rng, sheaf.total.carrier)
-    if with_binary:
-        relations["R2"] = 2
-        power2 = sheaf.power(2)
-        rel_interp["R2"] = random_subset(rng, power2.carrier)
     signature = Signature.make(functions, relations)
     return SheafModel(sheaf, signature, fn_interp, rel_interp)
 

@@ -62,8 +62,6 @@ from .models import (
     no_learning_check,
     product_update,
     static_precondition_modalities,
-    verify_del_reductions,
-    verify_pal_reductions,
 )
 from .powerset import (
     Subset,
@@ -86,7 +84,13 @@ from .powerset import (
     verify_preserves_all_joins,
     verify_preserves_all_meets,
 )
-from .reduction import is_static, reduce_formula
+from .reduction import (
+    is_static,
+    reduce_formula,
+    verify_del_reductions,
+    verify_pal_reductions,
+    verify_quantifier_reduction,
+)
 from .rel import (
     FiniteSet,
     Rel,
@@ -117,7 +121,6 @@ from .sheaves import (
     check_transition_commutation,
     is_kripke_sheaf,
     pullback_update,
-    verify_quantifier_reduction,
 )
 
 

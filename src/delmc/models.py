@@ -30,6 +30,10 @@ is freed by reference counting alone.
 Event preconditions may themselves be dynamic (they are evaluated on the
 original model); cyclic references between event models are detected and
 rejected with CyclicPrecondition rather than looping.
+
+The law checks here re-prove the update's structure (``check_update_routes``,
+``no_learning_check``); the reduction-law checks read the axiom table and
+live beside it in ``reduction``.
 """
 
 from __future__ import annotations
@@ -67,7 +71,6 @@ from .formulas import (
     PalBox,
     PalDia,
     Top,
-    big_and,
 )
 from .frames import FrameMap, KripkeFrame, is_bounded, lift_pairs, product, subframe
 from .powerset import (
@@ -524,111 +527,6 @@ def check_update_routes(upd: UpdateResult) -> LawReport:
         ):
             name = f"transition through {route} [{e}]"
             checks.append(_relation_check(name, upd.transition(e), composite))
-    return LawReport(tuple(checks))
-
-
-def _equality_check(
-    name: str,
-    ev: _Evaluator,
-    model: KripkeModel,
-    lhs: Formula,
-    rhs: Formula,
-) -> LawCheck:
-    left = ev.mask(model, (), lhs)
-    right = ev.mask(model, (), rhs)
-    if left == right:
-        return LawCheck(name, True)
-    diff = sorted(model.frame.carrier.names(left ^ right))
-    return LawCheck(name, False, witness=f"sides differ at {diff}")
-
-
-def verify_pal_reductions(
-    model: KripkeModel,
-    sigma: Formula,
-    phi: Formula,
-    psi: Formula,
-    registry: Optional[Mapping[str, EventModel]] = None,
-) -> LawReport:
-    """Announcement reduction laws, checked as extension equalities."""
-    ev = _Evaluator(registry)
-    checks: List[LawCheck] = []
-    for p in model.atoms:
-        checks.append(
-            _equality_check(
-                f"pal-atom[{p}]", ev, model,
-                PalBox(sigma, Atom(p)), Imp(sigma, Atom(p)),
-            )
-        )
-    checks.append(
-        _equality_check(
-            "pal-and", ev, model,
-            PalBox(sigma, And(phi, psi)), And(PalBox(sigma, phi), PalBox(sigma, psi)),
-        )
-    )
-    checks.append(
-        _equality_check(
-            "pal-not", ev, model,
-            PalBox(sigma, Not(phi)), Imp(sigma, Not(PalBox(sigma, phi))),
-        )
-    )
-    for a in model.frame.agents:
-        checks.append(
-            _equality_check(
-                f"pal-box[{a}]", ev, model,
-                PalBox(sigma, Box(a, phi)), Imp(sigma, Box(a, PalBox(sigma, phi))),
-            )
-        )
-    return LawReport(tuple(checks))
-
-
-def verify_del_reductions(
-    model: KripkeModel,
-    ev_model: EventModel,
-    event: str,
-    phi: Formula,
-    psi: Formula,
-    registry: Optional[Mapping[str, EventModel]] = None,
-    ref: str = "_update",
-) -> LawReport:
-    """Event reduction laws for one event, checked as extension equalities."""
-    if event not in ev_model.events:
-        raise UnknownEvent(f"event {event!r} not in event model")
-    reg = dict(registry or {})
-    reg[ref] = ev_model
-    ev = _Evaluator(reg)
-    pre = ev_model.pre(event)
-    checks: List[LawCheck] = []
-    for p in model.atoms:
-        checks.append(
-            _equality_check(
-                f"del-atom[{p}]", ev, model,
-                DelBox(ref, event, Atom(p)), Imp(pre, Atom(p)),
-            )
-        )
-    checks.append(
-        _equality_check(
-            "del-and", ev, model,
-            DelBox(ref, event, And(phi, psi)),
-            And(DelBox(ref, event, phi), DelBox(ref, event, psi)),
-        )
-    )
-    checks.append(
-        _equality_check(
-            "del-not", ev, model,
-            DelBox(ref, event, Not(phi)),
-            Imp(pre, Not(DelBox(ref, event, phi))),
-        )
-    )
-    for a in model.frame.agents:
-        succ = ev_model.frame.rel(a).successors[event]
-        ordered = [e for e in ev_model.events if e in succ]
-        conj = big_and([DelBox(ref, e2, phi) for e2 in ordered])
-        checks.append(
-            _equality_check(
-                f"del-box[{a}]", ev, model,
-                DelBox(ref, event, Box(a, phi)), Imp(pre, Box(a, conj)),
-            )
-        )
     return LawReport(tuple(checks))
 
 

@@ -26,17 +26,23 @@ Kooi, *Dynamic Epistemic Logic*, 2007, ch. 4 and 6), written once in
   ``|``; ``forall`` takes a box and ``exists`` a diamond.
 - The self-dual cases differ between box and diamond.  A box over true
   and a diamond over false are unchanged; the other constant leaves the
-  guard alone (``~pre``, ``pre``).  A box over ``&``, a diamond over
-  ``&`` or ``|``, and a quantifier of the operator's own polarity
-  (forall under a box, exists under a diamond) need no guard.
+  guard alone (``~pre``, ``pre``).  An update by one event is a partial
+  function, so a binary connective needs no guard, except a diamond
+  over ``->``; nor does a quantifier of the operator's own polarity
+  (forall under a box, exists under a diamond).
+
+The table is read twice: by ``reduce_formula``, and by the law checks
+``verify_pal_reductions``, ``verify_del_reductions`` and
+``verify_quantifier_reduction``, which ask it for the replacement of
+each redex they cover and compare the two extensions on a model.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Mapping, Optional, Sequence, Tuple, Union
 
-from .errors import InvariantViolation, NotReducible, UnresolvedEventModel
+from .errors import InvariantViolation, NotReducible, UnknownEvent, UnresolvedEventModel
 from .formulas import (
     DYNAMIC,
     FIRST_ORDER_ONLY,
@@ -70,7 +76,7 @@ from .formulas import (
     substitute_term,
     term_free_vars,
 )
-from .models import EventModel, KripkeModel, _Evaluator
+from .models import EventModel, KripkeModel, LawCheck, LawReport, _Evaluator
 from .sheaves import SheafModel
 
 # is_static and first_order_node live beside the traversal helper in
@@ -256,7 +262,7 @@ class _Rewriter:
             out = kind(body.var, op(kind is Exists, event, body.body))
             return rule, out if diamond == (kind is Exists) else guard(pre, out)
         out = kind(op(diamond, event, body.left), op(diamond, event, body.right))
-        return rule, out if kind is And or (diamond and kind is Or) else guard(pre, out)
+        return rule, guard(pre, out) if diamond and kind is Imp else out
 
 
 _STEP_CAP = 200_000
@@ -280,22 +286,18 @@ def reduce_formula(
     phi: Union[Formula, FormulaInContext],
     model: Optional[Union[KripkeModel, SheafModel]] = None,
     registry: Optional[Mapping[str, EventModel]] = None,
-    verify: Optional[bool] = None,
 ) -> ReductionResult:
-    """Rewrite every dynamic operator away, optionally checking each step.
+    """Rewrite every dynamic operator away, checking each step on a model.
 
-    With a model given (and ``verify`` not disabled), the whole formula's
-    extension is computed after every rewrite and compared with the
-    previous one; a mismatch raises NotReducible naming the failing rule.
+    With a model given, the whole formula's extension is computed after
+    every rewrite and compared with the previous one; a mismatch raises
+    InvariantViolation naming the failing rule.
     The check evaluates event operators on the updates kept on the model,
     so a verified reduce builds no update that an earlier call on the same
     model object already built.  A rewrite that takes the formula past
     MAX_REDUCED_NODES raises NotReducible with the size reached.
     """
-    if verify is None:
-        verify = model is not None
-    if verify and model is None:
-        raise NotReducible("verification requires a model")
+    verify = model is not None
     context: Optional[Tuple[str, ...]] = None
     body: Formula
     if isinstance(phi, FormulaInContext):
@@ -305,16 +307,15 @@ def reduce_formula(
             raise NotReducible("a formula in a context can only be checked on a sheaf model")
     else:
         body = phi
-        if verify and isinstance(model, KripkeModel):
+        if isinstance(model, KripkeModel):
             residual = first_order_node(body)
             if residual:
                 raise NotReducible(
                     f"cannot reduce against a relational model: {residual} is first-order"
                 )
-        if verify and isinstance(model, SheafModel):
-            body_in_ctx = as_sentence(body).body
+        if isinstance(model, SheafModel):
             context = ()
-            body = body_in_ctx
+            body = as_sentence(body).body
 
     used: set = set(context or ())
     _collect_var_names(body, used)
@@ -346,3 +347,98 @@ def reduce_formula(
                 f"rule {rule!r} changed the extension; this is a library bug"
             )
     return ReductionResult(body, current, tuple(steps), context)
+
+
+def _law_report(
+    model: Union[KripkeModel, SheafModel],
+    registry: Mapping[str, EventModel],
+    points: Tuple[str, ...],
+    redexes: Sequence[Tuple[str, Formula]],
+) -> LawReport:
+    """Each redex against the replacement its axiom gives, as extensions.
+
+    A check is named by its rule and its label; it fails, with the points
+    where the two sides differ, when their extensions on the model (in the
+    context ``points``) disagree.  On a sheaf model the table is read in
+    context mode, as ``reduce_formula`` reads it.
+    """
+    in_context = isinstance(model, SheafModel)
+    used: set = set(points)
+    if in_context:
+        for _, redex in redexes:
+            _collect_var_names(redex, used)
+    rewriter = _Rewriter(registry, in_context, used)
+    evaluator = _Evaluator(registry)
+    carrier = model.context_frame(len(points)).carrier
+    checks: List[LawCheck] = []
+    for label, redex in redexes:
+        left = evaluator.mask(model, points, redex)
+        rule, replacement = rewriter.step(redex)
+        diff = left ^ evaluator.mask(model, points, replacement)
+        witness = f"sides differ at {sorted(carrier.names(diff))}" if diff else None
+        checks.append(LawCheck(rule + label, not diff, witness))
+    return LawReport(tuple(checks))
+
+
+def _static_redexes(
+    model: KripkeModel, op: Callable[[Formula], Formula], phi: Formula, psi: Formula
+) -> List[Tuple[str, Formula]]:
+    """The update operator ``op`` over each atom, ``phi & psi``, ``~phi``
+    and ``[a]phi`` per agent, labelled by the atom or agent."""
+    return [
+        *((f"[{p}]", op(Atom(p))) for p in model.atoms),
+        ("", op(And(phi, psi))),
+        ("", op(Not(phi))),
+        *((f"[{a}]", op(Box(a, phi))) for a in model.frame.agents),
+    ]
+
+
+def verify_pal_reductions(
+    model: KripkeModel,
+    sigma: Formula,
+    phi: Formula,
+    psi: Formula,
+    registry: Optional[Mapping[str, EventModel]] = None,
+) -> LawReport:
+    """Announcement reduction laws, checked as extension equalities."""
+    redexes = _static_redexes(model, lambda body: PalBox(sigma, body), phi, psi)
+    return _law_report(model, registry or {}, (), redexes)
+
+
+def verify_del_reductions(
+    model: KripkeModel,
+    ev_model: EventModel,
+    event: str,
+    phi: Formula,
+    psi: Formula,
+    registry: Optional[Mapping[str, EventModel]] = None,
+    ref: str = "_update",
+) -> LawReport:
+    """Event reduction laws for one event, checked as extension equalities."""
+    if event not in ev_model.events:
+        raise UnknownEvent(f"event {event!r} not in event model")
+    redexes = _static_redexes(model, lambda body: DelBox(ref, event, body), phi, psi)
+    return _law_report(model, {**(registry or {}), ref: ev_model}, (), redexes)
+
+
+def verify_quantifier_reduction(
+    model: SheafModel,
+    ev: EventModel,
+    event: str,
+    phi: FormulaInContext,
+    registry: Optional[Mapping[str, EventModel]] = None,
+    ref: str = "_update",
+) -> LawReport:
+    """Event box commutes with the universal quantifier (and dia with exists).
+
+    The formula's context must be nonempty; its last variable is the one
+    quantified.
+    """
+    if not phi.context:
+        raise InvariantViolation("verify_quantifier_reduction: context must be nonempty")
+    *outer, y = phi.context
+    redexes = [
+        ("", DelBox(ref, event, Forall(y, phi.body))),
+        ("", DelDia(ref, event, Exists(y, phi.body))),
+    ]
+    return _law_report(model, {**(registry or {}), ref: ev}, tuple(outer), redexes)

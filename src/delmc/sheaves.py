@@ -22,7 +22,9 @@ Updating by an event model with closed preconditions pulls the whole
 structure back: worlds, individuals, interpretation tables.  The update of
 a sheaf model is again a sheaf model.  It is built trusted, like every
 kernel result; ``check_pullback_update`` re-proves the sheaf conditions
-and the tables, and the ``sheaf`` law suite runs it on every case.
+and the tables, and the ``sheaf`` law suite runs it on every case.  The
+quantifier reduction law reads the axiom table, so its check
+(``verify_quantifier_reduction``) lives beside it in ``reduction``.
 
 Points carry their structure as indices.  A point of a fibered power is a
 tuple of individuals over a world, read off the power's legs; a point of
@@ -60,8 +62,6 @@ from .formulas import (
     DelBox,
     DelDia,
     Dia,
-    Exists,
-    Forall,
     Formula,
     FormulaInContext,
     Fun,
@@ -889,39 +889,4 @@ def check_pullback_update(upd: SheafUpdate) -> LawReport:
     ]
     for name, fault in faults:
         checks.append(LawCheck(name, fault is None, witness=fault and str(fault)))
-    return LawReport(tuple(checks))
-
-
-def verify_quantifier_reduction(
-    model: SheafModel,
-    ev: EventModel,
-    event: str,
-    phi: FormulaInContext,
-    registry: Optional[Mapping[str, EventModel]] = None,
-    ref: str = "_update",
-) -> LawReport:
-    """Event box commutes with the universal quantifier (and dia with exists).
-
-    The formula's context must be nonempty; its last variable is the one
-    quantified.
-    """
-    if not phi.context:
-        raise InvariantViolation("verify_quantifier_reduction: context must be nonempty")
-    reg = dict(registry or {})
-    reg[ref] = ev
-    evaluator = _Evaluator(reg)
-    outer = phi.context[:-1]
-    y = phi.context[-1]
-    checks: List[LawCheck] = []
-    for name, quantifier, operator in (
-        ("box-forall", Forall, DelBox),
-        ("dia-exists", Exists, DelDia),
-    ):
-        lhs = evaluator.ext(model, outer, operator(ref, event, quantifier(y, phi.body)))
-        rhs = evaluator.ext(model, outer, quantifier(y, operator(ref, event, phi.body)))
-        if lhs == rhs:
-            checks.append(LawCheck(name, True))
-        else:
-            diff = sorted(lhs.members.symmetric_difference(rhs.members))
-            checks.append(LawCheck(name, False, witness=f"sides differ at {diff}"))
     return LawReport(tuple(checks))

@@ -31,6 +31,9 @@ from delmc import (
     parse_formula,
     print_formula,
     reduce_formula,
+    verify_del_reductions,
+    verify_pal_reductions,
+    verify_quantifier_reduction,
 )
 from delmc import reduction
 from delmc.formulas import children
@@ -153,7 +156,7 @@ def test_size_cap_counts_every_node(monkeypatch, two_worlds, with_model):
     res = reduce_formula(phi, model)
     sizes = [len(list(_nodes(step.result))) for step in res.steps]
     peak = max(sizes)
-    assert peak == 155
+    assert peak == 149
     monkeypatch.setattr(reduction, "MAX_REDUCED_NODES", peak)
     assert reduce_formula(phi, model).result == res.result
     monkeypatch.setattr(reduction, "MAX_REDUCED_NODES", peak - 1)
@@ -222,8 +225,8 @@ AXIOM_TABLE = {
     ("pal-box", "pred"): ("NotReducible", "announcement over a Pred body has no reduction rule"),
     ("pal-box", "not"): ("pal-not", "s -> ~[!s]p"),
     ("pal-box", "and"): ("pal-and", "[!s]p & [!s]q"),
-    ("pal-box", "or"): ("pal-or", "s -> [!s]p | [!s]q"),
-    ("pal-box", "imp"): ("pal-imp", "s -> [!s]p -> [!s]q"),
+    ("pal-box", "or"): ("pal-or", "[!s]p | [!s]q"),
+    ("pal-box", "imp"): ("pal-imp", "[!s]p -> [!s]q"),
     ("pal-box", "box"): ("pal-box", "s -> [a][!s]p"),
     ("pal-box", "box-none"): ("pal-box", "s -> [b][!s]p"),
     ("pal-box", "dia"): ("pal-dia", "s -> <a><!s>p"),
@@ -258,8 +261,8 @@ AXIOM_TABLE = {
     ("event-box", "pred"): ("event-pred", "q -> P(x)"),
     ("event-box", "not"): ("event-not", "q -> ~[G,e]p"),
     ("event-box", "and"): ("event-and", "[G,e]p & [G,e]q"),
-    ("event-box", "or"): ("event-or", "q -> [G,e]p | [G,e]q"),
-    ("event-box", "imp"): ("event-imp", "q -> [G,e]p -> [G,e]q"),
+    ("event-box", "or"): ("event-or", "[G,e]p | [G,e]q"),
+    ("event-box", "imp"): ("event-imp", "[G,e]p -> [G,e]q"),
     ("event-box", "box"): ("event-box", "q -> [a][G,e]p & [a][G,f]p"),
     ("event-box", "box-none"): ("event-box", "q -> true"),
     ("event-box", "dia"): ("event-dia", "q -> <a><G,e>p | <a><G,f>p"),
@@ -316,3 +319,42 @@ def test_dropped_precondition_still_advances_fresh_names(fo_event):
     assert [s.rule for s in res.steps] == ["event-and", "event-top", "event-forall", "event-pred"]
     assert print_formula(res.steps[-1].replacement) == "(exists u_4. P(u_4)) -> P(u)"
     assert print_formula(res.result) == "true & forall u. (exists u_4. P(u_4)) -> P(u)"
+
+
+# The row planted wrong (by body kind), and the checks that must then fail.
+PLANTED_ROWS = {
+    "atom": (Atom, {"pal": ["pal-atom[p]", "pal-atom[q]"], "del": ["event-atom[p]", "event-atom[q]"]}),
+    "and": (And, {"pal": ["pal-and"], "del": ["event-and"]}),
+    "not": (Not, {"pal": ["pal-not"], "del": ["event-not"]}),
+    "box": (Box, {"pal": ["pal-box[a]", "pal-box[b]"], "del": ["event-box[a]", "event-box[b]"]}),
+    "forall": (Forall, {"fo": ["event-forall"]}),
+    "exists": (Exists, {"fo": ["event-dia-exists"]}),
+}
+
+
+@pytest.mark.parametrize("planted", sorted(PLANTED_ROWS))
+def test_law_checks_read_the_rewriter_table(
+    monkeypatch, planted, two_worlds, private_announcement_event, two_fibers, fo_event
+):
+    # a planted row negates its replacement, so its two sides differ at
+    # every world of the fixtures, and no other check may notice
+    kind, failing = PLANTED_ROWS[planted]
+    step = reduction._Rewriter.step
+
+    def planted_step(self, redex):
+        rule, replacement = step(self, redex)
+        return rule, Not(replacement) if isinstance(redex.body, kind) else replacement
+
+    monkeypatch.setattr(reduction._Rewriter, "step", planted_step)
+    phi = Box("a", Q)
+    reports = {
+        "pal": verify_pal_reductions(two_worlds, P, phi, Q),
+        "del": verify_del_reductions(two_worlds, private_announcement_event, "ep", phi, Q),
+        "fo": verify_quantifier_reduction(
+            two_fibers, fo_event, "e1", FormulaInContext(("x",), Pred("P", (Var("x"),)))
+        ),
+    }
+    for law, rep in reports.items():
+        failed = rep.failures()
+        assert [c.name for c in failed] == failing.get(law, [])
+        assert all(c.witness == "sides differ at ['w1', 'w2']" for c in failed)
