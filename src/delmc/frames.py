@@ -10,6 +10,13 @@ those maps monotone (the initial lift), where a point steps to another
 exactly when every coordinate steps.  ``initial_lift`` computes the same
 lift of a given family of functions.
 
+The lift is defined agent by agent, so a lifted frame builds an agent's
+relation the first time ``rel`` reads it, and keeps it.  A relation no
+one reads is never built: a modal-free formula evaluated on a submodel,
+for one, reads only its valuation.  A frame's hash is that of its
+carrier and agents, so keying a memo by a lifted frame builds nothing;
+equality compares the relations, building them if it must.
+
 Points are given by index columns: column k holds, for each point in
 carrier order, the index of its k-th coordinate in the k-th target's
 carrier.  Each construction passes the indices it already holds, and
@@ -20,7 +27,7 @@ operation exposed is the common-knowledge relation of a group of agents.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from functools import cached_property, partial, reduce
 from itertools import compress
 from operator import and_
@@ -79,29 +86,51 @@ class AgentSet:
         return a in self.agents
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KripkeFrame:
-    """A carrier with one accessibility relation per agent."""
+    """A carrier with one accessibility relation per agent.
+
+    ``KripkeFrame(carrier, agents, relations)`` and ``make`` take every
+    relation up front and check it.  A lifted frame (see ``_lift``) holds
+    instead a builder, which makes an agent's relation on its first read
+    through ``rel``; the frame keeps it after that.  The builder holds the
+    lift's targets and columns, never the frame, so a frame is freed by
+    reference counting alone.  The hash reads the carrier and agents
+    only; equality also compares each agent's relation.
+    """
 
     carrier: FiniteSet
     agents: AgentSet
-    relations: Tuple[Rel, ...]
+    relations: InitVar[Tuple[Rel, ...]]
 
-    def __post_init__(self):
-        if len(self.relations) != len(self.agents):
+    def __post_init__(self, relations):
+        if len(relations) != len(self.agents):
             raise InvariantViolation("one relation per agent required")
-        for r in self.relations:
+        for r in relations:
             if r.dom != self.carrier or r.cod != self.carrier:
                 raise InvariantViolation(
                     f"relation carrier {r.dom.name!r}/{r.cod.name!r} does not match frame carrier"
                 )
+        object.__setattr__(self, "_rels", dict(zip(self.agents, relations)))
+        object.__setattr__(self, "_build", None)
 
     def __hash__(self) -> int:
         return self._hash
 
     @cached_property
     def _hash(self) -> int:
-        return hash((self.carrier, self.agents, self.relations))
+        return hash((self.carrier, self.agents))
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if type(other) is not KripkeFrame:
+            return NotImplemented
+        return (
+            self.carrier == other.carrier
+            and self.agents == other.agents
+            and all(self.rel(a) == other.rel(a) for a in self.agents)
+        )
 
     @staticmethod
     def make(carrier: FiniteSet, agents: AgentSet, rels: Mapping[str, Rel]) -> "KripkeFrame":
@@ -112,10 +141,14 @@ class KripkeFrame:
 
     def rel(self, agent: str) -> Rel:
         try:
-            i = self.agents.agents.index(agent)
-        except ValueError:
-            raise UnknownAgent(f"agent {agent!r} not in frame over {self.carrier.name!r}") from None
-        return self.relations[i]
+            return self._rels[agent]
+        except KeyError:
+            if agent not in self.agents:
+                raise UnknownAgent(
+                    f"agent {agent!r} not in frame over {self.carrier.name!r}"
+                ) from None
+        r = self._rels[agent] = self._build(agent)
+        return r
 
 
 @dataclass(frozen=True)
@@ -180,11 +213,9 @@ def _lift(
     ``cols[k][p]`` is the index, in ``targets[k]``'s carrier, of point p's
     k-th coordinate.  Per column, ``over[c]`` is the mask of the points
     whose coordinate is c, and the column's image is the mask of the
-    target points some point lies over.  Per agent, ``reach[c]`` is the
-    mask of the points over c's successors, and only successors inside
-    the image are walked: the others have no point over them.  A point's
-    row is the AND, across columns, of what its coordinates reach.  An
-    empty family relates every pair.
+    target points some point lies over.  These, and the agent check, are
+    computed here; each agent's relation is left to ``_lift_rel``, which
+    the frame calls on the agent's first read.
     """
     if any(t.agents != agents for t in targets):
         raise AgentMismatch("initial lift: the frames carry different agent sets")
@@ -199,18 +230,24 @@ def _lift(
         images.append(
             t.carrier.full if all(over_k) else sum(1 << c for c, m in enumerate(over_k) if m)
         )
-    rels = {}
-    for a in agents:
-        steps = []
-        for t, col, over_k, image in zip(targets, cols, over, images):
-            reach = [
-                union_of(over_k, r & image) if m else 0 for m, r in zip(over_k, t.rel(a).rows)
-            ]
-            steps.append(map(reach.__getitem__, col))
-        # a point's row: the AND across columns of what its coordinates reach
-        rows = reduce(partial(map, and_), steps) if steps else [carrier.full] * len(carrier)
-        rels[a] = _rel(carrier, carrier, rows)
-    return KripkeFrame.make(carrier, agents, rels)
+    build = partial(_lift_rel, carrier, tuple(zip(targets, cols, over, images)))
+    return _unchecked(KripkeFrame, carrier=carrier, agents=agents, _rels={}, _build=build)
+
+
+def _lift_rel(carrier: FiniteSet, columns: Sequence[tuple], a: str) -> Rel:
+    """One agent's relation of a lift, from ``_lift``'s (target, col, over, image) columns.
+
+    Per column, ``reach[c]`` is the mask of the points over c's successors,
+    and only successors inside the image are walked: the others have no
+    point over them.  A point's row is the AND, across columns, of what its
+    coordinates reach.  An empty family relates every pair.
+    """
+    steps = []
+    for t, col, over_k, image in columns:
+        reach = [union_of(over_k, r & image) if m else 0 for m, r in zip(over_k, t.rel(a).rows)]
+        steps.append(map(reach.__getitem__, col))
+    rows = reduce(partial(map, and_), steps) if steps else [carrier.full] * len(carrier)
+    return _rel(carrier, carrier, rows)
 
 
 def lift_points(

@@ -386,6 +386,12 @@ class _Evaluator:
         return exists_image(rows, inner)
 
     def pal(self, model: KripkeModel, sigma: Formula) -> Tuple[KripkeModel, FrameMap]:
+        """The submodel of the announcement's extent, with its inclusion.
+
+        The subframe is a lift, so each agent's relation is built when a
+        modal node of the body first reads it.  A modal-free body reads
+        only the valuation, and its announcement lifts nothing.
+        """
         key = (model, sigma)
         hit = self.pal_memo.get(key)
         if hit is not None:

@@ -16,6 +16,7 @@ from delmc import (
     Subset,
     load_file,
 )
+from delmc import frames
 
 settings.register_profile(
     "suite",
@@ -46,6 +47,23 @@ ACROSS_WORLDS = [
         "sheaf-model.predicates.R.extension[1]: arguments ['d2', 'd3'] do not share a world",
     ),
 ]
+
+
+@pytest.fixture
+def lift_builds(monkeypatch):
+    """The agents whose lifted relations get built, in order of building.
+
+    Counts the lifts made while the fixture is active: a lifted frame keeps
+    the builder it was made with.
+    """
+    built = []
+
+    def counted(carrier, columns, agent, original=frames._lift_rel):
+        built.append(agent)
+        return original(carrier, columns, agent)
+
+    monkeypatch.setattr(frames, "_lift_rel", counted)
+    return built
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,11 @@
 """Frame constructions: lifts, products, subframes, pullbacks, bisimulations."""
 
+import gc
 import os
 import random
 import subprocess
 import sys
+import weakref
 
 import pytest
 from hypothesis import given
@@ -49,6 +51,7 @@ from delmc import (
     largest_preserved_check,
     leq,
     meet,
+    pal_update,
     preimage_map,
     product,
     pullback,
@@ -70,6 +73,7 @@ from delmc.generators import (
     random_sheaf_model,
     random_subset,
 )
+from delmc.frames import lift_points
 from delmc.models import updated_frame
 from delmc.powerset import MEET
 
@@ -297,12 +301,56 @@ def test_product_projections_and_lift():
     assert is_monotone(FrameMap(zf, prod, paired))
 
 
-def test_product_requires_same_agents():
+def test_product_requires_same_agents(lift_builds):
+    # the agent check runs when the frame is lifted, not on its first read
     f1 = chain_frame()
     w = FiniteSet("v", ("v1",))
     f2 = KripkeFrame.make(w, A, {"a": identity(w)})
     with pytest.raises(AgentMismatch):
         product(f1, f2)
+    with pytest.raises(AgentMismatch):
+        lift_points("m", [f1, f2], ["m1"], [[0], [0]])
+    assert lift_builds == []
+
+
+def test_lifted_frames_equal_and_hash_as_given_frames(lift_builds):
+    f1 = chain_frame()
+    w = FiniteSet("v", ("v1", "v2"))
+    f2 = KripkeFrame.make(w, AB, {"a": identity(w), "b": total(w, w)})
+    ref = product(f1, f2)[0]
+    given = KripkeFrame.make(ref.carrier, AB, {a: ref.rel(a) for a in AB})
+    lift_builds.clear()
+    fresh, partly = product(f1, f2)[0], product(f1, f2)[0]
+    partly.rel("b")
+    assert lift_builds == ["b"]
+    for lifted in (fresh, partly):
+        # the hash reads no relation, so a lifted frame keys a memo unbuilt
+        before = list(lift_builds)
+        assert hash(lifted) == hash(given) and {lifted: 1}.get(lifted) == 1
+        assert lift_builds == before
+        assert lifted == given and given == lifted
+        assert hash(lifted) == hash(given)
+    assert lift_builds == ["b", "a", "b", "a"]
+    # equal carriers and agents, one relation differs
+    other = KripkeFrame.make(ref.carrier, AB, {"a": ref.rel("a"), "b": identity(ref.carrier)})
+    assert hash(other) == hash(given) and other != given
+    assert product(f1, f2)[0] != other
+
+
+def test_lifted_frames_are_freed_without_the_collector(two_worlds):
+    # a lifted frame's builder holds the lift's targets, never the frame
+    sub, incl = pal_update(two_worlds, Atom("p"))
+    prod, p1, p2 = product(two_worlds.frame, sub.frame)
+    prod.rel("a")
+    gone = [weakref.ref(x) for x in (sub, sub.frame, prod)]
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        del sub, incl, prod, p1, p2
+        assert [r() for r in gone] == [None, None, None]
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 def test_subframe_restricts_relations():

@@ -5,6 +5,7 @@ import pytest
 from delmc import (
     DEFAULT_CASES,
     InvariantViolation,
+    KripkeModel,
     SUITES,
     Report,
     run_all,
@@ -71,3 +72,19 @@ def test_self_test_catches_planted_defect():
     assert rep.caught
     assert rep.tried > 0
     assert rep.witness
+
+
+def test_del_reduction_builds_each_update_once(monkeypatch):
+    # the suite's preconditions are static, so the verified laws, the
+    # update-route check, the no-learning check and the verified reduce
+    # of a case share the update kept on its model
+    built = []
+
+    def counted(self, ev, ext, original=KripkeModel.build_update):
+        built.append((self, ev))  # held, so no id is reused
+        return original(self, ev, ext)
+
+    monkeypatch.setattr(KripkeModel, "build_update", counted)
+    assert run_suite("del-reduction", seed=0, cases=30).ok
+    keys = [(id(model), id(ev)) for model, ev in built]
+    assert len(keys) == len(set(keys))

@@ -41,6 +41,7 @@ from delmc import (
     is_monotone,
     no_learning_check,
     pal_update,
+    parse_formula,
     product_update,
     rel,
     static_precondition_modalities,
@@ -175,6 +176,15 @@ def test_pal_update_is_submodel(two_worlds):
     assert tuple(updated.frame.carrier) == ("w1",)
     assert is_monotone(incl)
     assert updated.val("q").members == {"w1"}
+
+
+def test_announcements_build_only_the_relations_their_bodies_read(two_worlds, lift_builds):
+    om = oracle.from_model(two_worlds)
+    for text, reads in (("[!p]q", []), ("[!p][a]q", ["a"]), ("<!q>(p & <b>p)", ["b"])):
+        lift_builds.clear()
+        phi = parse_formula(text)
+        assert extension(two_worlds, phi).members == oracle.extension(om, phi)
+        assert lift_builds == reads, text
 
 
 def test_product_update_structure(two_worlds, private_announcement_event):
