@@ -881,14 +881,11 @@ def run_del_reduction(seed: int = 0, cases: int = 500, max_size: int = 4) -> Rep
         refs = [("_update", e) for e in events] if rng.random() < 0.3 else []
         phi = random_formula(rng, atoms, ag, rng.randrange(0, 3), event_refs=refs)
         psi = random_formula(rng, atoms, ag, rng.randrange(0, 2), allow_dynamic=False)
-        # the preconditions are static, so one registry at every call lets
-        # all four share the update kept on the model
-        registry = {"_update": ev_model}
         rep = verify_del_reductions(model, ev_model, event, phi, psi)
         col.expect_checks(f"{tag}: ", rep)
-        col.expect_checks(f"{tag}: ", check_update_routes(product_update(model, ev_model, registry)))
+        col.expect_checks(f"{tag}: ", check_update_routes(product_update(model, ev_model)))
 
-        nl = no_learning_check(model, ev_model, depth=2, registry=registry)
+        nl = no_learning_check(model, ev_model, depth=2)
         col.expect(
             f"{tag}: event box of a bounded update never teaches",
             (not nl.bounded) or nl.holds,
@@ -901,7 +898,7 @@ def run_del_reduction(seed: int = 0, cases: int = 500, max_size: int = 4) -> Rep
             rng, atoms, ag, rng.randrange(1, 3), event_refs=[("_update", e) for e in events]
         )
         try:
-            res = reduce_formula(dyn, model=model, registry=registry)
+            res = reduce_formula(dyn, model=model, registry={"_update": ev_model})
         except (NotReducible, InvariantViolation) as exc:
             col.expect(f"{tag}: rewriting stays extension-true", False, str(exc))
         else:

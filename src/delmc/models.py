@@ -18,13 +18,13 @@ empty context.  Each model supplies the layer-specific part (the frame of
 a context, leaves, the quantifier map, its update and that update's
 transitions); the evaluator holds the rest once.
 
-An update belongs to the model it updates: each model keeps the updates
-built on it, keyed by the event model and the registry its preconditions
-resolve through (both by value), so every query, reduction and update on
-one model object shares one build per key.  A build that raises leaves no
-entry, and an entry lives as long as its model object.  The model holds
-its updates but an update's way back to its model (``source``) is not
-kept in the model's cache, so the two form no reference cycle and a model
+Updates and announcements are kept on the model they are built on, by
+extents: an update under its event model and its preconditions' extents,
+an announcement under its extent.  So every query, reduction and update
+on one model object shares one build per key, however a precondition is
+written and whichever registry resolved it.  A build that raises leaves
+no entry, and an entry lives as long as its model object.  Nothing kept
+points back to the model (an update's ``source`` is not kept), so a model
 is freed by reference counting alone.
 
 Event preconditions may themselves be dynamic (they are evaluated on the
@@ -42,7 +42,7 @@ import dataclasses
 import weakref
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from .errors import (
     CapExceeded,
@@ -78,6 +78,7 @@ from .powerset import (
     MEET,
     PowersetMap,
     Subset,
+    _subset,
     all_subsets,
     apply,
     compose_maps,
@@ -124,8 +125,8 @@ class KripkeModel:
         return hash((self.frame, self.valuation))
 
     @cached_property
-    def _updates(self) -> Dict[tuple, tuple]:
-        """The updates built on this model; ``_Evaluator.build_update`` fills it."""
+    def _updates(self) -> Dict[object, tuple]:
+        """Updates and announcements built here, keyed by extents; the evaluator fills it."""
         return {}
 
     @property
@@ -157,13 +158,14 @@ class KripkeModel:
     def transition(self, upd: "UpdateResult", n: int, e: str) -> Rel:
         return upd.transition(e)
 
-    def build_update(self, ev: "EventModel", ext: Callable[[Formula], Subset]) -> "UpdateResult":
-        """Product update, given the extension of a closed formula here."""
-        frame_x = self.frame
-        extents = {e: ext(ev.pre(e)) for e in ev.events}
-        frame, (p_x, p_e), transitions = updated_frame(
-            frame_x, ev.frame, {e: s.mask for e, s in extents.items()}
-        )
+    @staticmethod
+    def sentence(pre: Formula, e: str) -> Formula:
+        return pre
+
+    def build_update(self, ev: "EventModel", extents: Tuple[int, ...]) -> "UpdateResult":
+        """Product update, given each event's precondition extent as a mask."""
+        masks = dict(zip(ev.events, extents))
+        frame, (p_x, p_e), transitions = updated_frame(self.frame, ev.frame, masks)
         # an updated point satisfies an atom when its old world does
         old_rows = p_x.fn.rows
         val = {
@@ -176,7 +178,7 @@ class KripkeModel:
             updated=KripkeModel.make(frame, val),
             p_x=p_x,
             p_e=p_e,
-            pre_extents=tuple((e, extents[e]) for e in ev.events),
+            pre_extents=tuple((e, _subset(self.frame.carrier, m)) for e, m in masks.items()),
             transitions=tuple((e, transitions[e]) for e in ev.events),
         )
 
@@ -285,7 +287,7 @@ def updated_frame(
 
 
 class _Evaluator:
-    """Extensions on either layer, memoised per evaluator; updates kept per model.
+    """Extensions memoised per evaluator; updates and announcements kept per model.
 
     ``ext(model, context, phi)`` is the subset of the context's points where
     the formula holds; ``mask`` is the same as a mask, and the walk from
@@ -306,30 +308,28 @@ class _Evaluator:
       Subset;
     - ``drop_last_map(n)``: the map from the (n+1)- to the n-variable
       context's points that quantifiers take images along (sheaves only);
-    - ``build_update(ev, ext)``: the update by an event model, given the
-      extension of a closed formula on the model;
+    - ``sentence(pre, e)``: event e's precondition as this layer reads it;
+    - ``build_update(ev, extents)``: the update by an event model, given
+      each event's precondition extent as a mask;
     - ``transition(upd, n, e)``: that update's relation from old points to
       their updated copies under event e;
-    - ``_updates``: the dict of updates built on it, which this class
-      reads and fills;
+    - ``_updates``: the dict of updates and announcements built on it,
+      keyed by extents, which this class reads and fills;
     - an update type with ``with_source(model)``: the same update over
       another source object, which ``build_update`` uses to keep the
       update detached from its model.
 
-    The extension memo and the announcement memo last as long as the
-    evaluator.  Updates outlive it: ``build_update`` keeps each finished
-    update on its model under ``(event model, registry)``, so later calls
-    on the same model object, through any entry point, reuse it.
-    Announcements stay Kripke-only.  A node a layer does not interpret
-    raises UnknownSymbol.  Models key the memo by value (Kripke models) or
-    by identity (sheaf models).
+    The extension memo lasts as long as the evaluator.  Updates and
+    announcements outlive it, kept on their model by extent masks, so later
+    calls on the same model object, through any entry point and under any
+    registry, reuse them.  Announcements stay Kripke-only.  A node a layer
+    does not interpret raises UnknownSymbol.  Models key the memo by value
+    (Kripke models) or by identity (sheaf models).
     """
 
     def __init__(self, registry: Optional[Mapping[str, EventModel]] = None):
         self.registry = dict(registry or {})
-        self.registry_key = frozenset(self.registry.items())
         self.memo: Dict[tuple, int] = {}
-        self.pal_memo: Dict[Tuple[KripkeModel, Formula], Tuple[KripkeModel, FrameMap]] = {}
         self.updating: set = set()
 
     def ext(self, model, context: Tuple[str, ...], phi: Formula) -> Subset:
@@ -388,25 +388,21 @@ class _Evaluator:
     def pal(self, model: KripkeModel, sigma: Formula) -> Tuple[KripkeModel, FrameMap]:
         """The submodel of the announcement's extent, with its inclusion.
 
-        The subframe is a lift, so each agent's relation is built when a
-        modal node of the body first reads it.  A modal-free body reads
-        only the valuation, and its announcement lifts nothing.
+        The model keeps the pair by the extent's mask, so announcements of
+        one extent share one submodel.  The subframe is a lift, so a modal-free
+        body lifts nothing: a relation is built when a modal node first reads it.
         """
-        key = (model, sigma)
-        hit = self.pal_memo.get(key)
-        if hit is not None:
-            return hit
         extent = self.ext(model, (), sigma)
-        frame, incl = subframe(model.frame, extent, tag="!")
-        # the inclusion's rows pick each kept world's bit out of a valuation
-        rows = incl.fn.rows
-        val = {
-            n: _unchecked(Subset, carrier=frame.carrier, mask=exists_image(rows, s.mask))
-            for n, s in model.valuation
-        }
-        sub = KripkeModel.make(frame, val)
-        self.pal_memo[key] = (sub, incl)
-        return sub, incl
+        hit = model._updates.get(extent.mask)
+        if hit is None:
+            frame, incl = subframe(model.frame, extent, tag="!")
+            # the inclusion's rows pick each kept world's bit out of a valuation
+            rows = incl.fn.rows
+            val = {
+                n: _subset(frame.carrier, exists_image(rows, s.mask)) for n, s in model.valuation
+            }
+            hit = model._updates[extent.mask] = (KripkeModel.make(frame, val), incl)
+        return hit
 
     def update(self, model, ref: str):
         if ref not in self.registry:
@@ -423,7 +419,7 @@ class _Evaluator:
             self.updating.discard(key)
 
     def build_update(self, model, ev: EventModel):
-        """The model's update by ev under this registry, built on first use.
+        """The model's update by ev, kept under ev and its preconditions' extents.
 
         The model keeps, per key, the update detached from it (source None)
         and a weak reference to the update it last handed out, so the
@@ -431,7 +427,8 @@ class _Evaluator:
         as soon as its last reference goes.  While a caller holds an
         update, every later call returns that same object.
         """
-        key = (ev, self.registry_key)
+        extents = tuple(self.mask(model, (), model.sentence(pre, e)) for e, pre in ev.preconditions)
+        key = (ev, extents)
         cache = model._updates
         entry = cache.get(key)
         if entry is not None:
@@ -441,7 +438,7 @@ class _Evaluator:
                 out = body.with_source(model)
                 cache[key] = (body, weakref.ref(out))
             return out
-        out = model.build_update(ev, lambda phi: self.ext(model, (), phi))
+        out = model.build_update(ev, extents)
         cache[key] = (out.with_source(None), weakref.ref(out))
         return out
 
@@ -464,7 +461,7 @@ def pal_update(
     sigma: Formula,
     registry: Optional[Mapping[str, EventModel]] = None,
 ) -> Tuple[KripkeModel, FrameMap]:
-    """Submodel of the announcement's extent, with its inclusion."""
+    """Submodel of the announcement's extent and its inclusion, kept on the model."""
     return _Evaluator(registry).pal(model, sigma)
 
 
@@ -475,9 +472,9 @@ def product_update(
 ) -> UpdateResult:
     """Product update of a model by an event model.
 
-    The result is kept on the model under ``(ev, registry)``: a second call,
-    or a query or reduction with an event operator resolving to ev under the
-    same registry, returns the same object instead of building it again.
+    The result is kept on the model under ev and its preconditions'
+    extents: a second call, or a query or reduction whose event operator
+    resolves to ev with those extents, returns the same object.
     """
     return _Evaluator(registry).build_update(model, ev)
 

@@ -14,9 +14,9 @@ frame of each context's fibered power, predicate leaves and term values,
 the quantifier drop map, and its pullback update.  Fibered powers depend
 only on the sheaf, which builds each one once, and raises CapExceeded
 before building one of more than ``MAX_POWER_CARRIER`` points; pullback
-updates are kept on the sheaf model they update, one per event model and
-registry, so queries, reductions and ``pullback_update`` on one model
-share them.
+updates are kept on the sheaf model they update, by the event model and
+its preconditions' extents, so queries, reductions and ``pullback_update``
+on one model share them.
 
 Updating by an event model with closed preconditions pulls the whole
 structure back: worlds, individuals, interpretation tables.  The update of
@@ -41,9 +41,9 @@ from __future__ import annotations
 import copy
 import itertools
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import compress
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import (
     ArityMismatch,
@@ -92,7 +92,7 @@ from .models import (
     _relation_check,
     updated_frame,
 )
-from .powerset import Subset, exists_image
+from .powerset import Subset, _subset, exists_image
 from .rel import (
     FiniteSet,
     Rel,
@@ -451,8 +451,8 @@ class SheafModel:
         self.fn_interp_map = {n: fn_interp[n] for n, _ in signature.function_symbols}
         self.rel_interp_map = {n: rel_interp[n] for n, _ in signature.relation_symbols}
         self._drops: Dict[int, Rel] = {}
-        # updates built on this model; _Evaluator.build_update fills it
-        self._updates: Dict[tuple, "SheafUpdate"] = {}
+        # updates built on this model, keyed by extents; the evaluator fills it
+        self._updates: Dict[tuple, tuple] = {}
 
     def power(self, n: int) -> FiberedPower:
         return self.sheaf.power(n)
@@ -498,6 +498,8 @@ class SheafModel:
             raise ArityMismatch(
                 f"relation symbol {phi.name!r} expects {arity} arguments, got {len(phi.args)}"
             )
+        if not context and not arity:
+            return self.rel_interp_map[phi.name]  # the empty context's points are the worlds
         # arity 0: the points whose world lies in the extension
         mask = _pulled(self.rel_interp_map[phi.name].mask, self.arg_points(context, phi.args))
         return _unchecked(Subset, carrier=self.power(len(context)).carrier, mask=mask)
@@ -515,19 +517,22 @@ class SheafModel:
     def transition(self, upd: "SheafUpdate", n: int, e: str) -> Rel:
         return upd.transition(n, e)
 
-    def build_update(self, ev: EventModel, ext: Callable[[Formula], Subset]) -> "SheafUpdate":
-        """Pullback update, given the extension of a closed formula here."""
+    @staticmethod
+    @lru_cache(maxsize=1024)
+    def sentence(pre: Formula, e: str) -> Formula:
+        """Event e's precondition, atoms folded into 0-ary predicates; it must
+        have no free variable.  Kept per formula: every update lookup reads it."""
+        open_vars = free_vars(pre)
+        if open_vars:
+            raise OpenPrecondition(
+                f"precondition of event {e!r} has free variables {sorted(open_vars)}"
+            )
+        return as_sentence(pre).body
+
+    def build_update(self, ev: EventModel, extents: Tuple[int, ...]) -> "SheafUpdate":
+        """Pullback update, given each event's precondition extent as a mask."""
         sheaf = self.sheaf
-        extents: Dict[str, Subset] = {}
-        for e in ev.events:
-            pre = ev.pre(e)
-            open_vars = free_vars(pre)
-            if open_vars:
-                raise OpenPrecondition(
-                    f"precondition of event {e!r} has free variables {sorted(open_vars)}"
-                )
-            extents[e] = ext(as_sentence(pre).body)
-        world_masks = {e: s.mask for e, s in extents.items()}
+        world_masks = dict(zip(ev.events, extents))
         new_base, (p_x, p_e), world_steps = updated_frame(sheaf.base, ev.frame, world_masks)
         # the individuals over the extent of each event
         proj_rows = sheaf.proj.fn.rows
@@ -585,7 +590,7 @@ class SheafModel:
             p_x=p_x,
             p_e=p_e,
             p_d=p_d,
-            extents=extents,
+            extents={e: _subset(sheaf.base.carrier, m) for e, m in world_masks.items()},
             parts=parts,
             transitions={
                 **{(0, e): r for e, r in world_steps.items()},
@@ -727,9 +732,9 @@ def pullback_update(
 ) -> SheafUpdate:
     """Update a sheaf model by an event model with closed preconditions.
 
-    The result is kept on the model under ``(ev, registry)``: a second call,
-    or a query or reduction with an event operator resolving to ev under the
-    same registry, returns the same object instead of building it again.
+    The result is kept on the model under ev and its preconditions'
+    extents: a second call, or a query or reduction whose event operator
+    resolves to ev with those extents, returns the same object.
     """
     return _Evaluator(registry).build_update(model, ev)
 

@@ -12,6 +12,7 @@ from hypothesis import given
 import hypothesis.strategies as st
 
 import strategies as strat
+from conftest import data_path
 from delmc import (
     AgentMismatch,
     AgentSet,
@@ -50,6 +51,7 @@ from delmc import (
     is_transitive,
     largest_preserved_check,
     leq,
+    load_file,
     meet,
     pal_update,
     preimage_map,
@@ -337,17 +339,19 @@ def test_lifted_frames_equal_and_hash_as_given_frames(lift_builds):
     assert product(f1, f2)[0] != other
 
 
-def test_lifted_frames_are_freed_without_the_collector(two_worlds):
-    # a lifted frame's builder holds the lift's targets, never the frame
-    sub, incl = pal_update(two_worlds, Atom("p"))
-    prod, p1, p2 = product(two_worlds.frame, sub.frame)
+def test_lifted_frames_are_freed_without_the_collector():
+    # a lifted frame's builder holds the lift's targets, never the frame;
+    # the model keeps its announcement, which never points back to it
+    model = load_file(data_path("two_worlds.json"))[1]
+    sub, incl = pal_update(model, Atom("p"))
+    prod, p1, p2 = product(model.frame, sub.frame)
     prod.rel("a")
-    gone = [weakref.ref(x) for x in (sub, sub.frame, prod)]
+    gone = [weakref.ref(x) for x in (model, sub, sub.frame, prod)]
     was_enabled = gc.isenabled()
     gc.disable()
     try:
-        del sub, incl, prod, p1, p2
-        assert [r() for r in gone] == [None, None, None]
+        del model, sub, incl, prod, p1, p2
+        assert [r() for r in gone] == [None, None, None, None]
     finally:
         if was_enabled:
             gc.enable()

@@ -80,9 +80,9 @@ def test_del_reduction_builds_each_update_once(monkeypatch):
     # of a case share the update kept on its model
     built = []
 
-    def counted(self, ev, ext, original=KripkeModel.build_update):
+    def counted(self, ev, extents, original=KripkeModel.build_update):
         built.append((self, ev))  # held, so no id is reused
-        return original(self, ev, ext)
+        return original(self, ev, extents)
 
     monkeypatch.setattr(KripkeModel, "build_update", counted)
     assert run_suite("del-reduction", seed=0, cases=30).ok

@@ -1,9 +1,11 @@
-"""Updates are kept on the model they update.
+"""Updates and announcements are kept on the model they are built on.
 
 On one model object, ``product_update`` / ``pullback_update``, queries with
 event operators and verified reductions share one build per event model and
-registry.  A changed registry builds afresh, and a build that raises leaves
-nothing behind.  Every answer is still held to the pointwise oracles.
+precondition extents; announcements of one extent share one submodel.  A
+registry that changes a precondition's extent builds afresh, one that leaves
+the extents alone shares the build, and a build that raises leaves nothing
+behind.  Every answer is still held to the pointwise oracles.
 """
 
 import gc
@@ -22,15 +24,20 @@ from delmc import (
     DelBox,
     EventModel,
     FiniteSet,
+    FormulaInContext,
     KripkeFrame,
     KripkeModel,
+    OpenPrecondition,
+    Pred,
     SheafModel,
     Top,
+    Var,
     extension,
     interp_formula,
     is_static,
     load_file,
     models,
+    pal_update,
     parse_formula,
     product_update,
     pullback_update,
@@ -38,6 +45,7 @@ from delmc import (
     rel,
 )
 
+A = AgentSet(("a",))
 AB = AgentSet(("a", "b"))
 
 
@@ -46,9 +54,9 @@ def builds(monkeypatch):
     """Count calls to each layer's build_update."""
     counts = {KripkeModel: 0, SheafModel: 0}
     for cls in counts:
-        def counted(self, ev, ext, cls=cls, original=cls.build_update):
+        def counted(self, ev, extents, cls=cls, original=cls.build_update):
             counts[cls] += 1
-            return original(self, ev, ext)
+            return original(self, ev, extents)
 
         monkeypatch.setattr(cls, "build_update", counted)
     return counts
@@ -95,15 +103,16 @@ def test_sheaf_entry_points_share_one_build(builds):
     assert builds == {KripkeModel: 0, SheafModel: 1}
 
 
-def _one_event(name, pre):
+def _one_event(name, pre, agents=AB):
     e = FiniteSet(name, (name,))
     loops = rel(e, e, [(name, name)])
-    return EventModel.make(KripkeFrame.make(e, AB, {"a": loops, "b": loops}), {name: pre})
+    return EventModel.make(KripkeFrame.make(e, agents, {a: loops for a in agents}), {name: pre})
 
 
 def test_registry_is_part_of_the_key(builds, two_worlds):
     # F's precondition [E,e]p reads E through the registry: with e always
-    # executable it is p, with e never executable it holds everywhere
+    # executable it is p, with e never executable it holds everywhere; the
+    # registry reaches the key through that extent
     f = _one_event("f", DelBox("E", "e", Atom("p")))
     phi = DelBox("F", "f", Atom("p"))
     om = oracle.from_model(two_worlds)
@@ -120,10 +129,23 @@ def test_registry_is_part_of_the_key(builds, two_worlds):
 
 
 def test_changed_registry_builds_again_on_sheaves(builds, two_fibers, fo_event):
+    # fo_event's preconditions are static: no registry changes their extents
     first = pullback_update(two_fibers, fo_event)
     assert pullback_update(two_fibers, fo_event, {}) is first
-    assert pullback_update(two_fibers, fo_event, {"E": fo_event}) is not first
-    assert builds[SheafModel] == 2
+    assert pullback_update(two_fibers, fo_event, {"E": fo_event}) is first
+    # F's precondition [E,e]Q reads E through the registry: with e always
+    # executable it is Q (world w1), with e never executable it holds
+    # everywhere; the atom Q is folded into a 0-ary predicate
+    f = _one_event("f", DelBox("E", "e", Atom("Q")), A)
+    got = [
+        pullback_update(two_fibers, f, {"E": _one_event("e", pre, A)})
+        for pre in (Top(), Top(), Bot())
+    ]
+    assert got[1] is got[0] and got[2] is not got[0]
+    assert [u.extents["f"].members for u in got] == [{"w1"}, {"w1"}, {"w1", "w2"}]
+    # fo_event once, then E and F under the first registry, nothing under
+    # its equal copy, and E and F again under the third
+    assert builds[SheafModel] == 5
 
 
 @pytest.mark.parametrize("model_file, events_file, update, cap", [
@@ -174,3 +196,35 @@ def test_an_update_dropped_by_its_caller_is_handed_out_again(two_worlds, private
     del first
     again = product_update(two_worlds, private_announcement_event)
     assert again.source is two_worlds and again.updated is kept
+
+
+def test_announcements_of_one_extent_share_one_submodel(lift_builds, monkeypatch, two_worlds):
+    # [!p] and [!(p & p)] have one extent, so the model keeps one submodel
+    # for both and the memo finds it by identity, building no relation
+    submodels = []
+
+    def counted(*args, original=models.subframe, **kwargs):
+        submodels.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(models, "subframe", counted)
+    phi = parse_formula("[!p]q & [!(p & p)]q")
+    om = oracle.from_model(two_worlds)
+    assert extension(two_worlds, phi).members == oracle.extension(om, phi)
+    assert lift_builds == [] and len(submodels) == 1
+    sub, _ = pal_update(two_worlds, Atom("p"))
+    assert pal_update(two_worlds, parse_formula("p & p"))[0] is sub
+    psi = parse_formula("[!(p & p)]<a>q")
+    assert extension(two_worlds, psi).members == oracle.extension(om, psi)
+    assert pal_update(two_worlds, Atom("p"))[0] is sub and len(submodels) == 1
+
+
+def test_an_open_precondition_is_refused_before_the_cache(two_fibers):
+    # the precondition is read before the lookup, so nothing is kept
+    ev = _one_event("e", Pred("P", (Var("x"),)), A)
+    with pytest.raises(OpenPrecondition):
+        pullback_update(two_fibers, ev)
+    phi = FormulaInContext(("x",), DelBox("E", "e", Pred("P", (Var("x"),))))
+    with pytest.raises(OpenPrecondition):
+        interp_formula(two_fibers, phi, {"E": ev})
+    assert two_fibers._updates == {}
