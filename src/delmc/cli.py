@@ -21,6 +21,7 @@ from .errors import (
     EmptyGroup,
     NotReducible,
     OpenPrecondition,
+    OutOfRange,
     ParseError,
     SchemaError,
     ShadowedVariable,
@@ -53,6 +54,7 @@ _USER_ERRORS = (
     EmptyGroup,
     CapExceeded,
     NotReducible,
+    OutOfRange,
 )
 
 
@@ -318,15 +320,16 @@ def _cmd_laws(args) -> int:
                 print(f"  refuting triple: {report.witness}")
         return 0 if report.caught else 1
 
-    names = args.suite or list(laws_mod.SUITES)
-    for name in names:
-        if name not in laws_mod.SUITES:
-            raise _CliUserError(
-                f"unknown suite {name!r}; known: {', '.join(laws_mod.SUITES)}"
-            )
+    if args.max_failures < 0:
+        raise _CliUserError(f"--max-failures must be at least 0, not {args.max_failures}")
+    # each suite is seeded by its position in SUITES, as in run_all, so a
+    # --suite run repeats the cases of the full run at the same --seed
+    order = list(laws_mod.SUITES)
     reports = [
-        laws_mod.run_suite(name, seed=args.seed + i, cases=args.cases, max_size=args.max_size)
-        for i, name in enumerate(names)
+        laws_mod.run_suite(
+            name, seed=args.seed + order.index(name), cases=args.cases, max_size=args.max_size
+        )
+        for name in args.suite or order
     ]
     if args.format == "json":
         print(
@@ -465,11 +468,19 @@ def _build_parser() -> argparse.ArgumentParser:
         help="suite to run (repeatable; default: all)",
     )
     p_laws.add_argument("--seed", type=int, default=0, help="base random seed (default 0)")
-    p_laws.add_argument("--cases", type=int, default=None, help="cases per suite (default: suite-specific)")
-    p_laws.add_argument("--max-size", type=int, default=None, help="largest carrier size to generate")
+    p_laws.add_argument(
+        "--cases", type=int, default=None,
+        help="cases per suite, at least 1 (default: suite-specific); the suite-level counts of "
+        "beck-chevalley and del-reduction are set for the defaults and can fail far below them",
+    )
+    p_laws.add_argument(
+        "--max-size", type=int, default=None,
+        help="largest carrier size to generate; at least 3 for topological, 2 for pal-reduction, "
+        "del-reduction, sheaf and fo-reduction, 1 for the others",
+    )
     p_laws.add_argument(
         "--max-failures", type=int, default=5,
-        help="failures to print per suite in text mode (default 5)",
+        help="failures to print per suite in text mode, at least 0 (default 5)",
     )
     p_laws.add_argument(
         "--self-test", action="store_true",

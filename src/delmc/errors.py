@@ -39,6 +39,10 @@ class NotAPullback(DelmcError):
     """A commuting square's apex is not the fibered product of its cospan."""
 
 
+class OutOfRange(DelmcError):
+    """A numeric argument lies below the least value its operation accepts."""
+
+
 class EmptyGroup(DelmcError):
     """A group operation was asked for with no agents in the group."""
 

@@ -2,8 +2,25 @@
 
 Each suite draws structures from a seeded generator, runs the library's
 own verification entry points on them, and records every violated law as
-a (case label, witness) pair.  A suite passes when no case fails.  The
-self test plants a deliberately wrong inequality in place of the
+a (label, witness) pair.  A suite passes when no case fails.
+
+One driver, ``_Collector``, runs every suite.  It owns the suite's single
+``random.Random(seed)``, and ``for rng in col.cases(n)`` hands it out
+once per case, so case i depends on every draw before it.  A failure
+inside the loop is labelled ``case <i>: <law>``; one outside it (the
+exhaustive sweeps of ``rel-laws`` and ``topological``, and the
+suite-level thresholds) keeps its bare law name.  A witness is a plain
+string, named values, or both: ``col.expect("modularity", ok, r1=r1,
+r2=r2, r3=r3)`` records ``r1=<dom>-><cod>:<sorted pairs> r2=... r3=...``
+on failure; named values are formatted only then.
+
+Two suite-level checks are set for the default case counts in
+``DEFAULT_CASES``: beck-chevalley asks for at least 5 commuting
+non-pullback squares that break the image law, and del-reduction for at
+least 10 unbounded updates with a learning witness.  Much smaller runs
+(``delmc laws --cases 5``) can fail them without any law failing.
+
+The self test plants a deliberately wrong inequality in place of the
 modularity law and passes only when the random search refutes it, so a
 vacuous harness cannot pass silently.
 """
@@ -14,9 +31,9 @@ import itertools
 import random
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from .errors import InvariantViolation, NotAPullback, NotReducible
+from .errors import InvariantViolation, NotAPullback, NotReducible, OutOfRange
 from .formulas import (
     FormulaInContext,
     Fun,
@@ -148,20 +165,31 @@ class Report:
 
 
 class _Collector:
-    """Shared bookkeeping for one suite run."""
+    """The case driver and bookkeeping of one suite run."""
 
-    def __init__(self, suite: str):
+    def __init__(self, suite: str, seed: int):
         self.suite = suite
+        self.rng = random.Random(seed)
+        self.case: Optional[int] = None
         self.failures: List[Tuple[str, str]] = []
         self.started = time.perf_counter()
 
-    def expect(self, case: str, ok: bool, witness: Union[str, Callable[[], str]]) -> None:
-        """Record a failure when not ok.  The witness may be a zero-argument
-        callable, called only on failure, so passing cases build no text."""
-        if not ok:
-            self.failures.append((case, witness() if callable(witness) else witness))
+    def cases(self, n: int) -> Iterator[random.Random]:
+        """Yield the suite's generator once per case, numbering the cases."""
+        for self.case in range(n):
+            yield self.rng
+        self.case = None
 
-    def expect_checks(self, prefix: str, rep: LawReport, with_name: bool = True) -> None:
+    def expect(self, law: str, ok: bool, witness: str = "", /, **named: object) -> None:
+        """Record a failure when not ok, labelled with the current case.
+
+        The witness text is built only on failure, by ``_witness``.
+        """
+        if not ok:
+            label = law if self.case is None else f"case {self.case}: {law}"
+            self.failures.append((label, _witness(witness, **named)))
+
+    def expect_checks(self, rep: LawReport, prefix: str = "", with_name: bool = True) -> None:
         """Record each failed check of a report, labelled prefix + check name."""
         for check in rep.failures():
             self.expect(prefix + check.name if with_name else prefix, False, check.witness or "")
@@ -172,8 +200,15 @@ class _Collector:
         )
 
 
-def _describe_rel(r: Rel) -> str:
-    return f"{r.dom.name}->{r.cod.name}:{sorted(r.pairs)}"
+def _witness(plain: str = "", /, **named: object) -> str:
+    """A plain witness, then ``name=value`` for each named one; a relation
+    is written as its carriers and sorted pairs, ``dom->cod:[...]``."""
+    parts = [plain] if plain else []
+    for name, value in named.items():
+        if isinstance(value, Rel):
+            value = f"{value.dom.name}->{value.cod.name}:{sorted(value.pairs)}"
+        parts.append(f"{name}={value}")
+    return " ".join(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -207,16 +242,13 @@ def _exhaustive_small_rel_sweep(col: _Collector) -> int:
     for a in smalls:
         ia = identity(a)
         checked += 1
-        if dagger(ia) != ia:
-            col.expect("exhaustive dagger fixes identities", False, a.name)
+        col.expect("exhaustive dagger fixes identities", dagger(ia) == ia, a.name)
         for b in smalls:
             ib = identity(b)
             for r in rels[(a.name, b.name)]:
                 checked += 2
-                if compose(ia, r) != r or compose(r, ib) != r:
-                    col.expect("exhaustive units", False, lambda: _describe_rel(r))
-                if dagger(dagger(r)) != r:
-                    col.expect("exhaustive dagger involution", False, lambda: _describe_rel(r))
+                col.expect("exhaustive units", compose(ia, r) == r and compose(r, ib) == r, r=r)
+                col.expect("exhaustive dagger involution", dagger(dagger(r)) == r, r=r)
     for a in smalls:
         for b in smalls:
             ab = rels[(a.name, b.name)]
@@ -227,43 +259,35 @@ def _exhaustive_small_rel_sweep(col: _Collector) -> int:
                 for r1 in ab:
                     for r2 in bc:
                         checked += 1
-                        if dagger(compose(r1, r2)) != compose(dagger(r2), dagger(r1)):
-                            col.expect(
-                                "exhaustive dagger contravariance",
-                                False,
-                                lambda: f"r1={_describe_rel(r1)} r2={_describe_rel(r2)}",
-                            )
+                        col.expect(
+                            "exhaustive dagger contravariance",
+                            dagger(compose(r1, r2)) == compose(dagger(r2), dagger(r1)),
+                            r1=r1, r2=r2,
+                        )
                         for r3 in ac:
                             checked += 1
-                            if not check_modularity(r1, r2, r3):
-                                col.expect(
-                                    "exhaustive modularity",
-                                    False,
-                                    lambda: f"r1={_describe_rel(r1)} r2={_describe_rel(r2)}"
-                                    f" r3={_describe_rel(r3)}",
-                                )
+                            col.expect(
+                                "exhaustive modularity", check_modularity(r1, r2, r3),
+                                r1=r1, r2=r2, r3=r3,
+                            )
                 for r in ab:
                     for s in ab:
                         if not leq(r, s):
                             continue
                         for t in bc:
                             checked += 1
-                            if not leq(compose(r, t), compose(s, t)):
-                                col.expect(
-                                    "exhaustive right whiskering",
-                                    False,
-                                    lambda: f"r={_describe_rel(r)} s={_describe_rel(s)}"
-                                    f" t={_describe_rel(t)}",
-                                )
+                            col.expect(
+                                "exhaustive right whiskering",
+                                leq(compose(r, t), compose(s, t)),
+                                r=r, s=s, t=t,
+                            )
                         for u in ca:
                             checked += 1
-                            if not leq(compose(u, r), compose(u, s)):
-                                col.expect(
-                                    "exhaustive left whiskering",
-                                    False,
-                                    lambda: f"r={_describe_rel(r)} s={_describe_rel(s)}"
-                                    f" u={_describe_rel(u)}",
-                                )
+                            col.expect(
+                                "exhaustive left whiskering",
+                                leq(compose(u, r), compose(u, s)),
+                                r=r, s=s, u=u,
+                            )
     for a in smalls:
         for b in smalls:
             ab = rels[(a.name, b.name)]
@@ -276,25 +300,21 @@ def _exhaustive_small_rel_sweep(col: _Collector) -> int:
                             left = compose(r1, r2)
                             for r3 in cd:
                                 checked += 1
-                                if compose(left, r3) != compose(r1, compose(r2, r3)):
-                                    col.expect(
-                                        "exhaustive associativity",
-                                        False,
-                                        lambda: f"r1={_describe_rel(r1)} r2={_describe_rel(r2)}"
-                                        f" r3={_describe_rel(r3)}",
-                                    )
+                                col.expect(
+                                    "exhaustive associativity",
+                                    compose(left, r3) == compose(r1, compose(r2, r3)),
+                                    r1=r1, r2=r2, r3=r3,
+                                )
     return checked
 
 
-def run_rel_laws(seed: int = 0, cases: int = 1000, max_size: int = 5) -> Report:
+def run_rel_laws(seed: int, cases: int, max_size: int = 5) -> Report:
     """Category laws, dagger laws, whiskering, modularity, function
     predicates, tabulation; exhaustively on carriers of size up to two,
     then on random relations at the given sizes."""
-    rng = random.Random(seed)
-    col = _Collector("rel-laws")
+    col = _Collector("rel-laws", seed)
     swept = _exhaustive_small_rel_sweep(col)
-    for i in range(cases):
-        tag = f"case {i}"
+    for rng in col.cases(cases):
         a = random_carrier(rng, rng.randrange(1, max_size + 1), "a")
         b = random_carrier(rng, rng.randrange(1, max_size + 1), "b")
         c = random_carrier(rng, rng.randrange(1, max_size + 1), "c")
@@ -305,120 +325,73 @@ def run_rel_laws(seed: int = 0, cases: int = 1000, max_size: int = 5) -> Report:
         s = random_relation(rng, c, d)
 
         col.expect(
-            f"{tag}: associativity",
-            compose(compose(r1, r2), s) == compose(r1, compose(r2, s)),
-            lambda: f"r1={_describe_rel(r1)} r2={_describe_rel(r2)} s={_describe_rel(s)}",
+            "associativity", compose(compose(r1, r2), s) == compose(r1, compose(r2, s)),
+            r1=r1, r2=r2, s=s,
         )
+        col.expect("left unit", compose(identity(a), r1) == r1, r1=r1)
+        col.expect("right unit", compose(r1, identity(b)) == r1, r1=r1)
+        col.expect("dagger involution", dagger(dagger(r1)) == r1, r1=r1)
         col.expect(
-            f"{tag}: left unit",
-            compose(identity(a), r1) == r1,
-            lambda: _describe_rel(r1),
-        )
-        col.expect(
-            f"{tag}: right unit",
-            compose(r1, identity(b)) == r1,
-            lambda: _describe_rel(r1),
-        )
-        col.expect(
-            f"{tag}: dagger involution",
-            dagger(dagger(r1)) == r1,
-            lambda: _describe_rel(r1),
-        )
-        col.expect(
-            f"{tag}: dagger contravariance",
+            "dagger contravariance",
             dagger(compose(r1, r2)) == compose(dagger(r2), dagger(r1)),
-            lambda: f"r1={_describe_rel(r1)} r2={_describe_rel(r2)}",
+            r1=r1, r2=r2,
         )
-        col.expect(
-            f"{tag}: dagger fixes identities",
-            dagger(identity(a)) == identity(a),
-            a.name,
-        )
+        col.expect("dagger fixes identities", dagger(identity(a)) == identity(a), a.name)
         bigger = join(r1, random_relation(rng, a, b))
+        col.expect("dagger is monotone", leq(dagger(r1), dagger(bigger)), r1=r1, bigger=bigger)
         col.expect(
-            f"{tag}: dagger is monotone",
-            leq(dagger(r1), dagger(bigger)),
-            lambda: f"r1={_describe_rel(r1)} bigger={_describe_rel(bigger)}",
-        )
-        col.expect(
-            f"{tag}: meet below",
+            "meet below",
             leq(meet(r1, bigger), r1) and leq(r1, join(r1, bigger)),
-            lambda: f"r1={_describe_rel(r1)} other={_describe_rel(bigger)}",
+            r1=r1, other=bigger,
         )
-        col.expect(
-            f"{tag}: modularity",
-            check_modularity(r1, r2, r3),
-            lambda: f"r1={_describe_rel(r1)} r2={_describe_rel(r2)} r3={_describe_rel(r3)}",
-        )
+        col.expect("modularity", check_modularity(r1, r2, r3), r1=r1, r2=r2, r3=r3)
         smaller = meet(r1, random_relation(rng, a, b))
         col.expect(
-            f"{tag}: right whiskering",
+            "right whiskering",
             leq(compose(smaller, r2), compose(r1, r2)),
-            lambda: f"smaller={_describe_rel(smaller)} r1={_describe_rel(r1)}"
-            f" r2={_describe_rel(r2)}",
+            smaller=smaller, r1=r1, r2=r2,
         )
         left_leg = random_relation(rng, d, a)
         col.expect(
-            f"{tag}: left whiskering",
+            "left whiskering",
             leq(compose(left_leg, smaller), compose(left_leg, r1)),
-            lambda: f"left={_describe_rel(left_leg)} smaller={_describe_rel(smaller)}"
-            f" r1={_describe_rel(r1)}",
+            left=left_leg, smaller=smaller, r1=r1,
         )
 
         f = random_function(rng, a, b)
         f_is_function = is_function(f)
-        col.expect(f"{tag}: generated map is a function", f_is_function, lambda: _describe_rel(f))
+        col.expect("generated map is a function", f_is_function, f=f)
         big = a if len(a.elements) >= len(b.elements) else random_carrier(rng, len(b.elements), "a")
         surj = random_surjection(rng, big, b)
-        col.expect(
-            f"{tag}: generated surjection is surjective",
-            is_surjective(surj),
-            lambda: _describe_rel(surj),
-        )
+        col.expect("generated surjection is surjective", is_surjective(surj), surj=surj)
         targets = list(b.elements)
         rng.shuffle(targets)
         inj_size = rng.randrange(1, len(b.elements) + 1)
         inj_dom = random_carrier(rng, inj_size, "i")
         inj = Rel(inj_dom, b, frozenset(zip(inj_dom.elements, targets)))
-        col.expect(
-            f"{tag}: distinct-valued map is injective",
-            is_injective(inj),
-            lambda: _describe_rel(inj),
-        )
+        col.expect("distinct-valued map is injective", is_injective(inj), inj=inj)
         # (name, relation, its functionality by the dagger definition)
         pointwise_cases = [("f", f, f_is_function), ("r1", r1, is_function(r1))]
         if len(a.elements) >= 2 and len(b.elements) >= 1:
             tgt = b.elements[0]
             collapse = Rel(a, b, frozenset((w, tgt) for w in a.elements))
             col.expect(
-                f"{tag}: collapsing map is not injective",
-                not is_injective(collapse),
-                lambda: _describe_rel(collapse),
+                "collapsing map is not injective", not is_injective(collapse), collapse=collapse
             )
             pointwise_cases.append(("collapse", collapse, is_function(collapse)))
         for name, g, by_dagger in pointwise_cases:
             if is_function_pointwise(g) != by_dagger:
-                col.expect(
-                    f"{tag}: pointwise functionality agrees on {name}",
-                    False,
-                    lambda: _describe_rel(g),
-                )
+                col.expect(f"pointwise functionality agrees on {name}", False, g=g)
 
         tab = tabulate(r1)
+        col.expect("tabulation recomposes", tab.recompose() == r1, r1=r1, apex=tab.apex.name)
         col.expect(
-            f"{tag}: tabulation recomposes",
-            tab.recompose() == r1,
-            lambda: f"r1={_describe_rel(r1)} apex={tab.apex.name}",
-        )
-        col.expect(
-            f"{tag}: tabulation legs are functions",
+            "tabulation legs are functions",
             is_function(tab.r1) and is_function(tab.r2),
             tab.apex.name,
         )
         col.expect(
-            f"{tag}: tabulation legs jointly monic",
-            is_jointly_monic(tab.r1, tab.r2),
-            tab.apex.name,
+            "tabulation legs jointly monic", is_jointly_monic(tab.r1, tab.r2), tab.apex.name
         )
     return col.report(cases + swept)
 
@@ -432,12 +405,10 @@ def _fixed_subsets(x: FiniteSet) -> List[Subset]:
     return [empty_subset(x), full_subset(x), Subset(x, frozenset(x.elements[::2]))]
 
 
-def run_duality(seed: int = 0, cases: int = 1000, max_size: int = 4) -> Report:
+def run_duality(seed: int, cases: int, max_size: int = 4) -> Report:
     """Round trips, adjunctions, join/meet preservation, functoriality, order."""
-    rng = random.Random(seed)
-    col = _Collector("duality")
-    for i in range(cases):
-        tag = f"case {i}"
+    col = _Collector("duality", seed)
+    for rng in col.cases(cases):
         a = random_carrier(rng, rng.randrange(1, max_size + 1), "a")
         b = random_carrier(rng, rng.randrange(1, max_size + 1), "b")
         c = random_carrier(rng, rng.randrange(1, max_size + 1), "c")
@@ -456,83 +427,55 @@ def run_duality(seed: int = 0, cases: int = 1000, max_size: int = 4) -> Report:
                 agree = agree and exists_image(rows, sub.mask) == apply(direct, sub).mask
                 if not agree:
                     col.expect(
-                        f"{tag}: row images along {name} match the image maps",
+                        f"row images along {name} match the image maps",
                         False,
-                        lambda: f"r={_describe_rel(r)} s={sub.members_in_order()}",
+                        r=r, s=sub.members_in_order(),
                     )
-        col.expect(
-            f"{tag}: join-map round trip",
-            relation_from_join_map(em) == r,
-            lambda: _describe_rel(r),
-        )
-        col.expect(
-            f"{tag}: meet-map round trip",
-            relation_from_meet_map(fm) == r,
-            lambda: _describe_rel(r),
-        )
-        col.expect(
-            f"{tag}: join extension preserves joins",
-            verify_preserves_all_joins(em),
-            lambda: _describe_rel(r),
-        )
-        col.expect(
-            f"{tag}: meet extension preserves meets",
-            verify_preserves_all_meets(fm),
-            lambda: _describe_rel(r),
-        )
-        col.expect(
-            f"{tag}: direct image adjoint to universal image",
-            check_adjunction(r),
-            lambda: _describe_rel(r),
-        )
+        col.expect("join-map round trip", relation_from_join_map(em) == r, r=r)
+        col.expect("meet-map round trip", relation_from_meet_map(fm) == r, r=r)
+        col.expect("join extension preserves joins", verify_preserves_all_joins(em), r=r)
+        col.expect("meet extension preserves meets", verify_preserves_all_meets(fm), r=r)
+        col.expect("direct image adjoint to universal image", check_adjunction(r), r=r)
         bid = check_biduality_laws(r, r2)
+        col.expect("biduality laws", bid.ok, failed=bid.failed(), r=r, r2=r2)
         col.expect(
-            f"{tag}: biduality laws",
-            bid.ok,
-            lambda: f"failed={bid.failed()} r={_describe_rel(r)} r2={_describe_rel(r2)}",
-        )
-        col.expect(
-            f"{tag}: join functoriality",
+            "join functoriality",
             maps_equal(exists_map(compose(r, r2)), compose_maps(em, exists_map(r2))),
-            lambda: f"r={_describe_rel(r)} r2={_describe_rel(r2)}",
+            r=r, r2=r2,
         )
         col.expect(
-            f"{tag}: meet functoriality",
+            "meet functoriality",
             maps_equal(forall_map(compose(r, r2)), compose_maps(fm, forall_map(r2))),
-            lambda: f"r={_describe_rel(r)} r2={_describe_rel(r2)}",
+            r=r, r2=r2,
         )
         bigger = join(r, random_relation(rng, a, b))
         col.expect(
-            f"{tag}: order preserved covariantly",
-            map_leq(em, exists_map(bigger)),
-            lambda: f"r={_describe_rel(r)} bigger={_describe_rel(bigger)}",
+            "order preserved covariantly", map_leq(em, exists_map(bigger)), r=r, bigger=bigger
         )
         col.expect(
-            f"{tag}: order reflected contravariantly",
-            map_leq(forall_map(bigger), fm),
-            lambda: f"r={_describe_rel(r)} bigger={_describe_rel(bigger)}",
+            "order reflected contravariantly", map_leq(forall_map(bigger), fm), r=r, bigger=bigger
         )
         if bigger != r:
             col.expect(
-                f"{tag}: strict order not inverted covariantly",
+                "strict order not inverted covariantly",
                 not map_leq(exists_map(bigger), em),
-                lambda: f"r={_describe_rel(r)} bigger={_describe_rel(bigger)}",
+                r=r, bigger=bigger,
             )
             col.expect(
-                f"{tag}: strict order not inverted contravariantly",
+                "strict order not inverted contravariantly",
                 not map_leq(fm, forall_map(bigger)),
-                lambda: f"r={_describe_rel(r)} bigger={_describe_rel(bigger)}",
+                r=r, bigger=bigger,
             )
         other = random_relation(rng, a, b)
         col.expect(
-            f"{tag}: covariant order is a biconditional",
+            "covariant order is a biconditional",
             leq(r, other) == map_leq(em, exists_map(other)),
-            lambda: f"r={_describe_rel(r)} other={_describe_rel(other)}",
+            r=r, other=other,
         )
         col.expect(
-            f"{tag}: contravariant order is a biconditional",
+            "contravariant order is a biconditional",
             leq(r, other) == map_leq(forall_map(other), fm),
-            lambda: f"r={_describe_rel(r)} other={_describe_rel(other)}",
+            r=r, other=other,
         )
     return col.report(cases)
 
@@ -541,14 +484,12 @@ def run_duality(seed: int = 0, cases: int = 1000, max_size: int = 4) -> Report:
 # Image squares over pullbacks
 
 
-def run_beck_chevalley(seed: int = 0, cases: int = 500, max_size: int = 4) -> Report:
+def run_beck_chevalley(seed: int, cases: int, max_size: int = 4) -> Report:
     """Canonical pullback squares satisfy the image law; fakes are rejected
     and enough of them are caught actually breaking the equation."""
-    rng = random.Random(seed)
-    col = _Collector("beck-chevalley")
+    col = _Collector("beck-chevalley", seed)
     broken = 0
-    for i in range(cases):
-        tag = f"case {i}"
+    for rng in col.cases(cases):
         x = random_carrier(rng, rng.randrange(1, max(2, max_size - 1)), "x")
         y = random_carrier(rng, rng.randrange(1, max_size + 1), "y")
         z = random_carrier(rng, rng.randrange(1, max_size + 1), "z")
@@ -568,13 +509,9 @@ def run_beck_chevalley(seed: int = 0, cases: int = 500, max_size: int = 4) -> Re
         try:
             ok = check_beck_chevalley(p, q, f, g)
         except Exception as exc:  # a raise on the honest square is itself a failure
-            col.expect(f"{tag}: image law over pullback", False, f"raised {exc!r}")
+            col.expect("image law over pullback", False, f"raised {exc!r}")
         else:
-            col.expect(
-                f"{tag}: image law over pullback",
-                ok,
-                lambda: f"f={_describe_rel(f)} g={_describe_rel(g)}",
-            )
+            col.expect("image law over pullback", ok, f=f, g=g)
 
         if pairs:
             dropped = pairs[rng.randrange(len(pairs))]
@@ -587,7 +524,7 @@ def run_beck_chevalley(seed: int = 0, cases: int = 500, max_size: int = 4) -> Re
             try:
                 check_beck_chevalley(p2, q2, f, g)
                 col.expect(
-                    f"{tag}: strict sub-square rejected",
+                    "strict sub-square rejected",
                     False,
                     f"dropped {dropped}, no NotAPullback raised",
                 )
@@ -604,7 +541,7 @@ def run_beck_chevalley(seed: int = 0, cases: int = 500, max_size: int = 4) -> Re
             try:
                 check_beck_chevalley(p3, q3, f, g)
                 col.expect(
-                    f"{tag}: non-monic pairing rejected",
+                    "non-monic pairing rejected",
                     False,
                     f"duplicated {(w0, v0)}, no NotAPullback raised",
                 )
@@ -655,9 +592,11 @@ def _lift_biconditional(
     return into_lift == through
 
 
-def _exhaustive_lift_property(col: _Collector, rng: random.Random) -> int:
+def _exhaustive_lift_property(col: _Collector) -> int:
     """The lift biconditional over every candidate map and relation family
-    on sources of size up to two, for a couple of generated lift setups."""
+    on sources of size up to two, for a couple of generated lift setups
+    drawn from the suite's generator."""
+    rng = col.rng
     checked = 0
     for n_agents, n_targets in ((1, 1), (2, 2)):
         agents = random_agents(rng, n_agents)
@@ -680,7 +619,7 @@ def _exhaustive_lift_property(col: _Collector, rng: random.Random) -> int:
                         col.expect(
                             "exhaustive lift property",
                             False,
-                            lambda: f"g={_describe_rel(gfn)} z={[sorted(r.pairs) for r in combo]}",
+                            g=gfn, z=[sorted(r.pairs) for r in combo],
                         )
     return checked
 
@@ -708,21 +647,19 @@ _PROPERTY_PREDICATES = {
 }
 
 
-def run_topological(seed: int = 0, cases: int = 500, max_size: int = 5) -> Report:
+def run_topological(seed: int, cases: int, max_size: int = 5) -> Report:
     """Initial lifts, products, subframes, pullbacks, bisimulations, closure."""
-    rng = random.Random(seed)
-    col = _Collector("topological")
-    swept = _exhaustive_lift_property(col, rng)
-    for i in range(cases):
-        tag = f"case {i}"
+    col = _Collector("topological", seed)
+    swept = _exhaustive_lift_property(col)
+    for rng in col.cases(cases):
         agents = random_agents(rng, rng.randrange(1, 3))
         dst = random_frame(rng, random_carrier(rng, rng.randrange(2, max_size), "t"), agents)
 
         m = random_monotone_map(rng, rng.randrange(2, max_size + 1), dst)
-        col.expect(f"{tag}: generated map is monotone", is_monotone(m), m.src.carrier.name)
+        col.expect("generated map is monotone", is_monotone(m), m.src.carrier.name)
         bnd = random_bounded_map(rng, rng.randrange(2, max_size + 1), dst)
         col.expect(
-            f"{tag}: generated bounded map is bounded",
+            "generated bounded map is bounded",
             is_monotone(bnd) and is_bounded(bnd),
             bnd.src.carrier.name,
         )
@@ -732,9 +669,9 @@ def run_topological(seed: int = 0, cases: int = 500, max_size: int = 5) -> Repor
         lift = initial_lift([dst], [fn])
         cands = _candidate_rels(rng, lift.rel(agents.agents[0]))
         col.expect(
-            f"{tag}: initial lift is the largest preserved structure",
+            "initial lift is the largest preserved structure",
             largest_preserved_check(lift, [dst], [fn], cands),
-            lambda: f"fn={_describe_rel(fn)}",
+            fn=fn,
         )
         z = random_carrier(rng, rng.randrange(1, 4), "z")
         zframe = KripkeFrame.make(
@@ -742,9 +679,9 @@ def run_topological(seed: int = 0, cases: int = 500, max_size: int = 5) -> Repor
         )
         gfn = random_function(rng, z, lift.carrier)
         col.expect(
-            f"{tag}: maps into the lift are monotone exactly componentwise",
+            "maps into the lift are monotone exactly componentwise",
             _lift_biconditional(zframe, gfn, lift, [dst], [fn]),
-            lambda: f"g={_describe_rel(gfn)}",
+            g=gfn,
         )
 
         other = random_frame(rng, random_carrier(rng, rng.randrange(1, 4), "s"), agents)
@@ -754,18 +691,18 @@ def run_topological(seed: int = 0, cases: int = 500, max_size: int = 5) -> Repor
                 [_close_frame(dst, mode), _close_frame(other, mode)], [fn, fn2]
             )
             col.expect(
-                f"{tag}: lift of {mode} targets is {mode}",
+                f"lift of {mode} targets is {mode}",
                 all(pred(closed_lift.rel(a)) for a in closed_lift.agents),
-                lambda: f"fn={_describe_rel(fn)} fn2={_describe_rel(fn2)}",
+                fn=fn, fn2=fn2,
             )
         prod, p1, p2 = product(dst, other)
         col.expect(
-            f"{tag}: product projections monotone",
+            "product projections monotone",
             is_monotone(p1) and is_monotone(p2),
             prod.carrier.name,
         )
         col.expect(
-            f"{tag}: product carries the largest componentwise structure",
+            "product carries the largest componentwise structure",
             largest_preserved_check(
                 prod,
                 [dst, other],
@@ -779,12 +716,12 @@ def run_topological(seed: int = 0, cases: int = 500, max_size: int = 5) -> Repor
         if keep.members:
             sub, incl = subframe(dst, keep)
             col.expect(
-                f"{tag}: subframe inclusion monotone and injective",
+                "subframe inclusion monotone and injective",
                 is_monotone(incl) and is_injective(incl.fn),
                 sub.carrier.name,
             )
             col.expect(
-                f"{tag}: subframe carries the restricted structure",
+                "subframe carries the restricted structure",
                 largest_preserved_check(
                     sub, [dst], [incl.fn], _candidate_rels(rng, sub.rel(agents.agents[0]), extra=2)
                 ),
@@ -793,23 +730,23 @@ def run_topological(seed: int = 0, cases: int = 500, max_size: int = 5) -> Repor
 
         _, p, q = pullback(m, bnd)
         col.expect(
-            f"{tag}: pullback of a bounded map along a monotone map is bounded",
+            "pullback of a bounded map along a monotone map is bounded",
             is_bounded(p),
             f"{m.src.carrier.name} vs {bnd.src.carrier.name}",
         )
         col.expect(
-            f"{tag}: pullback square satisfies the image law",
+            "pullback square satisfies the image law",
             beck_chevalley_equation(p.fn, q.fn, m.fn, bnd.fn),
             f"{m.src.carrier.name} vs {bnd.src.carrier.name}",
         )
 
         col.expect(
-            f"{tag}: graph of a bounded map is a bisimulation",
+            "graph of a bounded map is a bisimulation",
             is_bisimulation(bnd.src, bnd.dst, bnd.fn),
             bnd.src.carrier.name,
         )
         col.expect(
-            f"{tag}: identity relation is a bisimulation",
+            "identity relation is a bisimulation",
             is_bisimulation(dst, dst, identity(dst.carrier)),
             dst.carrier.name,
         )
@@ -824,13 +761,9 @@ def run_topological(seed: int = 0, cases: int = 500, max_size: int = 5) -> Repor
             and is_transitive(ck)
             and all(leq(dst.rel(ag), ck) for ag in group)
         )
-        col.expect(f"{tag}: shared-knowledge closure properties", basics, dst.carrier.name)
+        col.expect("shared-knowledge closure properties", basics, dst.carrier.name)
         bigger = closure_reflexive_transitive(join(union, random_relation(rng, dst.carrier, dst.carrier)))
-        col.expect(
-            f"{tag}: shared-knowledge closure is least",
-            leq(ck, bigger),
-            lambda: f"bigger={_describe_rel(bigger)}",
-        )
+        col.expect("shared-knowledge closure is least", leq(ck, bigger), bigger=bigger)
     return col.report(cases + swept)
 
 
@@ -838,25 +771,22 @@ def run_topological(seed: int = 0, cases: int = 500, max_size: int = 5) -> Repor
 # Announcement reduction laws
 
 
-def run_pal_reduction(seed: int = 0, cases: int = 500, max_size: int = 4) -> Report:
+def run_pal_reduction(seed: int, cases: int, max_size: int = 4) -> Report:
     """Announcement reduction equivalences plus the precondition-modality check."""
-    rng = random.Random(seed)
-    col = _Collector("pal-reduction")
+    col = _Collector("pal-reduction", seed)
     atoms = ("p", "q")
-    for i in range(cases):
-        tag = f"case {i}"
+    for rng in col.cases(cases):
         agents = random_agents(rng, rng.randrange(1, 3))
         model = random_model(rng, rng.randrange(2, max_size + 1), agents, atoms)
         ag = tuple(agents)
         sigma = random_formula(rng, atoms, ag, rng.randrange(0, 3), allow_dynamic=False)
         phi = random_formula(rng, atoms, ag, rng.randrange(0, 3), allow_dynamic=False)
         psi = random_formula(rng, atoms, ag, rng.randrange(0, 2), allow_dynamic=False)
-        rep = verify_pal_reductions(model, sigma, phi, psi)
-        col.expect_checks(f"{tag}: ", rep)
+        col.expect_checks(verify_pal_reductions(model, sigma, phi, psi))
         try:
             static_precondition_modalities(model, sigma)
         except InvariantViolation as exc:
-            col.expect(f"{tag}: precondition modalities", False, str(exc))
+            col.expect("precondition modalities", False, str(exc))
     return col.report(cases)
 
 
@@ -864,14 +794,12 @@ def run_pal_reduction(seed: int = 0, cases: int = 500, max_size: int = 4) -> Rep
 # Event-update reduction laws
 
 
-def run_del_reduction(seed: int = 0, cases: int = 500, max_size: int = 4) -> Report:
+def run_del_reduction(seed: int, cases: int, max_size: int = 4) -> Report:
     """Event reduction equivalences, rewriting, and the no-learning criterion."""
-    rng = random.Random(seed)
-    col = _Collector("del-reduction")
+    col = _Collector("del-reduction", seed)
     atoms = ("p", "q")
     learning = 0
-    for i in range(cases):
-        tag = f"case {i}"
+    for rng in col.cases(cases):
         agents = random_agents(rng, rng.randrange(1, 3))
         model = random_model(rng, rng.randrange(2, max_size + 1), agents, atoms)
         ev_model = random_event_model(rng, rng.randrange(1, 4), agents, atoms)
@@ -881,13 +809,12 @@ def run_del_reduction(seed: int = 0, cases: int = 500, max_size: int = 4) -> Rep
         refs = [("_update", e) for e in events] if rng.random() < 0.3 else []
         phi = random_formula(rng, atoms, ag, rng.randrange(0, 3), event_refs=refs)
         psi = random_formula(rng, atoms, ag, rng.randrange(0, 2), allow_dynamic=False)
-        rep = verify_del_reductions(model, ev_model, event, phi, psi)
-        col.expect_checks(f"{tag}: ", rep)
-        col.expect_checks(f"{tag}: ", check_update_routes(product_update(model, ev_model)))
+        col.expect_checks(verify_del_reductions(model, ev_model, event, phi, psi))
+        col.expect_checks(check_update_routes(product_update(model, ev_model)))
 
         nl = no_learning_check(model, ev_model, depth=2)
         col.expect(
-            f"{tag}: event box of a bounded update never teaches",
+            "event box of a bounded update never teaches",
             (not nl.bounded) or nl.holds,
             nl.witness or "",
         )
@@ -900,12 +827,10 @@ def run_del_reduction(seed: int = 0, cases: int = 500, max_size: int = 4) -> Rep
         try:
             res = reduce_formula(dyn, model=model, registry={"_update": ev_model})
         except (NotReducible, InvariantViolation) as exc:
-            col.expect(f"{tag}: rewriting stays extension-true", False, str(exc))
+            col.expect("rewriting stays extension-true", False, str(exc))
         else:
             col.expect(
-                f"{tag}: rewriting reaches a static formula",
-                is_static(res.result),
-                f"steps={res.step_count}",
+                "rewriting reaches a static formula", is_static(res.result), steps=res.step_count
             )
     col.expect(
         "at least 10 unbounded updates exhibit a learning witness",
@@ -926,25 +851,19 @@ _PLANT_FLAG = {
 }
 
 
-def run_sheaf(seed: int = 0, cases: int = 200, max_size: int = 3) -> Report:
+def run_sheaf(seed: int, cases: int, max_size: int = 3) -> Report:
     """Sheaf recognition, planted violations, updates, substitution laws."""
-    rng = random.Random(seed)
-    col = _Collector("sheaf")
-    for i in range(cases):
-        tag = f"case {i}"
+    col = _Collector("sheaf", seed)
+    for rng in col.cases(cases):
         agents = random_agents(rng, rng.randrange(1, 3))
         base = random_frame(rng, random_carrier(rng, rng.randrange(2, max_size + 1), "w"), agents)
         sheaf = random_sheaf(rng, base, max_fiber=3)
         chk = is_kripke_sheaf(sheaf.total, sheaf.base, sheaf.proj)
+        col.expect("generated sheaf recognized", chk.is_sheaf, chk.failure or "")
         col.expect(
-            f"{tag}: generated sheaf recognized",
-            chk.is_sheaf,
-            chk.failure or "",
-        )
-        col.expect(
-            f"{tag}: diagonal characterization agrees",
+            "diagonal characterization agrees",
             chk.characterization_agrees,
-            f"delta_bounded={chk.delta_bounded} unique_lift={chk.unique_lift}",
+            delta_bounded=chk.delta_bounded, unique_lift=chk.unique_lift,
         )
 
         for mode, flag in _PLANT_FLAG.items():
@@ -954,14 +873,14 @@ def run_sheaf(seed: int = 0, cases: int = 200, max_size: int = 3) -> Report:
                 continue
             chk2 = is_kripke_sheaf(total_b, base_b, proj_b)
             col.expect(
-                f"{tag}: planted {mode} detected",
+                f"planted {mode} detected",
                 not chk2.is_sheaf and not getattr(chk2, flag),
-                f"check={chk2}",
+                check=chk2,
             )
             col.expect(
-                f"{tag}: characterization agrees on planted {mode}",
+                f"characterization agrees on planted {mode}",
                 chk2.characterization_agrees,
-                f"delta_bounded={chk2.delta_bounded} unique_lift={chk2.unique_lift}",
+                delta_bounded=chk2.delta_bounded, unique_lift=chk2.unique_lift,
             )
 
         model = random_sheaf_model(rng, random_sheaf(rng, base, max_fiber=2))
@@ -969,18 +888,18 @@ def run_sheaf(seed: int = 0, cases: int = 200, max_size: int = 3) -> Report:
             pw = model.power(n_pow)
             chk_p = is_kripke_sheaf(pw.frame, model.sheaf.base, pw.proj_to_base)
             col.expect(
-                f"{tag}: power {n_pow} projection is again a sheaf",
+                f"power {n_pow} projection is again a sheaf",
                 chk_p.is_sheaf and chk_p.characterization_agrees,
                 chk_p.failure or "",
             )
 
         ev = random_fo_event_model(rng, model, rng.randrange(1, 3))
         upd = pullback_update(model, ev)
-        col.expect_checks(f"{tag}: update: ", check_pullback_update(upd))
+        col.expect_checks(check_pullback_update(upd), "update: ")
         upd_sheaf = upd.updated.sheaf
         chk3 = is_kripke_sheaf(upd_sheaf.total, upd_sheaf.base, upd_sheaf.proj)
         col.expect(
-            f"{tag}: updated structure is again a sheaf",
+            "updated structure is again a sheaf",
             chk3.is_sheaf and chk3.characterization_agrees,
             chk3.failure or "",
         )
@@ -1008,7 +927,7 @@ def run_sheaf(seed: int = 0, cases: int = 200, max_size: int = 3) -> Report:
         ]
         for label, fmap, m_pow, n_pow in power_maps:
             rep_t = check_transition_commutation(upd, fmap, m_pow, n_pow)
-            col.expect_checks(f"{tag}: {label}: ", rep_t)
+            col.expect_checks(rep_t, f"{label}: ")
 
         event = rng.choice(list(ev.events))
         phi = FormulaInContext(
@@ -1018,7 +937,7 @@ def run_sheaf(seed: int = 0, cases: int = 200, max_size: int = 3) -> Report:
             (Var("u"), Fun("f", (Var("u"),)))
         ))]
         rep = check_substitution_box_commutation(model, phi, terms, ev=ev, event=event)
-        col.expect_checks(f"{tag}: substitution commutes with ", rep)
+        col.expect_checks(rep, "substitution commutes with ")
     return col.report(cases)
 
 
@@ -1026,12 +945,10 @@ def run_sheaf(seed: int = 0, cases: int = 200, max_size: int = 3) -> Report:
 # Quantifier reduction laws
 
 
-def run_fo_reduction(seed: int = 0, cases: int = 200, max_size: int = 3) -> Report:
+def run_fo_reduction(seed: int, cases: int, max_size: int = 3) -> Report:
     """Quantifier/event commutation and verified rewriting over sheaf models."""
-    rng = random.Random(seed)
-    col = _Collector("fo-reduction")
-    for i in range(cases):
-        tag = f"case {i}"
+    col = _Collector("fo-reduction", seed)
+    for rng in col.cases(cases):
         agents = random_agents(rng, rng.randrange(1, 3))
         base = random_frame(rng, random_carrier(rng, rng.randrange(2, max_size + 1), "w"), agents)
         sheaf = random_sheaf(rng, base, max_fiber=3)
@@ -1041,8 +958,9 @@ def run_fo_reduction(seed: int = 0, cases: int = 200, max_size: int = 3) -> Repo
 
         context = ("x",) if rng.random() < 0.5 else ("x", "y")
         body = random_fo_formula(rng, model, context, rng.randrange(1, 3))
-        rep = verify_quantifier_reduction(model, ev, event, FormulaInContext(context, body))
-        col.expect_checks(f"{tag}: ", rep)
+        col.expect_checks(
+            verify_quantifier_reduction(model, ev, event, FormulaInContext(context, body))
+        )
 
         out_context = ("z1",) if rng.random() < 0.5 else ("z1", "z2")
         phi = FormulaInContext(context, body)
@@ -1051,9 +969,9 @@ def run_fo_reduction(seed: int = 0, cases: int = 200, max_size: int = 3) -> Repo
             for _ in context
         ]
         rep_s = check_substitution_functoriality(model, phi, terms)
-        col.expect_checks(f"{tag}: substitution functoriality", rep_s, with_name=False)
+        col.expect_checks(rep_s, "substitution functoriality", with_name=False)
         rep_b = check_substitution_box_commutation(model, phi, terms, ev=ev, event=event)
-        col.expect_checks(f"{tag}: substitution commutes with ", rep_b)
+        col.expect_checks(rep_b, "substitution commutes with ")
 
         refs = [("E", e) for e in ev.events]
         dyn = random_fo_formula(
@@ -1064,12 +982,10 @@ def run_fo_reduction(seed: int = 0, cases: int = 200, max_size: int = 3) -> Repo
                 FormulaInContext(context, dyn), model=model, registry={"E": ev}
             )
         except (NotReducible, InvariantViolation) as exc:
-            col.expect(f"{tag}: rewriting stays extension-true", False, str(exc))
+            col.expect("rewriting stays extension-true", False, str(exc))
         else:
             col.expect(
-                f"{tag}: rewriting reaches a static formula",
-                is_static(res.result),
-                f"steps={res.step_count}",
+                "rewriting reaches a static formula", is_static(res.result), steps=res.step_count
             )
     return col.report(cases)
 
@@ -1100,6 +1016,17 @@ DEFAULT_CASES: Dict[str, int] = {
     "fo-reduction": 200,
 }
 
+# The least max_size each suite can draw at: topological draws a carrier
+# size from randrange(2, max_size), and the model and sheaf suites draw at
+# least two worlds.
+_MIN_SIZE: Dict[str, int] = {
+    "topological": 3,
+    "pal-reduction": 2,
+    "del-reduction": 2,
+    "sheaf": 2,
+    "fo-reduction": 2,
+}
+
 
 def run_suite(
     name: str,
@@ -1107,12 +1034,21 @@ def run_suite(
     cases: Optional[int] = None,
     max_size: Optional[int] = None,
 ) -> Report:
-    """Run one suite by name with its default sizes unless overridden."""
+    """Run one suite by name with its default sizes unless overridden.
+
+    Raises OutOfRange for fewer than one case, or for a max_size below
+    the least one the suite can draw at.
+    """
     if name not in SUITES:
         known = ", ".join(SUITES)
         raise InvariantViolation(f"unknown suite {name!r}; known suites: {known}")
     kwargs = {"seed": seed, "cases": cases if cases is not None else DEFAULT_CASES[name]}
+    if kwargs["cases"] < 1:
+        raise OutOfRange(f"{name}: cases must be at least 1, not {cases}")
     if max_size is not None:
+        floor = _MIN_SIZE.get(name, 1)
+        if max_size < floor:
+            raise OutOfRange(f"{name}: max_size must be at least {floor}, not {max_size}")
         kwargs["max_size"] = max_size
     return SUITES[name](**kwargs)
 
@@ -1168,13 +1104,7 @@ def self_test(seed: int = 0, cases: int = 400, max_size: int = 4) -> SelfTestRep
         r2 = random_relation(rng, a, a)
         r3 = random_relation(rng, a, a)
         if not check_modularity(r1, r2, r3):
-            return SelfTestReport(
-                False,
-                i + 1,
-                f"true law failed: r1={_describe_rel(r1)} r2={_describe_rel(r2)} r3={_describe_rel(r3)}",
-            )
+            return SelfTestReport(False, i + 1, _witness("true law failed:", r1=r1, r2=r2, r3=r3))
         if witness is None and not _wrong_modularity(r1, r2, r3):
-            witness = (
-                f"r1={_describe_rel(r1)} r2={_describe_rel(r2)} r3={_describe_rel(r3)}"
-            )
+            witness = _witness(r1=r1, r2=r2, r3=r3)
     return SelfTestReport(witness is not None, cases, witness)

@@ -58,3 +58,30 @@ def test_failing_run_json(capsys, failing_duality):
             "failures": [list(f) for f in FAILURES],
         }
     ]
+
+
+def test_named_suites_are_seeded_as_in_the_full_run(capsys, monkeypatch):
+    seeds = []
+    for name in laws_mod.SUITES:
+        def record(seed=0, cases=0, name=name, **_):
+            seeds.append((name, seed))
+            return Report(suite=name, cases=cases, failures=(), seconds=0.0)
+
+        monkeypatch.setitem(laws_mod.SUITES, name, record)
+    assert main(["laws", "--suite", "fo-reduction", "--suite", "duality"]) == 0
+    assert seeds == [("fo-reduction", 7), ("duality", 1)]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--suite", "rel-laws", "--max-size", "0"], "rel-laws: max_size must be at least 1, not 0"),
+    (["--suite", "sheaf", "--max-size", "1"], "sheaf: max_size must be at least 2, not 1"),
+    (["--suite", "topological", "--max-size", "2"], "topological: max_size must be at least 3, not 2"),
+    (["--cases", "-1"], "rel-laws: cases must be at least 1, not -1"),
+    (["--cases", "0"], "rel-laws: cases must be at least 1, not 0"),
+    (["--max-failures", "-1"], "--max-failures must be at least 0, not -1"),
+], ids=["max-size-0", "max-size-1", "max-size-2", "cases-negative", "cases-zero", "max-failures"])
+def test_bad_numbers_exit_2(capsys, argv, message):
+    assert main(["laws"] + argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"

@@ -1,4 +1,6 @@
-"""The randomized law suites: structure, determinism, self-test."""
+"""The randomized law suites: structure, determinism, labels, self-test."""
+
+import re
 
 import pytest
 
@@ -6,12 +8,14 @@ from delmc import (
     DEFAULT_CASES,
     InvariantViolation,
     KripkeModel,
+    OutOfRange,
     SUITES,
     Report,
     run_all,
     run_suite,
     self_test,
 )
+from delmc import laws as laws_mod
 
 SMALL_CASES = {
     "rel-laws": 40,
@@ -88,3 +92,44 @@ def test_del_reduction_builds_each_update_once(monkeypatch):
     assert run_suite("del-reduction", seed=0, cases=30).ok
     keys = [(id(model), id(ev)) for model, ev in built]
     assert len(keys) == len(set(keys))
+
+
+def test_labels_number_cases_and_name_relation_witnesses(monkeypatch):
+    monkeypatch.setattr(laws_mod, "check_modularity", lambda r1, r2, r3: False)
+    rep = run_suite("rel-laws", seed=0, cases=2)
+    labels = [label for label, _ in rep.failures]
+    # the exhaustive sweep runs before case 0 and keeps its bare label
+    first_case = labels.index("case 0: modularity")
+    assert set(labels[:first_case]) == {"exhaustive modularity"}
+    assert labels[first_case:] == ["case 0: modularity", "case 1: modularity"]
+    rel = r"[a-z]\d+->[a-z]\d+:\[.*\]"
+    for _, witness in rep.failures:
+        assert re.fullmatch(f"r1={rel} r2={rel} r3={rel}", witness), witness
+
+
+def test_suite_level_checks_keep_their_bare_label():
+    # the threshold is set for the default case count, so five cases fail it
+    rep = run_suite("del-reduction", seed=0, cases=5)
+    assert len(rep.failures) == 1
+    label, witness = rep.failures[0]
+    assert label == "at least 10 unbounded updates exhibit a learning witness"
+    assert re.fullmatch(r"found [0-5]", witness)
+
+
+MIN_SIZE = {
+    "rel-laws": 1,
+    "duality": 1,
+    "beck-chevalley": 1,
+    "topological": 3,
+    "pal-reduction": 2,
+    "del-reduction": 2,
+    "sheaf": 2,
+    "fo-reduction": 2,
+}
+
+
+@pytest.mark.parametrize("name", list(MIN_SIZE))
+def test_each_suite_runs_at_its_least_max_size_and_rejects_less(name):
+    assert run_suite(name, seed=0, cases=3, max_size=MIN_SIZE[name]).cases >= 3
+    with pytest.raises(OutOfRange, match=f"max_size must be at least {MIN_SIZE[name]}"):
+        run_suite(name, seed=0, cases=3, max_size=MIN_SIZE[name] - 1)

@@ -109,7 +109,7 @@ def _one_event(name, pre, agents=AB):
     return EventModel.make(KripkeFrame.make(e, agents, {a: loops for a in agents}), {name: pre})
 
 
-def test_registry_is_part_of_the_key(builds, two_worlds):
+def test_a_registry_that_changes_an_extent_builds_again(builds, two_worlds):
     # F's precondition [E,e]p reads E through the registry: with e always
     # executable it is p, with e never executable it holds everywhere; the
     # registry reaches the key through that extent
