@@ -305,7 +305,14 @@ def _cmd_reduce(args) -> int:
 
 def _cmd_laws(args) -> int:
     if args.self_test:
-        report = laws_mod.self_test(seed=args.seed)
+        if args.suite:
+            raise _CliUserError("--suite cannot be combined with --self-test")
+        kwargs = {"seed": args.seed}
+        if args.cases is not None:
+            kwargs["cases"] = args.cases
+        if args.max_size is not None:
+            kwargs["max_size"] = args.max_size
+        report = laws_mod.self_test(**kwargs)
         if args.format == "json":
             print(
                 json.dumps(
@@ -322,15 +329,9 @@ def _cmd_laws(args) -> int:
 
     if args.max_failures < 0:
         raise _CliUserError(f"--max-failures must be at least 0, not {args.max_failures}")
-    # each suite is seeded by its position in SUITES, as in run_all, so a
-    # --suite run repeats the cases of the full run at the same --seed
-    order = list(laws_mod.SUITES)
-    reports = [
-        laws_mod.run_suite(
-            name, seed=args.seed + order.index(name), cases=args.cases, max_size=args.max_size
-        )
-        for name in args.suite or order
-    ]
+    reports = laws_mod.run_all(
+        seed=args.seed, cases=args.cases, max_size=args.max_size, suites=args.suite
+    )
     if args.format == "json":
         print(
             json.dumps(
@@ -471,12 +472,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p_laws.add_argument(
         "--cases", type=int, default=None,
         help="cases per suite, at least 1 (default: suite-specific); the suite-level counts of "
-        "beck-chevalley and del-reduction are set for the defaults and can fail far below them",
+        "beck-chevalley and del-reduction are set for the defaults and can fail far below them; "
+        "with --self-test, the triples to try (default 400)",
     )
     p_laws.add_argument(
         "--max-size", type=int, default=None,
         help="largest carrier size to generate; at least 3 for topological, 2 for pal-reduction, "
-        "del-reduction, sheaf and fo-reduction, 1 for the others",
+        "del-reduction, sheaf, fo-reduction and --self-test (default 4 there), 1 for the others",
     )
     p_laws.add_argument(
         "--max-failures", type=int, default=5,
@@ -484,7 +486,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_laws.add_argument(
         "--self-test", action="store_true",
-        help="check the harness catches a deliberately wrong law; exits 0 only if caught",
+        help="check the harness catches a deliberately wrong law; exits 0 only if caught "
+        "(takes --seed, --cases and --max-size, not --suite)",
     )
     add_format(p_laws)
     p_laws.set_defaults(fn=_cmd_laws)

@@ -13,10 +13,12 @@ Structural walks (free variables, substitution, node checks, redex search)
 go through one pair of helpers: children(phi) lists a node's subformulas
 and rebuild(phi, kids) puts a node back together over new ones.
 
-Every node computes its hash once, when it is built, from its fields
-(whose hashes its children have already computed), so hashing a formula
-that keys a memo costs the same at any depth.  The value is the one a
-frozen dataclass would compute, so hashes and set orders are unchanged.
+Every node is a ``Frozen`` value (see ``frozen``) and computes its hash
+once, when it is built, from the tuple of its arguments (whose hashes its
+children have already computed), so hashing a formula that keys a memo
+costs the same at any depth.  That tuple is the node's field tuple, so the
+value is the one a frozen dataclass would compute, and hashes and set
+orders are unchanged.
 """
 
 from __future__ import annotations
@@ -25,18 +27,30 @@ from dataclasses import dataclass
 from typing import FrozenSet, Mapping, Optional, Sequence, Tuple
 
 from .errors import InvariantViolation, VariableCapture
+from .frozen import Frozen
 
 
-class _Node:
-    """Base of formula and term nodes: the hash is computed once, at build."""
+class _Node(Frozen):
+    """Base of formula and term nodes: a frozen value whose hash is taken at build.
+
+    ``__init__`` binds the arguments as ``Frozen`` does, keeps the hash of
+    the argument tuple, and runs no ``__post_init__``; equality and the
+    repr are the shared ones.
+    """
 
     __slots__ = ()
 
-    def __post_init__(self):
-        # the fields, in order: the tuple a frozen dataclass hashes
-        object.__setattr__(self, "_hash", hash(tuple(self.__dict__.values())))
+    def __init__(self, *args, **kwargs):
+        names = self._fields
+        if kwargs or len(args) != len(names):
+            args = self._bind(args, kwargs)
+        d = self.__dict__
+        if args:  # Top and Bot have none, and skip the loop
+            for name, value in zip(names, args):
+                d[name] = value
+        d["_hash"] = hash(args)
 
-    def _cached_hash(self) -> int:
+    def __hash__(self) -> int:
         return self._hash
 
 
@@ -46,57 +60,71 @@ class Formula(_Node):
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@dataclass(init=False, repr=False, eq=False)
 class Top(Formula):
-    pass
+    """Truth: holds at every world."""
 
 
-@dataclass(frozen=True)
+@dataclass(init=False, repr=False, eq=False)
 class Bot(Formula):
-    pass
+    """Falsity: holds at no world."""
 
 
-@dataclass(frozen=True)
+@dataclass(init=False, repr=False, eq=False)
 class Atom(Formula):
+    """A propositional atom, read off the model's valuation."""
+
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(init=False, repr=False, eq=False)
 class Not(Formula):
+    """Negation."""
+
     body: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(init=False, repr=False, eq=False)
 class And(Formula):
+    """Conjunction."""
+
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(init=False, repr=False, eq=False)
 class Or(Formula):
+    """Disjunction."""
+
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(init=False, repr=False, eq=False)
 class Imp(Formula):
+    """Material implication."""
+
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(init=False, repr=False, eq=False)
 class Box(Formula):
+    """The agent's box: the body holds at every successor."""
+
     agent: str
     body: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(init=False, repr=False, eq=False)
 class Dia(Formula):
+    """The agent's diamond: the body holds at some successor."""
+
     agent: str
     body: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(init=False, repr=False, eq=False)
 class PalBox(Formula):
     """Announcement box: after truthfully announcing the first formula."""
 
@@ -104,13 +132,15 @@ class PalBox(Formula):
     body: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(init=False, repr=False, eq=False)
 class PalDia(Formula):
+    """Announcement diamond: the announcement is true, and after it the body."""
+
     announcement: Formula
     body: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(init=False, repr=False, eq=False)
 class DelBox(Formula):
     """Event box over a named event model and one of its events."""
 
@@ -119,8 +149,10 @@ class DelBox(Formula):
     body: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(init=False, repr=False, eq=False)
 class DelDia(Formula):
+    """Event diamond over a named event model and one of its events."""
+
     model: str
     event: str
     body: Formula
@@ -132,58 +164,49 @@ class Term(_Node):
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@dataclass(init=False, repr=False, eq=False)
 class Var(Term):
+    """A variable."""
+
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(init=False, repr=False, eq=False)
 class Fun(Term):
+    """A function symbol applied to terms; 0-ary gives constants."""
+
     name: str
     args: Tuple[Term, ...]
 
-    def __post_init__(self):
-        if not isinstance(self.args, tuple):
-            object.__setattr__(self, "args", tuple(self.args))
-        super().__post_init__()
+    def __init__(self, name: str, args: Sequence[Term]):
+        super().__init__(name, tuple(args))
 
 
-@dataclass(frozen=True)
+@dataclass(init=False, repr=False, eq=False)
 class Pred(Formula):
     """A relation symbol applied to terms; 0-ary gives sentence letters."""
 
     name: str
     args: Tuple[Term, ...]
 
-    def __post_init__(self):
-        if not isinstance(self.args, tuple):
-            object.__setattr__(self, "args", tuple(self.args))
-        super().__post_init__()
+    def __init__(self, name: str, args: Sequence[Term]):
+        super().__init__(name, tuple(args))
 
 
-@dataclass(frozen=True)
+@dataclass(init=False, repr=False, eq=False)
 class Forall(Formula):
+    """Universal quantifier: the variable is bound in the body."""
+
     var: str
     body: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(init=False, repr=False, eq=False)
 class Exists(Formula):
+    """Existential quantifier: the variable is bound in the body."""
+
     var: str
     body: Formula
-
-
-
-def _node_classes(cls=_Node):
-    for sub in cls.__subclasses__():
-        yield sub
-        yield from _node_classes(sub)
-
-
-# @dataclass gives each node class its own recursive __hash__; every node
-# class reads the cached one instead.
-for _cls in _node_classes():
-    _cls.__hash__ = _Node._cached_hash
 
 PROPOSITIONAL_ONLY = (Atom, PalBox, PalDia)
 FIRST_ORDER_ONLY = (Pred, Forall, Exists)
@@ -228,9 +251,9 @@ def rebuild(phi: Formula, kids: Sequence[Formula]) -> Formula:
     fields = _child_fields(phi)
     if not fields:
         return phi
-    values = {f: getattr(phi, f) for f in phi.__dataclass_fields__}
+    values = dict(zip(phi._fields, phi._values))
     values.update(zip(fields, kids))
-    return type(phi)(**values)
+    return type(phi)(*values.values())
 
 
 def is_static(phi: Formula) -> bool:
@@ -330,8 +353,8 @@ def _forbid_nodes(phi: Formula, banned, where: str) -> None:
         _forbid_nodes(kid, banned, where)
 
 
-@dataclass(frozen=True)
-class TermInContext:
+@dataclass(init=False, repr=False, eq=False)
+class TermInContext(Frozen):
     """A term whose free variables are drawn from an ordered context."""
 
     context: Tuple[str, ...]
@@ -346,8 +369,8 @@ class TermInContext:
             raise InvariantViolation(f"term uses variables outside its context: {sorted(extra)}")
 
 
-@dataclass(frozen=True)
-class FormulaInContext:
+@dataclass(init=False, repr=False, eq=False)
+class FormulaInContext(Frozen):
     """A first-order formula whose free variables are drawn from a context.
 
     The body may use Pred, quantifiers, Boolean connectives, modalities and

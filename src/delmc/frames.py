@@ -27,7 +27,7 @@ operation exposed is the common-knowledge relation of a group of agents.
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 from functools import cached_property, partial, reduce
 from itertools import compress
 from operator import and_
@@ -43,6 +43,7 @@ from .errors import (
     NotMonotone,
     UnknownAgent,
 )
+from .frozen import Frozen
 from .powerset import Subset
 from .rel import (
     FiniteSet,
@@ -64,8 +65,8 @@ from .rel import (
 )
 
 
-@dataclass(frozen=True)
-class AgentSet:
+@dataclass(init=False, repr=False, eq=False)
+class AgentSet(Frozen):
     """Named agents in a fixed order."""
 
     agents: Tuple[str, ...]
@@ -86,8 +87,8 @@ class AgentSet:
         return a in self.agents
 
 
-@dataclass(frozen=True, eq=False)
-class KripkeFrame:
+@dataclass(init=False, repr=False, eq=False)
+class KripkeFrame(Frozen):
     """A carrier with one accessibility relation per agent.
 
     ``KripkeFrame(carrier, agents, relations)`` and ``make`` take every
@@ -101,18 +102,18 @@ class KripkeFrame:
 
     carrier: FiniteSet
     agents: AgentSet
-    relations: InitVar[Tuple[Rel, ...]]
 
-    def __post_init__(self, relations):
-        if len(relations) != len(self.agents):
+    def __init__(self, carrier: FiniteSet, agents: AgentSet, relations: Sequence[Rel]):
+        if len(relations) != len(agents):
             raise InvariantViolation("one relation per agent required")
         for r in relations:
-            if r.dom != self.carrier or r.cod != self.carrier:
+            if r.dom != carrier or r.cod != carrier:
                 raise InvariantViolation(
                     f"relation carrier {r.dom.name!r}/{r.cod.name!r} does not match frame carrier"
                 )
-        object.__setattr__(self, "_rels", dict(zip(self.agents, relations)))
-        object.__setattr__(self, "_build", None)
+        self.__dict__.update(
+            carrier=carrier, agents=agents, _rels=dict(zip(agents, relations)), _build=None
+        )
 
     def __hash__(self) -> int:
         return self._hash
@@ -151,8 +152,8 @@ class KripkeFrame:
         return r
 
 
-@dataclass(frozen=True)
-class FrameMap:
+@dataclass(init=False, repr=False, eq=False)
+class FrameMap(Frozen):
     """A function between the carriers of two frames over the same agents.
 
     Being a frame map imposes nothing beyond functionality; monotonicity

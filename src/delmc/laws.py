@@ -53,6 +53,7 @@ from .frames import (
     pullback,
     subframe,
 )
+from .frozen import Frozen
 from .generators import (
     plant_non_sheaf,
     random_agents,
@@ -141,8 +142,8 @@ from .sheaves import (
 )
 
 
-@dataclass(frozen=True)
-class Report:
+@dataclass(init=False, repr=False, eq=False)
+class Report(Frozen):
     """Outcome of one suite: case count, failures, and wall time."""
 
     suite: str
@@ -1028,6 +1029,18 @@ _MIN_SIZE: Dict[str, int] = {
 }
 
 
+def _check_suite(name: str, cases: Optional[int], max_size: Optional[int]) -> None:
+    """Raise as run_suite would for these arguments, before anything runs."""
+    if name not in SUITES:
+        known = ", ".join(SUITES)
+        raise InvariantViolation(f"unknown suite {name!r}; known suites: {known}")
+    if cases is not None and cases < 1:
+        raise OutOfRange(f"{name}: cases must be at least 1, not {cases}")
+    floor = _MIN_SIZE.get(name, 1)
+    if max_size is not None and max_size < floor:
+        raise OutOfRange(f"{name}: max_size must be at least {floor}, not {max_size}")
+
+
 def run_suite(
     name: str,
     seed: int = 0,
@@ -1039,16 +1052,9 @@ def run_suite(
     Raises OutOfRange for fewer than one case, or for a max_size below
     the least one the suite can draw at.
     """
-    if name not in SUITES:
-        known = ", ".join(SUITES)
-        raise InvariantViolation(f"unknown suite {name!r}; known suites: {known}")
+    _check_suite(name, cases, max_size)
     kwargs = {"seed": seed, "cases": cases if cases is not None else DEFAULT_CASES[name]}
-    if kwargs["cases"] < 1:
-        raise OutOfRange(f"{name}: cases must be at least 1, not {cases}")
     if max_size is not None:
-        floor = _MIN_SIZE.get(name, 1)
-        if max_size < floor:
-            raise OutOfRange(f"{name}: max_size must be at least {floor}, not {max_size}")
         kwargs["max_size"] = max_size
     return SUITES[name](**kwargs)
 
@@ -1057,16 +1063,27 @@ def run_all(
     seed: int = 0,
     cases: Optional[int] = None,
     max_size: Optional[int] = None,
+    suites: Optional[Sequence[str]] = None,
 ) -> List[Report]:
-    """Run every suite, seeding each one independently from the base seed."""
+    """Run the named suites in the order given, or every suite in SUITES order.
+
+    Each suite is seeded by the base seed plus its position in SUITES, so
+    a suite run by name repeats its cases of the full run at the same
+    seed.  Every suite's arguments are checked before the first one runs,
+    so a bad size is refused at once rather than after the suites before it.
+    """
+    names = list(suites or SUITES)
+    for name in names:
+        _check_suite(name, cases, max_size)
+    order = list(SUITES)
     return [
-        run_suite(name, seed=seed + idx, cases=cases, max_size=max_size)
-        for idx, name in enumerate(SUITES)
+        run_suite(name, seed=seed + order.index(name), cases=cases, max_size=max_size)
+        for name in names
     ]
 
 
-@dataclass(frozen=True)
-class SelfTestReport:
+@dataclass(init=False, repr=False, eq=False)
+class SelfTestReport(Frozen):
     """Whether the random search refuted a deliberately false inequality."""
 
     caught: bool
@@ -1095,7 +1112,13 @@ def self_test(seed: int = 0, cases: int = 400, max_size: int = 4) -> SelfTestRep
     Every triple must satisfy the true modularity law; the test passes
     only when some triple violates the planted variant.  All three
     relations live on one carrier so both variants are well-typed.
+    Raises OutOfRange for fewer than one case, or for a max_size below 2,
+    the least carrier size drawn.
     """
+    if cases < 1:
+        raise OutOfRange(f"self-test: cases must be at least 1, not {cases}")
+    if max_size < 2:
+        raise OutOfRange(f"self-test: max_size must be at least 2, not {max_size}")
     rng = random.Random(seed)
     witness = None
     for i in range(cases):

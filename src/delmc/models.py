@@ -38,7 +38,6 @@ live beside it in ``reduction``.
 
 from __future__ import annotations
 
-import dataclasses
 import weakref
 from dataclasses import dataclass
 from functools import cached_property
@@ -73,6 +72,7 @@ from .formulas import (
     Top,
 )
 from .frames import FrameMap, KripkeFrame, is_bounded, lift_pairs, product, subframe
+from .frozen import Frozen
 from .powerset import (
     JOIN,
     MEET,
@@ -91,8 +91,8 @@ from .powerset import (
 from .rel import FiniteSet, Rel, _rel, _unchecked, compose, dagger, pair_label
 
 
-@dataclass(frozen=True)
-class KripkeModel:
+@dataclass(init=False, repr=False, eq=False)
+class KripkeModel(Frozen):
     """A frame plus a valuation for finitely many atoms."""
 
     frame: KripkeFrame
@@ -183,8 +183,8 @@ class KripkeModel:
         )
 
 
-@dataclass(frozen=True)
-class EventModel:
+@dataclass(init=False, repr=False, eq=False)
+class EventModel(Frozen):
     """A frame over events plus one precondition formula per event."""
 
     frame: KripkeFrame
@@ -217,8 +217,8 @@ class EventModel:
             raise UnknownEvent(f"event {event!r} not in event model") from None
 
 
-@dataclass(frozen=True)
-class UpdateResult:
+@dataclass(init=False, repr=False, eq=False)
+class UpdateResult(Frozen):
     """Everything the product update produces, maps included.
 
     The result carries the updated model, its two projections, and for
@@ -241,7 +241,9 @@ class UpdateResult:
 
     def with_source(self, source: Optional[KripkeModel]) -> "UpdateResult":
         """The same update over another source object (None: no source)."""
-        return dataclasses.replace(self, source=source)
+        return UpdateResult(
+            source, self.events, self.updated, self.p_x, self.p_e, self.pre_extents, self.transitions
+        )
 
     def transition(self, e: str) -> Rel:
         return dict(self.transitions)[e]
@@ -479,15 +481,19 @@ def product_update(
     return _Evaluator(registry).build_update(model, ev)
 
 
-@dataclass(frozen=True)
-class LawCheck:
+@dataclass(init=False, repr=False, eq=False)
+class LawCheck(Frozen):
+    """One named check of a law report, with a witness when it failed."""
+
     name: str
     ok: bool
     witness: Optional[str] = None
 
 
-@dataclass(frozen=True)
-class LawReport:
+@dataclass(init=False, repr=False, eq=False)
+class LawReport(Frozen):
+    """Named checks run together; ok when every one passed."""
+
     checks: Tuple[LawCheck, ...]
 
     @property
@@ -533,8 +539,8 @@ def check_update_routes(upd: UpdateResult) -> LawReport:
     return LawReport(tuple(checks))
 
 
-@dataclass(frozen=True)
-class NoLearningReport:
+@dataclass(init=False, repr=False, eq=False)
+class NoLearningReport(Frozen):
     """Outcome of the no-learning criterion for one update.
 
     bounded: whether the world projection of the update is bounded.
@@ -576,32 +582,33 @@ def _static_pool(
 
     seen = set()
 
-    def add(f, sx, su, into):
+    def add(node, args, sx, su, into):
+        # the node is built only for a new pair of extensions
         key = (sx, su)
         if key not in seen:
             seen.add(key)
-            into.append((f, sx, su))
+            into.append((node(*args), sx, su))
 
     base: List[Tuple[Formula, int, int]] = []
-    add(Top(), full_x, full_u, base)
-    add(Bot(), 0, 0, base)
+    add(Top, (), full_x, full_u, base)
+    add(Bot, (), 0, 0, base)
     for p in model.atoms:
-        add(Atom(p), model.val(p).mask, updated.val(p).mask, base)
+        add(Atom, (p,), model.val(p).mask, updated.val(p).mask, base)
     pool = list(base)
     current = list(base)
     for _ in range(depth):
         fresh: List[Tuple[Formula, int, int]] = []
         for f, sx, su in current:
-            add(Not(f), full_x ^ sx, full_u ^ su, fresh)
+            add(Not, (f,), full_x ^ sx, full_u ^ su, fresh)
             for a in model.frame.agents:
                 rx, ru = rows_x[a], rows_u[a]
-                add(Box(a, f), forall_image(rx, sx), forall_image(ru, su), fresh)
-                add(Dia(a, f), exists_image(rx, sx), exists_image(ru, su), fresh)
+                add(Box, (a, f), forall_image(rx, sx), forall_image(ru, su), fresh)
+                add(Dia, (a, f), exists_image(rx, sx), exists_image(ru, su), fresh)
         for f1, sx1, su1 in current:
             for f2, sx2, su2 in pool:
-                add(And(f1, f2), sx1 & sx2, su1 & su2, fresh)
-                add(Or(f1, f2), sx1 | sx2, su1 | su2, fresh)
-                add(Imp(f1, f2), (full_x ^ sx1) | sx2, (full_u ^ su1) | su2, fresh)
+                add(And, (f1, f2), sx1 & sx2, su1 & su2, fresh)
+                add(Or, (f1, f2), sx1 | sx2, su1 | su2, fresh)
+                add(Imp, (f1, f2), (full_x ^ sx1) | sx2, (full_u ^ su1) | su2, fresh)
         fresh.sort(key=sort_key)
         fresh = fresh[:class_cap]
         pool.extend(fresh)

@@ -34,6 +34,7 @@ from operator import and_
 from typing import FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import CapExceeded, CarrierMismatch, InvariantViolation, NotAFunction, NotAPullback
+from .frozen import Frozen
 from .rel import (
     FiniteSet,
     Rel,
@@ -52,8 +53,8 @@ JOIN = "join"
 MEET = "meet"
 
 
-@dataclass(frozen=True, init=False)
-class Subset:
+@dataclass(init=False, repr=False, eq=False)
+class Subset(Frozen):
     """A subset of a named carrier, stored as one mask over ``carrier.index``.
 
     ``Subset(carrier, members)`` checks the named members against the
@@ -128,8 +129,8 @@ def all_subsets(x: FiniteSet) -> Iterable[Subset]:
             yield _subset(x, sum(1 << i for i in combo))
 
 
-@dataclass(frozen=True)
-class PowersetMap:
+@dataclass(init=False, repr=False, eq=False)
+class PowersetMap(Frozen):
     """A join or meet extension between powerset algebras.
 
     kind "join": ``masks[i]`` is the image of the singleton of
@@ -343,8 +344,8 @@ def verify_preserves_all_meets(h: PowersetMap, cap: int = 12) -> bool:
     )
 
 
-@dataclass(frozen=True)
-class BidualityReport:
+@dataclass(init=False, repr=False, eq=False)
+class BidualityReport(Frozen):
     """Which of the relation/map order and functoriality laws were checked."""
 
     checks: Tuple[Tuple[str, bool], ...]

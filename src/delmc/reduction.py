@@ -76,6 +76,7 @@ from .formulas import (
     substitute_term,
     term_free_vars,
 )
+from .frozen import Frozen
 from .models import EventModel, KripkeModel, LawCheck, LawReport, _Evaluator
 from .sheaves import SheafModel
 
@@ -83,16 +84,20 @@ from .sheaves import SheafModel
 # formulas; they stay importable from here under the same names.
 
 
-@dataclass(frozen=True)
-class ReductionStep:
+@dataclass(init=False, repr=False, eq=False)
+class ReductionStep(Frozen):
+    """One rewrite: the rule applied, the redex, what replaced it, and the whole formula after."""
+
     rule: str
     redex: Formula
     replacement: Formula
     result: Formula
 
 
-@dataclass(frozen=True)
-class ReductionResult:
+@dataclass(init=False, repr=False, eq=False)
+class ReductionResult(Frozen):
+    """A reduction from start to result through its steps; context is set for formulas in context."""
+
     start: Formula
     result: Formula
     steps: Tuple[ReductionStep, ...]

@@ -40,6 +40,7 @@ from operator import and_, or_
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Sequence, Tuple
 
 from .errors import CarrierMismatch, InvariantViolation, NotAFunction
+from .frozen import Frozen
 
 _FLAG = bytes.maketrans(b"01", b"\x00\x01")
 
@@ -76,8 +77,8 @@ def transpose(rows: Sequence[int], width: int) -> Tuple[int, ...]:
     return tuple(cols)
 
 
-@dataclass(frozen=True)
-class FiniteSet:
+@dataclass(init=False, repr=False, eq=False)
+class FiniteSet(Frozen):
     """A named finite carrier with a fixed element order.
 
     The order is part of the value: it pins down iteration, printing and
@@ -153,8 +154,8 @@ def require_same_carrier(a: FiniteSet, b: FiniteSet, where: str) -> None:
         raise CarrierMismatch(f"{where}: carrier {a.name!r} != carrier {b.name!r}")
 
 
-@dataclass(frozen=True, init=False)
-class Rel:
+@dataclass(init=False, repr=False, eq=False)
+class Rel(Frozen):
     """A binary relation between two finite carriers, stored as successor masks.
 
     ``Rel(dom, cod, pairs)`` checks the pairs against the carriers and
@@ -236,7 +237,7 @@ def _within(pairs: FrozenSet[Tuple[str, str]], dom: FrozenSet[str], cod: FrozenS
 
 
 def _unchecked(cls, **fields):
-    """An instance of a frozen dataclass with its fields set and no check run.
+    """An instance of a frozen value class with its fields set and no check run.
 
     The one path for trusted values: kernel results and data the loader
     has already checked.  Every field is passed by name.
@@ -390,8 +391,8 @@ def pair_label(a: str, b: str) -> str:
     return f"({a},{b})"
 
 
-@dataclass(frozen=True)
-class Tabulation:
+@dataclass(init=False, repr=False, eq=False)
+class Tabulation(Frozen):
     """A span of functions presenting a relation as pairs.
 
     The apex carrier is literally the pair set of the relation, in

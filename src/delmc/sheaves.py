@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import copy
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import compress
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
@@ -84,6 +84,7 @@ from .frames import (
     lift_pairs,
     lift_points,
 )
+from .frozen import Frozen
 from .models import (
     EventModel,
     LawCheck,
@@ -106,8 +107,8 @@ from .rel import (
 )
 
 
-@dataclass(frozen=True)
-class Signature:
+@dataclass(init=False, repr=False, eq=False)
+class Signature(Frozen):
     """Function and relation symbols with arities; names are disjoint."""
 
     function_symbols: Tuple[Tuple[str, int], ...]
@@ -141,8 +142,8 @@ class Signature:
         raise UnknownSymbol(f"relation symbol {name!r} not in signature")
 
 
-@dataclass(frozen=True)
-class SheafCheck:
+@dataclass(init=False, repr=False, eq=False)
+class SheafCheck(Frozen):
     """Diagnostics from checking the sheaf conditions on a projection.
 
     failure names the first failed condition, with a witness.  The last
@@ -226,16 +227,13 @@ def is_kripke_sheaf(total: KripkeFrame, base: KripkeFrame, proj: FrameMap) -> Sh
     )
 
 
-@dataclass(frozen=True)
-class KripkeSheaf:
+@dataclass(init=False, repr=False, eq=False)
+class KripkeSheaf(Frozen):
     """A validated sheaf: surjective bounded projection with unique lifts."""
 
     total: KripkeFrame
     base: KripkeFrame
     proj: FrameMap
-    _powers: Dict[int, "FiberedPower"] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
 
     def __post_init__(self):
         failure = _sheaf_conditions(self.total, self.base, self.proj)[-1]
@@ -254,6 +252,11 @@ class KripkeSheaf:
     def fiber(self, w: str) -> Tuple[str, ...]:
         return self.fibers.get(w, ())
 
+    @cached_property
+    def _powers(self) -> Dict[int, "FiberedPower"]:
+        """The fibered powers built so far, by exponent."""
+        return {}
+
     def power(self, n: int) -> "FiberedPower":
         """The n-th fibered power, built on first use and kept."""
         if n not in self._powers:
@@ -261,8 +264,8 @@ class KripkeSheaf:
         return self._powers[n]
 
 
-@dataclass(frozen=True)
-class FiberedPower:
+@dataclass(init=False, repr=False, eq=False)
+class FiberedPower(Frozen):
     """The n-th fibered power of a sheaf projection.
 
     A point is an n-tuple of individuals over a common world; the frame is
@@ -552,9 +555,7 @@ class SheafModel:
             new_total.carrier, new_base.carrier,
             [world_rows[k][pi[a]] for a, k in zip(*parts[1])],
         ))
-        new_sheaf = _unchecked(
-            KripkeSheaf, total=new_total, base=new_base, proj=new_proj, _powers={}
-        )
+        new_sheaf = _unchecked(KripkeSheaf, total=new_total, base=new_base, proj=new_proj)
 
         fn_interp: Dict[str, FrameMap] = {}
         for name, arity in self.signature.function_symbols:

@@ -85,3 +85,47 @@ def test_bad_numbers_exit_2(capsys, argv, message):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+def test_bad_max_size_is_refused_before_any_suite_runs(capsys, monkeypatch):
+    ran = []
+    for name in laws_mod.SUITES:
+        def record(seed=0, cases=0, name=name, **_):
+            ran.append(name)
+            return Report(suite=name, cases=cases, failures=(), seconds=0.0)
+
+        monkeypatch.setitem(laws_mod.SUITES, name, record)
+    assert main(["laws", "--max-size", "2"]) == 2
+    assert ran == []
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: topological: max_size must be at least 3, not 2\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--cases", "0"], "self-test: cases must be at least 1, not 0"),
+    (["--max-size", "1"], "self-test: max_size must be at least 2, not 1"),
+    (["--suite", "sheaf"], "--suite cannot be combined with --self-test"),
+], ids=["cases-0", "max-size-1", "suite"])
+def test_self_test_refuses_what_it_cannot_run(capsys, argv, message):
+    assert main(["laws", "--self-test"] + argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def test_self_test_takes_seed_cases_and_max_size(capsys, monkeypatch):
+    seen = []
+
+    def record(**kwargs):
+        seen.append(kwargs)
+        return laws_mod.SelfTestReport(True, kwargs.get("cases", 400), None)
+
+    monkeypatch.setattr(laws_mod, "self_test", record)
+    assert main(["laws", "--self-test", "--seed", "3", "--cases", "7", "--max-size", "2"]) == 0
+    assert main(["laws", "--self-test"]) == 0
+    assert seen == [{"seed": 3, "cases": 7, "max_size": 2}, {"seed": 0}]
+    assert capsys.readouterr().out.splitlines() == [
+        "self-test: planted wrong law caught after 7 cases",
+        "self-test: planted wrong law caught after 400 cases",
+    ]

@@ -78,6 +78,30 @@ def test_self_test_catches_planted_defect():
     assert rep.witness
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    ({"cases": 0}, "self-test: cases must be at least 1, not 0"),
+    ({"max_size": 1}, "self-test: max_size must be at least 2, not 1"),
+], ids=["cases-0", "max-size-1"])
+def test_self_test_refuses_sizes_it_cannot_draw(kwargs, message):
+    with pytest.raises(OutOfRange, match=f"^{message}$"):
+        self_test(seed=0, **kwargs)
+
+
+def test_self_test_runs_at_its_least_sizes():
+    assert self_test(seed=0, cases=1, max_size=2).tried == 1
+
+
+def test_run_all_checks_every_suite_before_running_any(monkeypatch):
+    ran = []
+    for name in SUITES:
+        monkeypatch.setitem(SUITES, name, lambda name=name, **_: ran.append(name))
+    with pytest.raises(OutOfRange, match="^topological: max_size must be at least 3, not 2$"):
+        run_all(seed=0, max_size=2)
+    with pytest.raises(OutOfRange, match="^sheaf: max_size must be at least 2, not 1$"):
+        run_all(seed=0, max_size=1, suites=["rel-laws", "sheaf"])
+    assert ran == []
+
+
 def test_del_reduction_builds_each_update_once(monkeypatch):
     # the suite's preconditions are static, so the verified laws, the
     # update-route check, the no-learning check and the verified reduce

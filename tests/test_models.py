@@ -311,6 +311,29 @@ def test_learning_witness_on_private_announcement(private_announcement_event):
     assert rep.witness is not None
 
 
+def test_static_pool_builds_a_node_only_for_a_new_class(
+    two_worlds, private_announcement_event, monkeypatch
+):
+    from delmc import formulas, models
+
+    updated = product_update(two_worlds, private_announcement_event).updated
+    built = []
+    init = formulas._Node.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(type(self))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(formulas._Node, "__init__", counted)
+    pool = models._static_pool(two_worlds, updated, 2)
+    monkeypatch.undo()
+    assert len(built) == len(pool)
+    assert len({(sx, su) for _, sx, su in pool}) == len(pool)
+    for f, sx, su in pool:
+        assert extension(two_worlds, f).mask == sx
+        assert extension(updated, f).mask == su
+
+
 def test_static_precondition_modalities(two_worlds):
     model = two_worlds
     box_map, dia_map = static_precondition_modalities(model, Atom("p"))
@@ -351,6 +374,6 @@ def test_every_node_class_reads_the_cached_hash():
         cls for cls in vars(formulas).values()
         if isinstance(cls, type) and issubclass(cls, formulas._Node) and dataclasses.is_dataclass(cls)
     ]
-    assert len(nodes) >= 18
+    assert len(nodes) == 18
     for cls in nodes:
-        assert cls.__hash__ is formulas._Node._cached_hash, cls.__name__
+        assert cls.__hash__ is formulas._Node.__hash__, cls.__name__
