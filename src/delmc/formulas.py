@@ -34,8 +34,10 @@ class _Node(Frozen):
     """Base of formula and term nodes: a frozen value whose hash is taken at build.
 
     ``__init__`` binds the arguments as ``Frozen`` does, keeps the hash of
-    the argument tuple, and runs no ``__post_init__``; equality and the
-    repr are the shared ones.
+    the argument tuple, and runs no ``__post_init__``; the repr is the
+    shared one.  A node's ``__dict__`` holds that hash, then the fields, and
+    nothing else, so equality compares the two dicts: a differing hash ends
+    the comparison at its first entry.
     """
 
     __slots__ = ()
@@ -45,13 +47,20 @@ class _Node(Frozen):
         if kwargs or len(args) != len(names):
             args = self._bind(args, kwargs)
         d = self.__dict__
+        d["_hash"] = hash(args)
         if args:  # Top and Bot have none, and skip the loop
             for name, value in zip(names, args):
                 d[name] = value
-        d["_hash"] = hash(args)
 
     def __hash__(self) -> int:
         return self._hash
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.__dict__ == other.__dict__
 
 
 class Formula(_Node):

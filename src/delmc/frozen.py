@@ -46,10 +46,11 @@ class Frozen:
 
     __slots__ = ()
 
-    # set per class by __init_subclass__: every field's name, in order, and
-    # the defaults of the trailing fields that have one
+    # set per class by __init_subclass__: every field's name, in order, the
+    # defaults of the trailing fields that have one, and how many have none
     _fields: Tuple[str, ...] = ()
     _defaults: Tuple[Any, ...] = ()
+    _required = 0
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
@@ -59,20 +60,20 @@ class Frozen:
             raise TypeError(f"{cls.__name__}: a field without a default follows one with a default")
         cls._fields = cls._fields + own
         cls._defaults = cls._defaults + tuple(cls.__dict__[n] for n in given)
-        cls._values = property(_getter(cls._fields), doc="The field values, in field order.")
+        cls._required = len(cls._fields) - len(cls._defaults)
+        get = _getter(cls._fields)
+        cls._get = staticmethod(get)  # read by __eq__ with no property in between
+        cls._values = property(get, doc="The field values, in field order.")
 
     @classmethod
     def _bind(cls, args: Tuple[Any, ...], kwargs: Mapping[str, Any]) -> Tuple[Any, ...]:
         """The field values from a call's arguments, with defaults filled in."""
-        names, defaults = cls._fields, cls._defaults
-        required = len(names) - len(defaults)
-        if not kwargs and required <= len(args) <= len(names):
-            return args + defaults[len(args) - required:]
+        names, required = cls._fields, cls._required
         if len(args) > len(names):
             raise TypeError(
                 f"{cls.__name__}() takes {len(names)} arguments but {len(args)} were given"
             )
-        values = dict(zip(names[required:], defaults))
+        values = dict(zip(names[required:], cls._defaults))
         values.update(zip(names, args))
         for name, value in kwargs.items():
             if name not in names:
@@ -88,7 +89,10 @@ class Frozen:
     def __init__(self, *args, **kwargs):
         names = self._fields
         if kwargs or len(args) != len(names):
-            args = self._bind(args, kwargs)
+            if kwargs or not self._required <= len(args) < len(names):
+                args = self._bind(args, kwargs)
+            else:  # positional, with trailing defaults to fill
+                args += self._defaults[len(args) - self._required:]
         d = self.__dict__
         for name, value in zip(names, args):
             d[name] = value
@@ -100,9 +104,11 @@ class Frozen:
     def __eq__(self, other: object) -> bool:
         if self is other:  # what comparing the field tuples would find
             return True
-        if other.__class__ is not self.__class__:
+        cls = type(self)
+        if type(other) is not cls:
             return NotImplemented
-        return self._values == other._values
+        get = cls._get
+        return get(self) == get(other)
 
     def __hash__(self) -> int:
         return hash(self._values)

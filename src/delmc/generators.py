@@ -7,6 +7,12 @@ relations from inside the pullback of the target's, bounded maps pair a
 surjection with the full pullback, Kripke sheaves pick exactly one
 successor per individual and reachable world — while the planted
 counterexamples break exactly one condition.
+
+Relations, subsets and functions are drawn straight into the kernel's
+masks: row by row in domain order, each row's draws in codomain order.
+They enter through the checked constructors ``Rel.from_rows`` and
+``Subset.from_mask``, and no set of name pairs is built.
+``plant_non_sheaf`` works on names, since it breaks one named pair.
 """
 
 from __future__ import annotations
@@ -37,10 +43,10 @@ from .formulas import (
     Top,
     Var,
 )
-from .frames import AgentSet, FrameMap, KripkeFrame, frame_map, initial_lift, is_monotone
+from .frames import AgentSet, FrameMap, KripkeFrame, initial_lift, is_monotone
 from .models import EventModel, KripkeModel
 from .powerset import Subset
-from .rel import FiniteSet, Rel
+from .rel import FiniteSet, Rel, flags_mask, identity
 from .sheaves import KripkeSheaf, SheafModel, Signature
 
 
@@ -57,35 +63,44 @@ def random_relation(
     density: Optional[float] = None,
 ) -> Rel:
     d = rng.uniform(0.15, 0.6) if density is None else density
-    pairs = {
-        (a, b) for a in dom for b in cod if rng.random() < d
-    }
-    return Rel(dom, cod, frozenset(pairs))
+    draw, width = rng.random, range(len(cod))
+    return Rel.from_rows(dom, cod, [flags_mask([draw() < d for _ in width]) for _ in dom])
 
 
 def random_subset(
     rng: random.Random, carrier: FiniteSet, density: float = 0.5
 ) -> Subset:
-    return Subset(carrier, frozenset(x for x in carrier if rng.random() < density))
+    draw = rng.random
+    return Subset.from_mask(carrier, flags_mask([draw() < density for _ in carrier]))
+
+
+def _singletons(mask: int) -> Tuple[int, ...]:
+    """The singleton masks of the set bits of mask, lowest first."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low)
+        mask ^= low
+    return tuple(out)
 
 
 def random_function(rng: random.Random, dom: FiniteSet, cod: FiniteSet) -> Rel:
-    choices = tuple(cod.elements)
-    return Rel(dom, cod, frozenset((a, rng.choice(choices)) for a in dom))
+    choices = _singletons(cod.full)
+    return Rel.from_rows(dom, cod, [rng.choice(choices) for _ in dom])
 
 
 def random_surjection(rng: random.Random, dom: FiniteSet, cod: FiniteSet) -> Rel:
-    if len(dom.elements) < len(cod.elements):
+    if len(dom) < len(cod):
         raise InvariantViolation("a surjection needs at least as many sources as targets")
-    sources = list(dom.elements)
+    sources = list(range(len(dom)))
     rng.shuffle(sources)
-    pairs = []
-    for i, b in enumerate(cod.elements):
-        pairs.append((sources[i], b))
-    choices = tuple(cod.elements)
-    for a in sources[len(cod.elements):]:
-        pairs.append((a, rng.choice(choices)))
-    return Rel(dom, cod, frozenset(pairs))
+    choices = _singletons(cod.full)
+    rows = [0] * len(dom)
+    for i, b in zip(sources, choices):  # the first len(cod) sources cover cod
+        rows[i] = b
+    for i in sources[len(cod):]:
+        rows[i] = rng.choice(choices)
+    return Rel.from_rows(dom, cod, rows)
 
 
 def random_agents(rng: random.Random, count: int) -> AgentSet:
@@ -194,13 +209,13 @@ def random_monotone_map(
     carrier = random_carrier(rng, src_size, prefix)
     fn = random_function(rng, carrier, dst.carrier)
     lifted = initial_lift([dst], [fn])
+    draw = rng.random
     rels = {}
     for a in dst.agents:
-        succ = lifted.rel(a).successors
-        keep = frozenset(
-            (x, y) for x in carrier for y in carrier if y in succ[x] and rng.random() < 0.7
-        )
-        rels[a] = Rel(carrier, carrier, keep)
+        rows = [
+            sum(b for b in _singletons(m) if draw() < 0.7) for m in lifted.rel(a).rows
+        ]
+        rels[a] = Rel.from_rows(carrier, carrier, rows)
     src = KripkeFrame.make(carrier, dst.agents, rels)
     return FrameMap(src, dst, fn)
 
@@ -231,27 +246,23 @@ def random_sheaf(
     successor is chosen in the target fiber.  The three sheaf conditions
     hold by construction.
     """
-    fibers: Dict[str, List[str]] = {}
     names: List[str] = []
-    for i, w in enumerate(base.carrier):
+    fibers: List[Tuple[int, ...]] = []  # each world's individuals, as singleton masks
+    for i in range(len(base.carrier)):
         size = rng.randrange(1, max_fiber + 1)
-        fibers[w] = [f"{prefix}{i + 1}_{j + 1}" for j in range(size)]
-        names.extend(fibers[w])
+        fibers.append(tuple(1 << k for k in range(len(names), len(names) + size)))
+        names.extend(f"{prefix}{i + 1}_{j + 1}" for j in range(size))
     carrier = FiniteSet(f"{prefix}({base.carrier.name})", tuple(names))
-    projection = {a: w for w, fib in fibers.items() for a in fib}
     rels = {}
     for ag in base.agents:
-        succ = base.rel(ag).successors
-        pairs = set()
-        for w in base.carrier:
-            for a in fibers[w]:
-                for w2 in base.carrier:
-                    if w2 in succ[w]:
-                        pairs.add((a, rng.choice(fibers[w2])))
-        rels[ag] = Rel(carrier, carrier, frozenset(pairs))
+        rows = []
+        for fib, m in zip(fibers, base.rel(ag).rows):
+            targets = [fibers[b.bit_length() - 1] for b in _singletons(m)]
+            rows.extend(sum(rng.choice(t) for t in targets) for _ in fib)
+        rels[ag] = Rel.from_rows(carrier, carrier, rows)
     total = KripkeFrame.make(carrier, base.agents, rels)
-    proj = frame_map(total, base, projection)
-    return KripkeSheaf(total, base, proj)
+    proj = Rel.from_rows(carrier, base.carrier, [1 << i for i, fib in enumerate(fibers) for _ in fib])
+    return KripkeSheaf(total, base, FrameMap(total, base, proj))
 
 
 def plant_non_sheaf(
@@ -345,26 +356,25 @@ def _monotone_unary(rng: random.Random, sheaf: KripkeSheaf, tries: int = 24) -> 
     """A fiber-preserving endomap of the domain, monotone if luck allows,
     the identity otherwise."""
     total = sheaf.total
+    fibers = [_singletons(m) for m in sheaf.proj.fn.pred_rows]
     for _ in range(tries):
-        mapping = {}
-        for w in sheaf.base.carrier:
-            fib = sheaf.fiber(w)
+        rows = [0] * len(total.carrier)
+        for fib in fibers:
             for a in fib:
-                mapping[a] = rng.choice(fib)
-        fn = Rel(total.carrier, total.carrier, frozenset(mapping.items()))
+                rows[a.bit_length() - 1] = rng.choice(fib)
+        fn = Rel.from_rows(total.carrier, total.carrier, rows)
         if is_monotone(FrameMap(total, total, fn)):
             return fn
-    return Rel(total.carrier, total.carrier, frozenset((a, a) for a in total.carrier))
+    return identity(total.carrier)
 
 
 def _monotone_section(rng: random.Random, sheaf: KripkeSheaf, tries: int = 24) -> Optional[Rel]:
     """A monotone section of the projection, or None if sampling fails."""
     base = sheaf.base
+    fibers = [_singletons(m) for m in sheaf.proj.fn.pred_rows]
     for _ in range(tries):
-        mapping = {w: rng.choice(sheaf.fiber(w)) for w in base.carrier}
-        fn = Rel(base.carrier, sheaf.total.carrier, frozenset(mapping.items()))
-        candidate = FrameMap(base, sheaf.total, fn)
-        if is_monotone(candidate):
+        fn = Rel.from_rows(base.carrier, sheaf.total.carrier, [rng.choice(f) for f in fibers])
+        if is_monotone(FrameMap(base, sheaf.total, fn)):
             return fn
     return None
 
@@ -384,13 +394,8 @@ def random_sheaf_model(rng: random.Random, sheaf: KripkeSheaf) -> SheafModel:
         fn_interp["c"] = FrameMap(power0.frame, sheaf.total, section)
     functions["g"] = 2
     power2 = sheaf.power(2)
-    names = sheaf.total.carrier.elements
-    first = {lbl: names[c[0]] for lbl, c in zip(power2.carrier, power2.coords)}
-    fn_interp["g"] = FrameMap(
-        power2.frame,
-        sheaf.total,
-        Rel(power2.carrier, sheaf.total.carrier, frozenset(first.items())),
-    )
+    first = Rel.from_rows(power2.carrier, sheaf.total.carrier, [1 << c[0] for c in power2.coords])
+    fn_interp["g"] = FrameMap(power2.frame, sheaf.total, first)
     relations = {"Q": 0, "P1": 1, "P2": 1, "R2": 2}
     rel_interp: Dict[str, Subset] = {
         "Q": random_subset(rng, sheaf.base.carrier),

@@ -94,12 +94,12 @@ def _pair_rows(value: Any, carrier: FiniteSet, where: str) -> Tuple[int, ...]:
     """The successor masks of a relation on carrier given as a JSON pair list."""
     if not isinstance(value, list):
         raise SchemaError(f"{where}: expected a list of pairs")
-    index = carrier.index
+    index, bit = carrier.index, carrier.bit
     rows = [0] * len(carrier)
     if set(map(type, value)) <= {list}:
         try:  # plain lists of two declared names, looked up as the rows are built
             for w, v in value:
-                rows[index[w]] |= 1 << index[v]
+                rows[index[w]] |= bit[v]
             return tuple(rows)
         except (KeyError, ValueError, TypeError):  # a stray, a bad length, an unhashable name
             rows = [0] * len(carrier)
@@ -114,7 +114,7 @@ def _pair_rows(value: Any, carrier: FiniteSet, where: str) -> Tuple[int, ...]:
             if x not in index:
                 raise SchemaError(f"{where}: undeclared name {x!r}")
         w, v = entry
-        rows[index[w]] |= 1 << index[v]
+        rows[index[w]] |= bit[v]
     return tuple(rows)
 
 

@@ -14,7 +14,8 @@ a ``PowersetMap`` keeps its table as one mask over the codomain per
 domain element, in domain order.  ``apply`` ORs (join) or ANDs (meet)
 the masks picked out by a subset's bits.  Names are resolved only at
 the boundary: ``Subset(carrier, members)`` takes names and checks them,
-and ``Subset.members``, ``members_in_order()`` and ``PowersetMap.atom_table``
+``Subset.from_mask(carrier, mask)`` checks a mask given whole, and
+``Subset.members``, ``members_in_order()`` and ``PowersetMap.atom_table``
 are lazy views built from the masks.
 
 ``forall_image`` and ``exists_image`` compute the same two images, as
@@ -58,8 +59,9 @@ class Subset(Frozen):
     """A subset of a named carrier, stored as one mask over ``carrier.index``.
 
     ``Subset(carrier, members)`` checks the named members against the
-    carrier and builds the mask; ``members`` and ``members_in_order()`` are
-    boundary views, built from the mask.
+    carrier and builds the mask, and ``Subset.from_mask`` checks a mask;
+    ``members`` and ``members_in_order()`` are boundary views, built from
+    the mask.
     """
 
     carrier: FiniteSet
@@ -73,6 +75,15 @@ class Subset(Frozen):
                 if m not in carrier:
                     raise InvariantViolation(f"subset member {m!r} not in carrier {carrier.name!r}")
         self.__dict__.update(carrier=carrier, mask=carrier.mask(members), members=members)
+
+    @classmethod
+    def from_mask(cls, carrier: FiniteSet, mask: int) -> "Subset":
+        """A subset from its mask, checked: a plain ``int`` within
+        ``carrier.full``.  Raises InvariantViolation otherwise; ``members``
+        is then a lazy view."""
+        if type(mask) is not int or not 0 <= mask <= carrier.full:
+            raise InvariantViolation(f"{mask!r} is not a mask over carrier {carrier.name!r}")
+        return _unchecked(cls, carrier=carrier, mask=mask)
 
     @cached_property
     def members(self) -> FrozenSet[str]:

@@ -20,7 +20,9 @@ The kernel itself never builds them.
 Data is checked where it enters.  The public constructors (``Rel(...)``,
 ``rel()``, ``function_from_mapping``, ``Subset(...)``, ``FrameMap(...)``,
 ``initial_lift``) test every pair and member against its carriers, and
-functionality where a function is asked for; the JSON loader tests each
+functionality where a function is asked for; ``Rel.from_rows`` and
+``Subset.from_mask`` test rows and masks, for producers such as the
+generators that draw straight into them; the JSON loader tests each
 document relation whole.  After that point values are trusted: the
 kernel's own results (``identity``, ``compose``, ``dagger``, ``meet``,
 ``join``, lifted frames and their legs, the evaluator's images) lie in
@@ -43,6 +45,7 @@ from .errors import CarrierMismatch, InvariantViolation, NotAFunction
 from .frozen import Frozen
 
 _FLAG = bytes.maketrans(b"01", b"\x00\x01")
+_DIGIT = bytes.maketrans(b"\x00\x01", b"01")
 
 
 def bit_flags(mask: int) -> bytes:
@@ -52,6 +55,12 @@ def bit_flags(mask: int) -> bytes:
     picks the items of seq at the set bits, in order.
     """
     return bin(mask)[:1:-1].encode().translate(_FLAG)
+
+
+def flags_mask(flags: Iterable[bool]) -> int:
+    """The mask with bit i set where ``flags[i]`` is true: the inverse of
+    ``bit_flags``.  The flags are bools or 0/1 ints, lowest bit first."""
+    return int(b"0" + bytes(flags).translate(_DIGIT)[::-1], 2)
 
 
 def union_of(masks: Sequence[int], mask: int) -> int:
@@ -123,6 +132,11 @@ class FiniteSet(Frozen):
         return {e: i for i, e in enumerate(self.elements)}
 
     @cached_property
+    def bit(self) -> Dict[str, int]:
+        """Each element's singleton mask, by name."""
+        return {e: 1 << i for i, e in enumerate(self.elements)}
+
+    @cached_property
     def full(self) -> int:
         """The mask of every element."""
         return (1 << len(self.elements)) - 1
@@ -133,8 +147,7 @@ class FiniteSet(Frozen):
 
     def mask(self, names: Iterable[str]) -> int:
         """The mask of some elements, named; KeyError on a stranger."""
-        index = self.index
-        return reduce(or_, (1 << index[x] for x in names), 0)
+        return reduce(or_, map(self.bit.__getitem__, names), 0)
 
     def __iter__(self) -> Iterator[str]:
         return iter(self.elements)
@@ -159,7 +172,8 @@ class Rel(Frozen):
     """A binary relation between two finite carriers, stored as successor masks.
 
     ``Rel(dom, cod, pairs)`` checks the pairs against the carriers and
-    builds the rows; ``rows[i]`` is the mask of the successors of
+    builds the rows, and ``Rel.from_rows(dom, cod, rows)`` checks rows
+    given whole; ``rows[i]`` is the mask of the successors of
     ``dom.elements[i]``.
     """
 
@@ -181,6 +195,28 @@ class Rel(Frozen):
         for w, v in pairs:
             rows[di[w]] |= 1 << ci[v]
         self.__dict__.update(dom=dom, cod=cod, rows=tuple(rows), pairs=pairs)
+
+    @classmethod
+    def from_rows(cls, dom: FiniteSet, cod: FiniteSet, rows: Iterable[int]) -> "Rel":
+        """A relation from its rows, checked: one plain ``int`` per domain
+        point, in domain order, each a mask within ``cod.full``.
+
+        Raises InvariantViolation otherwise.  The check is linear in the
+        rows and never reads a name; ``.pairs`` is then a lazy view.
+        """
+        rows = tuple(rows)
+        if len(rows) != len(dom) or rows and (
+            set(map(type, rows)) != {int} or min(rows) < 0 or max(rows) > cod.full
+        ):
+            where = f"relation {dom.name!r} -> {cod.name!r}"
+            if len(rows) != len(dom):
+                raise InvariantViolation(f"{where}: {len(rows)} rows for {len(dom)} domain points")
+            for w, m in zip(dom.elements, rows):  # word the first bad row
+                if type(m) is not int:
+                    raise InvariantViolation(f"{where}: row of {w!r} is a {type(m).__name__}, not an int")
+                if not 0 <= m <= cod.full:
+                    raise InvariantViolation(f"{where}: row of {w!r} is not a mask over {cod.name!r}")
+        return _unchecked(cls, dom=dom, cod=cod, rows=rows)
 
     @cached_property
     def pred_rows(self) -> Tuple[int, ...]:

@@ -1,7 +1,9 @@
 """Where values are checked and where they are trusted.
 
-Public constructors check every pair, member and value they are given.
-The kernel builds its own results through the private ``rel._unchecked``,
+Public constructors check every pair, member and value they are given:
+``Rel(...)``, ``rel()``, ``function_from_mapping`` and ``Subset(...)`` by
+name, and ``Rel.from_rows`` and ``Subset.from_mask``, which the generators
+use, row by row and mask by mask.  The kernel builds its own results through the private ``rel._unchecked``,
 which checks nothing, so it must stay out of the package's public names
 and out of the modules that read user input or plant defects on purpose.
 """
@@ -66,6 +68,39 @@ def test_input_and_planting_modules_never_build_unchecked(module):
 def test_public_constructors_reject_stray_points(build):
     with pytest.raises(InvariantViolation):
         build()
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: Rel.from_rows(X, Y, [1]),
+        lambda: Rel.from_rows(X, Y, [1, 2, 1]),
+        lambda: Rel.from_rows(X, Y, [1, 4]),
+        lambda: Rel.from_rows(X, Y, [1, -1]),
+        lambda: Rel.from_rows(X, Y, [True, 1]),
+        lambda: Rel.from_rows(X, Y, [1, 2.0]),
+        lambda: Rel.from_rows(X, Y, [1, "2"]),
+        lambda: Subset.from_mask(X, 4),
+        lambda: Subset.from_mask(X, -1),
+        lambda: Subset.from_mask(X, True),
+        lambda: Subset.from_mask(X, 1.0),
+    ],
+    ids=[
+        "rows-too-few", "rows-too-many", "row-bit-past-codomain", "row-negative",
+        "row-bool", "row-float", "row-str",
+        "mask-past-carrier", "mask-negative", "mask-bool", "mask-float",
+    ],
+)
+def test_row_and_mask_constructors_reject_what_lies_outside(build):
+    with pytest.raises(InvariantViolation):
+        build()
+
+
+def test_row_and_mask_constructors_agree_with_the_named_ones():
+    assert Rel.from_rows(X, Y, [3, 0]) == Rel(X, Y, {("x1", "y1"), ("x1", "y2")})
+    assert Rel.from_rows(X, Y, (0, 2)).pairs == {("x2", "y2")}
+    assert Subset.from_mask(X, 2) == Subset(X, {"x2"})
+    assert Subset.from_mask(X, 0).members == frozenset()
 
 
 @pytest.mark.parametrize(
