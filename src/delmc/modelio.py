@@ -62,8 +62,8 @@ from .formulas import Formula, FormulaInContext, as_sentence, first_order_node
 from .frames import AgentSet, KripkeFrame, FrameMap, frame_map
 from .models import EventModel, KripkeModel
 from .parser import parse_formula, print_formula
-from .powerset import Subset
-from .rel import FiniteSet, Rel, _unchecked, bit_flags
+from .powerset import Subset, _subset
+from .rel import FiniteSet, _rel, bit_flags
 from .sheaves import FiberedPower, KripkeSheaf, SheafModel, Signature
 
 FORMAT_VERSION = 1
@@ -143,10 +143,7 @@ def _frame(
     if extra:
         raise SchemaError(f"{where}.{rel_key}: unknown agent {extra[0]!r}")
     rels = {
-        a: _unchecked(
-            Rel, dom=carrier, cod=carrier,
-            rows=_pair_rows(table[a], carrier, f"{where}.{rel_key}.{a}"),
-        )
+        a: _rel(carrier, carrier, _pair_rows(table[a], carrier, f"{where}.{rel_key}.{a}"))
         for a in agents
     }
     return KripkeFrame.make(carrier, agents, rels)
@@ -173,7 +170,7 @@ def _load_kripke(doc: Mapping[str, Any]) -> KripkeModel:
         for w in members:
             if w not in carrier.as_set:
                 raise SchemaError(f"{where}.valuation.{atom}: undeclared world {w!r}")
-        val[atom] = _unchecked(Subset, carrier=carrier, mask=carrier.mask(members))
+        val[atom] = _subset(carrier, carrier.mask(members))
     return KripkeModel.make(frame, val)
 
 
@@ -319,7 +316,7 @@ def _load_sheaf(doc: Mapping[str, Any]) -> SheafModel:
         if not all(rows):
             raise SchemaError(f"{here}: no value for {pw.carrier.elements[rows.index(0)]!r}")
         fn_interp[name] = FrameMap(
-            pw.frame, total, _unchecked(Rel, dom=pw.carrier, cod=total_carrier, rows=tuple(rows))
+            pw.frame, total, _rel(pw.carrier, total_carrier, rows)
         )
 
     rel_interp: Dict[str, Subset] = {}
@@ -338,7 +335,7 @@ def _load_sheaf(doc: Mapping[str, Any]) -> SheafModel:
             else:
                 tup = _tuple_entry(row, arity, total_carrier.as_set, f"{here}.extension[{i}]")
                 mask |= 1 << _power_point(pw, sheaf, tup, f"{here}.extension[{i}]")
-        rel_interp[name] = _unchecked(Subset, carrier=pw.carrier, mask=mask)
+        rel_interp[name] = _subset(pw.carrier, mask)
 
     return SheafModel(sheaf, signature, fn_interp, rel_interp)
 

@@ -78,9 +78,8 @@ from .powerset import (
     MEET,
     PowersetMap,
     Subset,
+    _apply_mask,
     _subset,
-    all_subsets,
-    apply,
     compose_maps,
     exists_image,
     exists_map,
@@ -88,7 +87,7 @@ from .powerset import (
     forall_map,
     preimage_map,
 )
-from .rel import FiniteSet, Rel, _rel, _unchecked, compose, dagger, pair_label
+from .rel import FiniteSet, Rel, _rel, compose, dagger, pair_label
 
 
 @dataclass(init=False, repr=False, eq=False)
@@ -169,7 +168,7 @@ class KripkeModel(Frozen):
         # an updated point satisfies an atom when its old world does
         old_rows = p_x.fn.rows
         val = {
-            n: _unchecked(Subset, carrier=frame.carrier, mask=exists_image(old_rows, s.mask))
+            n: _subset(frame.carrier, exists_image(old_rows, s.mask))
             for n, s in self.valuation
         }
         return UpdateResult(
@@ -336,7 +335,7 @@ class _Evaluator:
 
     def ext(self, model, context: Tuple[str, ...], phi: Formula) -> Subset:
         carrier = model.context_frame(len(context)).carrier
-        return _unchecked(Subset, carrier=carrier, mask=self.mask(model, context, phi))
+        return _subset(carrier, self.mask(model, context, phi))
 
     def mask(self, model, context: Tuple[str, ...], phi: Formula) -> int:
         """The extension as a mask over the context's carrier, memoised."""
@@ -665,7 +664,10 @@ def static_precondition_modalities(
     Returns the composite of inverse image along the inclusion with the
     universal image (box form) and with the direct image (diamond form),
     and asserts pointwise that these are implication from and conjunction
-    with the announcement.
+    with the announcement.  The assertion is exhaustive over the 2^|W|
+    subsets of the carrier W, as masks: each map is applied once per
+    subset, and the first subset where either disagrees raises
+    InvariantViolation.  Raises CapExceeded when |W| is above cap.
     """
     ev = _Evaluator(registry)
     extent = ev.ext(model, (), sigma)
@@ -675,10 +677,10 @@ def static_precondition_modalities(
     carrier = model.frame.carrier
     if len(carrier) > cap:
         raise CapExceeded(f"static_precondition_modalities: carrier above cap {cap}")
-    for s in all_subsets(carrier):
-        want_box = extent.complement().union(s)
-        want_dia = extent.intersect(s)
-        if apply(box_map, s) != want_box or apply(dia_map, s) != want_dia:
+    inside = extent.mask
+    outside = carrier.full ^ inside
+    for s in range(1 << len(carrier)):
+        if _apply_mask(box_map, s) != outside | s or _apply_mask(dia_map, s) != inside & s:
             raise InvariantViolation(
                 "announcement modalities disagree with the propositional operations"
             )

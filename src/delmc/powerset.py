@@ -39,12 +39,13 @@ from .frozen import Frozen
 from .rel import (
     FiniteSet,
     Rel,
+    _new,
     _rel,
     _unchecked,
     bit_flags,
     compose,
     dagger,
-    is_function,
+    is_function_pointwise,
     leq,
     require_same_carrier,
     union_of,
@@ -83,7 +84,7 @@ class Subset(Frozen):
         is then a lazy view."""
         if type(mask) is not int or not 0 <= mask <= carrier.full:
             raise InvariantViolation(f"{mask!r} is not a mask over carrier {carrier.name!r}")
-        return _unchecked(cls, carrier=carrier, mask=mask)
+        return _subset(carrier, mask)
 
     @cached_property
     def members(self) -> FrozenSet[str]:
@@ -121,7 +122,12 @@ class Subset(Frozen):
 
 
 def _subset(carrier: FiniteSet, mask: int) -> Subset:
-    return _unchecked(Subset, carrier=carrier, mask=mask)
+    """A trusted subset from its mask, with no check, fields set one by one."""
+    s = _new(Subset)
+    d = s.__dict__
+    d["carrier"] = carrier
+    d["mask"] = mask
+    return s
 
 
 def full_subset(x: FiniteSet) -> Subset:
@@ -248,7 +254,7 @@ def preimage_map(f: Rel, kind: str = JOIN) -> PowersetMap:
     For a function both the direct and universal image of the dagger agree
     with pointwise preimage, so the caller picks the representation.
     """
-    if not is_function(f):
+    if not is_function_pointwise(f):
         raise NotAFunction("preimage_map: relation is not a function")
     if kind == JOIN:
         return exists_map(dagger(f))
@@ -317,41 +323,59 @@ def find_apply_witness(h1: PowersetMap, h2: PowersetMap, cap: int = 12) -> Optio
 def check_adjunction(r: Rel, cap: int = 16) -> bool:
     """Direct image along r is left adjoint to universal image along its dagger.
 
-    Exhaustive over all pairs of subsets; raises CapExceeded when the two
-    carriers together would make that blow up.
+    Exhaustive: for every subset S1 of the domain and S2 of the codomain,
+    as masks, the image of S1 lies in S2 exactly when S1 lies in the
+    universal image of S2.  Each map is applied once per subset, so the
+    check costs 2^|dom| + 2^|cod| map applications and 2^(|dom|+|cod|)
+    comparisons; it returns False at the first pair that disagrees.
+    Raises CapExceeded when |dom| + |cod| is above cap.
     """
     if len(r.dom) + len(r.cod) > cap:
         raise CapExceeded(f"check_adjunction: combined carrier size above cap {cap}")
     lower = exists_map(r)
     upper = forall_map(dagger(r))
-    for s1 in all_subsets(r.dom):
-        image = apply(lower, s1)
-        for s2 in all_subsets(r.cod):
-            if image.leq(s2) != s1.leq(apply(upper, s2)):
+    targets = range(1 << len(r.cod))
+    uppers = [_apply_mask(upper, s2) for s2 in targets]
+    for s1 in range(1 << len(r.dom)):
+        image = _apply_mask(lower, s1)
+        for s2, up in zip(targets, uppers):
+            if (image | s2 == s2) != (s1 | up == up):
                 return False
     return True
 
 
 def verify_preserves_all_joins(h: PowersetMap, cap: int = 12) -> bool:
-    """Full-table check that h commutes with arbitrary unions."""
+    """Full-table check that h commutes with arbitrary unions.
+
+    Exhaustive over the 2^|dom| subsets of the domain, as masks: h is
+    applied once to each subset and once to each singleton, and each
+    value is compared with the union of the singleton values below it.
+    Raises CapExceeded when |dom| is above cap.
+    """
     if len(h.dom) > cap:
         raise CapExceeded(f"verify_preserves_all_joins: domain size above cap {cap}")
     singletons = [_apply_mask(h, 1 << i) for i in range(len(h.dom))]
     return all(
-        _apply_mask(h, s.mask) == union_of(singletons, s.mask) for s in all_subsets(h.dom)
+        _apply_mask(h, s) == union_of(singletons, s) for s in range(1 << len(h.dom))
     )
 
 
 def verify_preserves_all_meets(h: PowersetMap, cap: int = 12) -> bool:
-    """Full-table check that h commutes with arbitrary intersections."""
+    """Full-table check that h commutes with arbitrary intersections.
+
+    Exhaustive over the 2^|dom| subsets of the domain, as masks: h is
+    applied once to each subset and once to each co-singleton, and each
+    value is compared with the intersection of the co-singleton values
+    above it.  Raises CapExceeded when |dom| is above cap.
+    """
     if len(h.dom) > cap:
         raise CapExceeded(f"verify_preserves_all_meets: domain size above cap {cap}")
     full = h.dom.full
     cosingletons = [_apply_mask(h, full ^ 1 << i) for i in range(len(h.dom))]
     return all(
-        _apply_mask(h, s.mask)
-        == reduce(and_, compress(cosingletons, bit_flags(full ^ s.mask)), h.cod.full)
-        for s in all_subsets(h.dom)
+        _apply_mask(h, s)
+        == reduce(and_, compress(cosingletons, bit_flags(full ^ s)), h.cod.full)
+        for s in range(1 << len(h.dom))
     )
 
 
@@ -429,7 +453,7 @@ def check_beck_chevalley(p: Rel, q: Rel, f: Rel, g: Rel) -> bool:
     probe such squares diagnostically.
     """
     for name, h in (("p", p), ("q", q), ("f", f), ("g", g)):
-        if not is_function(h):
+        if not is_function_pointwise(h):
             raise NotAFunction(f"check_beck_chevalley: {name} is not a function")
     if p.dom != q.dom:
         raise CarrierMismatch("check_beck_chevalley: p and q must share their domain")

@@ -26,8 +26,9 @@ generators that draw straight into them; the JSON loader tests each
 document relation whole.  After that point values are trusted: the
 kernel's own results (``identity``, ``compose``, ``dagger``, ``meet``,
 ``join``, lifted frames and their legs, the evaluator's images) lie in
-their carriers by construction, and the one private constructor
-``_unchecked`` builds them with no check.
+their carriers by construction, and the private constructors build
+them with no check: ``_rel`` for relations, ``powerset._subset`` for
+subsets, and ``_unchecked`` for the other value classes.
 
 Composition is written in application order: ``compose(r1, r2)`` relates
 ``w`` to ``u`` when some ``v`` has ``w r1 v`` and ``v r2 u``.
@@ -38,7 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import compress
-from operator import and_, or_
+from operator import and_, eq, or_
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Sequence, Tuple
 
 from .errors import CarrierMismatch, InvariantViolation, NotAFunction
@@ -98,14 +99,18 @@ class FiniteSet(Frozen):
     name: str
     elements: Tuple[str, ...]
 
-    def __post_init__(self):
-        if not isinstance(self.elements, tuple):
-            object.__setattr__(self, "elements", tuple(self.elements))
-        if len(set(self.elements)) != len(self.elements):
+    def __init__(self, name: str, elements: Iterable[str]):
+        # its own, not Frozen's generic binding: a laws run builds tens of thousands
+        if not isinstance(elements, tuple):
+            elements = tuple(elements)
+        d = self.__dict__
+        d["name"] = name
+        d["elements"] = elements
+        if len(set(elements)) != len(elements):
             seen = set()
-            for e in self.elements:  # word the first duplicate
+            for e in elements:  # word the first duplicate
                 if e in seen:
-                    raise InvariantViolation(f"duplicate element {e!r} in carrier {self.name!r}")
+                    raise InvariantViolation(f"duplicate element {e!r} in carrier {name!r}")
                 seen.add(e)
 
     def __hash__(self) -> int:
@@ -163,7 +168,7 @@ class FiniteSet(Frozen):
 
 
 def require_same_carrier(a: FiniteSet, b: FiniteSet, where: str) -> None:
-    if a != b:
+    if a is not b and a != b:
         raise CarrierMismatch(f"{where}: carrier {a.name!r} != carrier {b.name!r}")
 
 
@@ -216,7 +221,7 @@ class Rel(Frozen):
                     raise InvariantViolation(f"{where}: row of {w!r} is a {type(m).__name__}, not an int")
                 if not 0 <= m <= cod.full:
                     raise InvariantViolation(f"{where}: row of {w!r} is not a mask over {cod.name!r}")
-        return _unchecked(cls, dom=dom, cod=cod, rows=rows)
+        return _rel(dom, cod, rows)
 
     @cached_property
     def pred_rows(self) -> Tuple[int, ...]:
@@ -275,17 +280,29 @@ def _within(pairs: FrozenSet[Tuple[str, str]], dom: FrozenSet[str], cod: FrozenS
 def _unchecked(cls, **fields):
     """An instance of a frozen value class with its fields set and no check run.
 
-    The one path for trusted values: kernel results and data the loader
-    has already checked.  Every field is passed by name.
+    The path for trusted values of the classes that have no trusted
+    constructor of their own (``_rel`` and ``powerset._subset`` build
+    relations and subsets): kernel results and data the loader has
+    already checked.  Every field is passed by name.
     """
     obj = object.__new__(cls)
     obj.__dict__.update(fields)
     return obj
 
 
+_new = object.__new__  # one global read per trusted value instead of two lookups
+
+
 def _rel(dom: FiniteSet, cod: FiniteSet, rows: Iterable[int]) -> Rel:
-    """A kernel result: a relation from its rows, through ``_unchecked``."""
-    return _unchecked(Rel, dom=dom, cod=cod, rows=tuple(rows))
+    """A trusted relation from its rows, with no check: the kernel's results
+    and rows already checked.  Sets the fields one by one, since the kernel
+    builds many small relations and a keyword dict per call shows."""
+    r = _new(Rel)
+    d = r.__dict__
+    d["dom"] = dom
+    d["cod"] = cod
+    d["rows"] = tuple(rows)
+    return r
 
 
 def rel(dom: FiniteSet, cod: FiniteSet, pairs: Iterable[Tuple[str, str]]) -> Rel:
@@ -326,7 +343,8 @@ def leq(r1: Rel, r2: Rel) -> bool:
     """Inclusion order on a homset."""
     require_same_carrier(r1.dom, r2.dom, "leq")
     require_same_carrier(r1.cod, r2.cod, "leq")
-    return all(a | b == b for a, b in zip(r1.rows, r2.rows))
+    rows2 = r2.rows
+    return all(map(eq, map(or_, r1.rows, rows2), rows2))
 
 
 def meet(r1: Rel, r2: Rel) -> Rel:

@@ -505,7 +505,7 @@ class SheafModel:
             return self.rel_interp_map[phi.name]  # the empty context's points are the worlds
         # arity 0: the points whose world lies in the extension
         mask = _pulled(self.rel_interp_map[phi.name].mask, self.arg_points(context, phi.args))
-        return _unchecked(Subset, carrier=self.power(len(context)).carrier, mask=mask)
+        return _subset(self.power(len(context)).carrier, mask)
 
     def drop_last_map(self, n: int) -> Rel:
         """Projection of the (n+1)-th power onto the n-th, dropping the last
@@ -570,10 +570,8 @@ class SheafModel:
         rel_interp: Dict[str, Subset] = {}
         for name, arity in self.signature.relation_symbols:
             old_points, _ = _updated_parts(parts, arity, sheaf, new_sheaf)
-            rel_interp[name] = _unchecked(
-                Subset,
-                carrier=new_sheaf.power(arity).carrier,
-                mask=_pulled(self.rel_interp_map[name].mask, old_points),
+            rel_interp[name] = _subset(
+                new_sheaf.power(arity).carrier, _pulled(self.rel_interp_map[name].mask, old_points)
             )
         updated = _unchecked(
             SheafModel,

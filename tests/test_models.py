@@ -22,6 +22,7 @@ from delmc import (
     Exists,
     FiniteSet,
     Forall,
+    InvariantViolation,
     KripkeFrame,
     PalBox,
     PalDia,
@@ -48,6 +49,7 @@ from delmc import (
     verify_del_reductions,
     verify_pal_reductions,
 )
+from delmc import models
 from delmc.generators import (
     random_carrier,
     random_event_model,
@@ -55,6 +57,7 @@ from delmc.generators import (
     random_frame,
     random_model,
 )
+from delmc.powerset import JOIN, MEET
 
 AB = AgentSet(("a", "b"))
 
@@ -344,6 +347,24 @@ def test_static_precondition_modalities(two_worlds):
     )
     assert apply(box_map, lifted) == extension(model, PalBox(Atom("p"), phi))
     assert apply(dia_map, lifted) == extension(model, PalDia(Atom("p"), phi))
+
+
+def test_static_precondition_modalities_catch_a_wrong_value_on_any_one_subset(monkeypatch):
+    # the box map is a meet extension and the diamond map a join extension;
+    # a wrong value of either on any one subset of the carrier must raise
+    model = random_model(random.Random(20), 3, AB, ("p", "q"))
+    real = models._apply_mask
+    for kind in (MEET, JOIN):
+        for at in range(1 << len(model.frame.carrier)):
+            def planted(h, s, kind=kind, at=at):
+                value = real(h, s)
+                return value ^ 1 if h.kind == kind and s == at else value
+
+            with monkeypatch.context() as patch:
+                patch.setattr(models, "_apply_mask", planted)
+                with pytest.raises(InvariantViolation, match="announcement modalities disagree"):
+                    static_precondition_modalities(model, Atom("p"))
+    static_precondition_modalities(model, Atom("p"))
 
 
 def test_formula_hash_is_computed_once(monkeypatch):

@@ -9,6 +9,7 @@ from delmc import (
     CapExceeded,
     FiniteSet,
     InvariantViolation,
+    NotAFunction,
     NotAPullback,
     Rel,
     Subset,
@@ -38,6 +39,7 @@ from delmc import (
     verify_preserves_all_joins,
     verify_preserves_all_meets,
 )
+from delmc import powerset
 from delmc.powerset import JOIN, MEET, find_apply_witness
 
 X = FiniteSet("x", ("u", "v"))
@@ -134,6 +136,48 @@ def test_adjunction(r):
     assert check_adjunction(r)
 
 
+def _plant(patch, kind, at):
+    """Make every map of one kind wrong on one subset: bit 0 of its value
+    at mask ``at`` flips, and every other value is left as it was."""
+    real = powerset._apply_mask
+
+    def planted(h, s):
+        value = real(h, s)
+        return value ^ 1 if h.kind == kind and s == at else value
+
+    patch.setattr(powerset, "_apply_mask", planted)
+
+
+def test_adjunction_catches_a_wrong_value_on_any_one_subset(monkeypatch):
+    # R : X -> Y; the lower map (a join extension) is applied to subsets
+    # of X, the upper one (a meet extension) to subsets of Y.  One wrong
+    # value of either is seen only at some pairs, so every pair must be compared.
+    for kind, carrier in ((JOIN, X), (MEET, Y)):
+        for at in range(1 << len(carrier)):
+            with monkeypatch.context() as patch:
+                _plant(patch, kind, at)
+                assert not check_adjunction(R), (kind, at)
+    assert check_adjunction(R)
+
+
+def test_preservation_checks_catch_a_wrong_value_on_any_one_subset(monkeypatch):
+    # values on singletons (joins) and co-singletons (meets) define the
+    # map, so every other subset is compared with what they give
+    for kind, check, h in (
+        (JOIN, verify_preserves_all_joins, exists_map(dagger(R))),
+        (MEET, verify_preserves_all_meets, forall_map(dagger(R))),
+    ):
+        full = h.dom.full
+        for at in range(full + 1):
+            defining = at if kind == JOIN else full ^ at
+            if defining and not defining & (defining - 1):  # one bit: a defining value
+                continue
+            with monkeypatch.context() as patch:
+                _plant(patch, kind, at)
+                assert not check(h), (kind, at)
+        assert check(h)
+
+
 @given(strat.composable_pairs())
 def test_compose_maps_functorial(pair):
     r1, r2 = pair
@@ -199,16 +243,21 @@ def test_preimage_map_kinds():
     assert apply(pj, sub(Y, "b", "c")) == empty_subset(X)
 
 
-def test_beck_chevalley_on_canonical_square():
-    # pullback of f: X -> Z, g: Y -> Z
+def _canonical_square():
+    """The pullback of f: X -> Z and g: Y -> Z, with its legs p and q."""
     Z = FiniteSet("z", ("z1", "z2"))
     f = function_from_mapping(X, Z, {"u": "z1", "v": "z2"})
     g = function_from_mapping(Y, Z, {"a": "z1", "b": "z1", "c": "z2"})
     apex = FiniteSet("pb", ("(u,a)", "(u,b)", "(v,c)"))
     p = rel(apex, X, [("(u,a)", "u"), ("(u,b)", "u"), ("(v,c)", "v")])
     q = rel(apex, Y, [("(u,a)", "a"), ("(u,b)", "b"), ("(v,c)", "c")])
-    assert beck_chevalley_equation(p, q, f, g)
-    assert check_beck_chevalley(p, q, f, g)
+    return {"p": p, "q": q, "f": f, "g": g}
+
+
+def test_beck_chevalley_on_canonical_square():
+    square = _canonical_square()
+    assert beck_chevalley_equation(**square)
+    assert check_beck_chevalley(**square)
 
 
 def test_check_beck_chevalley_rejects_non_pullback():
@@ -222,3 +271,30 @@ def test_check_beck_chevalley_rejects_non_pullback():
     with pytest.raises(NotAPullback):
         check_beck_chevalley(p, q, f, g)
     assert not beck_chevalley_equation(p, q, f, g)
+
+
+def _not_total(r):
+    """r with the pairs of its first domain point dropped."""
+    return Rel(r.dom, r.cod, frozenset(pv for pv in r.pairs if pv[0] != r.dom.elements[0]))
+
+
+def _multi_valued(r):
+    """r with its first domain point also sent to every codomain point."""
+    return Rel(r.dom, r.cod, r.pairs | {(r.dom.elements[0], v) for v in r.cod})
+
+
+@pytest.mark.parametrize("break_leg", [_not_total, _multi_valued])
+@pytest.mark.parametrize("leg", ["p", "q", "f", "g"])
+def test_check_beck_chevalley_rejects_a_leg_that_is_not_a_function(leg, break_leg):
+    square = _canonical_square()
+    square[leg] = break_leg(square[leg])
+    with pytest.raises(NotAFunction, match=f"^check_beck_chevalley: {leg} is not a function$"):
+        check_beck_chevalley(**square)
+
+
+@pytest.mark.parametrize("kind", [JOIN, MEET])
+@pytest.mark.parametrize("break_leg", [_not_total, _multi_valued])
+def test_preimage_map_rejects_a_relation_that_is_not_a_function(break_leg, kind):
+    f = function_from_mapping(X, Y, {"u": "a", "v": "c"})
+    with pytest.raises(NotAFunction, match="^preimage_map: relation is not a function$"):
+        preimage_map(break_leg(f), kind)

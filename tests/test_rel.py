@@ -1,5 +1,7 @@
 """Relation algebra: category laws, dagger structure, lattice ops, tabulation."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given
 
@@ -40,6 +42,32 @@ CD = FiniteSet("cd", ("c1", "c2", "c3"))
 def test_finite_set_rejects_duplicates():
     with pytest.raises(InvariantViolation):
         FiniteSet("bad", ("x", "x"))
+    # the first element seen twice is the one named
+    with pytest.raises(InvariantViolation, match=r"^duplicate element 'y' in carrier 'bad'$"):
+        FiniteSet("bad", ("x", "y", "z", "y", "x"))
+    with pytest.raises(InvariantViolation, match=r"^duplicate element 'x' in carrier 'kw'$"):
+        FiniteSet(name="kw", elements=["x", "x"])
+
+
+def test_finite_set_stores_its_elements_as_a_tuple():
+    for given in (["a1", "a2"], iter(("a1", "a2"))):
+        built = FiniteSet("ab", given)
+        assert type(built.elements) is tuple and built == AB
+
+
+def test_finite_set_builds_by_keyword_and_through_replace():
+    assert FiniteSet(name="ab", elements=("a1", "a2")) == AB
+    assert FiniteSet("ab", elements=["a1", "a2"]) == AB
+    renamed = dataclasses.replace(AB, name="ba")
+    assert renamed.name == "ba" and renamed.elements == AB.elements
+    grown = dataclasses.replace(AB, elements=["a1", "a2", "a3"])
+    assert grown.elements == ("a1", "a2", "a3") and grown.name == "ab"
+    with pytest.raises(InvariantViolation, match="duplicate element 'a1'"):
+        dataclasses.replace(AB, elements=("a1", "a1"))
+    with pytest.raises(TypeError):
+        FiniteSet("ab", ("a1",), "extra")
+    with pytest.raises(TypeError):
+        FiniteSet(name="ab")
 
 
 def test_rel_rejects_pairs_outside_carriers():

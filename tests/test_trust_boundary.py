@@ -3,9 +3,10 @@
 Public constructors check every pair, member and value they are given:
 ``Rel(...)``, ``rel()``, ``function_from_mapping`` and ``Subset(...)`` by
 name, and ``Rel.from_rows`` and ``Subset.from_mask``, which the generators
-use, row by row and mask by mask.  The kernel builds its own results through the private ``rel._unchecked``,
-which checks nothing, so it must stay out of the package's public names
-and out of the modules that read user input or plant defects on purpose.
+use, row by row and mask by mask.  The kernel builds its own results through the private
+``rel._rel``, ``powerset._subset`` and ``rel._unchecked``, which check nothing, so they must stay
+out of the package's public names and out of the modules that read user input or plant defects
+on purpose.
 """
 
 import ast
@@ -39,18 +40,19 @@ def frame(carrier):
 
 
 def test_private_constructor_is_not_public():
-    assert "_unchecked" not in getattr(delmc, "__all__", ())
-    assert not hasattr(delmc, "_unchecked")
     namespace = {}
     exec("from delmc import *", namespace)
-    assert "_unchecked" not in namespace
+    for name in ("_unchecked", "_rel", "_subset"):
+        assert name not in getattr(delmc, "__all__", ())
+        assert not hasattr(delmc, name)
+        assert name not in namespace
 
 
 @pytest.mark.parametrize("module", ["cli", "laws", "generators"])
 def test_input_and_planting_modules_never_build_unchecked(module):
     source = pathlib.Path(delmc.__file__).with_name(f"{module}.py").read_text(encoding="utf-8")
     assert "_unchecked" not in source
-    # nor the kernel's shorthands for _unchecked(Rel, ...) and _unchecked(Subset, ...)
+    # nor the kernel's trusted constructors of relations and subsets
     assert not re.search(r"\b_(rel|subset)\(", source)
 
 
