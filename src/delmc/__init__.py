@@ -8,7 +8,16 @@ layer, where updates pull the whole interpretation back along the event
 projection.  Everything is checkable: law suites verify the algebra on
 random structures, and reduction traces re-verify every rewrite step
 against a model.
+
+``import delmc`` loads the model checker only.  The law suites'
+names (``DEFAULT_CASES``, ``SUITES``, ``Report``, ``SelfTestReport``,
+``run_all``, ``run_suite``, ``self_test``) and the submodules ``laws``
+and ``generators`` resolve on first use, which imports ``delmc.laws``
+and, through it, ``delmc.generators``.
 """
+
+from importlib import import_module as _import_module
+from types import ModuleType as _ModuleType
 
 from .errors import (
     AgentMismatch,
@@ -59,7 +68,6 @@ from .rel import (
     join,
     leq,
     meet,
-    rel,
     tabulate,
     total,
 )
@@ -174,14 +182,27 @@ from .reduction import (
     verify_quantifier_reduction,
 )
 from .modelio import dump_file, dump_model, load_file, load_model, load_sheaf_frames
-from .laws import (
-    DEFAULT_CASES,
-    SUITES,
-    Report,
-    SelfTestReport,
-    run_all,
-    run_suite,
-    self_test,
-)
 
 __version__ = "0.1.0"
+
+_LAWS_NAMES = ("DEFAULT_CASES", "SUITES", "Report", "SelfTestReport", "run_all", "run_suite", "self_test")
+_LAZY_MODULES = ("laws", "generators")
+
+__all__ = sorted(
+    [name for name, value in globals().items() if name[0] != "_" and not isinstance(value, _ModuleType)]
+    + list(_LAWS_NAMES)
+)
+
+
+def __getattr__(name: str):
+    """Import the law suites on first use and keep the name asked for (PEP 562)."""
+    if name in _LAZY_MODULES:
+        return _import_module(f".{name}", __name__)
+    if name in _LAWS_NAMES:
+        value = globals()[name] = getattr(_import_module(".laws", __name__), name)
+        return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *_LAWS_NAMES, *_LAZY_MODULES})

@@ -11,14 +11,14 @@ carriers and the rows, and the hash is computed once per value.  Binary
 operations demand exact carrier equality (same name, same element
 order); nothing is coerced.
 
-Names are resolved at the boundary only.  ``Rel(dom, cod, pairs)`` and
-``rel()`` take pairs of names; ``.pairs`` and the name-keyed
+Names are resolved at the boundary only.  ``Rel(dom, cod, pairs)`` takes
+pairs of names, from any iterable; ``.pairs`` and the name-keyed
 ``successors`` / ``predecessors`` are lazy views, built on first use
 for the loader's dump, the CLI, the tests and the label-based sheaf code.
 The kernel itself never builds them.
 
 Data is checked where it enters.  The public constructors (``Rel(...)``,
-``rel()``, ``function_from_mapping``, ``Subset(...)``, ``FrameMap(...)``,
+``function_from_mapping``, ``Subset(...)``, ``FrameMap(...)``,
 ``initial_lift``) test every pair and member against its carriers, and
 functionality where a function is asked for; ``Rel.from_rows`` and
 ``Subset.from_mask`` test rows and masks, for producers such as the
@@ -303,11 +303,6 @@ def _rel(dom: FiniteSet, cod: FiniteSet, rows: Iterable[int]) -> Rel:
     d["cod"] = cod
     d["rows"] = tuple(rows)
     return r
-
-
-def rel(dom: FiniteSet, cod: FiniteSet, pairs: Iterable[Tuple[str, str]]) -> Rel:
-    """Build a relation from any iterable of pairs."""
-    return Rel(dom, cod, frozenset(pairs))
 
 
 def identity(x: FiniteSet) -> Rel:

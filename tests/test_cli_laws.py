@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from delmc import Report
+from delmc import InvariantViolation, Report
 from delmc import laws as laws_mod
 from delmc.cli import main
 
@@ -70,6 +70,16 @@ def test_named_suites_are_seeded_as_in_the_full_run(capsys, monkeypatch):
         monkeypatch.setitem(laws_mod.SUITES, name, record)
     assert main(["laws", "--suite", "fo-reduction", "--suite", "duality"]) == 0
     assert seeds == [("fo-reduction", 7), ("duality", 1)]
+
+
+def test_unknown_suite_exits_2_with_the_librarys_wording(capsys):
+    with pytest.raises(InvariantViolation) as refused:
+        laws_mod.run_suite("nosuch")
+    assert main(["laws", "--suite", "duality", "--suite", "nosuch"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {refused.value}\n"
+    assert all(name in captured.err for name in laws_mod.SUITES)
 
 
 @pytest.mark.parametrize("argv, message", [

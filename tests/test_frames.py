@@ -58,7 +58,6 @@ from delmc import (
     product,
     pullback,
     pullback_update,
-    rel,
     subframe,
     total,
 )
@@ -89,8 +88,8 @@ def chain_frame():
         w,
         AB,
         {
-            "a": rel(w, w, [("w1", "w2"), ("w2", "w1"), ("w1", "w1"), ("w2", "w2"), ("w3", "w3")]),
-            "b": rel(w, w, [("w2", "w3"), ("w3", "w2"), ("w1", "w1"), ("w2", "w2"), ("w3", "w3")]),
+            "a": Rel(w, w, [("w1", "w2"), ("w2", "w1"), ("w1", "w1"), ("w2", "w2"), ("w3", "w3")]),
+            "b": Rel(w, w, [("w2", "w3"), ("w3", "w2"), ("w1", "w1"), ("w2", "w2"), ("w3", "w3")]),
         },
     )
 
@@ -462,10 +461,10 @@ def test_bounded_iff_box_square_commutes():
 def test_is_bisimulation_unit_cases():
     f = chain_frame()
     assert is_bisimulation(f, f, identity(f.carrier))
-    assert is_bisimulation(f, f, rel(f.carrier, f.carrier, []))
+    assert is_bisimulation(f, f, Rel(f.carrier, f.carrier, []))
     # w1 has an a-step to w2; w3's only a-step is the loop, so pairing
     # w1 with w3 breaks the forth condition
-    bad = rel(f.carrier, f.carrier, [("w1", "w3")])
+    bad = Rel(f.carrier, f.carrier, [("w1", "w3")])
     assert not is_bisimulation(f, f, bad)
 
 

@@ -4,10 +4,7 @@ and that importing the package compiles no method from source text."""
 import dataclasses
 import importlib
 import inspect
-import os
 import pkgutil
-import subprocess
-import sys
 
 import pytest
 
@@ -128,19 +125,6 @@ def test_every_value_class_reads_its_fields_off_the_dataclass():
     for cls in values:
         assert cls._fields == tuple(f.name for f in dataclasses.fields(cls)), cls.__name__
         assert "__doc__" in vars(cls) and cls.__doc__, cls.__name__
-
-
-def test_import_loads_every_module_but_the_command_line():
-    src = os.path.dirname(os.path.dirname(delmc.__file__))
-    probe = "import sys, delmc; print(*sorted(m for m in sys.modules if m.split('.')[0] == 'delmc'))"
-    out = subprocess.run(
-        [sys.executable, "-c", probe],
-        capture_output=True, text=True, check=True, timeout=60,
-        env=dict(os.environ, PYTHONPATH=src),
-    ).stdout.split()
-    names = [info.name for info in pkgutil.iter_modules(delmc.__path__)]
-    assert out == sorted(["delmc"] + [f"delmc.{n}" for n in names if n != "cli"])
-    assert len(out) == 14
 
 
 def test_repr_is_the_dataclass_one():

@@ -44,7 +44,6 @@ from delmc import (
     pal_update,
     parse_formula,
     product_update,
-    rel,
     static_precondition_modalities,
     verify_del_reductions,
     verify_pal_reductions,
@@ -137,7 +136,7 @@ def test_first_order_nodes_rejected(two_worlds, phi):
 
 def test_cyclic_preconditions_rejected(two_worlds):
     e = FiniteSet("e", ("e1",))
-    frame = KripkeFrame.make(e, AB, {"a": rel(e, e, [("e1", "e1")]), "b": rel(e, e, [])})
+    frame = KripkeFrame.make(e, AB, {"a": Rel(e, e, [("e1", "e1")]), "b": Rel(e, e, [])})
     ev = EventModel.make(frame, {"e1": DelBox("LOOP", "e1", Atom("p"))})
     with pytest.raises(CyclicPrecondition):
         extension(two_worlds, DelBox("LOOP", "e1", Atom("p")), {"LOOP": ev})
@@ -276,7 +275,7 @@ def test_no_learning_on_trivial_event(two_worlds):
     # to the original model, the projection is bounded, nothing is learned
     model = two_worlds
     e = FiniteSet("e", ("e1",))
-    frame = KripkeFrame.make(e, AB, {a: rel(e, e, [("e1", "e1")]) for a in AB})
+    frame = KripkeFrame.make(e, AB, {a: Rel(e, e, [("e1", "e1")]) for a in AB})
     ev = EventModel.make(frame, {"e1": Top()})
     rep = no_learning_check(model, ev)
     assert rep.bounded
@@ -290,7 +289,7 @@ def test_public_announcement_teaches(two_worlds):
     # the event box genuinely differs from material implication
     model = two_worlds
     e = FiniteSet("e", ("e1",))
-    frame = KripkeFrame.make(e, AB, {a: rel(e, e, [("e1", "e1")]) for a in AB})
+    frame = KripkeFrame.make(e, AB, {a: Rel(e, e, [("e1", "e1")]) for a in AB})
     ev = EventModel.make(frame, {"e1": Atom("p")})
     rep = no_learning_check(model, ev)
     assert not rep.bounded
@@ -302,7 +301,7 @@ def test_learning_witness_on_private_announcement(private_announcement_event):
     # both agents start fully ignorant; telling a privately that p holds
     # breaks boundedness and produces a concrete learning witness
     w = FiniteSet("w", ("w1", "w2"))
-    frame = KripkeFrame.make(w, AB, {a: rel(w, w, [(x, y) for x in w for y in w]) for a in AB})
+    frame = KripkeFrame.make(w, AB, {a: Rel(w, w, [(x, y) for x in w for y in w]) for a in AB})
     model = KripkeModel.make(
         frame,
         {"p": Subset(w, frozenset({"w1"})), "q": Subset(w, frozenset({"w1", "w2"}))},

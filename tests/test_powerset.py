@@ -33,7 +33,6 @@ from delmc import (
     map_leq,
     maps_equal,
     preimage_map,
-    rel,
     relation_from_join_map,
     relation_from_meet_map,
     verify_preserves_all_joins,
@@ -44,7 +43,7 @@ from delmc.powerset import JOIN, MEET, find_apply_witness
 
 X = FiniteSet("x", ("u", "v"))
 Y = FiniteSet("y", ("a", "b", "c"))
-R = rel(X, Y, [("u", "a"), ("u", "b"), ("v", "c")])
+R = Rel(X, Y, [("u", "a"), ("u", "b"), ("v", "c")])
 
 
 def sub(carrier, *members):
@@ -199,16 +198,16 @@ def test_biduality_laws(pair):
 
 
 def test_order_isomorphism_covariant():
-    smaller = rel(X, Y, [("u", "a")])
-    bigger = rel(X, Y, [("u", "a"), ("v", "c")])
+    smaller = Rel(X, Y, [("u", "a")])
+    bigger = Rel(X, Y, [("u", "a"), ("v", "c")])
     assert leq(smaller, bigger)
     assert map_leq(exists_map(smaller), exists_map(bigger))
     assert not map_leq(exists_map(bigger), exists_map(smaller))
 
 
 def test_order_antiisomorphism_contravariant():
-    smaller = rel(X, Y, [("u", "a")])
-    bigger = rel(X, Y, [("u", "a"), ("v", "c")])
+    smaller = Rel(X, Y, [("u", "a")])
+    bigger = Rel(X, Y, [("u", "a"), ("v", "c")])
     assert map_leq(forall_map(bigger), forall_map(smaller))
     assert not map_leq(forall_map(smaller), forall_map(bigger))
 
@@ -216,7 +215,7 @@ def test_order_antiisomorphism_contravariant():
 def test_maps_equal_and_witness():
     em = exists_map(R)
     assert maps_equal(em, em)
-    other = exists_map(rel(X, Y, [("u", "a")]))
+    other = exists_map(Rel(X, Y, [("u", "a")]))
     w = find_apply_witness(em, other)
     assert w is not None
     assert apply(em, w) != apply(other, w)
@@ -249,8 +248,8 @@ def _canonical_square():
     f = function_from_mapping(X, Z, {"u": "z1", "v": "z2"})
     g = function_from_mapping(Y, Z, {"a": "z1", "b": "z1", "c": "z2"})
     apex = FiniteSet("pb", ("(u,a)", "(u,b)", "(v,c)"))
-    p = rel(apex, X, [("(u,a)", "u"), ("(u,b)", "u"), ("(v,c)", "v")])
-    q = rel(apex, Y, [("(u,a)", "a"), ("(u,b)", "b"), ("(v,c)", "c")])
+    p = Rel(apex, X, [("(u,a)", "u"), ("(u,b)", "u"), ("(v,c)", "v")])
+    q = Rel(apex, Y, [("(u,a)", "a"), ("(u,b)", "b"), ("(v,c)", "c")])
     return {"p": p, "q": q, "f": f, "g": g}
 
 
@@ -266,8 +265,8 @@ def test_check_beck_chevalley_rejects_non_pullback():
     g = function_from_mapping(Y, Z, {"a": "z1", "b": "z1", "c": "z2"})
     # drop one apex point: still commutes, no longer a pullback
     apex = FiniteSet("pb", ("(u,a)", "(v,c)"))
-    p = rel(apex, X, [("(u,a)", "u"), ("(v,c)", "v")])
-    q = rel(apex, Y, [("(u,a)", "a"), ("(v,c)", "c")])
+    p = Rel(apex, X, [("(u,a)", "u"), ("(v,c)", "v")])
+    q = Rel(apex, Y, [("(u,a)", "a"), ("(v,c)", "c")])
     with pytest.raises(NotAPullback):
         check_beck_chevalley(p, q, f, g)
     assert not beck_chevalley_equation(p, q, f, g)

@@ -30,7 +30,6 @@ from delmc import (
     join,
     leq,
     meet,
-    rel,
     tabulate,
     total,
 )
@@ -84,9 +83,9 @@ def test_compose_requires_matching_middle_carrier():
 
 
 def test_compose_on_known_example():
-    r1 = rel(AB, CD, [("a1", "c1"), ("a2", "c2")])
-    r2 = rel(CD, AB, [("c1", "a2"), ("c3", "a1")])
-    assert compose(r1, r2) == rel(AB, AB, [("a1", "a2")])
+    r1 = Rel(AB, CD, [("a1", "c1"), ("a2", "c2")])
+    r2 = Rel(CD, AB, [("c1", "a2"), ("c3", "a1")])
+    assert compose(r1, r2) == Rel(AB, AB, [("a1", "a2")])
 
 
 @given(strat.composable_triples())
@@ -148,30 +147,30 @@ def test_composition_monotone(pair):
 
 
 def test_function_predicates():
-    f = rel(AB, CD, [("a1", "c1"), ("a2", "c2")])
+    f = Rel(AB, CD, [("a1", "c1"), ("a2", "c2")])
     assert is_function(f) and is_injective(f)
     assert not is_surjective(f)
-    g = rel(AB, CD, [("a1", "c1")])
+    g = Rel(AB, CD, [("a1", "c1")])
     assert not is_function(g)  # partial
-    h = rel(AB, CD, [("a1", "c1"), ("a1", "c2"), ("a2", "c3")])
+    h = Rel(AB, CD, [("a1", "c1"), ("a1", "c2"), ("a2", "c3")])
     assert not is_function(h)  # not single-valued
-    onto = rel(CD, AB, [("c1", "a1"), ("c2", "a2"), ("c3", "a2")])
+    onto = Rel(CD, AB, [("c1", "a1"), ("c2", "a2"), ("c3", "a2")])
     assert is_function(onto) and is_surjective(onto) and not is_injective(onto)
 
 
 def test_endo_predicates():
     x = FiniteSet("x", ("u", "v"))
-    r = rel(x, x, [("u", "v")])
+    r = Rel(x, x, [("u", "v")])
     assert not is_reflexive(r) and not is_symmetric(r) and is_transitive(r)
     assert is_reflexive(join(r, identity(x)))
     assert is_symmetric(join(r, dagger(r)))
-    loop = rel(x, x, [("u", "v"), ("v", "u")])
+    loop = Rel(x, x, [("u", "v"), ("v", "u")])
     assert not is_transitive(loop)
 
 
 def test_reflexive_transitive_closure():
     x = FiniteSet("x", ("u", "v", "w"))
-    r = rel(x, x, [("u", "v"), ("v", "w")])
+    r = Rel(x, x, [("u", "v"), ("v", "w")])
     star = closure_reflexive_transitive(r)
     assert is_reflexive(star) and is_transitive(star)
     assert leq(r, star)
@@ -191,7 +190,7 @@ def test_tabulation_recovers_relation(r):
 
 def test_jointly_monic_requires_functions():
     x = FiniteSet("x", ("u", "v"))
-    not_fn = rel(x, x, [("u", "u"), ("u", "v"), ("v", "v")])
+    not_fn = Rel(x, x, [("u", "u"), ("u", "v"), ("v", "v")])
     with pytest.raises(NotAFunction):
         is_jointly_monic(not_fn, identity(x))
 
@@ -206,6 +205,6 @@ def test_function_from_mapping_validates():
 
 
 def test_apply_function_rejects_non_function_point():
-    g = rel(AB, CD, [("a1", "c1"), ("a1", "c2"), ("a2", "c3")])
+    g = Rel(AB, CD, [("a1", "c1"), ("a1", "c2"), ("a2", "c3")])
     with pytest.raises(NotAFunction):
         apply_function(g, "a1")

@@ -49,7 +49,6 @@ from delmc import (
     interp_term,
     is_kripke_sheaf,
     pullback_update,
-    rel,
     verify_quantifier_reduction,
 )
 from delmc.generators import (
@@ -316,7 +315,7 @@ def _planted(upd, fn=None, proj=None):
     sheaf = model.sheaf
     if fn is not None:
         power = sheaf.power(1)
-        model.fn_interp_map = {"f": FrameMap(power.frame, sheaf.total, rel(
+        model.fn_interp_map = {"f": FrameMap(power.frame, sheaf.total, Rel(
             power.carrier, sheaf.total.carrier, fn.items()
         ))}
     if proj is not None:
@@ -384,10 +383,10 @@ def test_power_zero_and_one_are_base_and_total(two_fibers):
 
 def test_kripke_sheaf_constructor_validates():
     w = FiniteSet("w", ("w1", "w2"))
-    base = KripkeFrame.make(w, A, {"a": rel(w, w, [("w1", "w2"), ("w2", "w2")])})
+    base = KripkeFrame.make(w, A, {"a": Rel(w, w, [("w1", "w2"), ("w2", "w2")])})
     d = FiniteSet("d", ("d1", "d2"))
     # d1 sits over w1 but has no step into w2's fiber: boundedness fails
-    total = KripkeFrame.make(d, A, {"a": rel(d, d, [("d2", "d2")])})
+    total = KripkeFrame.make(d, A, {"a": Rel(d, d, [("d2", "d2")])})
     proj = frame_map(total, base, {"d1": "w1", "d2": "w2"})
     with pytest.raises(InvariantViolation):
         KripkeSheaf(total, base, proj)
@@ -434,7 +433,7 @@ def test_unresolved_event_model(two_fibers):
 
 def test_cyclic_preconditions_rejected(two_fibers):
     e = FiniteSet("e", ("e1",))
-    frame = KripkeFrame.make(e, A, {"a": rel(e, e, [("e1", "e1")])})
+    frame = KripkeFrame.make(e, A, {"a": Rel(e, e, [("e1", "e1")])})
     ev = EventModel.make(frame, {"e1": DelBox("LOOP", "e1", Pred("Q", ()))})
     phi = FormulaInContext((), DelBox("LOOP", "e1", Pred("Q", ())))
     with pytest.raises(CyclicPrecondition):

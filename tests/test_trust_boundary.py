@@ -1,7 +1,7 @@
 """Where values are checked and where they are trusted.
 
 Public constructors check every pair, member and value they are given:
-``Rel(...)``, ``rel()``, ``function_from_mapping`` and ``Subset(...)`` by
+``Rel(...)``, ``function_from_mapping`` and ``Subset(...)`` by
 name, and ``Rel.from_rows`` and ``Subset.from_mask``, which the generators
 use, row by row and mask by mask.  The kernel builds its own results through the private
 ``rel._rel``, ``powerset._subset`` and ``rel._unchecked``, which check nothing, so they must stay
@@ -27,7 +27,6 @@ from delmc import (
     Subset,
     function_from_mapping,
     initial_lift,
-    rel,
 )
 
 X = FiniteSet("X", ("x1", "x2"))
@@ -36,7 +35,7 @@ A = AgentSet(("a",))
 
 
 def frame(carrier):
-    return KripkeFrame.make(carrier, A, {"a": rel(carrier, carrier, [])})
+    return KripkeFrame.make(carrier, A, {"a": Rel(carrier, carrier, [])})
 
 
 def test_private_constructor_is_not_public():
@@ -61,7 +60,7 @@ def test_input_and_planting_modules_never_build_unchecked(module):
     [
         lambda: Rel(X, Y, frozenset({("x1", "y1"), ("x2", "zz")})),
         lambda: Rel(X, Y, frozenset({("zz", "y1")})),
-        lambda: rel(X, Y, [("y1", "x1")]),
+        lambda: Rel(X, Y, [("y1", "x1")]),
         lambda: Subset(X, frozenset({"x1", "y1"})),
         lambda: function_from_mapping(X, Y, {"x1": "y1", "x2": "zz"}),
     ],
@@ -115,9 +114,9 @@ def test_row_and_mask_constructors_agree_with_the_named_ones():
 )
 def test_public_frame_maps_reject_non_functions(pairs):
     with pytest.raises(NotAFunction):
-        FrameMap(frame(X), frame(Y), rel(X, Y, pairs))
+        FrameMap(frame(X), frame(Y), Rel(X, Y, pairs))
     with pytest.raises(NotAFunction):
-        initial_lift([frame(Y)], [rel(X, Y, pairs)])
+        initial_lift([frame(Y)], [Rel(X, Y, pairs)])
 
 
 def test_function_from_mapping_rejects_a_partial_mapping():

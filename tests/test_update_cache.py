@@ -29,6 +29,7 @@ from delmc import (
     KripkeModel,
     OpenPrecondition,
     Pred,
+    Rel,
     SheafModel,
     Top,
     Var,
@@ -42,7 +43,6 @@ from delmc import (
     product_update,
     pullback_update,
     reduce_formula,
-    rel,
 )
 
 A = AgentSet(("a",))
@@ -105,7 +105,7 @@ def test_sheaf_entry_points_share_one_build(builds):
 
 def _one_event(name, pre, agents=AB):
     e = FiniteSet(name, (name,))
-    loops = rel(e, e, [(name, name)])
+    loops = Rel(e, e, [(name, name)])
     return EventModel.make(KripkeFrame.make(e, agents, {a: loops for a in agents}), {name: pre})
 
 
