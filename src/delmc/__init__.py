@@ -41,6 +41,7 @@ from .errors import (
     UnknownAgent,
     UnknownAtom,
     UnknownEvent,
+    UnknownSuite,
     UnknownSymbol,
     UnresolvedEventModel,
     VariableCapture,

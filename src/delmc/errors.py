@@ -59,6 +59,10 @@ class UnknownEvent(DelmcError):
     """An event name does not occur in the event model."""
 
 
+class UnknownSuite(DelmcError):
+    """A law suite name is not one of the suites the package runs."""
+
+
 class UnresolvedEventModel(DelmcError):
     """A dynamic operator references an event-model name missing from the registry."""
 

@@ -20,6 +20,13 @@ non-pullback squares that break the image law, and del-reduction for at
 least 10 unbounded updates with a learning witness.  Much smaller runs
 (``delmc laws --cases 5``) can fail them without any law failing.
 
+The relation laws that ``rel-laws`` checks both exhaustively and on
+random relations (units, associativity, the dagger laws, modularity and
+whiskering) are stated once, in ``_REL_LAWS``, as rows of ``(law,
+argument shape, predicate)``.  The sweep enumerates each row's shape
+over every relation on carriers of at most 2 points; each random case
+applies the same predicate to the relations it drew.
+
 The self test plants a deliberately wrong inequality in place of the
 modularity law and passes only when the random search refutes it, so a
 vacuous harness cannot pass silently.
@@ -33,7 +40,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from .errors import InvariantViolation, NotAPullback, NotReducible, OutOfRange
+from .errors import InvariantViolation, NotAPullback, NotReducible, OutOfRange, UnknownSuite
 from .formulas import (
     FormulaInContext,
     Fun,
@@ -88,7 +95,6 @@ from .powerset import (
     check_adjunction,
     check_beck_chevalley,
     check_biduality_laws,
-    compose_maps,
     empty_subset,
     exists_image,
     exists_map,
@@ -96,7 +102,6 @@ from .powerset import (
     forall_map,
     full_subset,
     map_leq,
-    maps_equal,
     relation_from_join_map,
     relation_from_meet_map,
     verify_preserves_all_joins,
@@ -203,17 +208,71 @@ class _Collector:
 
 def _witness(plain: str = "", /, **named: object) -> str:
     """A plain witness, then ``name=value`` for each named one; a relation
-    is written as its carriers and sorted pairs, ``dom->cod:[...]``."""
+    is written as its carriers and sorted pairs, ``dom->cod:[...]``, and a
+    carrier as its name."""
     parts = [plain] if plain else []
     for name, value in named.items():
         if isinstance(value, Rel):
             value = f"{value.dom.name}->{value.cod.name}:{sorted(value.pairs)}"
+        elif isinstance(value, FiniteSet):
+            value = value.name
         parts.append(f"{name}={value}")
     return " ".join(parts)
 
 
 # ---------------------------------------------------------------------------
 # Relation algebra
+
+_SMALL_CARRIERS = (
+    FiniteSet("v0", ()),
+    FiniteSet("v1", ("v1x",)),
+    FiniteSet("v2", ("v2x", "v2y")),
+)
+
+# Argument shape -> (witness names, the (dom, cod) of each relation as
+# indices into a row of carriers, whether the first must lie below the
+# second).  The carrier shape takes one carrier and no relation.
+_SHAPES: Dict[str, Tuple[Tuple[str, ...], Tuple[Tuple[int, int], ...], bool]] = {
+    "carrier": (("a",), (), False),
+    "relation": (("r",), ((0, 1),), False),
+    "pair": (("r1", "r2"), ((0, 1), (1, 2)), False),
+    "triple": (("r1", "r2", "r3"), ((0, 1), (1, 2), (2, 3)), False),
+    "modular": (("r1", "r2", "r3"), ((0, 1), (1, 2), (0, 2)), False),
+    "right leg": (("r", "s", "t"), ((0, 1), (0, 1), (1, 2)), True),
+    "left leg": (("r", "s", "u"), ((0, 1), (0, 1), (2, 0)), True),
+}
+
+# The relation laws, each stated once as (law, argument shape, predicate).
+_REL_LAWS: Tuple[Tuple[str, str, Callable[..., bool]], ...] = (
+    ("dagger fixes identities", "carrier", lambda a: dagger(identity(a)) == identity(a)),
+    (
+        "units",
+        "relation",
+        lambda r: compose(identity(r.dom), r) == r and compose(r, identity(r.cod)) == r,
+    ),
+    ("dagger involution", "relation", lambda r: dagger(dagger(r)) == r),
+    (
+        "dagger contravariance",
+        "pair",
+        lambda r1, r2: dagger(compose(r1, r2)) == compose(dagger(r2), dagger(r1)),
+    ),
+    ("modularity", "modular", check_modularity),
+    ("right whiskering", "right leg", lambda r, s, t: leq(compose(r, t), compose(s, t))),
+    ("left whiskering", "left leg", lambda r, s, u: leq(compose(u, r), compose(u, s))),
+    (
+        "associativity",
+        "triple",
+        lambda r1, r2, r3: compose(compose(r1, r2), r3) == compose(r1, compose(r2, r3)),
+    ),
+)
+
+
+def _expect_law(
+    col: _Collector, label: str, shape: str, holds: Callable[..., bool], args: tuple
+) -> None:
+    """Record a failure of one law on one argument tuple of its shape."""
+    if not holds(*args):
+        col.expect(label, False, **dict(zip(_SHAPES[shape][0], args)))
 
 
 def _all_relations(a: FiniteSet, b: FiniteSet) -> List[Rel]:
@@ -225,96 +284,42 @@ def _all_relations(a: FiniteSet, b: FiniteSet) -> List[Rel]:
     ]
 
 
-def _exhaustive_small_rel_sweep(col: _Collector) -> int:
-    """Every law on every relation pair and triple over carriers of size <= 2.
+def _small_arguments(
+    shape: str, hom: Dict[Tuple[FiniteSet, FiniteSet], List[Rel]]
+) -> Iterator[tuple]:
+    """Every argument tuple of a shape over the small carriers."""
+    _, edges, ordered = _SHAPES[shape]
+    if not edges:
+        yield from ((x,) for x in _SMALL_CARRIERS)
+        return
+    width = 1 + max(i for edge in edges for i in edge)
+    for xs in itertools.product(_SMALL_CARRIERS, repeat=width):
+        for args in itertools.product(*(hom[xs[i], xs[j]] for i, j in edges)):
+            if not ordered or leq(args[0], args[1]):
+                yield args
 
-    Returns the number of law instances checked; failures go to the
-    collector under case labels starting with "exhaustive".
-    """
-    smalls = (
-        FiniteSet("v0", ()),
-        FiniteSet("v1", ("v1x",)),
-        FiniteSet("v2", ("v2x", "v2y")),
-    )
-    rels: Dict[Tuple[str, str], List[Rel]] = {
-        (a.name, b.name): _all_relations(a, b) for a in smalls for b in smalls
-    }
-    checked = 0
-    for a in smalls:
-        ia = identity(a)
-        checked += 1
-        col.expect("exhaustive dagger fixes identities", dagger(ia) == ia, a.name)
-        for b in smalls:
-            ib = identity(b)
-            for r in rels[(a.name, b.name)]:
-                checked += 2
-                col.expect("exhaustive units", compose(ia, r) == r and compose(r, ib) == r, r=r)
-                col.expect("exhaustive dagger involution", dagger(dagger(r)) == r, r=r)
-    for a in smalls:
-        for b in smalls:
-            ab = rels[(a.name, b.name)]
-            for c in smalls:
-                bc = rels[(b.name, c.name)]
-                ca = rels[(c.name, a.name)]
-                ac = rels[(a.name, c.name)]
-                for r1 in ab:
-                    for r2 in bc:
-                        checked += 1
-                        col.expect(
-                            "exhaustive dagger contravariance",
-                            dagger(compose(r1, r2)) == compose(dagger(r2), dagger(r1)),
-                            r1=r1, r2=r2,
-                        )
-                        for r3 in ac:
-                            checked += 1
-                            col.expect(
-                                "exhaustive modularity", check_modularity(r1, r2, r3),
-                                r1=r1, r2=r2, r3=r3,
-                            )
-                for r in ab:
-                    for s in ab:
-                        if not leq(r, s):
-                            continue
-                        for t in bc:
-                            checked += 1
-                            col.expect(
-                                "exhaustive right whiskering",
-                                leq(compose(r, t), compose(s, t)),
-                                r=r, s=s, t=t,
-                            )
-                        for u in ca:
-                            checked += 1
-                            col.expect(
-                                "exhaustive left whiskering",
-                                leq(compose(u, r), compose(u, s)),
-                                r=r, s=s, u=u,
-                            )
-    for a in smalls:
-        for b in smalls:
-            ab = rels[(a.name, b.name)]
-            for c in smalls:
-                bc = rels[(b.name, c.name)]
-                for d in smalls:
-                    cd = rels[(c.name, d.name)]
-                    for r1 in ab:
-                        for r2 in bc:
-                            left = compose(r1, r2)
-                            for r3 in cd:
-                                checked += 1
-                                col.expect(
-                                    "exhaustive associativity",
-                                    compose(left, r3) == compose(r1, compose(r2, r3)),
-                                    r1=r1, r2=r2, r3=r3,
-                                )
-    return checked
+
+def _sweep_small_relations(col: _Collector) -> Dict[str, int]:
+    """Every law of the table on every argument of its shape over carriers
+    of at most 2 points, labelled "exhaustive <law>"; returns the number
+    of instances checked per law."""
+    hom = {(x, y): _all_relations(x, y) for x in _SMALL_CARRIERS for y in _SMALL_CARRIERS}
+    counts: Dict[str, int] = {}
+    for law, shape, holds in _REL_LAWS:
+        counts[law] = 0
+        for args in _small_arguments(shape, hom):
+            counts[law] += 1
+            _expect_law(col, "exhaustive " + law, shape, holds, args)
+    return counts
 
 
 def run_rel_laws(seed: int, cases: int, max_size: int = 5) -> Report:
-    """Category laws, dagger laws, whiskering, modularity, function
-    predicates, tabulation; exhaustively on carriers of size up to two,
-    then on random relations at the given sizes."""
+    """The relation laws of ``_REL_LAWS`` on every relation over carriers of
+    at most 2 points, then on each case's drawn relations, with dagger
+    monotonicity, meets and joins, function predicates and tabulation
+    stated for the random cases alone."""
     col = _Collector("rel-laws", seed)
-    swept = _exhaustive_small_rel_sweep(col)
+    swept = sum(_sweep_small_relations(col).values())
     for rng in col.cases(cases):
         a = random_carrier(rng, rng.randrange(1, max_size + 1), "a")
         b = random_carrier(rng, rng.randrange(1, max_size + 1), "b")
@@ -324,39 +329,25 @@ def run_rel_laws(seed: int, cases: int, max_size: int = 5) -> Report:
         r2 = random_relation(rng, b, c)
         r3 = random_relation(rng, a, c)
         s = random_relation(rng, c, d)
-
-        col.expect(
-            "associativity", compose(compose(r1, r2), s) == compose(r1, compose(r2, s)),
-            r1=r1, r2=r2, s=s,
-        )
-        col.expect("left unit", compose(identity(a), r1) == r1, r1=r1)
-        col.expect("right unit", compose(r1, identity(b)) == r1, r1=r1)
-        col.expect("dagger involution", dagger(dagger(r1)) == r1, r1=r1)
-        col.expect(
-            "dagger contravariance",
-            dagger(compose(r1, r2)) == compose(dagger(r2), dagger(r1)),
-            r1=r1, r2=r2,
-        )
-        col.expect("dagger fixes identities", dagger(identity(a)) == identity(a), a.name)
         bigger = join(r1, random_relation(rng, a, b))
+        smaller = meet(r1, random_relation(rng, a, b))
+        left_leg = random_relation(rng, d, a)
+        drawn = {
+            "carrier": (a,),
+            "relation": (r1,),
+            "pair": (r1, r2),
+            "triple": (r1, r2, s),
+            "modular": (r1, r2, r3),
+            "right leg": (smaller, r1, r2),
+            "left leg": (smaller, r1, left_leg),
+        }
+        for law, shape, holds in _REL_LAWS:
+            _expect_law(col, law, shape, holds, drawn[shape])
         col.expect("dagger is monotone", leq(dagger(r1), dagger(bigger)), r1=r1, bigger=bigger)
         col.expect(
             "meet below",
             leq(meet(r1, bigger), r1) and leq(r1, join(r1, bigger)),
             r1=r1, other=bigger,
-        )
-        col.expect("modularity", check_modularity(r1, r2, r3), r1=r1, r2=r2, r3=r3)
-        smaller = meet(r1, random_relation(rng, a, b))
-        col.expect(
-            "right whiskering",
-            leq(compose(smaller, r2), compose(r1, r2)),
-            smaller=smaller, r1=r1, r2=r2,
-        )
-        left_leg = random_relation(rng, d, a)
-        col.expect(
-            "left whiskering",
-            leq(compose(left_leg, smaller), compose(left_leg, r1)),
-            left=left_leg, smaller=smaller, r1=r1,
         )
 
         f = random_function(rng, a, b)
@@ -439,16 +430,6 @@ def run_duality(seed: int, cases: int, max_size: int = 4) -> Report:
         col.expect("direct image adjoint to universal image", check_adjunction(r), r=r)
         bid = check_biduality_laws(r, r2)
         col.expect("biduality laws", bid.ok, failed=bid.failed(), r=r, r2=r2)
-        col.expect(
-            "join functoriality",
-            maps_equal(exists_map(compose(r, r2)), compose_maps(em, exists_map(r2))),
-            r=r, r2=r2,
-        )
-        col.expect(
-            "meet functoriality",
-            maps_equal(forall_map(compose(r, r2)), compose_maps(fm, forall_map(r2))),
-            r=r, r2=r2,
-        )
         bigger = join(r, random_relation(rng, a, b))
         col.expect(
             "order preserved covariantly", map_leq(em, exists_map(bigger)), r=r, bigger=bigger
@@ -468,16 +449,8 @@ def run_duality(seed: int, cases: int, max_size: int = 4) -> Report:
                 r=r, bigger=bigger,
             )
         other = random_relation(rng, a, b)
-        col.expect(
-            "covariant order is a biconditional",
-            leq(r, other) == map_leq(em, exists_map(other)),
-            r=r, other=other,
-        )
-        col.expect(
-            "contravariant order is a biconditional",
-            leq(r, other) == map_leq(forall_map(other), fm),
-            r=r, other=other,
-        )
+        bid = check_biduality_laws(r, other)
+        col.expect("biduality order laws", bid.ok, failed=bid.failed(), r=r, other=other)
     return col.report(cases)
 
 
@@ -1033,7 +1006,7 @@ def _check_suite(name: str, cases: Optional[int], max_size: Optional[int]) -> No
     """Raise as run_suite would for these arguments, before anything runs."""
     if name not in SUITES:
         known = ", ".join(SUITES)
-        raise InvariantViolation(f"unknown suite {name!r}; known suites: {known}")
+        raise UnknownSuite(f"unknown suite {name!r}; known suites: {known}")
     if cases is not None and cases < 1:
         raise OutOfRange(f"{name}: cases must be at least 1, not {cases}")
     floor = _MIN_SIZE.get(name, 1)
@@ -1049,8 +1022,9 @@ def run_suite(
 ) -> Report:
     """Run one suite by name with its default sizes unless overridden.
 
-    Raises OutOfRange for fewer than one case, or for a max_size below
-    the least one the suite can draw at.
+    Raises UnknownSuite for a name not in SUITES, and OutOfRange for
+    fewer than one case, or for a max_size below the least one the suite
+    can draw at.
     """
     _check_suite(name, cases, max_size)
     kwargs = {"seed": seed, "cases": cases if cases is not None else DEFAULT_CASES[name]}
@@ -1070,7 +1044,8 @@ def run_all(
     Each suite is seeded by the base seed plus its position in SUITES, so
     a suite run by name repeats its cases of the full run at the same
     seed.  Every suite's arguments are checked before the first one runs,
-    so a bad size is refused at once rather than after the suites before it.
+    so a bad name or size is refused at once rather than after the suites
+    before it.
     """
     names = list(suites or SUITES)
     for name in names:

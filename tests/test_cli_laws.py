@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from delmc import InvariantViolation, Report
+from delmc import Report, UnknownSuite
 from delmc import laws as laws_mod
 from delmc.cli import main
 
@@ -73,7 +73,7 @@ def test_named_suites_are_seeded_as_in_the_full_run(capsys, monkeypatch):
 
 
 def test_unknown_suite_exits_2_with_the_librarys_wording(capsys):
-    with pytest.raises(InvariantViolation) as refused:
+    with pytest.raises(UnknownSuite) as refused:
         laws_mod.run_suite("nosuch")
     assert main(["laws", "--suite", "duality", "--suite", "nosuch"]) == 2
     captured = capsys.readouterr()

@@ -44,8 +44,8 @@ InvariantViolation KripkeFrame KripkeModel KripkeSheaf LawCheck LawReport NoLear
 Not NotAFunction NotAPullback NotMonotone NotReducible OpenPrecondition Or OutOfRange PalBox
 PalDia ParseError PowersetMap Pred ReductionResult ReductionStep Rel Report SUITES
 SchemaError SelfTestReport ShadowedVariable SheafCheck SheafModel SheafUpdate Signature
-Subset Tabulation Term TermInContext Top UnknownAgent UnknownAtom UnknownEvent UnknownSymbol
-UnresolvedEventModel UpdateResult Var VariableCapture all_subsets apply apply_function
+Subset Tabulation Term TermInContext Top UnknownAgent UnknownAtom UnknownEvent UnknownSuite
+UnknownSymbol UnresolvedEventModel UpdateResult Var VariableCapture all_subsets apply apply_function
 as_sentence beck_chevalley_equation check_adjunction check_beck_chevalley
 check_biduality_laws check_modularity check_pullback_preserves_bounded
 check_pullback_update check_substitution_box_commutation check_substitution_functoriality

@@ -6,11 +6,11 @@ import pytest
 
 from delmc import (
     DEFAULT_CASES,
-    InvariantViolation,
     KripkeModel,
     OutOfRange,
     SUITES,
     Report,
+    UnknownSuite,
     run_all,
     run_suite,
     self_test,
@@ -44,8 +44,11 @@ def test_suite_names_are_consistent():
 
 
 def test_unknown_suite_rejected():
-    with pytest.raises(InvariantViolation):
+    known = ", ".join(SUITES)
+    with pytest.raises(UnknownSuite, match=f"^unknown suite 'nonsense'; known suites: {known}$"):
         run_suite("nonsense")
+    with pytest.raises(UnknownSuite):
+        run_all(seed=0, suites=["duality", "nonsense"])
 
 
 def test_runs_are_deterministic():
@@ -118,17 +121,60 @@ def test_del_reduction_builds_each_update_once(monkeypatch):
     assert len(keys) == len(set(keys))
 
 
-def test_labels_number_cases_and_name_relation_witnesses(monkeypatch):
-    monkeypatch.setattr(laws_mod, "check_modularity", lambda r1, r2, r3: False)
+SWEPT = {
+    "dagger fixes identities": 3,
+    "units": 31,
+    "dagger involution": 31,
+    "dagger contravariance": 499,
+    "modularity": 5053,
+    "right whiskering": 2011,
+    "left whiskering": 2011,
+    "associativity": 8507,
+}
+
+
+def test_sweep_checks_each_law_on_every_small_argument():
+    col = laws_mod._Collector("rel-laws", 0)
+    assert laws_mod._sweep_small_relations(col) == SWEPT
+    assert col.failures == []
+    assert sum(SWEPT.values()) == 18146
+    assert run_suite("rel-laws", seed=0).cases == 18146 + DEFAULT_CASES["rel-laws"] == 19146
+
+
+@pytest.mark.parametrize(
+    "law", [row[0] for row in laws_mod._REL_LAWS], ids=lambda law: law.replace(" ", "-")
+)
+def test_labels_number_cases_and_name_relation_witnesses(monkeypatch, law):
+    # each law of the table fails in the exhaustive sweep and in every case
+    rows = tuple(
+        (name, shape, (lambda *_: False) if name == law else holds)
+        for name, shape, holds in laws_mod._REL_LAWS
+    )
+    monkeypatch.setattr(laws_mod, "_REL_LAWS", rows)
     rep = run_suite("rel-laws", seed=0, cases=2)
     labels = [label for label, _ in rep.failures]
     # the exhaustive sweep runs before case 0 and keeps its bare label
-    first_case = labels.index("case 0: modularity")
-    assert set(labels[:first_case]) == {"exhaustive modularity"}
-    assert labels[first_case:] == ["case 0: modularity", "case 1: modularity"]
-    rel = r"[a-z]\d+->[a-z]\d+:\[.*\]"
-    for _, witness in rep.failures:
-        assert re.fullmatch(f"r1={rel} r2={rel} r3={rel}", witness), witness
+    first_case = labels.index(f"case 0: {law}")
+    assert set(labels[:first_case]) == {f"exhaustive {law}"}
+    assert len(labels[:first_case]) == SWEPT[law]
+    assert labels[first_case:] == [f"case 0: {law}", f"case 1: {law}"]
+    if law == "modularity":
+        rel = r"[a-z]\d+->[a-z]\d+:\[.*\]"
+        for _, witness in rep.failures:
+            assert re.fullmatch(f"r1={rel} r2={rel} r3={rel}", witness), witness
+
+
+def test_duality_runs_the_parallel_biduality_laws_once_per_case(monkeypatch):
+    parallel = []
+
+    def counted(r1, r2, original=laws_mod.check_biduality_laws):
+        rep = original(r1, r2)
+        parallel.extend(name for name, _ in rep.checks if name == "exists-order-iso")
+        return rep
+
+    monkeypatch.setattr(laws_mod, "check_biduality_laws", counted)
+    assert run_suite("duality", seed=1, cases=40).ok
+    assert len(parallel) == 40
 
 
 def test_suite_level_checks_keep_their_bare_label():
