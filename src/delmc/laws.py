@@ -549,6 +549,21 @@ def _candidate_rels(rng: random.Random, frame_rel: Rel, extra: int = 3) -> List[
     return out
 
 
+def _is_monotone_composite(m: FrameMap) -> bool:
+    """Monotone by definition: ``compose(R, f) <= compose(f, S)`` per
+    agent, the composites that ``is_monotone`` reads off the rows."""
+    return all(
+        leq(compose(m.src.rel(a), m.fn), compose(m.fn, m.dst.rel(a))) for a in m.src.agents
+    )
+
+
+def _is_bounded_composite(m: FrameMap) -> bool:
+    """Bounded by definition: ``compose(R, f) == compose(f, S)`` per agent."""
+    return all(
+        compose(m.src.rel(a), m.fn) == compose(m.fn, m.dst.rel(a)) for a in m.src.agents
+    )
+
+
 def _lift_biconditional(
     zframe: KripkeFrame,
     gfn: Rel,
@@ -657,6 +672,19 @@ def run_topological(seed: int, cases: int, max_size: int = 5) -> Report:
             _lift_biconditional(zframe, gfn, lift, [dst], [fn]),
             g=gfn,
         )
+        # the pointwise map properties against their composite definitions,
+        # on a monotone, a bounded and a random map
+        for name, fm in (("m", m), ("bnd", bnd), ("g", FrameMap(zframe, lift, gfn))):
+            col.expect(
+                f"pointwise monotonicity agrees on {name}",
+                is_monotone(fm) == _is_monotone_composite(fm),
+                f=fm.fn,
+            )
+            col.expect(
+                f"pointwise boundedness agrees on {name}",
+                is_bounded(fm) == _is_bounded_composite(fm),
+                f=fm.fn,
+            )
 
         other = random_frame(rng, random_carrier(rng, rng.randrange(1, 4), "s"), agents)
         fn2 = random_function(rng, dom, other.carrier)

@@ -35,14 +35,18 @@ length or an unhashable name falls back to the entry-by-entry walk,
 which words the first bad entry.  The rows then go into the relation
 through the private trusted constructor, with no second check; no set
 of name pairs is built.  A valuation becomes one mask per atom.  In a
-sheaf model, each argument tuple of a function map or a predicate
-extension is resolved by index to its point of the fibered power
-(``FiberedPower.point_of``), after a check that its individuals share a
-world; every such tuple is a point.  Function tables become rows and
-extensions masks over the power's points, and no point label is built
-or looked up.  What a document can get wrong beyond names and shapes
-(the sheaf conditions, monotone and fiber-preserving interpretations)
-is checked by the constructors the loader calls.
+sheaf model, each fibered power that a table needs gets one dict from
+its individuals' names to its points, built from the power's
+coordinates (``FiberedPower.coords``).  Each argument list of a
+function map or a predicate extension is then one lookup in it: a list
+of declared names over one world is exactly a key, since the power
+holds every such tuple.  On a miss, ``_entry_point`` words the entry's
+first fault (not a list of the arity's names, an undeclared individual,
+or names over two worlds).  Function tables become rows and extensions
+masks over the power's points, and no point label is built or looked
+up.  What a document can get wrong beyond names and shapes (the sheaf
+conditions, monotone and fiber-preserving interpretations) is checked
+by the constructors the loader calls.
 
 Dumping goes the other way: each relation's pairs are read off its
 rows in name order, sources by name and each row's successors by name,
@@ -204,26 +208,33 @@ def _load_event(doc: Mapping[str, Any]) -> EventModel:
     return EventModel.make(frame, pre)
 
 
-def _tuple_entry(value: Any, arity: int, domain: frozenset, where: str) -> Tuple[str, ...]:
+def _entry_point(
+    points: Mapping[Tuple[str, ...], int],
+    args: Any,
+    arity: int,
+    domain: Mapping[str, int],
+    where: str,
+    i: int,
+) -> int:
+    """The point whose individuals entry i's arguments name, by one lookup
+    in points; on a miss, the entry's first fault, worded."""
+    if isinstance(args, list):  # a string would name the tuple of its characters
+        try:
+            return points[tuple(args)]
+        except (KeyError, TypeError):  # a stray, a bad length, an unhashable name
+            pass
+    where = f"{where}[{i}]"
     if (
-        not isinstance(value, list)
-        or len(value) != arity
-        or not all(isinstance(x, str) for x in value)
+        not isinstance(args, list)
+        or len(args) != arity
+        or not all(isinstance(x, str) for x in args)
     ):
         raise SchemaError(f"{where}: expected a list of {arity} individuals")
-    for x in value:
+    for x in args:
         if x not in domain:
             raise SchemaError(f"{where}: undeclared individual {x!r}")
-    return tuple(value)
-
-
-def _power_point(power: FiberedPower, sheaf: KripkeSheaf, tup: Tuple[str, ...], where: str) -> int:
-    """The point of the power whose individuals are tup, by index."""
-    coords = tuple(map(sheaf.total.carrier.index.__getitem__, tup))
-    if len(set(map(sheaf.power(1).worlds.__getitem__, coords))) != 1:
-        raise SchemaError(f"{where}: arguments {list(tup)} do not share a world")
     # every tuple over one world is a point, since the power holds them all
-    return power.point_of[coords]
+    raise SchemaError(f"{where}: arguments {list(args)} do not share a world")
 
 
 def load_sheaf_frames(doc: Mapping[str, Any]) -> Tuple[KripkeFrame, KripkeFrame, FrameMap]:
@@ -285,6 +296,17 @@ def _load_sheaf(doc: Mapping[str, Any]) -> SheafModel:
         relations[name] = _require(entry, "arity", int, f"{where}.predicates.{name}")
     signature = Signature.make(functions, relations)
 
+    names = total_carrier.elements
+    domain, bits = total_carrier.index, total_carrier.bit
+    tables: Dict[int, Dict[Tuple[str, ...], int]] = {}
+
+    def points_of(pw: FiberedPower) -> Dict[Tuple[str, ...], int]:
+        # each point of a positive power by its individuals' names, one
+        # table per power, built on the power's first use
+        if pw.n not in tables:
+            tables[pw.n] = {tuple(map(names.__getitem__, c)): p for p, c in enumerate(pw.coords)}
+        return tables[pw.n]
+
     fn_interp: Dict[str, FrameMap] = {}
     for name in sorted(fn_doc):
         entry = fn_doc[name]
@@ -301,18 +323,19 @@ def _load_sheaf(doc: Mapping[str, Any]) -> SheafModel:
                     raise SchemaError(f"{here}.section: undeclared individual {a!r}")
                 rows[base_carrier.index[w]] = 1 << total_carrier.index[a]
         else:
+            points = points_of(pw)
             table = _require(entry, "map", list, here)
             for i, row in enumerate(table):
                 if not isinstance(row, list) or len(row) != 2:
                     raise SchemaError(f"{here}.map[{i}]: expected [arguments, value]")
                 args, value = row
-                tup = _tuple_entry(args, arity, total_carrier.as_set, f"{here}.map[{i}]")
-                point = _power_point(pw, sheaf, tup, f"{here}.map[{i}]")
-                if not isinstance(value, str) or value not in total_carrier.as_set:
+                point = _entry_point(points, args, arity, domain, f"{here}.map", i)
+                bit = bits.get(value) if isinstance(value, str) else None
+                if bit is None:
                     raise SchemaError(f"{here}.map[{i}]: undeclared individual {value!r}")
                 if rows[point]:
                     raise SchemaError(f"{here}.map[{i}]: duplicate entry for {args}")
-                rows[point] = 1 << total_carrier.index[value]
+                rows[point] = bit
         if not all(rows):
             raise SchemaError(f"{here}: no value for {pw.carrier.elements[rows.index(0)]!r}")
         fn_interp[name] = FrameMap(
@@ -327,14 +350,16 @@ def _load_sheaf(doc: Mapping[str, Any]) -> SheafModel:
         here = f"{where}.predicates.{name}"
         ext = _require(entry, "extension", list, here)
         mask = 0
-        for i, row in enumerate(ext):
-            if arity == 0:
+        if arity == 0:
+            for i, row in enumerate(ext):
                 if not isinstance(row, str) or row not in base_carrier.as_set:
                     raise SchemaError(f"{here}.extension[{i}]: undeclared world {row!r}")
                 mask |= 1 << base_carrier.index[row]
-            else:
-                tup = _tuple_entry(row, arity, total_carrier.as_set, f"{here}.extension[{i}]")
-                mask |= 1 << _power_point(pw, sheaf, tup, f"{here}.extension[{i}]")
+        else:
+            points = points_of(pw)
+            at = f"{here}.extension"
+            for i, row in enumerate(ext):
+                mask |= 1 << _entry_point(points, row, arity, domain, at, i)
         rel_interp[name] = _subset(pw.carrier, mask)
 
     return SheafModel(sheaf, signature, fn_interp, rel_interp)

@@ -99,11 +99,10 @@ from .rel import (
     Rel,
     _rel,
     _unchecked,
-    apply_function,
     bit_flags,
     compose,
     dagger,
-    is_surjective,
+    union_of,
 )
 
 
@@ -162,6 +161,7 @@ class SheafCheck(Frozen):
 
 
 def _unique_lift_witness(total: KripkeFrame, proj_fn: Rel) -> Optional[Tuple[str, str, str, str]]:
+    """The first agent, individual and two of its successors over one world."""
     names = total.carrier.elements
     pi = proj_fn.rows  # one bit per individual: its world
     for agent in total.agents:
@@ -177,24 +177,39 @@ def _unique_lift_witness(total: KripkeFrame, proj_fn: Rel) -> Optional[Tuple[str
 def _sheaf_conditions(
     total: KripkeFrame, base: KripkeFrame, proj: FrameMap
 ) -> Tuple[bool, bool, bool, Optional[str]]:
-    """The three direct sheaf conditions, then the first failure or None."""
+    """The three direct sheaf conditions, then the first failure or None.
+
+    One pass per agent over the total relation's rows, with no composite
+    built: a point's successors pushed down to their worlds (``img``) must
+    be the base row at its world (bounded), and must be as many worlds as
+    there are successors (unique lifts).  A failure is worded by a second
+    walk, ``_unique_lift_witness`` for unique lifts.
+    """
     if proj.src != total or proj.dst != base:
         raise CarrierMismatch("is_kripke_sheaf: projection does not connect the two frames")
-    surjective = is_surjective(proj.fn)
-    bounded = is_bounded(proj)
-    witness = _unique_lift_witness(total, proj.fn)
+    over = proj.fn.pred_rows  # the individuals over each world
+    surjective = all(over)
+    bounded = unique = True
+    pi = proj.fn.rows  # one bit per individual: its world
+    worlds = image_indices(proj)
+    for agent in total.agents:
+        steps = base.rel(agent).rows
+        for row, w in zip(total.rel(agent).rows, worlds):
+            img = union_of(pi, row)
+            if img != steps[w]:
+                bounded = False
+            if img.bit_count() != row.bit_count():
+                unique = False
     failure = None
     if not surjective:
-        missing = sorted(
-            set(base.carrier.elements) - {apply_function(proj.fn, a) for a in total.carrier}
-        )
-        failure = f"projection not surjective: no individual over {missing[0]!r}"
+        missing = min(w for w, m in zip(base.carrier.elements, over) if not m)
+        failure = f"projection not surjective: no individual over {missing!r}"
     elif not bounded:
         failure = "projection not a bounded morphism"
-    elif witness is not None:
-        agent, a, b, b2 = witness
+    elif not unique:
+        agent, a, b, b2 = _unique_lift_witness(total, proj.fn)
         failure = f"unique-lift condition fails (agent {agent!r}): witness {a},{b},{b2}"
-    return surjective, bounded, witness is None, failure
+    return surjective, bounded, unique, failure
 
 
 def is_kripke_sheaf(total: KripkeFrame, base: KripkeFrame, proj: FrameMap) -> SheafCheck:
@@ -391,11 +406,16 @@ def _function_fault(
         if not m or m & (m - 1):
             return NotAFunction(f"interpretation of {name!r} is not a function at {lbl!r}")
     values = image_indices(fm)
+    over = fm.fn.pred_rows  # the points with each value
     for a in fm.src.agents:
-        # monotone: the values at a point's successors are successors of its value
-        steps = fm.dst.rel(a).rows
-        for lbl, pushed, v in zip(labels, compose(fm.src.rel(a), fm.fn).rows, values):
-            if pushed & ~steps[v]:
+        # monotone (``is_monotone``, read from the target side): a point's
+        # successors take values among its value's successors.  Each target
+        # row is pulled back once, to the points whose values it holds, so
+        # a source row costs one AND and the first bad point is named; the
+        # tests name the same point from the composite ``compose(R, f)``
+        allowed = [union_of(over, step) for step in fm.dst.rel(a).rows]
+        for lbl, row, v in zip(labels, fm.src.rel(a).rows, values):
+            if row & ~allowed[v]:
                 return NotMonotone(
                     f"interpretation of {name!r} is not monotone at {lbl!r} (agent {a!r})"
                 )

@@ -1,5 +1,6 @@
 """The randomized law suites: structure, determinism, labels, self-test."""
 
+import operator
 import re
 
 import pytest
@@ -11,6 +12,8 @@ from delmc import (
     SUITES,
     Report,
     UnknownSuite,
+    compose,
+    leq,
     run_all,
     run_suite,
     self_test,
@@ -175,6 +178,25 @@ def test_duality_runs_the_parallel_biduality_laws_once_per_case(monkeypatch):
     monkeypatch.setattr(laws_mod, "check_biduality_laws", counted)
     assert run_suite("duality", seed=1, cases=40).ok
     assert len(parallel) == 40
+
+
+@pytest.mark.parametrize(
+    "name, holds",
+    [("is_monotone", leq), ("is_bounded", operator.eq)],
+)
+def test_topological_catches_a_map_check_that_skips_the_last_agent(monkeypatch, name, holds):
+    def skips_last(m):
+        return all(
+            holds(compose(m.src.rel(a), m.fn), compose(m.fn, m.dst.rel(a)))
+            for a in m.src.agents.agents[:-1]
+        )
+
+    monkeypatch.setattr(laws_mod, name, skips_last)
+    rep = run_suite("topological", seed=0, cases=SMALL_CASES["topological"])
+    prop = "monotonicity" if name == "is_monotone" else "boundedness"
+    labels = {re.sub(r"^case \d+: ", "", label) for label, _ in rep.failures}
+    assert f"pointwise {prop} agrees on g" in labels
+    assert labels <= {f"pointwise {prop} agrees on {m}" for m in ("m", "bnd", "g")}
 
 
 def test_suite_level_checks_keep_their_bare_label():

@@ -232,6 +232,131 @@ def test_arguments_over_two_worlds_rejected(mutate, message):
     assert str(exc.value) == message
 
 
+def _set_f_entry(i, entry):
+    def edit(d):
+        d["functions"]["f"]["map"][i] = entry
+    return edit
+
+
+def _as_a_b(d):
+    """The document with individuals d1 and d2 renamed a and b."""
+    text = json.dumps(d).replace('"d1"', '"a"').replace('"d2"', '"b"')
+    d.clear()
+    d.update(json.loads(text))
+
+
+def _then(*edits):
+    def edit(d):
+        for e in edits:
+            e(d)
+    return edit
+
+
+F = "sheaf-model.functions.f"
+P = "sheaf-model.predicates.P"
+ONE = "expected a list of 1 individuals"
+
+# Edits to two_fibers.json, each with the loader's exact message, or None
+# when the edited document loads and dumps as the unedited one does
+TABLE_ENTRY_FAULTS = [
+    ("fn-row-not-a-pair", _set_f_entry(0, ["d1"]), f"{F}.map[0]: expected [arguments, value]"),
+    ("fn-args-not-a-list", _set_f_entry(0, ["d1", "d2"]), f"{F}.map[0]: {ONE}"),
+    ("fn-wrong-arity", _set_f_entry(0, [["d1", "d2"], "d2"]), f"{F}.map[0]: {ONE}"),
+    ("fn-non-string-arg", _set_f_entry(0, [[7], "d2"]), f"{F}.map[0]: {ONE}"),
+    ("fn-unhashable-arg", _set_f_entry(0, [[["d1"]], "d2"]), f"{F}.map[0]: {ONE}"),
+    (
+        "fn-undeclared-arg",
+        _set_f_entry(1, [["zz"], "d2"]),
+        f"{F}.map[1]: undeclared individual 'zz'",
+    ),
+    (
+        "fn-undeclared-second-arg",
+        lambda d: d["functions"].update(g={"arity": 2, "map": [[["d1", "zz"], "d1"]]}),
+        "sheaf-model.functions.g.map[0]: undeclared individual 'zz'",
+    ),
+    ("fn-across-worlds", ACROSS_WORLDS[0][0], ACROSS_WORLDS[0][1]),
+    (
+        "fn-duplicate",
+        lambda d: d["functions"]["f"]["map"].append([["d1"], "d1"]),
+        f"{F}.map[3]: duplicate entry for ['d1']",
+    ),
+    ("fn-no-value", lambda d: d["functions"]["f"]["map"].pop(2), f"{F}: no value for 'd3'"),
+    ("fn-non-string-value", _set_f_entry(0, [["d1"], 7]), f"{F}.map[0]: undeclared individual 7"),
+    (
+        "fn-undeclared-value",
+        _set_f_entry(0, [["d1"], "zz"]),
+        f"{F}.map[0]: undeclared individual 'zz'",
+    ),
+    (
+        "fn-string-arg",
+        _then(_as_a_b, lambda d: d["functions"].update(g={"arity": 2, "map": [["ab", "a"]]})),
+        "sheaf-model.functions.g.map[0]: expected a list of 2 individuals",
+    ),
+    (
+        "pred-args-not-a-list",
+        lambda d: d["predicates"]["P"].update(extension=["d1"]),
+        f"{P}.extension[0]: {ONE}",
+    ),
+    (
+        "pred-wrong-arity",
+        lambda d: d["predicates"]["P"].update(extension=[["d1"], ["d1", "d2"]]),
+        f"{P}.extension[1]: {ONE}",
+    ),
+    (
+        "pred-non-string-arg",
+        lambda d: d["predicates"]["P"].update(extension=[[None]]),
+        f"{P}.extension[0]: {ONE}",
+    ),
+    (
+        "pred-unhashable-arg",
+        lambda d: d["predicates"]["P"].update(extension=[[["d1"]]]),
+        f"{P}.extension[0]: {ONE}",
+    ),
+    (
+        "pred-undeclared-arg",
+        lambda d: d["predicates"]["P"].update(extension=[["d1"], ["zz"]]),
+        f"{P}.extension[1]: undeclared individual 'zz'",
+    ),
+    ("pred-across-worlds", ACROSS_WORLDS[1][0], ACROSS_WORLDS[1][1]),
+    # an extension is a set: a repeated entry is accepted
+    (
+        "pred-duplicate",
+        lambda d: d["predicates"]["P"].update(extension=[["d1"], ["d1"]]),
+        None,
+    ),
+    (
+        "pred-undeclared-world",
+        lambda d: d["predicates"]["Q"].update(extension=["zz"]),
+        "sheaf-model.predicates.Q.extension[0]: undeclared world 'zz'",
+    ),
+    (
+        "pred-string-arg",
+        _then(_as_a_b, lambda d: d["predicates"].update(R={"arity": 2, "extension": ["ab"]})),
+        "sheaf-model.predicates.R.extension[0]: expected a list of 2 individuals",
+    ),
+    (
+        "pred-unary-string-arg",
+        _then(_as_a_b, lambda d: d["predicates"]["P"].update(extension=["ab"])),
+        f"{P}.extension[0]: {ONE}",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "mutate, message",
+    [(m, msg) for _, m, msg in TABLE_ENTRY_FAULTS],
+    ids=[name for name, _, _ in TABLE_ENTRY_FAULTS],
+)
+def test_table_entry_faults_are_worded(mutate, message):
+    doc = broken(sheaf_doc(), mutate)
+    if message is None:
+        assert dump_model(load_model(doc)) == dump_model(load_model(sheaf_doc()))
+        return
+    with pytest.raises(SchemaError) as exc:
+        load_model(doc)
+    assert str(exc.value) == message
+
+
 def test_unknown_kind_rejected():
     with pytest.raises(SchemaError):
         load_model({"format_version": 1, "kind": "nonsense"})

@@ -41,6 +41,7 @@ from delmc import (
     check_substitution_box_commutation,
     check_substitution_functoriality,
     check_transition_commutation,
+    compose,
     extension,
     fibered_power,
     frame_map,
@@ -60,7 +61,8 @@ from delmc.generators import (
     random_sheaf,
     random_sheaf_model,
 )
-from delmc.rel import _unchecked
+from delmc.rel import _unchecked, bit_flags
+from delmc.sheaves import _function_fault, _sheaf_conditions
 
 A = AgentSet(("a",))
 
@@ -353,6 +355,38 @@ def test_pullback_update_check_catches_planted_defects(two_fibers, fo_event):
     ]
 
 
+def test_function_fault_names_the_point_the_composites_name():
+    # fiber-preserving tables with random values: the first point whose
+    # successors' values leave its value's successors, agent by agent, read
+    # off the composite compose(R, f) as the definition of monotone states it
+    rng = random.Random(7)
+    ab = AgentSet(("a", "b"))
+    verdicts = set()
+    for _ in range(30):
+        base = random_frame(rng, random_carrier(rng, rng.randrange(1, 4), prefix="w"), ab)
+        sheaf = random_sheaf(rng, base, max_fiber=3)
+        fibers = [[i for i, b in enumerate(bit_flags(m)) if b] for m in sheaf.proj.fn.pred_rows]
+        for arity in (1, 2):
+            power = sheaf.power(arity)
+            rows = [1 << rng.choice(fibers[w]) for w in power.worlds]
+            fm = FrameMap(power.frame, sheaf.total, Rel.from_rows(
+                power.carrier, sheaf.total.carrier, rows
+            ))
+            expected = None
+            for a in ab:
+                steps = sheaf.total.rel(a).rows
+                pushed = compose(power.frame.rel(a), fm.fn).rows
+                bad = [p for p, v in enumerate(rows) if pushed[p] & ~steps[v.bit_length() - 1]]
+                if bad:
+                    lbl = power.carrier.elements[bad[0]]
+                    expected = f"interpretation of 'f' is not monotone at {lbl!r} (agent {a!r})"
+                    break
+            fault = _function_fault("f", arity, fm, sheaf)
+            assert (fault and str(fault)) == expected
+            verdicts.add(expected is None)
+    assert verdicts == {True, False}
+
+
 def test_fibered_power_round_trips(two_fibers):
     sheaf = two_fibers.sheaf
     for n in (0, 1, 2, 3):
@@ -417,6 +451,62 @@ def test_planted_defects_are_detected(mode):
             KripkeSheaf(total, b, proj)
         found += 1
     assert found >= 5
+
+
+# The direct sheaf conditions of planted defects, as (surjective, bounded,
+# unique lifts, first failure): three plants per mode at Random(24), two agents
+PLANTED_CONDITIONS = {
+    "extra-successor": [
+        (True, True, False, "unique-lift condition fails (agent 'a'): witness d3_1,d3_1,d3_2"),
+        (True, True, False, "unique-lift condition fails (agent 'a'): witness d2_2,d2_1,d2_2"),
+        (True, True, False, "unique-lift condition fails (agent 'a'): witness d2_2,d1_1,d1_2"),
+    ],
+    "missing-successor": [(True, False, True, "projection not a bounded morphism")] * 3,
+    "empty-fiber": [
+        (False, False, True, "projection not surjective: no individual over 'w1'"),
+        (False, False, True, "projection not surjective: no individual over 'w3'"),
+        (False, True, True, "projection not surjective: no individual over 'w2'"),
+    ],
+}
+
+
+@pytest.mark.parametrize("mode", sorted(PLANTED_CONDITIONS))
+def test_sheaf_conditions_of_planted_defects(mode):
+    ab = AgentSet(("a", "b"))
+    rng = random.Random(24)
+    got = []
+    while len(got) < 3:
+        base = random_frame(rng, random_carrier(rng, rng.randrange(1, 4), prefix="w"), ab)
+        sheaf = random_sheaf(rng, base, max_fiber=3)
+        assert _sheaf_conditions(sheaf.total, sheaf.base, sheaf.proj) == (True, True, True, None)
+        assert is_kripke_sheaf(sheaf.total, sheaf.base, sheaf.proj).characterization_agrees
+        try:
+            triple = plant_non_sheaf(rng, sheaf, mode)
+        except InvariantViolation:
+            continue
+        got.append(_sheaf_conditions(*triple))
+    assert got == PLANTED_CONDITIONS[mode]
+
+
+def test_sheaf_conditions_failing_twice_name_the_first():
+    w = FiniteSet("w", ("w1", "w2"))
+    base = KripkeFrame.make(w, A, {"a": Rel(w, w, [("w1", "w2"), ("w2", "w2")])})
+    d = FiniteSet("d", ("d1", "d2", "d3"))
+    # d1 steps to both individuals over w2, which step nowhere: neither
+    # bounded nor with unique lifts
+    total = KripkeFrame.make(d, A, {"a": Rel(d, d, [("d1", "d2"), ("d1", "d3")])})
+    proj = frame_map(total, base, {"d1": "w1", "d2": "w2", "d3": "w2"})
+    assert _sheaf_conditions(total, base, proj) == (
+        True, False, False, "projection not a bounded morphism"
+    )
+    # nothing over w2, and d1, d2 over w1 each step to both
+    loop = KripkeFrame.make(w, A, {"a": Rel(w, w, [("w1", "w1")])})
+    d2 = FiniteSet("d", ("d1", "d2"))
+    total2 = KripkeFrame.make(d2, A, {"a": Rel(d2, d2, [(x, y) for x in d2 for y in d2])})
+    proj2 = frame_map(total2, loop, {"d1": "w1", "d2": "w1"})
+    assert _sheaf_conditions(total2, loop, proj2) == (
+        False, True, False, "projection not surjective: no individual over 'w2'"
+    )
 
 
 def test_quantifier_shadowing_rejected(two_fibers):
