@@ -155,12 +155,14 @@ from .models import (
     static_precondition_modalities,
 )
 from .sheaves import (
+    DiagonalCheck,
     FiberedPower,
     KripkeSheaf,
     SheafCheck,
     SheafModel,
     SheafUpdate,
     Signature,
+    check_diagonal_characterization,
     check_pullback_update,
     check_substitution_box_commutation,
     check_substitution_functoriality,

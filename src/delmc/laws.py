@@ -89,6 +89,7 @@ from .models import (
     static_precondition_modalities,
 )
 from .powerset import (
+    ImageMaps,
     Subset,
     apply,
     beck_chevalley_equation,
@@ -97,10 +98,9 @@ from .powerset import (
     check_biduality_laws,
     empty_subset,
     exists_image,
-    exists_map,
     forall_image,
-    forall_map,
     full_subset,
+    image_maps,
     map_leq,
     relation_from_join_map,
     relation_from_meet_map,
@@ -138,6 +138,7 @@ from .rel import (
     tabulate,
 )
 from .sheaves import (
+    check_diagonal_characterization,
     check_pullback_update,
     check_substitution_box_commutation,
     check_substitution_functoriality,
@@ -407,12 +408,13 @@ def run_duality(seed: int, cases: int, max_size: int = 4) -> Report:
         r = random_relation(rng, a, b)
         r2 = random_relation(rng, b, c)
 
-        em = exists_map(r)
-        fm = forall_map(r)
+        images: ImageMaps = {}  # each relation's image maps, built once per case
+        em, fm = image_maps(r, images)
         back = dagger(r)
+        back_em, back_fm = image_maps(back, images)
         for name, along, rows, univ, direct in (
             ("r", r, r.pred_rows, fm, em),
-            ("dagger(r)", back, r.rows, forall_map(back), exists_map(back)),
+            ("dagger(r)", back, r.rows, back_fm, back_em),
         ):
             for sub in _fixed_subsets(along.dom):
                 agree = forall_image(rows, sub.mask) == apply(univ, sub).mask
@@ -427,29 +429,26 @@ def run_duality(seed: int, cases: int, max_size: int = 4) -> Report:
         col.expect("meet-map round trip", relation_from_meet_map(fm) == r, r=r)
         col.expect("join extension preserves joins", verify_preserves_all_joins(em), r=r)
         col.expect("meet extension preserves meets", verify_preserves_all_meets(fm), r=r)
-        col.expect("direct image adjoint to universal image", check_adjunction(r), r=r)
-        bid = check_biduality_laws(r, r2)
+        col.expect("direct image adjoint to universal image", check_adjunction(r, images=images), r=r)
+        bid = check_biduality_laws(r, r2, images)
         col.expect("biduality laws", bid.ok, failed=bid.failed(), r=r, r2=r2)
         bigger = join(r, random_relation(rng, a, b))
-        col.expect(
-            "order preserved covariantly", map_leq(em, exists_map(bigger)), r=r, bigger=bigger
-        )
-        col.expect(
-            "order reflected contravariantly", map_leq(forall_map(bigger), fm), r=r, bigger=bigger
-        )
+        big_em, big_fm = image_maps(bigger, images)
+        col.expect("order preserved covariantly", map_leq(em, big_em), r=r, bigger=bigger)
+        col.expect("order reflected contravariantly", map_leq(big_fm, fm), r=r, bigger=bigger)
         if bigger != r:
             col.expect(
                 "strict order not inverted covariantly",
-                not map_leq(exists_map(bigger), em),
+                not map_leq(big_em, em),
                 r=r, bigger=bigger,
             )
             col.expect(
                 "strict order not inverted contravariantly",
-                not map_leq(fm, forall_map(bigger)),
+                not map_leq(fm, big_fm),
                 r=r, bigger=bigger,
             )
         other = random_relation(rng, a, b)
-        bid = check_biduality_laws(r, other)
+        bid = check_biduality_laws(r, other, images)
         col.expect("biduality order laws", bid.ok, failed=bid.failed(), r=r, other=other)
     return col.report(cases)
 
@@ -862,10 +861,11 @@ def run_sheaf(seed: int, cases: int, max_size: int = 3) -> Report:
         sheaf = random_sheaf(rng, base, max_fiber=3)
         chk = is_kripke_sheaf(sheaf.total, sheaf.base, sheaf.proj)
         col.expect("generated sheaf recognized", chk.is_sheaf, chk.failure or "")
+        diag = check_diagonal_characterization(sheaf.total, sheaf.base, sheaf.proj)
         col.expect(
             "diagonal characterization agrees",
-            chk.characterization_agrees,
-            delta_bounded=chk.delta_bounded, unique_lift=chk.unique_lift,
+            diag.agrees,
+            delta_bounded=diag.delta_bounded, unique_lift=chk.unique_lift,
         )
 
         for mode, flag in _PLANT_FLAG.items():
@@ -879,10 +879,11 @@ def run_sheaf(seed: int, cases: int, max_size: int = 3) -> Report:
                 not chk2.is_sheaf and not getattr(chk2, flag),
                 check=chk2,
             )
+            diag2 = check_diagonal_characterization(total_b, base_b, proj_b)
             col.expect(
                 f"characterization agrees on planted {mode}",
-                chk2.characterization_agrees,
-                delta_bounded=chk2.delta_bounded, unique_lift=chk2.unique_lift,
+                diag2.agrees,
+                delta_bounded=diag2.delta_bounded, unique_lift=chk2.unique_lift,
             )
 
         model = random_sheaf_model(rng, random_sheaf(rng, base, max_fiber=2))
@@ -891,7 +892,9 @@ def run_sheaf(seed: int, cases: int, max_size: int = 3) -> Report:
             chk_p = is_kripke_sheaf(pw.frame, model.sheaf.base, pw.proj_to_base)
             col.expect(
                 f"power {n_pow} projection is again a sheaf",
-                chk_p.is_sheaf and chk_p.characterization_agrees,
+                chk_p.is_sheaf and check_diagonal_characterization(
+                    pw.frame, model.sheaf.base, pw.proj_to_base
+                ).agrees,
                 chk_p.failure or "",
             )
 
@@ -902,7 +905,9 @@ def run_sheaf(seed: int, cases: int, max_size: int = 3) -> Report:
         chk3 = is_kripke_sheaf(upd_sheaf.total, upd_sheaf.base, upd_sheaf.proj)
         col.expect(
             "updated structure is again a sheaf",
-            chk3.is_sheaf and chk3.characterization_agrees,
+            chk3.is_sheaf and check_diagonal_characterization(
+                upd_sheaf.total, upd_sheaf.base, upd_sheaf.proj
+            ).agrees,
             chk3.failure or "",
         )
 

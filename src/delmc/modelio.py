@@ -459,12 +459,15 @@ def dump_model(model: LoadedModel, name: Optional[str] = None) -> Dict[str, Any]
         doc["domain_relation"] = _dump_frame(sheaf.total)
 
         names = sheaf.total.carrier.elements
+        points: Dict[int, List[Tuple[int, Tuple[str, ...]]]] = {}
 
-        def by_world(pw: FiberedPower) -> List[Tuple[int, List[str]]]:
+        def by_world(pw: FiberedPower) -> List[Tuple[int, Tuple[str, ...]]]:
             # each point's individuals, world by world: the order the loader
-            # rebuilds from "fibers"
-            order = sorted(range(len(pw.carrier)), key=pw.worlds.__getitem__)
-            return [(p, [names[c] for c in pw.coords[p]]) for p in order]
+            # rebuilds from "fibers"; read once per power and document
+            if pw.n not in points:
+                order = sorted(range(len(pw.carrier)), key=pw.worlds.__getitem__)
+                points[pw.n] = [(p, tuple(names[c] for c in pw.coords[p])) for p in order]
+            return points[pw.n]
 
         functions: Dict[str, Any] = {}
         for fname, arity in model.signature.function_symbols:
@@ -479,7 +482,9 @@ def dump_model(model: LoadedModel, name: Optional[str] = None) -> Dict[str, Any]
                 values = fm.fn.rows
                 functions[fname] = {
                     "arity": arity,
-                    "map": [[args, names[values[p].bit_length() - 1]] for p, args in by_world(pw)],
+                    "map": [
+                        [list(args), names[values[p].bit_length() - 1]] for p, args in by_world(pw)
+                    ],
                 }
         doc["functions"] = functions
         predicates: Dict[str, Any] = {}
@@ -489,7 +494,8 @@ def dump_model(model: LoadedModel, name: Optional[str] = None) -> Dict[str, Any]
             if arity == 0:
                 ext: List[Any] = sub.members_in_order()
             else:
-                ext = [args for p, args in by_world(pw) if sub.mask >> p & 1]
+                mask = sub.mask
+                ext = [list(args) for p, args in by_world(pw) if mask >> p & 1]
             predicates[rname] = {"arity": arity, "extension": ext}
         doc["predicates"] = predicates
         return doc

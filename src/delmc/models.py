@@ -14,9 +14,11 @@ names resolve through a registry passed alongside the formula.
 The evaluator here also interprets first-order formulas in context on
 sheaf models (see ``sheaves``): a formula in an n-variable context denotes
 a subset of the n-th fibered power, and a Kripke model is the case of the
-empty context.  Each model supplies the layer-specific part (the frame of
-a context, leaves, the quantifier map, its update and that update's
-transitions); the evaluator holds the rest once.
+empty context.  A subformula is computed over the power of its own free
+variables and weakened to a larger context by pullback along the
+coordinate projection.  Each model supplies the layer-specific part (the
+frame of a context, leaves, the quantifier map, the weakening, its update
+and that update's transitions); the evaluator holds the rest once.
 
 Updates and announcements are kept on the model they are built on, by
 extents: an update under its event model and its preconditions' extents,
@@ -69,7 +71,10 @@ from .formulas import (
     Or,
     PalBox,
     PalDia,
+    Pred,
     Top,
+    children,
+    term_free_vars,
 )
 from .frames import FrameMap, KripkeFrame, is_bounded, lift_pairs, product, subframe
 from .frozen import Frozen
@@ -287,6 +292,11 @@ def updated_frame(
     return frame, legs, transitions
 
 
+# the scope, (free variables, bound variables), of a formula with no variables
+_NONE: frozenset = frozenset()
+_NO_VARS: Tuple[frozenset, frozenset] = (_NONE, _NONE)
+
+
 class _Evaluator:
     """Extensions memoised per evaluator; updates and announcements kept per model.
 
@@ -300,8 +310,18 @@ class _Evaluator:
     event-model references.  Every image is read off the relation's rows
     (``rows`` along a dagger, ``pred_rows`` along the relation), so a modal
     node builds no dagger, image map or relation; the ``duality`` suite
-    checks the row helpers against the image maps.  A model supplies the
-    rest:
+    checks the row helpers against the image maps.
+
+    In a nonempty context (sheaf models only) a node is computed over its
+    own free variables, kept in context order, and memoised under that
+    context; its extension over the context asked for is the pullback
+    along the coordinate projection.  A quantifier whose variable is not
+    free in its body gives back the body's extension: the drop map is onto,
+    since every fiber is nonempty.  So a formula builds the power of only
+    the variables it uses.  A binder that shadows a variable of the
+    context raises ShadowedVariable before the context is narrowed.
+
+    A model supplies the rest:
 
     - ``context_frame(n)``: the frame whose carrier holds the points of an
       n-variable context, with one relation per agent;
@@ -309,6 +329,8 @@ class _Evaluator:
       Subset;
     - ``drop_last_map(n)``: the map from the (n+1)- to the n-variable
       context's points that quantifiers take images along (sheaves only);
+    - ``weaken(context, own, mask)``: the pullback of an extension over a
+      subcontext ``own`` to ``context`` (sheaves only);
     - ``sentence(pre, e)``: event e's precondition as this layer reads it;
     - ``build_update(ev, extents)``: the update by an event model, given
       each event's precondition extent as a mask;
@@ -320,17 +342,21 @@ class _Evaluator:
       another source object, which ``build_update`` uses to keep the
       update detached from its model.
 
-    The extension memo lasts as long as the evaluator.  Updates and
-    announcements outlive it, kept on their model by extent masks, so later
-    calls on the same model object, through any entry point and under any
-    registry, reuse them.  Announcements stay Kripke-only.  A node a layer
-    does not interpret raises UnknownSymbol.  Models key the memo by value
-    (Kripke models) or by identity (sheaf models).
+    The extension memo lasts as long as the evaluator, and so does the
+    update each event-model name resolved to on each model, so an event
+    operator's preconditions are evaluated once per model and evaluator.
+    Updates and announcements outlive it, kept on their model by extent
+    masks, so later calls on the same model object, through any entry point
+    and under any registry, reuse them.  Announcements stay Kripke-only.  A
+    node a layer does not interpret raises UnknownSymbol.  Models key the
+    memo by value (Kripke models) or by identity (sheaf models).
     """
 
     def __init__(self, registry: Optional[Mapping[str, EventModel]] = None):
         self.registry = dict(registry or {})
         self.memo: Dict[tuple, int] = {}
+        self.scopes: Dict[Formula, Tuple[frozenset, frozenset]] = {}
+        self.resolved: Dict[tuple, object] = {}
         self.updating: set = set()
 
     def ext(self, model, context: Tuple[str, ...], phi: Formula) -> Subset:
@@ -345,7 +371,39 @@ class _Evaluator:
             hit = self.memo[key] = self._mask(model, context, phi)
         return hit
 
+    def scope(self, phi: Formula) -> Tuple[frozenset, frozenset]:
+        """The free and the bound variables of a formula, kept per node."""
+        hit = self.scopes.get(phi)
+        if hit is None:
+            if isinstance(phi, Pred):
+                hit = (_NONE.union(*map(term_free_vars, phi.args)), _NONE)
+            else:
+                hit = _NO_VARS
+                for kid in children(phi):
+                    free, bound = self.scope(kid)
+                    hit = (free, bound) if hit is _NO_VARS else (hit[0] | free, hit[1] | bound)
+                if isinstance(phi, (Forall, Exists)):
+                    hit = (hit[0] - {phi.var}, hit[1] | {phi.var})
+            self.scopes[phi] = hit
+        return hit
+
+    def own_context(self, context: Tuple[str, ...], phi: Formula) -> Tuple[str, ...]:
+        """The variables of context free in phi, in context order (context
+        itself when phi uses them all).  Raises ShadowedVariable when phi
+        binds a variable of context."""
+        free, bound = self.scope(phi)
+        if bound and not bound.isdisjoint(context):
+            var = next(v for v in context if v in bound)
+            raise ShadowedVariable(f"quantified variable {var!r} shadows the context; rename it")
+        if len(free) == len(context):  # free lies in context, or a leaf says it does not
+            return context
+        return tuple(v for v in context if v in free)
+
     def _mask(self, model, context: Tuple[str, ...], phi: Formula) -> int:
+        if context:  # a Kripke model's context is always empty
+            own = self.own_context(context, phi)
+            if own is not context:
+                return model.weaken(context, own, self.mask(model, own, phi))
         n = len(context)
         if isinstance(phi, Top):
             return model.context_frame(n).carrier.full
@@ -364,11 +422,12 @@ class _Evaluator:
             rows = model.context_frame(n).rel(phi.agent).rows
             inner = self.mask(model, context, phi.body)
         elif isinstance(phi, (Forall, Exists)):
-            if phi.var in context:
-                raise ShadowedVariable(
-                    f"quantified variable {phi.var!r} shadows the context; rename it"
-                )
-            inner = self.mask(model, context + (phi.var,), phi.body)
+            if isinstance(model, KripkeModel):
+                raise UnknownSymbol("quantifiers cannot be evaluated on a propositional model")
+            inner_context = self.own_context(context + (phi.var,), phi.body)
+            inner = self.mask(model, inner_context, phi.body)
+            if len(inner_context) == n:  # the variable is not free in the body
+                return inner
             rows = model.drop_last_map(n).pred_rows
         elif isinstance(phi, (DelBox, DelDia)):
             upd = self.update(model, phi.model)
@@ -406,18 +465,24 @@ class _Evaluator:
         return hit
 
     def update(self, model, ref: str):
+        """The model's update by the event model named ref, resolved once
+        per model and evaluator; a build that raises keeps nothing."""
+        key = (model, ref)
+        hit = self.resolved.get(key)
+        if hit is not None:
+            return hit
         if ref not in self.registry:
             raise UnresolvedEventModel(f"event model {ref!r} not in registry")
-        key = (model, ref)
         if key in self.updating:
             raise CyclicPrecondition(
                 f"cyclic dynamic preconditions while updating with {ref!r}"
             )
         self.updating.add(key)
         try:
-            return self.build_update(model, self.registry[ref])
+            hit = self.resolved[key] = self.build_update(model, self.registry[ref])
         finally:
             self.updating.discard(key)
+        return hit
 
     def build_update(self, model, ev: EventModel):
         """The model's update by ev, kept under ev and its preconditions' extents.

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import compress
 from operator import and_
-from typing import FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import CapExceeded, CarrierMismatch, InvariantViolation, NotAFunction, NotAPullback
 from .frozen import Frozen
@@ -187,6 +187,10 @@ class PowersetMap(Frozen):
         return f"PowersetMap({self.kind}, {self.dom.name!r} -> {self.cod.name!r}, {rows!r})"
 
 
+# each relation's (direct image map, universal image map), built once (see image_maps)
+ImageMaps = Dict[Rel, Tuple[PowersetMap, PowersetMap]]
+
+
 def _make_map(dom: FiniteSet, cod: FiniteSet, kind: str, masks: Iterable[int]) -> PowersetMap:
     """Built unchecked: the callers' masks lie inside cod."""
     return _unchecked(PowersetMap, dom=dom, cod=cod, kind=kind, masks=tuple(masks))
@@ -320,7 +324,7 @@ def find_apply_witness(h1: PowersetMap, h2: PowersetMap, cap: int = 12) -> Optio
     return None
 
 
-def check_adjunction(r: Rel, cap: int = 16) -> bool:
+def check_adjunction(r: Rel, cap: int = 16, images: Optional[ImageMaps] = None) -> bool:
     """Direct image along r is left adjoint to universal image along its dagger.
 
     Exhaustive: for every subset S1 of the domain and S2 of the codomain,
@@ -328,12 +332,15 @@ def check_adjunction(r: Rel, cap: int = 16) -> bool:
     universal image of S2.  Each map is applied once per subset, so the
     check costs 2^|dom| + 2^|cod| map applications and 2^(|dom|+|cod|)
     comparisons; it returns False at the first pair that disagrees.
-    Raises CapExceeded when |dom| + |cod| is above cap.
+    Raises CapExceeded when |dom| + |cod| is above cap.  The maps are read
+    from ``images`` (see ``image_maps``) when the caller passes a dict to share.
     """
     if len(r.dom) + len(r.cod) > cap:
         raise CapExceeded(f"check_adjunction: combined carrier size above cap {cap}")
-    lower = exists_map(r)
-    upper = forall_map(dagger(r))
+    if images is None:
+        images = {}
+    lower = image_maps(r, images)[0]
+    upper = image_maps(dagger(r), images)[1]
     targets = range(1 << len(r.cod))
     uppers = [_apply_mask(upper, s2) for s2 in targets]
     for s1 in range(1 << len(r.dom)):
@@ -393,43 +400,54 @@ class BidualityReport(Frozen):
         return [name for name, passed in self.checks if not passed]
 
 
-def check_biduality_laws(r1: Rel, r2: Rel) -> BidualityReport:
+def image_maps(r: Rel, images: ImageMaps) -> Tuple[PowersetMap, PowersetMap]:
+    """The direct and universal image maps along r, built once and kept in images."""
+    hit = images.get(r)
+    if hit is None:
+        hit = images[r] = (exists_map(r), forall_map(r))
+    return hit
+
+
+def check_biduality_laws(r1: Rel, r2: Rel, images: Optional[ImageMaps] = None) -> BidualityReport:
     """Verify the order- and composition-compatibility of image maps.
 
     For composable arguments: the image maps along the dagger of a composite
     factor through the images of the daggers of the parts.  For parallel
     arguments: inclusion of relations is equivalent to the pointwise order
     of direct images (covariant) and of universal images (contravariant),
-    in both the plain and dagger forms.
+    in both the plain and dagger forms.  Each relation's two image maps are
+    built once, in ``images`` when the caller passes a dict to share.
     """
+    if images is None:
+        images = {}
     checks: List[Tuple[str, bool]] = []
     composable = r1.cod == r2.dom
     parallel = r1.dom == r2.dom and r1.cod == r2.cod
     if not composable and not parallel:
         raise CarrierMismatch("check_biduality_laws: arguments neither composable nor parallel")
+    exists1, forall1 = image_maps(r1, images)
+    exists2, forall2 = image_maps(r2, images)
+    back_exists1, back_forall1 = image_maps(dagger(r1), images)
+    back_exists2, back_forall2 = image_maps(dagger(r2), images)
     if composable:
         composite = compose(r1, r2)
-        lhs_e = exists_map(dagger(composite))
-        rhs_e = compose_maps(exists_map(dagger(r2)), exists_map(dagger(r1)))
-        checks.append(("exists-dagger-functorial", lhs_e == rhs_e))
-        lhs_a = forall_map(dagger(composite))
-        rhs_a = compose_maps(forall_map(dagger(r2)), forall_map(dagger(r1)))
-        checks.append(("forall-dagger-functorial", lhs_a == rhs_a))
+        exists_c, forall_c = image_maps(composite, images)
+        back_exists_c, back_forall_c = image_maps(dagger(composite), images)
         checks.append(
-            ("exists-functorial", exists_map(composite) == compose_maps(exists_map(r1), exists_map(r2)))
+            ("exists-dagger-functorial", back_exists_c == compose_maps(back_exists2, back_exists1))
         )
         checks.append(
-            ("forall-functorial", forall_map(composite) == compose_maps(forall_map(r1), forall_map(r2)))
+            ("forall-dagger-functorial", back_forall_c == compose_maps(back_forall2, back_forall1))
         )
+        checks.append(("exists-functorial", exists_c == compose_maps(exists1, exists2)))
+        checks.append(("forall-functorial", forall_c == compose_maps(forall1, forall2)))
     if parallel:
         included = leq(r1, r2)
-        checks.append(("exists-order-iso", included == map_leq(exists_map(r1), exists_map(r2))))
-        checks.append(("forall-order-anti-iso", included == map_leq(forall_map(r2), forall_map(r1))))
+        checks.append(("exists-order-iso", included == map_leq(exists1, exists2)))
+        checks.append(("forall-order-anti-iso", included == map_leq(forall2, forall1)))
+        checks.append(("exists-dagger-order-iso", included == map_leq(back_exists1, back_exists2)))
         checks.append(
-            ("exists-dagger-order-iso", included == map_leq(exists_map(dagger(r1)), exists_map(dagger(r2))))
-        )
-        checks.append(
-            ("forall-dagger-order-anti-iso", included == map_leq(forall_map(dagger(r2)), forall_map(dagger(r1))))
+            ("forall-dagger-order-anti-iso", included == map_leq(back_forall2, back_forall1))
         )
     return BidualityReport(tuple(checks))
 

@@ -11,12 +11,18 @@ and modalities are images along the fibered frame relations.
 Formulas are evaluated by the one evaluator of ``models`` (``_Evaluator``),
 which serves both layers; a sheaf model supplies its per-layer part: the
 frame of each context's fibered power, predicate leaves and term values,
-the quantifier drop map, and its pullback update.  Fibered powers depend
-only on the sheaf, which builds each one once, and raises CapExceeded
-before building one of more than ``MAX_POWER_CARRIER`` points; pullback
-updates are kept on the sheaf model they update, by the event model and
-its preconditions' extents, so queries, reductions and ``pullback_update``
-on one model share them.
+the quantifier drop map, the weakening of an extension to a larger
+context, and its pullback update.  A subformula is computed over the
+power of its own free variables, kept in context order, and weakened to
+the context asked for by pullback along the coordinate projection
+(``SheafModel.weaken``), so a context or quantifier builds the power of
+only the variables that a formula uses.  Fibered powers depend only on
+the sheaf, which builds each one once (``KripkeSheaf.power``, which
+``fibered_power`` returns), and raises CapExceeded before building one of
+more than ``MAX_POWER_CARRIER`` points; pullback updates are kept on the
+sheaf model they update, by the event model and its preconditions'
+extents, so queries, reductions and ``pullback_update`` on one model
+share them.
 
 Updating by an event model with closed preconditions pulls the whole
 structure back: worlds, individuals, interpretation tables.  The update of
@@ -145,10 +151,7 @@ class Signature(Frozen):
 class SheafCheck(Frozen):
     """Diagnostics from checking the sheaf conditions on a projection.
 
-    failure names the first failed condition, with a witness.  The last
-    two fields cross-check the direct definition against the diagonal
-    characterization: bounded plus unique lifts must coincide with bounded
-    projection plus bounded diagonal into the binary fibered power.
+    failure names the first failed condition, with a witness.
     """
 
     is_sheaf: bool
@@ -156,8 +159,19 @@ class SheafCheck(Frozen):
     surjective: bool
     bounded: bool
     unique_lift: bool
+
+
+@dataclass(init=False, repr=False, eq=False)
+class DiagonalCheck(Frozen):
+    """The diagonal characterization of a sheaf, against the direct one.
+
+    delta_bounded: whether the diagonal into the binary fibered power of
+    the projection is bounded.  agrees: whether a bounded projection with
+    unique lifts is exactly a bounded projection with a bounded diagonal.
+    """
+
     delta_bounded: bool
-    characterization_agrees: bool
+    agrees: bool
 
 
 def _unique_lift_witness(total: KripkeFrame, proj_fn: Rel) -> Optional[Tuple[str, str, str, str]]:
@@ -215,13 +229,30 @@ def _sheaf_conditions(
 def is_kripke_sheaf(total: KripkeFrame, base: KripkeFrame, proj: FrameMap) -> SheafCheck:
     """Check the three sheaf conditions and name the first failure.
 
-    Also evaluates the diagonal characterization independently: the
-    projection together with the diagonal into its binary fibered power
-    must be bounded exactly when the projection is bounded with unique
-    lifts.
+    The diagonal characterization of the same conditions is a separate
+    cross-check, ``check_diagonal_characterization``, which the ``sheaf``
+    law suite and ``delmc sheaf-check`` run.
     """
     surjective, bounded, unique, failure = _sheaf_conditions(total, base, proj)
-    # the binary fibered power of the projection, with no sheaf assumptions
+    return SheafCheck(
+        is_sheaf=failure is None,
+        failure=failure,
+        surjective=surjective,
+        bounded=bounded,
+        unique_lift=unique,
+    )
+
+
+def check_diagonal_characterization(
+    total: KripkeFrame, base: KripkeFrame, proj: FrameMap
+) -> DiagonalCheck:
+    """Evaluate the diagonal characterization independently of the direct one.
+
+    The projection together with the diagonal into its binary fibered
+    power, built with no sheaf assumptions, must be bounded exactly when
+    the projection is bounded with unique lifts.
+    """
+    _, bounded, unique, _ = _sheaf_conditions(total, base, proj)
     pairs = fibered_pairs(proj, proj)
     square_frame, _ = lift_pairs(f"({total.carrier.name}^2)", total, total, pairs)
     diag = [0] * len(total.carrier)
@@ -231,14 +262,9 @@ def is_kripke_sheaf(total: KripkeFrame, base: KripkeFrame, proj: FrameMap) -> Sh
     delta_bounded = is_bounded(
         FrameMap(total, square_frame, _rel(total.carrier, square_frame.carrier, diag))
     )
-    return SheafCheck(
-        is_sheaf=failure is None,
-        failure=failure,
-        surjective=surjective,
-        bounded=bounded,
-        unique_lift=unique,
+    return DiagonalCheck(
         delta_bounded=delta_bounded,
-        characterization_agrees=(bounded and unique) == (bounded and delta_bounded),
+        agrees=(bounded and unique) == (bounded and delta_bounded),
     )
 
 
@@ -274,9 +300,10 @@ class KripkeSheaf(Frozen):
 
     def power(self, n: int) -> "FiberedPower":
         """The n-th fibered power, built on first use and kept."""
-        if n not in self._powers:
-            self._powers[n] = fibered_power(self, n)
-        return self._powers[n]
+        power = self._powers.get(n)
+        if power is None:
+            power = self._powers[n] = _build_power(self, n)
+        return power
 
 
 @dataclass(init=False, repr=False, eq=False)
@@ -354,9 +381,16 @@ def fibered_power(sheaf: KripkeSheaf, n: int) -> FiberedPower:
     """The n-th fibered power: per world in base order, the n-tuples of its
     fiber in lexicographic order, labelled "(a,b,...)".
 
+    The sheaf builds each power once and keeps it, so this is
+    ``sheaf.power(n)``, shared with the loader, the evaluator and updates.
     Raises CapExceeded, before building anything, when the points would
     number more than MAX_POWER_CARRIER.
     """
+    return sheaf.power(n)
+
+
+def _build_power(sheaf: KripkeSheaf, n: int) -> FiberedPower:
+    """Build the n-th fibered power (see ``fibered_power``)."""
     if n < 0:
         raise InvariantViolation("fibered_power: negative arity")
     base = sheaf.base
@@ -474,6 +508,7 @@ class SheafModel:
         self.fn_interp_map = {n: fn_interp[n] for n, _ in signature.function_symbols}
         self.rel_interp_map = {n: rel_interp[n] for n, _ in signature.relation_symbols}
         self._drops: Dict[int, Rel] = {}
+        self._weakenings: Dict[Tuple[Tuple[str, ...], Tuple[str, ...]], List[int]] = {}
         # updates built on this model, keyed by extents; the evaluator fills it
         self._updates: Dict[tuple, tuple] = {}
 
@@ -536,6 +571,21 @@ class SheafModel:
             points = lower.points(upper.worlds, (c[:-1] for c in upper.coords))
             self._drops[n] = _rel(upper.carrier, lower.carrier, [1 << p for p in points])
         return self._drops[n]
+
+    def weaken(self, context: Tuple[str, ...], own: Tuple[str, ...], mask: int) -> int:
+        """Pull an extension over the power of ``own``, a subsequence of
+        ``context``, back to the context's power along the coordinate
+        projection (``arg_points``).  The projection is kept per
+        (context, own) as the fiber over each point of own's power."""
+        fibers = self._weakenings.get((context, own))
+        if fibers is None:
+            fibers = [0] * len(self.power(len(own)).carrier)
+            bit = 1
+            for q in self.arg_points(context, [Var(v) for v in own]):
+                fibers[q] |= bit
+                bit <<= 1
+            self._weakenings[(context, own)] = fibers
+        return union_of(fibers, mask)
 
     def transition(self, upd: "SheafUpdate", n: int, e: str) -> Rel:
         return upd.transition(n, e)
@@ -600,6 +650,7 @@ class SheafModel:
             fn_interp_map=fn_interp,
             rel_interp_map=rel_interp,
             _drops={},
+            _weakenings={},
             _updates={},
         )
         return SheafUpdate(
@@ -738,6 +789,9 @@ def interp_formula(
 ) -> Subset:
     """Extension of a formula in context over the context's power carrier.
 
+    Each subformula is computed over the power of its own free variables
+    and weakened to its context by pullback, so a variable that the
+    formula does not use costs no larger power than the context itself.
     Event operators use the pullback updates kept on the model, so a later
     call on the same model object reuses them.
     """

@@ -118,15 +118,23 @@ def test_update_checks_the_cap_before_building(capsys, monkeypatch, model, event
     assert captured.err == f"error: update would build {size} points, above the cap of {cap}\n"
 
 
-# Two ways to need the 16th and the 18th fibered power of two_fibers, whose
-# fibers hold 2 and 1 individuals: 2**n + 1 points for n variables
+# Two ways to need large fibered powers of two_fibers, whose fibers hold 2
+# and 1 individuals: 2**n + 1 points for n variables.  A subformula is
+# computed over its own free variables, so eighteen binders need large
+# powers only when the body uses the variables.  In NESTED_18_ALL the
+# partial conjunction P(x1) & ... & P(xk) needs the k-th power, so the
+# cap is passed at the 14th, on the way to the 18th.
 CONTEXT_16 = "ctx " + ",".join(f"x{i}" for i in range(1, 17)) + " | P(x1)"
 NESTED_18 = "ctx | " + "".join(f"forall x{i}. " for i in range(1, 19)) + "P(x1)"
+NESTED_18_ALL = (
+    "ctx | " + "".join(f"forall x{i}. " for i in range(1, 19))
+    + "(" + " & ".join(f"P(x{i})" for i in range(1, 19)) + ")"
+)
 
 
 @pytest.mark.parametrize("formula, n, size", [
     (CONTEXT_16, 16, 65_537),
-    (NESTED_18, 18, 262_145),
+    (NESTED_18_ALL, 14, 16_385),
 ], ids=["context", "nested"])
 def test_fibered_powers_past_the_cap_exit_2(capsys, formula, n, size):
     started = time.perf_counter()
@@ -137,6 +145,25 @@ def test_fibered_powers_past_the_cap_exit_2(capsys, formula, n, size):
     assert captured.err == (
         f"error: fibered power {n} would build {size} points, above the cap of {MAX_POWER_CARRIER}\n"
     )
+
+
+def test_binders_the_body_does_not_use_build_no_power(capsys, monkeypatch):
+    # NESTED_18's body uses x1 alone: seventeen binders are vacuous and
+    # give back their body's extension, so no power above the 1st is built
+    built = []
+    build = sheaves._build_power
+
+    def counted(sheaf, n):
+        built.append(n)
+        return build(sheaf, n)
+
+    monkeypatch.setattr(sheaves, "_build_power", counted)
+    started = time.perf_counter()
+    assert main(["eval", TWO_FIBERS, NESTED_18]) == 0
+    assert time.perf_counter() - started < 1.0
+    assert max(built) == 1
+    # P holds of d1 alone, and w1's fiber also holds d2, so no world has P of all
+    assert capsys.readouterr().out.splitlines()[-1] == "extension (0 of 2): (empty)"
 
 
 def test_fibered_power_checks_the_cap_before_building(capsys, monkeypatch):

@@ -18,6 +18,7 @@ from delmc import (
     DelBox,
     DelDia,
     Dia,
+    DiagonalCheck,
     Exists,
     FiniteSet,
     Forall,
@@ -78,7 +79,8 @@ SAMPLES = [
     (NoLearningReport, (True, True, None, 3)),
     (BidualityReport, ((("law", True),),)),
     (Signature, ((("f", 1),), (("P", 1),))),
-    (SheafCheck, (True, None, True, True, True, True, True)),
+    (SheafCheck, (True, None, True, True, True)),
+    (DiagonalCheck, (True, True)),
     (ReductionStep, ("rule", PalBox(P, Q), Imp(P, Q), Imp(P, Q))),
     (ReductionResult, (PalBox(P, Q), Imp(P, Q), (), ("x",))),
     (Report, ("duality", 3, (), 0.5)),
@@ -121,7 +123,7 @@ def test_no_method_is_compiled_from_source_text():
 
 def test_every_value_class_reads_its_fields_off_the_dataclass():
     values = [c for c in _package_classes() if issubclass(c, Frozen) and dataclasses.is_dataclass(c)]
-    assert len(values) == 43
+    assert len(values) == 44
     for cls in values:
         assert cls._fields == tuple(f.name for f in dataclasses.fields(cls)), cls.__name__
         assert "__doc__" in vars(cls) and cls.__doc__, cls.__name__

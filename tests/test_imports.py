@@ -38,7 +38,7 @@ LAWS_NAMES = ["DEFAULT_CASES", "SUITES", "Report", "SelfTestReport", "run_all", 
 
 PUBLIC_NAMES = """
 AgentMismatch AgentSet And ArityMismatch Atom Bot Box CapExceeded CarrierMismatch
-CodomainMismatch CyclicPrecondition DEFAULT_CASES DelBox DelDia DelmcError Dia EmptyGroup
+CodomainMismatch CyclicPrecondition DEFAULT_CASES DelBox DelDia DelmcError Dia DiagonalCheck EmptyGroup
 EventModel Exists FiberedPower FiniteSet Forall Formula FormulaInContext FrameMap Fun Imp
 InvariantViolation KripkeFrame KripkeModel KripkeSheaf LawCheck LawReport NoLearningReport
 Not NotAFunction NotAPullback NotMonotone NotReducible OpenPrecondition Or OutOfRange PalBox
@@ -47,7 +47,8 @@ SchemaError SelfTestReport ShadowedVariable SheafCheck SheafModel SheafUpdate Si
 Subset Tabulation Term TermInContext Top UnknownAgent UnknownAtom UnknownEvent UnknownSuite
 UnknownSymbol UnresolvedEventModel UpdateResult Var VariableCapture all_subsets apply apply_function
 as_sentence beck_chevalley_equation check_adjunction check_beck_chevalley
-check_biduality_laws check_modularity check_pullback_preserves_bounded
+check_biduality_laws check_diagonal_characterization check_modularity
+check_pullback_preserves_bounded
 check_pullback_update check_substitution_box_commutation check_substitution_functoriality
 check_transition_commutation check_update_routes closure_reflexive_transitive
 common_knowledge_relation compose compose_maps dagger dump_file dump_model empty

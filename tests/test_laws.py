@@ -19,6 +19,7 @@ from delmc import (
     self_test,
 )
 from delmc import laws as laws_mod
+from delmc import powerset
 
 SMALL_CASES = {
     "rel-laws": 40,
@@ -170,14 +171,30 @@ def test_labels_number_cases_and_name_relation_witnesses(monkeypatch, law):
 def test_duality_runs_the_parallel_biduality_laws_once_per_case(monkeypatch):
     parallel = []
 
-    def counted(r1, r2, original=laws_mod.check_biduality_laws):
-        rep = original(r1, r2)
+    def counted(r1, r2, images=None, original=laws_mod.check_biduality_laws):
+        rep = original(r1, r2, images)
         parallel.extend(name for name, _ in rep.checks if name == "exists-order-iso")
         return rep
 
     monkeypatch.setattr(laws_mod, "check_biduality_laws", counted)
     assert run_suite("duality", seed=1, cases=40).ok
     assert len(parallel) == 40
+
+
+def test_duality_builds_each_image_map_once_per_case(monkeypatch):
+    built = []
+    for name in ("exists_map", "forall_map"):
+        def counted(r, name=name, original=getattr(powerset, name)):
+            built.append((name, r))
+            return original(r)
+
+        monkeypatch.setattr(powerset, name, counted)
+    for seed in range(20):
+        built.clear()
+        assert run_suite("duality", seed=seed, cases=1).ok
+        # r, r2, their composite, the larger and the other relation, and
+        # the daggers of all but the larger: 18 maps at most, none twice
+        assert len(set(built)) == len(built) <= 18
 
 
 @pytest.mark.parametrize(

@@ -128,6 +128,7 @@ def test_dynamic_preconditions_match_oracle(seed):
     Pred("P", ()),
     Exists("u", Pred("P", (Var("u"),))),
     Box("a", Forall("u", Top())),
+    Forall("u", Atom("p")),
 ])
 def test_first_order_nodes_rejected(two_worlds, phi):
     with pytest.raises(UnknownSymbol):

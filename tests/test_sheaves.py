@@ -12,6 +12,7 @@ import hypothesis.strategies as st
 import fo_oracle
 from delmc import (
     AgentSet,
+    And,
     Atom,
     Box,
     CyclicPrecondition,
@@ -37,6 +38,7 @@ from delmc import (
     UnresolvedEventModel,
     Var,
     as_sentence,
+    check_diagonal_characterization,
     check_pullback_update,
     check_substitution_box_commutation,
     check_substitution_functoriality,
@@ -62,6 +64,7 @@ from delmc.generators import (
     random_sheaf_model,
 )
 from delmc.rel import _unchecked, bit_flags
+from delmc import sheaves
 from delmc.sheaves import _function_fault, _sheaf_conditions
 
 A = AgentSet(("a",))
@@ -212,6 +215,22 @@ def test_interp_matches_oracle_dynamic(seed):
 
 @settings(max_examples=30)
 @given(st.integers(min_value=0, max_value=2 ** 32 - 1))
+def test_interp_in_a_larger_context_matches_oracle(seed):
+    # a formula over (x1) read in (x0, x1, x2): each node is computed over
+    # its own free variables and weakened to the context by pullback
+    rng = random.Random(seed)
+    model = random_small_model(rng)
+    ev = random_fo_event_model(rng, model, rng.randrange(1, 3))
+    registry, oreg = {"E": ev}, {"E": fo_oracle.from_event_model(ev)}
+    phi = random_fo_formula(rng, model, ("x1",), depth=3, event_refs=[("E", e) for e in ev.events])
+    context = ("x0", "x1", "x2")
+    got = interp_formula(model, FormulaInContext(context, phi), registry)
+    o = fo_oracle.from_sheaf_model(model)
+    assert tuple_form(model.power(3), got) == fo_oracle.tuple_extension(o, context, phi, oreg)
+
+
+@settings(max_examples=30)
+@given(st.integers(min_value=0, max_value=2 ** 32 - 1))
 def test_dynamic_preconditions_match_oracle(seed):
     # F's preconditions are event operators over a second model E;
     # formulas mix [F,f] and [E,e].
@@ -301,8 +320,8 @@ def test_update_yields_sheaf_and_transitions(two_fibers, fo_event):
     upd = pullback_update(two_fibers, fo_event)
     assert check_pullback_update(upd).ok
     new_sheaf = upd.updated.sheaf
-    chk = is_kripke_sheaf(new_sheaf.total, new_sheaf.base, new_sheaf.proj)
-    assert chk.is_sheaf and chk.characterization_agrees
+    assert is_kripke_sheaf(new_sheaf.total, new_sheaf.base, new_sheaf.proj).is_sheaf
+    assert check_diagonal_characterization(new_sheaf.total, new_sheaf.base, new_sheaf.proj).agrees
     for e in fo_event.events:
         for n in (0, 1, 2):
             t = upd.transition(n, e)
@@ -409,6 +428,23 @@ def test_fibered_power_round_trips(two_fibers):
         assert list(power.worlds) == [m.bit_length() - 1 for m in power.proj_to_base.fn.rows]
 
 
+def test_fibered_power_is_the_power_the_sheaf_keeps(two_fibers):
+    sheaf = two_fibers.sheaf
+    for n in range(4):
+        assert fibered_power(sheaf, n) is sheaf.power(n) is two_fibers.power(n)
+
+
+def test_is_kripke_sheaf_builds_no_fibered_square(two_fibers, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("fibered square built")
+
+    monkeypatch.setattr(sheaves, "fibered_pairs", refuse)
+    sheaf = two_fibers.sheaf
+    assert is_kripke_sheaf(sheaf.total, sheaf.base, sheaf.proj).is_sheaf
+    with pytest.raises(AssertionError, match="fibered square built"):
+        check_diagonal_characterization(sheaf.total, sheaf.base, sheaf.proj)
+
+
 def test_power_zero_and_one_are_base_and_total(two_fibers):
     sheaf = two_fibers.sheaf
     assert fibered_power(sheaf, 0).frame == sheaf.base
@@ -445,7 +481,7 @@ def test_planted_defects_are_detected(mode):
         chk = is_kripke_sheaf(total, b, proj)
         assert not chk.is_sheaf
         assert not getattr(chk, flags[mode])
-        assert chk.characterization_agrees
+        assert check_diagonal_characterization(total, b, proj).agrees
         # the constructor enforces the same condition, with the same message
         with pytest.raises(InvariantViolation, match=re.escape(chk.failure)):
             KripkeSheaf(total, b, proj)
@@ -479,7 +515,7 @@ def test_sheaf_conditions_of_planted_defects(mode):
         base = random_frame(rng, random_carrier(rng, rng.randrange(1, 4), prefix="w"), ab)
         sheaf = random_sheaf(rng, base, max_fiber=3)
         assert _sheaf_conditions(sheaf.total, sheaf.base, sheaf.proj) == (True, True, True, None)
-        assert is_kripke_sheaf(sheaf.total, sheaf.base, sheaf.proj).characterization_agrees
+        assert check_diagonal_characterization(sheaf.total, sheaf.base, sheaf.proj).agrees
         try:
             triple = plant_non_sheaf(rng, sheaf, mode)
         except InvariantViolation:
@@ -511,6 +547,21 @@ def test_sheaf_conditions_failing_twice_name_the_first():
 
 def test_quantifier_shadowing_rejected(two_fibers):
     phi = FormulaInContext(("x",), Exists("x", Pred("P", (Var("x"),))))
+    with pytest.raises(ShadowedVariable):
+        interp_formula(two_fibers, phi)
+
+
+P_X = Pred("P", (Var("x"),))
+
+
+@pytest.mark.parametrize("phi", [
+    # the binders are vacuous or bind x, so no node below needs the context's x
+    FormulaInContext(("x",), Forall("y", Forall("x", P_X))),
+    FormulaInContext(("x",), And(Pred("Q", ()), Exists("x", P_X))),
+    FormulaInContext((), Forall("x", Forall("x", P_X))),
+    FormulaInContext((), Forall("x", Forall("y", Exists("x", P_X)))),
+], ids=["vacuous-binder", "closed-conjunct", "nested", "nested-vacuous"])
+def test_shadowing_is_caught_before_the_context_narrows(two_fibers, phi):
     with pytest.raises(ShadowedVariable):
         interp_formula(two_fibers, phi)
 

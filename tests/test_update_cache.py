@@ -18,10 +18,14 @@ import oracle
 from conftest import data_path
 from delmc import (
     AgentSet,
+    And,
     Atom,
     Bot,
+    Box,
     CapExceeded,
     DelBox,
+    DelDia,
+    Dia,
     EventModel,
     FiniteSet,
     FormulaInContext,
@@ -60,6 +64,19 @@ def builds(monkeypatch):
 
         monkeypatch.setattr(cls, "build_update", counted)
     return counts
+
+
+@pytest.fixture
+def preconditions(monkeypatch):
+    """The events whose preconditions are read to key an update, in order."""
+    read = []
+    for cls in (KripkeModel, SheafModel):
+        def counted(pre, e, original=cls.sentence):
+            read.append(e)
+            return original(pre, e)
+
+        monkeypatch.setattr(cls, "sentence", staticmethod(counted))
+    return read
 
 
 def _load(name):
@@ -228,3 +245,24 @@ def test_an_open_precondition_is_refused_before_the_cache(two_fibers):
     with pytest.raises(OpenPrecondition):
         interp_formula(two_fibers, phi, {"E": ev})
     assert two_fibers._updates == {}
+
+
+def test_an_event_model_is_resolved_once_per_model(preconditions, two_worlds, private_announcement_event):
+    # two [F,e] nodes on one model: F's preconditions are read once, by the
+    # first; a verified reduce, which evaluates every step, reads them once too
+    registry = {"F": private_announcement_event}
+    phi = And(DelBox("F", "ep", Box("a", Atom("p"))), DelDia("F", "et", Dia("b", Atom("q"))))
+    om, oreg = oracle.from_model(two_worlds), {"F": oracle.from_event_model(private_announcement_event)}
+    assert extension(two_worlds, phi, registry).members == oracle.extension(om, phi, oreg)
+    assert preconditions == ["ep", "et"]
+    preconditions.clear()
+    result = reduce_formula(phi, two_worlds, registry)
+    assert len(result.steps) > 2 and preconditions == ["ep", "et"]
+
+
+def test_an_event_model_is_resolved_once_per_sheaf_model(preconditions, two_fibers, fo_event):
+    registry = {"E": fo_event}
+    x = Var("x")
+    body = And(DelBox("E", "e1", Pred("P", (x,))), DelDia("E", "e2", Pred("P", (x,))))
+    interp_formula(two_fibers, FormulaInContext(("x",), body), registry)
+    assert preconditions == ["e1", "e2"]
