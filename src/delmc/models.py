@@ -17,17 +17,19 @@ a subset of the n-th fibered power, and a Kripke model is the case of the
 empty context.  A subformula is computed over the power of its own free
 variables and weakened to a larger context by pullback along the
 coordinate projection.  Each model supplies the layer-specific part (the
-frame of a context, leaves, the quantifier map, the weakening, its update
-and that update's transitions); the evaluator holds the rest once.
+frame of a context, leaves, the coordinate projections that both weakening
+and quantifiers read, its update and that update's transitions); the
+evaluator holds the rest once.
 
 Updates and announcements are kept on the model they are built on, by
 extents: an update under its event model and its preconditions' extents,
 an announcement under its extent.  So every query, reduction and update
 on one model object shares one build per key, however a precondition is
 written and whichever registry resolved it.  A build that raises leaves
-no entry, and an entry lives as long as its model object.  Nothing kept
-points back to the model (an update's ``source`` is not kept), so a model
-is freed by reference counting alone.
+no entry, and every call returns the same update for as long as its
+model object lives.  An update holds frames, maps and (first-order) the
+source sheaf, never its model, so a model is freed by reference counting
+alone.
 
 Event preconditions may themselves be dynamic (they are evaluated on the
 original model); cyclic references between event models are detected and
@@ -40,7 +42,6 @@ live beside it in ``reduction``.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, List, Mapping, Optional, Tuple
@@ -92,7 +93,7 @@ from .powerset import (
     forall_map,
     preimage_map,
 )
-from .rel import FiniteSet, Rel, _rel, compose, dagger, pair_label
+from .rel import FiniteSet, Rel, _rel, compose, dagger, pair_label, union_of
 
 
 @dataclass(init=False, repr=False, eq=False)
@@ -129,7 +130,7 @@ class KripkeModel(Frozen):
         return hash((self.frame, self.valuation))
 
     @cached_property
-    def _updates(self) -> Dict[object, tuple]:
+    def _updates(self) -> Dict[object, object]:
         """Updates and announcements built here, keyed by extents; the evaluator fills it."""
         return {}
 
@@ -177,7 +178,6 @@ class KripkeModel(Frozen):
             for n, s in self.valuation
         }
         return UpdateResult(
-            source=self,
             events=ev,
             updated=KripkeModel.make(frame, val),
             p_x=p_x,
@@ -227,12 +227,12 @@ class UpdateResult(Frozen):
 
     The result carries the updated model, its two projections, and for
     each event the precondition extent and the transition relation from
-    old worlds to their updated copies.  ``check_update_routes`` compares
-    each transition with its composites through the extent and through
-    the product of the two frames.
+    old worlds to their updated copies.  It keeps no reference to the
+    model it updates: the old frame is ``p_x.dst``.  ``check_update_routes``
+    compares each transition with its composites through the extent and
+    through the product of the two frames.
     """
 
-    source: Optional[KripkeModel]
     events: EventModel
     updated: KripkeModel
     p_x: FrameMap
@@ -240,17 +240,21 @@ class UpdateResult(Frozen):
     pre_extents: Tuple[Tuple[str, Subset], ...]
     transitions: Tuple[Tuple[str, Rel], ...]
 
-    def pre_extent(self, e: str) -> Subset:
-        return dict(self.pre_extents)[e]
+    @cached_property
+    def _by_event(self) -> Dict[str, Tuple[Subset, Rel]]:
+        return {e: (s, r) for (e, s), (_, r) in zip(self.pre_extents, self.transitions)}
 
-    def with_source(self, source: Optional[KripkeModel]) -> "UpdateResult":
-        """The same update over another source object (None: no source)."""
-        return UpdateResult(
-            source, self.events, self.updated, self.p_x, self.p_e, self.pre_extents, self.transitions
-        )
+    def _event(self, e: str) -> Tuple[Subset, Rel]:
+        try:
+            return self._by_event[e]
+        except KeyError:
+            raise UnknownEvent(f"event {e!r} not in event model") from None
+
+    def pre_extent(self, e: str) -> Subset:
+        return self._event(e)[0]
 
     def transition(self, e: str) -> Rel:
-        return dict(self.transitions)[e]
+        return self._event(e)[1]
 
 
 # The largest carrier an update may build.  Each nested event operator
@@ -305,8 +309,9 @@ class _Evaluator:
     leaf to root works on masks only.  The evaluator holds what both layers
     share: the memo, the Boolean connectives as bit operations, boxes and
     diamonds as images along the dagger of an agent's relation, quantifiers
-    as images along the model's drop map, event operators as images along
-    the dagger of an update's transition, and the cycle check on
+    as images along the projection dropping their variable, event
+    operators as images along the dagger of an update's transition, and
+    the cycle check on
     event-model references.  Every image is read off the relation's rows
     (``rows`` along a dagger, ``pred_rows`` along the relation), so a modal
     node builds no dagger, image map or relation; the ``duality`` suite
@@ -315,11 +320,13 @@ class _Evaluator:
     In a nonempty context (sheaf models only) a node is computed over its
     own free variables, kept in context order, and memoised under that
     context; its extension over the context asked for is the pullback
-    along the coordinate projection.  A quantifier whose variable is not
-    free in its body gives back the body's extension: the drop map is onto,
-    since every fiber is nonempty.  So a formula builds the power of only
-    the variables it uses.  A binder that shadows a variable of the
-    context raises ShadowedVariable before the context is narrowed.
+    along the coordinate projection, asked for only after that extension,
+    so no power is built before a node needs it.  A quantifier whose
+    variable is not free in its body gives back the body's extension: the
+    projection is onto, since every fiber is nonempty.  So a formula
+    builds the power of only the variables it uses.  A binder that shadows
+    a variable of the context raises ShadowedVariable before the context
+    is narrowed.
 
     A model supplies the rest:
 
@@ -327,20 +334,17 @@ class _Evaluator:
       n-variable context, with one relation per agent;
     - ``leaf(context, phi)``: the extension of an atom or predicate, as a
       Subset;
-    - ``drop_last_map(n)``: the map from the (n+1)- to the n-variable
-      context's points that quantifiers take images along (sheaves only);
-    - ``weaken(context, own, mask)``: the pullback of an extension over a
-      subcontext ``own`` to ``context`` (sheaves only);
+    - ``projection(context, own)``: the coordinate projection from the
+      context's points onto those of its subsequence ``own``, which
+      weakening pulls back along and quantifiers take images along
+      (sheaves only);
     - ``sentence(pre, e)``: event e's precondition as this layer reads it;
     - ``build_update(ev, extents)``: the update by an event model, given
       each event's precondition extent as a mask;
     - ``transition(upd, n, e)``: that update's relation from old points to
       their updated copies under event e;
     - ``_updates``: the dict of updates and announcements built on it,
-      keyed by extents, which this class reads and fills;
-    - an update type with ``with_source(model)``: the same update over
-      another source object, which ``build_update`` uses to keep the
-      update detached from its model.
+      keyed by extents, which this class reads and fills.
 
     The extension memo lasts as long as the evaluator, and so does the
     update each event-model name resolved to on each model, so an event
@@ -403,7 +407,8 @@ class _Evaluator:
         if context:  # a Kripke model's context is always empty
             own = self.own_context(context, phi)
             if own is not context:
-                return model.weaken(context, own, self.mask(model, own, phi))
+                inner = self.mask(model, own, phi)  # before the projection builds a power
+                return union_of(model.projection(context, own).pred_rows, inner)
         n = len(context)
         if isinstance(phi, Top):
             return model.context_frame(n).carrier.full
@@ -428,7 +433,7 @@ class _Evaluator:
             inner = self.mask(model, inner_context, phi.body)
             if len(inner_context) == n:  # the variable is not free in the body
                 return inner
-            rows = model.drop_last_map(n).pred_rows
+            rows = model.projection(inner_context, context).pred_rows
         elif isinstance(phi, (DelBox, DelDia)):
             upd = self.update(model, phi.model)
             if phi.event not in upd.events.events:
@@ -485,28 +490,17 @@ class _Evaluator:
         return hit
 
     def build_update(self, model, ev: EventModel):
-        """The model's update by ev, kept under ev and its preconditions' extents.
-
-        The model keeps, per key, the update detached from it (source None)
-        and a weak reference to the update it last handed out, so the
-        model and its updates form no reference cycle: a model is freed
-        as soon as its last reference goes.  While a caller holds an
-        update, every later call returns that same object.
+        """The model's update by ev, kept under ev and its preconditions'
+        extents.  An update holds no reference to its model, so keeping it
+        makes no reference cycle: the model is freed as soon as its last
+        reference goes, and until then every call returns the same update.
         """
         extents = tuple(self.mask(model, (), model.sentence(pre, e)) for e, pre in ev.preconditions)
         key = (ev, extents)
-        cache = model._updates
-        entry = cache.get(key)
-        if entry is not None:
-            body, handed_out = entry
-            out = handed_out()
-            if out is None:
-                out = body.with_source(model)
-                cache[key] = (body, weakref.ref(out))
-            return out
-        out = model.build_update(ev, extents)
-        cache[key] = (out.with_source(None), weakref.ref(out))
-        return out
+        hit = model._updates.get(key)
+        if hit is None:
+            hit = model._updates[key] = model.build_update(ev, extents)
+        return hit
 
 
 def extension(
@@ -583,9 +577,9 @@ def check_update_routes(upd: UpdateResult) -> LawReport:
     Through the product: the pairing w -> (w, e) into the product of the
     two frames, then the dagger of the update's inclusion into it.
     """
-    x = upd.source.frame.carrier
+    x = upd.p_x.dst.carrier
     carrier = upd.updated.frame.carrier
-    prod, _, _ = product(upd.source.frame, upd.events.frame)
+    prod, _, _ = product(upd.p_x.dst, upd.events.frame)
     into_prod = Rel(carrier, prod.carrier, frozenset((c, c) for c in carrier))
     checks: List[LawCheck] = []
     for e in upd.events.events:
@@ -732,16 +726,17 @@ def static_precondition_modalities(
     with the announcement.  The assertion is exhaustive over the 2^|W|
     subsets of the carrier W, as masks: each map is applied once per
     subset, and the first subset where either disagrees raises
-    InvariantViolation.  Raises CapExceeded when |W| is above cap.
+    InvariantViolation.  Raises CapExceeded when |W| is above cap, before
+    evaluating or building anything.
     """
+    carrier = model.frame.carrier
+    if len(carrier) > cap:
+        raise CapExceeded(f"static_precondition_modalities: carrier above cap {cap}")
     ev = _Evaluator(registry)
     extent = ev.ext(model, (), sigma)
     _, incl = ev.pal(model, sigma)
     box_map = compose_maps(preimage_map(incl.fn, MEET), forall_map(incl.fn))
     dia_map = compose_maps(preimage_map(incl.fn, JOIN), exists_map(incl.fn))
-    carrier = model.frame.carrier
-    if len(carrier) > cap:
-        raise CapExceeded(f"static_precondition_modalities: carrier above cap {cap}")
     inside = extent.mask
     outside = carrier.full ^ inside
     for s in range(1 << len(carrier)):

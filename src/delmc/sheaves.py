@@ -11,18 +11,20 @@ and modalities are images along the fibered frame relations.
 Formulas are evaluated by the one evaluator of ``models`` (``_Evaluator``),
 which serves both layers; a sheaf model supplies its per-layer part: the
 frame of each context's fibered power, predicate leaves and term values,
-the quantifier drop map, the weakening of an extension to a larger
-context, and its pullback update.  A subformula is computed over the
-power of its own free variables, kept in context order, and weakened to
-the context asked for by pullback along the coordinate projection
-(``SheafModel.weaken``), so a context or quantifier builds the power of
-only the variables that a formula uses.  Fibered powers depend only on
-the sheaf, which builds each one once (``KripkeSheaf.power``, which
-``fibered_power`` returns), and raises CapExceeded before building one of
-more than ``MAX_POWER_CARRIER`` points; pullback updates are kept on the
-sheaf model they update, by the event model and its preconditions'
-extents, so queries, reductions and ``pullback_update`` on one model
-share them.
+the coordinate projections between powers, and its pullback update.  One
+kept projection (``SheafModel.projection``) serves weakening and the
+quantifiers, which are the two adjoints of pulling back along it.  A
+subformula is computed over the power of its own free variables, kept in
+context order, and pulled back to the context asked for; a quantifier
+takes its image along the projection dropping its variable.  So a
+formula builds the power of only the variables that it uses, and
+contexts that differ only in names share one projection.  Fibered
+powers depend only on the sheaf, which builds each one once
+(``KripkeSheaf.power``, which ``fibered_power`` returns), and raises
+CapExceeded before building one of more than ``MAX_POWER_CARRIER``
+points; pullback updates are kept on the sheaf model they update, by the
+event model and its preconditions' extents, so queries, reductions and
+``pullback_update`` on one model share them.
 
 Updating by an event model with closed preconditions pulls the whole
 structure back: worlds, individuals, interpretation tables.  The update of
@@ -36,7 +38,7 @@ Points carry their structure as indices.  A point of a fibered power is a
 tuple of individuals over a world, read off the power's legs; a point of
 an updated power is an old point under an event, read off the update's
 projections.  Terms evaluate to individual indices, predicates and
-function tables are looked up by point index, and transitions, drop maps
+function tables are looked up by point index, and transitions, projections
 and updated tables are built from these indices.  Carrier labels such as
 "((a,e1),(b,e1))" are made for output only (dumps, the command line) and
 are never parsed back.
@@ -44,7 +46,6 @@ are never parsed back.
 
 from __future__ import annotations
 
-import copy
 import itertools
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -507,10 +508,10 @@ class SheafModel:
         self.signature = signature
         self.fn_interp_map = {n: fn_interp[n] for n, _ in signature.function_symbols}
         self.rel_interp_map = {n: rel_interp[n] for n, _ in signature.relation_symbols}
-        self._drops: Dict[int, Rel] = {}
-        self._weakenings: Dict[Tuple[Tuple[str, ...], Tuple[str, ...]], List[int]] = {}
+        # coordinate projections, by context length and the positions kept
+        self._projections: Dict[Tuple[int, Tuple[int, ...]], Rel] = {}
         # updates built on this model, keyed by extents; the evaluator fills it
-        self._updates: Dict[tuple, tuple] = {}
+        self._updates: Dict[tuple, "SheafUpdate"] = {}
 
     def power(self, n: int) -> FiberedPower:
         return self.sheaf.power(n)
@@ -562,30 +563,23 @@ class SheafModel:
         mask = _pulled(self.rel_interp_map[phi.name].mask, self.arg_points(context, phi.args))
         return _subset(self.power(len(context)).carrier, mask)
 
-    def drop_last_map(self, n: int) -> Rel:
-        """Projection of the (n+1)-th power onto the n-th, dropping the last
-        slot; built on first use and kept, with its rows."""
-        if n not in self._drops:
-            upper = self.power(n + 1)
-            lower = self.power(n)
-            points = lower.points(upper.worlds, (c[:-1] for c in upper.coords))
-            self._drops[n] = _rel(upper.carrier, lower.carrier, [1 << p for p in points])
-        return self._drops[n]
-
-    def weaken(self, context: Tuple[str, ...], own: Tuple[str, ...], mask: int) -> int:
-        """Pull an extension over the power of ``own``, a subsequence of
-        ``context``, back to the context's power along the coordinate
-        projection (``arg_points``).  The projection is kept per
-        (context, own) as the fiber over each point of own's power."""
-        fibers = self._weakenings.get((context, own))
-        if fibers is None:
-            fibers = [0] * len(self.power(len(own)).carrier)
-            bit = 1
-            for q in self.arg_points(context, [Var(v) for v in own]):
-                fibers[q] |= bit
-                bit <<= 1
-            self._weakenings[(context, own)] = fibers
-        return union_of(fibers, mask)
+    def projection(self, context: Tuple[str, ...], own: Tuple[str, ...]) -> Rel:
+        """The coordinate projection from the power of ``context`` onto the
+        power of ``own``, a subsequence of it, as a function relation.
+        Built on first use and kept by the context's length and the
+        positions kept, so it is shared across variable names."""
+        kept = tuple(map(context.index, own))
+        key = (len(context), kept)
+        hit = self._projections.get(key)
+        if hit is None:
+            upper = self.power(len(context))
+            lower = self.power(len(own))
+            coords = (tuple(map(c.__getitem__, kept)) for c in upper.coords)
+            points = lower.points(upper.worlds, coords)
+            hit = self._projections[key] = _rel(
+                upper.carrier, lower.carrier, [1 << p for p in points]
+            )
+        return hit
 
     def transition(self, upd: "SheafUpdate", n: int, e: str) -> Rel:
         return upd.transition(n, e)
@@ -649,12 +643,11 @@ class SheafModel:
             signature=self.signature,
             fn_interp_map=fn_interp,
             rel_interp_map=rel_interp,
-            _drops={},
-            _weakenings={},
+            _projections={},
             _updates={},
         )
         return SheafUpdate(
-            source=self,
+            source=sheaf,
             events=ev,
             updated=updated,
             p_x=p_x,
@@ -694,19 +687,20 @@ class SheafUpdate:
     """Result of a pullback update: the new model plus all transition data.
 
     Worlds of the new base are pairs of an old world and an event; new
-    individuals are pairs of an old individual and an event.  A point of
-    an updated power is an old point under an event; ``parts(n)`` gives
-    each one's (old point, event) as indices (in the source's n-th power
-    and the event carrier), read off the update's projections ``p_x``,
-    ``p_e``, ``p_d`` and the individuals' event leg, never off a label;
-    n = 0 gives the worlds' and n = 1 the individuals'.  For each arity n
+    individuals are pairs of an old individual and an event; ``source``
+    is the sheaf updated, not its model.  A point of an updated power is
+    an old point under an event; ``parts(n)`` gives each one's (old
+    point, event) as indices (in the source's n-th power and the event
+    carrier), read off the update's projections ``p_x``, ``p_e``, ``p_d``
+    and the individuals' event leg, never off a label; n = 0 gives the
+    worlds' and n = 1 the individuals'.  For each arity n
     and event e, transition(n, e) relates an old n-tuple to its updated
     copy when the tuple's world satisfies the event's precondition.
     """
 
     def __init__(
         self,
-        source: "SheafModel",
+        source: KripkeSheaf,
         events: EventModel,
         updated: "SheafModel",
         p_x: FrameMap,
@@ -726,17 +720,10 @@ class SheafUpdate:
         self._parts = parts
         self._transitions: Dict[Tuple[int, str], Rel] = dict(transitions or {})
 
-    def with_source(self, source: Optional["SheafModel"]) -> "SheafUpdate":
-        """The same update over another source object (None: no source),
-        sharing its parts and transitions as they are built."""
-        other = copy.copy(self)
-        other.source = source
-        return other
-
     def parts(self, n: int) -> Tuple[List[int], List[int]]:
         """Per point of the updated n-th power, its old point and its event,
         as indices; built once per n."""
-        return _updated_parts(self._parts, n, self.source.sheaf, self.updated.sheaf)
+        return _updated_parts(self._parts, n, self.source, self.updated.sheaf)
 
     def transition(self, n: int, e: str) -> Rel:
         """Relation from old n-tuples to their updated copies for one event;

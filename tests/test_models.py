@@ -14,6 +14,7 @@ from delmc import (
     And,
     Atom,
     Box,
+    CapExceeded,
     CyclicPrecondition,
     DelBox,
     DelDia,
@@ -33,6 +34,7 @@ from delmc import (
     Subset,
     Top,
     UnknownAtom,
+    UnknownEvent,
     UnknownSymbol,
     Var,
     apply,
@@ -232,6 +234,13 @@ def test_product_update_matches_oracle(seed):
     assert check_update_routes(upd).ok
 
 
+def test_an_update_refuses_an_unknown_event(two_worlds, private_announcement_event):
+    upd = product_update(two_worlds, private_announcement_event)
+    for read in (upd.transition, upd.pre_extent):
+        with pytest.raises(UnknownEvent, match="'nope'"):
+            read("nope")
+
+
 def test_update_routes_catch_a_planted_transition(two_worlds, private_announcement_event):
     upd = product_update(two_worlds, private_announcement_event)
     assert check_update_routes(upd).ok
@@ -365,6 +374,16 @@ def test_static_precondition_modalities_catch_a_wrong_value_on_any_one_subset(mo
                 with pytest.raises(InvariantViolation, match="announcement modalities disagree"):
                     static_precondition_modalities(model, Atom("p"))
     static_precondition_modalities(model, Atom("p"))
+
+
+def test_static_precondition_modalities_check_the_cap_first(monkeypatch):
+    # 13 worlds are above the default cap of 12: nothing is evaluated or built
+    model = random_model(random.Random(13), 13, AB, ("p", "q"))
+    submodels = []
+    monkeypatch.setattr(models, "subframe", lambda *args, **kwargs: submodels.append(args))
+    with pytest.raises(CapExceeded, match="above cap 12"):
+        static_precondition_modalities(model, Atom("p"))
+    assert submodels == []
 
 
 def test_formula_hash_is_computed_once(monkeypatch):

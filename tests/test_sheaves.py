@@ -51,6 +51,7 @@ from delmc import (
     interp_formula,
     interp_term,
     is_kripke_sheaf,
+    parse_formula,
     pullback_update,
     verify_quantifier_reduction,
 )
@@ -112,15 +113,17 @@ def reference_lift(upd, f, m, n):
 
 def maps_between_powers(model):
     """(map, m, n) for maps from the m-th to the n-th power of the model:
-    projections, drop maps, the diagonal and the function tables."""
+    projections, the projections dropping the last variable, the diagonal
+    and the function tables."""
     sheaf = model.sheaf
     out = []
     for n in (1, 2, 3):
         power = model.power(n)
         out.append((power.proj_to_base, n, 0))
         out += [(leg, n, 1) for leg in power.component_projections]
+        context = tuple(f"x{k}" for k in range(n))
         out.append((frame_map(power.frame, model.power(n - 1).frame, dict(
-            model.drop_last_map(n - 1).pairs)), n, n - 1))
+            model.projection(context, context[:-1]).pairs)), n, n - 1))
     square = by_name(model.power(2))
     diagonal = {a: square[(sheaf.proj(a), (a, a))] for a in sheaf.total.carrier}
     out.append((frame_map(sheaf.total, model.power(2).frame, diagonal), 1, 2))
@@ -227,6 +230,20 @@ def test_interp_in_a_larger_context_matches_oracle(seed):
     got = interp_formula(model, FormulaInContext(context, phi), registry)
     o = fo_oracle.from_sheaf_model(model)
     assert tuple_form(model.power(3), got) == fo_oracle.tuple_extension(o, context, phi, oreg)
+
+
+def test_weakening_and_quantifiers_share_one_projection():
+    # forall y. R2(x, y) takes its image along the projection (x, y) -> (x),
+    # and P1(u) read in (u, v) is pulled back along (u, v) -> (u): one
+    # projection, kept once whatever its variables are called
+    model = random_small_model(random.Random(5))
+    o = fo_oracle.from_sheaf_model(model)
+    for text in ("ctx x | forall y. R2(x, y)", "ctx u, v | P1(u)"):
+        phi = parse_formula(text)
+        got = interp_formula(model, phi)
+        want = fo_oracle.tuple_extension(o, phi.context, phi.body)
+        assert tuple_form(model.power(len(phi.context)), got) == want
+    assert list(model._projections) == [(2, (0,))]
 
 
 @settings(max_examples=30)

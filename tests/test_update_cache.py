@@ -182,23 +182,34 @@ def test_a_failed_build_leaves_no_entry(builds, monkeypatch, model_file, events_
     assert builds[type(model)] == 3
 
 
-@pytest.mark.parametrize("model_file, events_file, update", [
+def _query(text):
+    """Evaluate text on a model, with its event model registered as F."""
+    def run(model, ev):
+        registry = {"F": ev} if ev is not None else {}
+        return extension(model, parse_formula(text, event_models=registry), registry)
+
+    return run
+
+
+@pytest.mark.parametrize("model_file, events_file, build", [
     ("two_worlds.json", "private_announcement.json", product_update),
     ("two_fibers.json", "fo_event.json", pullback_update),
-], ids=["product", "pullback"])
-def test_a_model_with_an_update_is_freed_without_the_collector(
-    model_file, events_file, update
-):
-    # the model keeps its update, but no reference cycle runs back to the
-    # model, so reference counting alone frees it
-    model, ev = _load(model_file), _load(events_file)
-    upd = update(model, ev)
-    assert update(model, ev) is upd and upd.source is model
+    ("two_worlds.json", None, _query("[!p]q")),
+    ("two_worlds.json", "private_announcement.json", _query("[F,ep][F,et]p")),
+], ids=["product", "pullback", "announcement", "nested"])
+def test_a_model_with_an_update_is_freed_without_the_collector(model_file, events_file, build):
+    # the model keeps what it built, but nothing kept runs back to the
+    # model, so reference counting alone frees it while its updates live on
+    model = _load(model_file)
+    ev = _load(events_file) if events_file else None
+    build(model, ev)
+    kept = list(model._updates.values())
+    assert len(kept) == 1
     gone = weakref.ref(model)
     was_enabled = gc.isenabled()
     gc.disable()
     try:
-        del model, upd
+        del model
         assert gone() is None
     finally:
         if was_enabled:
@@ -206,13 +217,13 @@ def test_a_model_with_an_update_is_freed_without_the_collector(
 
 
 def test_an_update_dropped_by_its_caller_is_handed_out_again(two_worlds, private_announcement_event):
-    # the model keeps the built update; a caller that let go of it gets it
-    # back, over the same model, with no second build
+    # the model keeps the built update; a caller that let go of it gets the
+    # very same object back, with no second build
     first = product_update(two_worlds, private_announcement_event)
-    kept = first.updated
+    handed_out = weakref.ref(first)
     del first
     again = product_update(two_worlds, private_announcement_event)
-    assert again.source is two_worlds and again.updated is kept
+    assert again is handed_out() and again.p_x.dst is two_worlds.frame
 
 
 def test_announcements_of_one_extent_share_one_submodel(lift_builds, monkeypatch, two_worlds):
