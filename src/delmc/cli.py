@@ -101,6 +101,21 @@ def _load_registry(specs: Sequence[str]) -> Dict[str, EventModel]:
     return registry
 
 
+def _check_agents(
+    model, registry: Mapping[str, EventModel], *named: Tuple[str, EventModel]
+) -> None:
+    """Every event model, registered or named, lists the model's agents in
+    the same order: an update lifts the two frames over one agent set."""
+    frame = model.frame if isinstance(model, KripkeModel) else model.sheaf.base
+    registered = ((f"event model {key!r}", ev) for key, ev in registry.items())
+    for what, ev in [*named, *registered]:
+        if ev.frame.agents != frame.agents:
+            raise _CliUserError(
+                f"{what} is over agents {list(ev.frame.agents)}, the model over "
+                f"{list(frame.agents)}; an update needs the same agents, in the same order"
+            )
+
+
 def _parse(text: str, registry: Dict[str, EventModel]):
     try:
         return parse_formula(text, event_models=registry)
@@ -135,6 +150,7 @@ def _cmd_eval(args) -> int:
     _, model = _load(args.model)
     if isinstance(model, EventModel):
         raise _CliUserError(f"{args.model}: cannot evaluate on an event model")
+    _check_agents(model, registry)
     phi = _parse(args.formula, registry)
 
     if isinstance(model, KripkeModel):
@@ -211,6 +227,7 @@ def _cmd_update(args) -> int:
         raise _CliUserError(f"{args.event_model}: expected an event-model document")
     if isinstance(model, EventModel):
         raise _CliUserError(f"{args.model}: cannot update an event model")
+    _check_agents(model, registry, (f"{args.event_model}: the event model", ev_model))
     if ev_name and ev_name not in registry:
         registry[ev_name] = ev_model
 
@@ -270,6 +287,7 @@ def _cmd_reduce(args) -> int:
         _, model = _load(args.model)
         if isinstance(model, EventModel):
             raise _CliUserError(f"{args.model}: cannot evaluate on an event model")
+        _check_agents(model, registry)
     phi = _parse(args.formula, registry)
     if isinstance(phi, FormulaInContext) and model is not None and not isinstance(model, SheafModel):
         raise _CliUserError(

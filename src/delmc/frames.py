@@ -21,8 +21,12 @@ Points are given by index columns: column k holds, for each point in
 carrier order, the index of its k-th coordinate in the k-th target's
 carrier.  Each construction passes the indices it already holds, and
 the labels it makes from them, so no name is looked up again.  The lift
-works column by column on masks (see ``_lift``).  The one colimit-style
-operation exposed is the common-knowledge relation of a group of agents.
+works column by column on masks: each column is also kept as a byte
+code (``rel.function_code``), and what a point reaches is a preimage
+along it, read off by translation (see ``_lift_rel``).  The legs keep
+their columns' codes, so a preimage along a leg, such as an updated
+valuation, builds no code of its own.  The one colimit-style operation
+exposed is the common-knowledge relation of a group of agents.
 """
 
 from __future__ import annotations
@@ -54,12 +58,14 @@ from .rel import (
     bit_flags,
     closure_reflexive_transitive,
     compose,
+    function_code,
     function_from_mapping,
     identity,
     is_function_pointwise,
     join,
     leq,
     pair_label,
+    preimage,
     tabulate,
     union_of,
 )
@@ -224,46 +230,39 @@ def is_bounded(m: FrameMap) -> bool:
 def _lift(
     carrier: FiniteSet,
     cols: Sequence[Sequence[int]],
+    codes: Sequence[Tuple[bytes, Tuple[int, ...]]],
     targets: Sequence[KripkeFrame],
     agents: AgentSet,
 ) -> KripkeFrame:
     """The initial lift, column by column: x steps to y when every coordinate steps.
 
     ``cols[k][p]`` is the index, in ``targets[k]``'s carrier, of point p's
-    k-th coordinate.  Per column, ``over[c]`` is the mask of the points
-    whose coordinate is c, and the column's image is the mask of the
-    target points some point lies over.  These, and the agent check, are
-    computed here; each agent's relation is left to ``_lift_rel``, which
-    the frame calls on the agent's first read.
+    k-th coordinate, and ``codes[k]`` is the same column as a
+    ``function_code``.  The agent check and each column's image, the
+    target points some point lies over, are computed here; each agent's
+    relation is left to ``_lift_rel``, which the frame calls on the
+    agent's first read.
     """
     if any(t.agents != agents for t in targets):
         raise AgentMismatch("initial lift: the frames carry different agent sets")
-    bits = [1 << p for p in range(len(carrier))]
-    over: List[List[int]] = []
-    images: List[int] = []
-    for t, col in zip(targets, cols):
-        over_k = [0] * len(t.carrier)
-        for c, bit in zip(col, bits):
-            over_k[c] |= bit
-        over.append(over_k)
-        images.append(
-            t.carrier.full if all(over_k) else sum(1 << c for c, m in enumerate(over_k) if m)
-        )
-    build = partial(_lift_rel, carrier, tuple(zip(targets, cols, over, images)))
+    columns = tuple((t, col, code, set(col)) for t, col, code in zip(targets, cols, codes))
+    build = partial(_lift_rel, carrier, columns)
     return _unchecked(KripkeFrame, carrier=carrier, agents=agents, _rels={}, _build=build)
 
 
 def _lift_rel(carrier: FiniteSet, columns: Sequence[tuple], a: str) -> Rel:
-    """One agent's relation of a lift, from ``_lift``'s (target, col, over, image) columns.
+    """One agent's relation of a lift, from ``_lift``'s (target, col, code, image) columns.
 
-    Per column, ``reach[c]`` is the mask of the points over c's successors,
-    and only successors inside the image are walked: the others have no
-    point over them.  A point's row is the AND, across columns, of what its
-    coordinates reach.  An empty family relates every pair.
+    Per column, ``reach[c]`` is the mask of the points over c's successors:
+    the preimage of c's row along the column's code, for each c in the
+    image.  Successors with no point over them drop out of the preimage.
+    A point's row is the AND, across columns, of what its coordinates
+    reach.  An empty family relates every pair.
     """
     steps = []
-    for t, col, over_k, image in columns:
-        reach = [union_of(over_k, r & image) if m else 0 for m, r in zip(over_k, t.rel(a).rows)]
+    for t, col, code, image in columns:
+        rows = t.rel(a).rows
+        reach = {c: preimage(code, rows[c]) for c in image}
         steps.append(map(reach.__getitem__, col))
     rows = reduce(partial(map, and_), steps) if steps else [carrier.full] * len(carrier)
     return _rel(carrier, carrier, rows)
@@ -282,17 +281,22 @@ def lift_points(
     carrier is named ``name``; leg k sends each point to its k-th
     coordinate; the relations are the initial lift of the legs.  Products,
     subframes, pullbacks, product updates and fibered powers are all built
-    here, from the indices they already hold.  The points are the caller's
-    to get right: the legs are functions into their targets by
-    construction and are built unchecked.
+    here, from the indices they already hold.  Each leg's function keeps
+    the code the lift reads, so a preimage along a leg builds none.  The
+    points are the caller's to get right: the legs are functions into
+    their targets by construction and are built unchecked.
     """
     if not targets:
         raise InvariantViolation("lift_points: at least one target frame required")
     carrier = FiniteSet(name, tuple(labels))
-    frame = _lift(carrier, cols, targets, targets[0].agents)
+    fns = []
+    for t, col in zip(targets, cols):
+        fn = _rel(carrier, t.carrier, [1 << c for c in col])
+        fn.__dict__["code"] = function_code(col, len(t.carrier))
+        fns.append(fn)
+    frame = _lift(carrier, cols, [fn.code for fn in fns], targets, targets[0].agents)
     legs = tuple(
-        _unchecked(FrameMap, src=frame, dst=t, fn=_rel(carrier, t.carrier, [1 << c for c in col]))
-        for t, col in zip(targets, cols)
+        _unchecked(FrameMap, src=frame, dst=t, fn=fn) for t, fn in zip(targets, fns)
     )
     return frame, legs
 
@@ -329,7 +333,7 @@ def initial_lift(
         raise InvariantViolation("initial_lift: empty family needs explicit carrier and agents")
     # each row of a function has one bit: the index of the image
     cols = [[m.bit_length() - 1 for m in fn.rows] for fn in fns]
-    return _lift(carrier, cols, targets, agents)
+    return _lift(carrier, cols, [fn.code for fn in fns], targets, agents)
 
 
 def largest_preserved_check(

@@ -48,11 +48,19 @@ up.  What a document can get wrong beyond names and shapes (the sheaf
 conditions, monotone and fiber-preserving interpretations) is checked
 by the constructors the loader calls.
 
+A kripke-model may list no world, and a sheaf-model no world and no
+individual: that is what an update whose preconditions hold nowhere
+writes.  Agents and events may not be empty.
+
 Dumping goes the other way: each relation's pairs are read off its
-rows in name order, sources by name and each row's successors by name,
-so a dump is byte for byte what it was when relations were sorted pair
-sets, and no pair is sorted; each point of a power is written as its
-individuals, read off its coordinates.
+rows in name order.  A carrier's names are sorted once, into a
+permutation from name rank to carrier index; the sources are walked in
+that order, and a row's successors in name order are its preimage
+along the permutation (``rel.preimage_flags``), picked with one
+``compress``.  So a dump is byte for byte what it was when relations
+were sorted pair sets, and neither a pair nor a row is sorted; each
+point of a power is written as its individuals, read off its
+coordinates.
 """
 
 from __future__ import annotations
@@ -67,7 +75,7 @@ from .frames import AgentSet, KripkeFrame, FrameMap, frame_map
 from .models import EventModel, KripkeModel
 from .parser import parse_formula, print_formula
 from .powerset import Subset, _subset
-from .rel import FiniteSet, _rel, bit_flags
+from .rel import FiniteSet, _rel, function_code, preimage_flags
 from .sheaves import FiberedPower, KripkeSheaf, SheafModel, Signature
 
 FORMAT_VERSION = 1
@@ -127,8 +135,6 @@ def _carrier(doc: Mapping[str, Any], key: str, name: str, where: str) -> FiniteS
     if len(set(elems)) != len(elems):
         dup = next(x for x in elems if elems.count(x) > 1)
         raise SchemaError(f"{where}.{key}: duplicate name {dup!r}")
-    if not elems:
-        raise SchemaError(f"{where}.{key}: must not be empty")
     return FiniteSet(name, tuple(elems))
 
 
@@ -192,6 +198,8 @@ def _parse_precondition(text: Any, where: str) -> Formula:
 def _load_event(doc: Mapping[str, Any]) -> EventModel:
     where = "event-model"
     carrier = _carrier(doc, "events", "E", where)
+    if not carrier:
+        raise SchemaError(f"{where}.events: must not be empty")
     agents = _agents(doc, where)
     frame = _frame(doc, carrier, agents, "relations", where)
     pre_doc = _require(doc, "preconditions", dict, where)
@@ -267,8 +275,6 @@ def load_sheaf_frames(doc: Mapping[str, Any]) -> Tuple[KripkeFrame, KripkeFrame,
                 raise SchemaError(f"{where}.fibers: individual {a!r} listed twice")
             projection[a] = w
             individuals.append(a)
-    if not individuals:
-        raise SchemaError(f"{where}.fibers: domain must not be empty")
     total_carrier = FiniteSet("D", tuple(individuals))
     total = _frame(doc, total_carrier, agents, "domain_relation", where)
     proj = frame_map(total, base, projection)
@@ -413,19 +419,23 @@ def _print_precondition(pre: Formula) -> str:
 def _dump_frame(frame: KripkeFrame) -> Dict[str, Any]:
     """Each agent's pairs in name order, read off the rows with no pair sort.
 
-    The sources are walked in name order and each row's successor names
-    are sorted; names are unique, so this is the order ``sorted()`` gives
-    the ``[w, v]`` pairs.
+    The names are sorted once: ``order[r]`` is the carrier index of the
+    r-th name.  The sources are walked in that order, and a row's
+    successors in name order are its preimage along ``order``, read off
+    with one ``compress``.  Names are unique, so this is the order
+    ``sorted()`` gives the ``[w, v]`` pairs.
     """
     names = frame.carrier.elements
     order = sorted(range(len(names)), key=names.__getitem__)
+    ranked = [names[i] for i in order]
+    by_name = function_code(order, len(names))
     out = {}
     for a in frame.agents:
         rows = frame.rel(a).rows
         out[a] = [
-            [names[i], v]
-            for i in order if rows[i]
-            for v in sorted(compress(names, bit_flags(rows[i])))
+            [w, v]
+            for w, m in zip(ranked, map(rows.__getitem__, order)) if m
+            for v in compress(ranked, preimage_flags(by_name, m))
         ]
     return out
 

@@ -93,7 +93,7 @@ from .powerset import (
     forall_map,
     preimage_map,
 )
-from .rel import FiniteSet, Rel, _rel, compose, dagger, pair_label, union_of
+from .rel import FiniteSet, Rel, _rel, compose, dagger, pair_label, preimage, union_of
 
 
 @dataclass(init=False, repr=False, eq=False)
@@ -172,11 +172,8 @@ class KripkeModel(Frozen):
         masks = dict(zip(ev.events, extents))
         frame, (p_x, p_e), transitions = updated_frame(self.frame, ev.frame, masks)
         # an updated point satisfies an atom when its old world does
-        old_rows = p_x.fn.rows
-        val = {
-            n: _subset(frame.carrier, exists_image(old_rows, s.mask))
-            for n, s in self.valuation
-        }
+        code = p_x.fn.code
+        val = {n: _subset(frame.carrier, preimage(code, s.mask)) for n, s in self.valuation}
         return UpdateResult(
             events=ev,
             updated=KripkeModel.make(frame, val),
@@ -461,11 +458,9 @@ class _Evaluator:
         hit = model._updates.get(extent.mask)
         if hit is None:
             frame, incl = subframe(model.frame, extent, tag="!")
-            # the inclusion's rows pick each kept world's bit out of a valuation
-            rows = incl.fn.rows
-            val = {
-                n: _subset(frame.carrier, exists_image(rows, s.mask)) for n, s in model.valuation
-            }
+            # a kept world satisfies an atom when it did before
+            code = incl.fn.code
+            val = {n: _subset(frame.carrier, preimage(code, s.mask)) for n, s in model.valuation}
             hit = model._updates[extent.mask] = (KripkeModel.make(frame, val), incl)
         return hit
 

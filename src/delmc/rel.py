@@ -6,6 +6,16 @@ Boolean matrix, stored as its rows: ``rows[i]`` is an int mask over
 ``cod.elements[j]``.  Composition ORs rows together, the dagger
 transposes, and meet and join act row by row.  The predecessor masks
 (``pred_rows``, the rows of the dagger) are built on first use and kept.
+
+So, for a function, is its byte code (``code``, see ``function_code``):
+one byte per point, the index of its image, last point first.  From it
+``preimage`` reads the inverse image of a target mask with one
+``bytes.translate`` and one ``int(..., 2)`` per 256 target points, and
+walks no set bit; ``union_of`` over ``pred_rows`` gives the same mask
+one set bit at a time, which is as cheap only for masks of a few bits.
+The lift (in ``frames``), an update's valuation and the dump's name
+order all take their preimages from a code.
+
 Everything is immutable and hashable: equality and the hash read the
 carriers and the rows, and the hash is computed once per value.  Binary
 operations demand exact carrier equality (same name, same element
@@ -47,6 +57,8 @@ from .frozen import Frozen
 
 _FLAG = bytes.maketrans(b"01", b"\x00\x01")
 _DIGIT = bytes.maketrans(b"\x00\x01", b"01")
+_CHUNK = 256  # target points per translation: one byte per point
+_CHUNK_FULL = (1 << _CHUNK) - 1
 
 
 def bit_flags(mask: int) -> bytes:
@@ -62,6 +74,56 @@ def flags_mask(flags: Iterable[bool]) -> int:
     """The mask with bit i set where ``flags[i]`` is true: the inverse of
     ``bit_flags``.  The flags are bools or 0/1 ints, lowest bit first."""
     return int(b"0" + bytes(flags).translate(_DIGIT)[::-1], 2)
+
+
+def function_code(col: Sequence[int], width: int) -> Tuple[bytes, Tuple[int, ...]]:
+    """The byte code of a function, from its index column: the view that
+    ``preimage`` reads.
+
+    ``col[p]`` is the index of point p's image in a target of ``width``
+    points.  The code is one byte per point, the image index modulo 256,
+    last point first; with it comes, per 256-point chunk of the target,
+    the mask of the points whose image lies in that chunk.
+    """
+    if width <= _CHUNK:
+        return bytes(col[::-1]), ((1 << len(col)) - 1,)
+    over = [0] * -(-width // _CHUNK)
+    for p, c in enumerate(col):
+        over[c >> 8] |= 1 << p
+    return bytes([c & 255 for c in reversed(col)]), tuple(over)
+
+
+def preimage(code: Tuple[bytes, Tuple[int, ...]], mask: int) -> int:
+    """The inverse image of a target mask along a function, given its
+    ``function_code``: the mask of the points whose image is in mask.
+
+    Per chunk of the target, one translation maps each point's byte to
+    the digit of its image in that chunk of the mask, and ``int(..., 2)``
+    reads the digits back as a mask, last point first; the chunk's own
+    points are then kept.  No set bit is walked.
+    """
+    low, over = code
+    acc = 0
+    for points in over:
+        part = mask & _CHUNK_FULL
+        if part and points:
+            acc |= int(low.translate(bin(part)[:1:-1].encode().ljust(_CHUNK, b"0")), 2) & points
+        mask >>= _CHUNK
+    return acc
+
+
+def preimage_flags(code: Tuple[bytes, Tuple[int, ...]], mask: int) -> bytes:
+    """The preimage as flags for ``itertools.compress``, as ``bit_flags``
+    would give them.
+
+    Over a target of at most 256 points the translation's digits, reversed
+    and turned into bytes 0 and 1, are the flags, so no mask is read back;
+    a wider target's chunks are joined through ``preimage``.
+    """
+    low, over = code
+    if len(over) > 1:
+        return bit_flags(preimage(code, mask))
+    return low.translate(bin(mask)[:1:-1].encode().ljust(_CHUNK, b"0"))[::-1].translate(_FLAG)
 
 
 def union_of(masks: Sequence[int], mask: int) -> int:
@@ -227,6 +289,11 @@ class Rel(Frozen):
     def pred_rows(self) -> Tuple[int, ...]:
         """The predecessor masks, over ``dom.index``, in codomain order."""
         return transpose(self.rows, len(self.cod))
+
+    @cached_property
+    def code(self) -> Tuple[bytes, Tuple[int, ...]]:
+        """For a function: its ``function_code``, which ``preimage`` reads."""
+        return function_code([m.bit_length() - 1 for m in self.rows], len(self.cod))
 
     @cached_property
     def pairs(self) -> FrozenSet[Tuple[str, str]]:

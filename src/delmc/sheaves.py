@@ -100,7 +100,7 @@ from .models import (
     _relation_check,
     updated_frame,
 )
-from .powerset import Subset, _subset, exists_image
+from .powerset import Subset, _subset
 from .rel import (
     FiniteSet,
     Rel,
@@ -109,6 +109,7 @@ from .rel import (
     bit_flags,
     compose,
     dagger,
+    preimage,
     union_of,
 )
 
@@ -602,8 +603,8 @@ class SheafModel:
         world_masks = dict(zip(ev.events, extents))
         new_base, (p_x, p_e), world_steps = updated_frame(sheaf.base, ev.frame, world_masks)
         # the individuals over the extent of each event
-        proj_rows = sheaf.proj.fn.rows
-        pulled = {e: exists_image(proj_rows, m) for e, m in world_masks.items()}
+        code = sheaf.proj.fn.code
+        pulled = {e: preimage(code, m) for e, m in world_masks.items()}
         new_total, (p_d, p_de), ind_steps = updated_frame(sheaf.total, ev.frame, pulled)
         parts = {
             0: (image_indices(p_x), image_indices(p_e)),

@@ -5,8 +5,8 @@ formula that does not parse, on `eval`, `update` and `reduce --model`; then
 `reduce` without `--model` in both output forms; then updates and
 fibered powers past the carrier caps and reductions past the size cap;
 then sheaf documents whose function or predicate arguments lie over two
-worlds; then well-formed queries that misuse names; then exit 3 for an
-internal fault.
+worlds; then well-formed queries that misuse names; then event models
+over other agents than the model's; then exit 3 for an internal fault.
 """
 
 import json
@@ -239,13 +239,42 @@ def test_misused_names_exit_2(capsys, tmp_path, case, message):
     assert captured.err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("layer", ["kripke", "sheaf"])
+@pytest.mark.parametrize("command", ["update", "eval", "reduce"])
+def test_event_models_over_other_agents_exit_2(capsys, tmp_path, command, layer):
+    # an event model over agent c, against models over a, b and over a
+    model, agents, formula = {
+        "kripke": (TWO_WORLDS, "['a', 'b']", "[C,e]p"),
+        "sheaf": (TWO_FIBERS, "['a']", "[C,e]Q"),
+    }[layer]
+    events = tmp_path / "over_c.json"
+    events.write_text(json.dumps({
+        "format_version": 1, "kind": "event-model", "name": "C", "events": ["e"],
+        "agents": ["c"], "relations": {"c": [["e", "e"]]}, "preconditions": {"e": "true"},
+    }), encoding="utf-8")
+    argv, what = {
+        "update": (["update", model, str(events)], f"{events}: the event model"),
+        "eval": (["eval", model, formula, "--events", str(events)], "event model 'C'"),
+        "reduce": (["reduce", formula, "--model", model, "--events", str(events)], "event model 'C'"),
+    }[command]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: {what} is over agents ['c'], the model over {agents}; "
+        "an update needs the same agents, in the same order\n"
+    )
+
+
 def test_internal_fault_exits_3(capsys, monkeypatch):
     # A planted fault stands in for a broken invariant.  Bad data does not
     # get this far: the loader and the parser reject it with SchemaError or
-    # ParseError (exit 2), the kernel's own results lie in their carriers by
-    # construction, and well-formed queries that misuse names (a quantifier
-    # that shadows its context, event models whose preconditions refer to
-    # each other) raise ShadowedVariable or CyclicPrecondition, which exit 2.
+    # ParseError (exit 2), an event model over other agents than the model's
+    # is refused before any update (exit 2), the kernel's own results lie in
+    # their carriers by construction, and well-formed queries that misuse
+    # names (a quantifier that shadows its context, event models whose
+    # preconditions refer to each other) raise ShadowedVariable or
+    # CyclicPrecondition, which exit 2.
     def broken(*args, **kwargs):
         raise InvariantViolation("planted fault")
 

@@ -92,6 +92,25 @@ def test_update_out_file_loads_back(capsys, tmp_path, layer):
 
 
 @pytest.mark.parametrize("layer", sorted(PAIRS))
+def test_an_update_with_no_world_writes_a_model_that_loads_back(capsys, tmp_path, layer):
+    # every precondition false: the updated model has no world, no individual
+    model_path, events_path = PAIRS[layer]
+    with open(events_path, encoding="utf-8") as handle:
+        events = json.load(handle)
+    events["preconditions"] = {e: "false" for e in events["events"]}
+    nowhere, out = tmp_path / "nowhere.json", tmp_path / "updated.json"
+    nowhere.write_text(json.dumps(events), encoding="utf-8")
+    assert main(["update", model_path, str(nowhere), "--out", str(out)]) == 0
+    doc = json.loads(out.read_text(encoding="utf-8"))
+    assert doc["worlds"] == []
+    assert dump_model(load_model(doc), name=doc.get("name")) == doc
+    capsys.readouterr()
+    formula = "p" if layer == "kripke" else "ctx x | P(x)"
+    assert main(["eval", str(out), formula]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "extension (0 of 0): (empty)"
+
+
+@pytest.mark.parametrize("layer", sorted(PAIRS))
 def test_update_dot_file_is_a_digraph(capsys, tmp_path, layer):
     dot = tmp_path / "updated.dot"
     assert main(["update", *PAIRS[layer], "--dot", str(dot), "--format", "json"]) == 0

@@ -4,7 +4,7 @@ The law suites draw models of at most five worlds and bases of at most
 three.  These tests run the same answers, one fixed seed per layer, on
 larger inputs where the pointwise oracles still finish in a second or
 two: product update and evaluation with event operators on Kripke
-models, pullback update (re-proved by ``check_pullback_update``) and
+models, a product update of 300 worlds, pullback update (re-proved by ``check_pullback_update``) and
 evaluation in context on sheaf models, and a dump/load round trip of a
 generated 400-world model.
 """
@@ -76,6 +76,26 @@ def test_kripke_layer_matches_oracle_at_scale():
         phi = random_formula(rng, ("p", "q"), ("a", "b"), depth=3, event_refs=refs)
         assert extension(model, phi, registry).members == oracle.extension(om, phi, oreg)
         checked += has_event_operator(phi)
+
+
+def test_product_update_past_one_chunk_matches_oracle():
+    # 300 old worlds: each lift's first column, and the valuation's
+    # preimage along p_x, take the route for targets past 256 points
+    rng = random.Random(20253)
+    model = random_model(rng, 300, AB)
+    ev = random_event_model(rng, 3, AB, ("p", "q"))
+    om, oev = oracle.from_model(model), oracle.from_event_model(ev)
+
+    upd = product_update(model, ev)
+    want = oracle.product(om, oev, {})
+    assert len(upd.updated.frame.carrier) > 256
+    assert list(upd.updated.frame.carrier) == [pair(w, e) for (w, e) in want["worlds"]]
+    for ag in AB:
+        assert upd.updated.frame.rel(ag).pairs == {
+            (pair(*x), pair(*y)) for (x, y) in want["rel"][ag]
+        }
+    for p in model.atoms:
+        assert upd.updated.val(p).members == {pair(*x) for x in want["val"][p]}
 
 
 def test_sheaf_layer_matches_oracle_at_scale():

@@ -12,6 +12,7 @@ from conftest import ACROSS_WORLDS
 from delmc import (
     AgentSet,
     EventModel,
+    FiniteSet,
     KripkeModel,
     SchemaError,
     SheafModel,
@@ -33,6 +34,7 @@ from delmc.generators import (
     random_sheaf,
     random_sheaf_model,
 )
+from delmc.modelio import _dump_frame
 
 AB = AgentSet(("a", "b"))
 
@@ -141,6 +143,21 @@ def test_dump_writes_pairs_in_name_order(seed):
     assert list(sheaf_model.sheaf.total.carrier) != sorted(sheaf_model.sheaf.total.carrier)
 
 
+@pytest.mark.parametrize("size", [1, 255, 256, 257, 513])
+def test_dump_frame_lists_the_sorted_pairs(size):
+    # shuffled names, so that name order is not carrier order; the name
+    # permutation's code has one chunk up to 256 names and more past it
+    rng = random.Random(size)
+    names = [f"w{i}" for i in range(size)]
+    rng.shuffle(names)
+    carrier = FiniteSet("W", names)
+    frame = random_frame(rng, carrier, AB, density=min(0.5, 8 / size))
+    assert size == 1 or names != sorted(names)
+    dumped = _dump_frame(frame)
+    for a in AB:
+        assert dumped[a] == sorted([w, v] for w, v in frame.rel(a).pairs)
+
+
 def test_dump_file_load_file(tmp_path):
     _, model = load_file("tests/data/two_worlds.json")
     out = tmp_path / "copy.json"
@@ -208,6 +225,10 @@ def test_event_schema_errors():
     with pytest.raises(SchemaError) as exc:
         load_model(broken(doc, lambda d: d["preconditions"].update(ep="ctx x | P(x)")))
     assert "sentence" in str(exc.value)
+    with pytest.raises(SchemaError) as exc:
+        no_events = {"events": [], "preconditions": {}, "relations": {"a": [], "b": []}}
+        load_model(broken(doc, lambda d: d.update(no_events)))
+    assert "event-model.events: must not be empty" in str(exc.value)
 
 
 def test_sheaf_schema_errors():

@@ -1,6 +1,8 @@
 """Relation algebra: category laws, dagger structure, lattice ops, tabulation."""
 
 import dataclasses
+import random
+from itertools import compress
 
 import pytest
 from hypothesis import given
@@ -33,6 +35,7 @@ from delmc import (
     tabulate,
     total,
 )
+from delmc.rel import function_code, preimage, preimage_flags, union_of
 
 AB = FiniteSet("ab", ("a1", "a2"))
 CD = FiniteSet("cd", ("c1", "c2", "c3"))
@@ -208,3 +211,25 @@ def test_apply_function_rejects_non_function_point():
     g = Rel(AB, CD, [("a1", "c1"), ("a1", "c2"), ("a2", "c3")])
     with pytest.raises(NotAFunction):
         apply_function(g, "a1")
+
+
+@pytest.mark.parametrize("size", [0, 3, 300])
+@pytest.mark.parametrize("width", [1, 255, 256, 257, 513])
+def test_preimage_is_the_union_of_predecessors(width, size):
+    # targets on both sides of the 256-point chunk, domains from empty to
+    # past a chunk; masks: empty, full, random, and bits at the chunk edges
+    rng = random.Random(width * 1000 + size)
+    dom = FiniteSet("D", [f"d{i}" for i in range(size)])
+    cod = FiniteSet("C", [f"c{j}" for j in range(width)])
+    col = [rng.randrange(width) for _ in range(size)]
+    if size and width > 256:
+        col[-1] = width - 1  # a point over the last chunk
+    f = Rel.from_rows(dom, cod, [1 << c for c in col])
+    assert f.code == function_code(col, width)
+    edges = [1 << j for j in (0, 254, 255, 256, 257, 511, 512) if j < width]
+    masks = [0, cod.full, *edges, *(rng.getrandbits(width) for _ in range(20))]
+    masks += [sum(1 << j for j in rng.sample(range(width), min(width, 3))) for _ in range(20)]
+    for m in masks:
+        want = union_of(f.pred_rows, m)
+        assert preimage(f.code, m) == want
+        assert list(compress(dom.elements, preimage_flags(f.code, m))) == dom.names(want)
