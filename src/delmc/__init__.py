@@ -100,7 +100,6 @@ from .frames import (
     AgentSet,
     FrameMap,
     KripkeFrame,
-    check_pullback_preserves_bounded,
     common_knowledge_relation,
     frame_map,
     identity_map,

@@ -104,15 +104,15 @@ def _load_registry(specs: Sequence[str]) -> Dict[str, EventModel]:
 def _check_agents(
     model, registry: Mapping[str, EventModel], *named: Tuple[str, EventModel]
 ) -> None:
-    """Every event model, registered or named, lists the model's agents in
-    the same order: an update lifts the two frames over one agent set."""
+    """Every event model, registered or named, names the model's agents,
+    in any order: an update lifts the two frames over one agent set."""
     frame = model.frame if isinstance(model, KripkeModel) else model.sheaf.base
     registered = ((f"event model {key!r}", ev) for key, ev in registry.items())
     for what, ev in [*named, *registered]:
-        if ev.frame.agents != frame.agents:
+        if not ev.frame.agents.same_names(frame.agents):
             raise _CliUserError(
                 f"{what} is over agents {list(ev.frame.agents)}, the model over "
-                f"{list(frame.agents)}; an update needs the same agents, in the same order"
+                f"{list(frame.agents)}; an update needs the same agents"
             )
 
 

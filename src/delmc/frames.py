@@ -92,6 +92,10 @@ class AgentSet(Frozen):
     def __contains__(self, a: object) -> bool:
         return a in self.agents
 
+    def same_names(self, other: "AgentSet") -> bool:
+        """The same agents by name, in any order: relations are read by name."""
+        return self.agents == other.agents or set(self.agents) == set(other.agents)
+
 
 @dataclass(init=False, repr=False, eq=False)
 class KripkeFrame(Frozen):
@@ -176,7 +180,7 @@ class FrameMap(Frozen):
     def __post_init__(self):
         if self.fn.dom != self.src.carrier or self.fn.cod != self.dst.carrier:
             raise CarrierMismatch("frame map carriers do not match its frames")
-        if self.src.agents != self.dst.agents:
+        if not self.src.agents.same_names(self.dst.agents):
             raise AgentMismatch("frame map endpoints carry different agent sets")
         if not is_function_pointwise(self.fn):
             raise NotAFunction("frame map underlying relation is not a function")
@@ -238,12 +242,12 @@ def _lift(
 
     ``cols[k][p]`` is the index, in ``targets[k]``'s carrier, of point p's
     k-th coordinate, and ``codes[k]`` is the same column as a
-    ``function_code``.  The agent check and each column's image, the
-    target points some point lies over, are computed here; each agent's
-    relation is left to ``_lift_rel``, which the frame calls on the
-    agent's first read.
+    ``function_code``.  The agent check (by name; the lift keeps the order
+    of ``agents``) and each column's image, the target points some point
+    lies over, are computed here; each agent's relation is left to
+    ``_lift_rel``, which the frame calls on the agent's first read.
     """
-    if any(t.agents != agents for t in targets):
+    if not all(agents.same_names(t.agents) for t in targets):
         raise AgentMismatch("initial lift: the frames carry different agent sets")
     columns = tuple((t, col, code, set(col)) for t, col, code in zip(targets, cols, codes))
     build = partial(_lift_rel, carrier, columns)
@@ -450,12 +454,6 @@ def pullback(f: FrameMap, g: FrameMap) -> Tuple[KripkeFrame, FrameMap, FrameMap]
         f"({y.carrier.name}x[{f.dst.carrier.name}]{z.carrier.name})", y, z, fibered_pairs(f, g)
     )
     return frame, proj1, proj2
-
-
-def check_pullback_preserves_bounded(f: FrameMap, g: FrameMap) -> bool:
-    """With f monotone and g bounded, the pullback of g along f is bounded."""
-    _, p, _ = pullback(f, g)
-    return is_bounded(p)
 
 
 def is_bisimulation(f1: KripkeFrame, f2: KripkeFrame, r: Rel) -> bool:

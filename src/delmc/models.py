@@ -93,7 +93,7 @@ from .powerset import (
     forall_map,
     preimage_map,
 )
-from .rel import FiniteSet, Rel, _rel, compose, dagger, pair_label, preimage, union_of
+from .rel import FiniteSet, Rel, _rel, compose, dagger, pair_label, preimage
 
 
 @dataclass(init=False, repr=False, eq=False)
@@ -316,10 +316,10 @@ class _Evaluator:
 
     In a nonempty context (sheaf models only) a node is computed over its
     own free variables, kept in context order, and memoised under that
-    context; its extension over the context asked for is the pullback
-    along the coordinate projection, asked for only after that extension,
-    so no power is built before a node needs it.  A quantifier whose
-    variable is not free in its body gives back the body's extension: the
+    context; its extension over the context asked for is the preimage
+    along the coordinate projection's code (``rel.preimage``), asked for
+    only after that extension, so no power is built before a node needs
+    it.  A quantifier whose variable is not free in its body gives back the body's extension: the
     projection is onto, since every fiber is nonempty.  So a formula
     builds the power of only the variables it uses.  A binder that shadows
     a variable of the context raises ShadowedVariable before the context
@@ -332,9 +332,8 @@ class _Evaluator:
     - ``leaf(context, phi)``: the extension of an atom or predicate, as a
       Subset;
     - ``projection(context, own)``: the coordinate projection from the
-      context's points onto those of its subsequence ``own``, which
-      weakening pulls back along and quantifiers take images along
-      (sheaves only);
+      context's points onto those of its subsequence ``own``: weakening
+      reads its ``code``, quantifiers its ``pred_rows`` (sheaves only);
     - ``sentence(pre, e)``: event e's precondition as this layer reads it;
     - ``build_update(ev, extents)``: the update by an event model, given
       each event's precondition extent as a mask;
@@ -405,7 +404,7 @@ class _Evaluator:
             own = self.own_context(context, phi)
             if own is not context:
                 inner = self.mask(model, own, phi)  # before the projection builds a power
-                return union_of(model.projection(context, own).pred_rows, inner)
+                return preimage(model.projection(context, own).code, inner)
         n = len(context)
         if isinstance(phi, Top):
             return model.context_frame(n).carrier.full

@@ -11,10 +11,10 @@ So, for a function, is its byte code (``code``, see ``function_code``):
 one byte per point, the index of its image, last point first.  From it
 ``preimage`` reads the inverse image of a target mask with one
 ``bytes.translate`` and one ``int(..., 2)`` per 256 target points, and
-walks no set bit; ``union_of`` over ``pred_rows`` gives the same mask
-one set bit at a time, which is as cheap only for masks of a few bits.
-The lift (in ``frames``), an update's valuation and the dump's name
-order all take their preimages from a code.
+walks no set bit.  It is the one inverse image along a function: the
+lift (in ``frames``), updated valuations and predicates, the dump's
+name order, and the sheaf layer's weakening, predicate leaves and
+function-table checks read it; ``union_of`` is the OR of rows.
 
 Everything is immutable and hashable: equality and the hash read the
 carriers and the rows, and the hash is computed once per value.  Binary

@@ -13,13 +13,16 @@ which serves both layers; a sheaf model supplies its per-layer part: the
 frame of each context's fibered power, predicate leaves and term values,
 the coordinate projections between powers, and its pullback update.  One
 kept projection (``SheafModel.projection``) serves weakening and the
-quantifiers, which are the two adjoints of pulling back along it.  A
-subformula is computed over the power of its own free variables, kept in
-context order, and pulled back to the context asked for; a quantifier
-takes its image along the projection dropping its variable.  So a
-formula builds the power of only the variables that it uses, and
-contexts that differ only in names share one projection.  Fibered
-powers depend only on the sheaf, which builds each one once
+quantifiers, which are the two adjoints of pulling back along it.
+Every mask is pulled back along a function by ``rel.preimage`` on its
+code: weakening along a projection, a predicate along its argument
+points or an update's point map, and the monotonicity check along a
+function table.  A subformula is computed over the power of its own
+free variables, kept in context order, and pulled back to the context
+asked for; a quantifier takes its image along the projection dropping
+its variable.  So a formula builds the power of only the variables that
+it uses, and contexts that differ only in names share one projection.
+Fibered powers depend only on the sheaf, which builds each one once
 (``KripkeSheaf.power``, which ``fibered_power`` returns), and raises
 CapExceeded before building one of more than ``MAX_POWER_CARRIER``
 points; pullback updates are kept on the sheaf model they update, by the
@@ -109,6 +112,7 @@ from .rel import (
     bit_flags,
     compose,
     dagger,
+    function_code,
     preimage,
     union_of,
 )
@@ -362,17 +366,6 @@ class FiberedPower(Frozen):
         return self.proj_to_base.dst.carrier.elements[self.worlds[self.carrier.index[label]]]
 
 
-def _pulled(mask: int, points: Sequence[int]) -> int:
-    """The positions k whose points[k] lies in mask, as a mask: the inverse
-    image of mask along k -> points[k]."""
-    out, bit = 0, 1
-    for p in points:
-        if mask >> p & 1:
-            out |= bit
-        bit <<= 1
-    return out
-
-
 # The largest fibered power a sheaf builds.  A context of n variables needs
 # the n-th power, whose size grows as the n-th power of the fibers; past this
 # size fibered_power raises CapExceeded instead of exhausting memory.
@@ -442,14 +435,14 @@ def _function_fault(
         if not m or m & (m - 1):
             return NotAFunction(f"interpretation of {name!r} is not a function at {lbl!r}")
     values = image_indices(fm)
-    over = fm.fn.pred_rows  # the points with each value
+    code = fm.fn.code
     for a in fm.src.agents:
         # monotone (``is_monotone``, read from the target side): a point's
         # successors take values among its value's successors.  Each target
-        # row is pulled back once, to the points whose values it holds, so
-        # a source row costs one AND and the first bad point is named; the
-        # tests name the same point from the composite ``compose(R, f)``
-        allowed = [union_of(over, step) for step in fm.dst.rel(a).rows]
+        # row is pulled back once along the code, to the points whose values
+        # it holds, so a source row costs one AND and the first bad point is
+        # named; the tests name the same point from ``compose(R, f)``
+        allowed = [preimage(code, step) for step in fm.dst.rel(a).rows]
         for lbl, row, v in zip(labels, fm.src.rel(a).rows, values):
             if row & ~allowed[v]:
                 return NotMonotone(
@@ -560,26 +553,27 @@ class SheafModel:
             )
         if not context and not arity:
             return self.rel_interp_map[phi.name]  # the empty context's points are the worlds
-        # arity 0: the points whose world lies in the extension
-        mask = _pulled(self.rel_interp_map[phi.name].mask, self.arg_points(context, phi.args))
+        # the preimage along the argument points (arity 0: the worlds)
+        code = function_code(self.arg_points(context, phi.args), len(self.power(arity).carrier))
+        mask = preimage(code, self.rel_interp_map[phi.name].mask)
         return _subset(self.power(len(context)).carrier, mask)
 
     def projection(self, context: Tuple[str, ...], own: Tuple[str, ...]) -> Rel:
         """The coordinate projection from the power of ``context`` onto the
-        power of ``own``, a subsequence of it, as a function relation.
+        power of ``own``, a subsequence of it: the map that the variables
+        of ``own`` induce, as a function relation that keeps its
+        ``function_code``, so weakening's preimage builds no transpose.
         Built on first use and kept by the context's length and the
         positions kept, so it is shared across variable names."""
-        kept = tuple(map(context.index, own))
-        key = (len(context), kept)
+        key = (len(context), tuple(map(context.index, own)))
         hit = self._projections.get(key)
         if hit is None:
-            upper = self.power(len(context))
-            lower = self.power(len(own))
-            coords = (tuple(map(c.__getitem__, kept)) for c in upper.coords)
-            points = lower.points(upper.worlds, coords)
+            lower = self.power(len(own)).carrier
+            points = self.arg_points(context, tuple(map(Var, own)))
             hit = self._projections[key] = _rel(
-                upper.carrier, lower.carrier, [1 << p for p in points]
+                self.power(len(context)).carrier, lower, [1 << p for p in points]
             )
+            hit.__dict__["code"] = function_code(points, len(lower))
         return hit
 
     def transition(self, upd: "SheafUpdate", n: int, e: str) -> Rel:
@@ -635,8 +629,9 @@ class SheafModel:
         rel_interp: Dict[str, Subset] = {}
         for name, arity in self.signature.relation_symbols:
             old_points, _ = _updated_parts(parts, arity, sheaf, new_sheaf)
+            code = function_code(old_points, len(sheaf.power(arity).carrier))
             rel_interp[name] = _subset(
-                new_sheaf.power(arity).carrier, _pulled(self.rel_interp_map[name].mask, old_points)
+                new_sheaf.power(arity).carrier, preimage(code, self.rel_interp_map[name].mask)
             )
         updated = _unchecked(
             SheafModel,
@@ -825,12 +820,13 @@ def _substitution_routes(
 
     carrier = model.power(len(out_context)).carrier
     points = model.arg_points(out_context, [t.term for t in terms])
+    code = function_code(points, len(model.power(len(phi.context)).carrier))
 
     checks: List[LawCheck] = []
     for name, wrapped in wrappers:
         substituted = substitute(wrapped, mapping)
         direct = evaluator.mask(model, out_context, substituted)
-        pulled = _pulled(evaluator.mask(model, phi.context, wrapped), points)
+        pulled = preimage(code, evaluator.mask(model, phi.context, wrapped))
         if direct == pulled:
             checks.append(LawCheck(name, True))
         else:

@@ -262,7 +262,7 @@ def test_event_models_over_other_agents_exit_2(capsys, tmp_path, command, layer)
     assert captured.out == ""
     assert captured.err == (
         f"error: {what} is over agents ['c'], the model over {agents}; "
-        "an update needs the same agents, in the same order\n"
+        "an update needs the same agents\n"
     )
 
 

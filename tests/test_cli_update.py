@@ -140,3 +140,46 @@ def test_update_by_a_kripke_model_exits_2(capsys):
     assert captured.out == ""
     assert captured.err.startswith("error: ")
     assert "expected an event-model document" in captured.err
+
+
+def _two_agent_pair(tmp_path, layer, agents):
+    """The layer's model and event model over agents a and b, the event
+    model listing them in the order given."""
+    model_path, events_path = PAIRS[layer]
+    with open(events_path, encoding="utf-8") as handle:
+        events = json.load(handle)
+    if layer == "sheaf":  # two_fibers and fo_event are over a alone: add b
+        with open(model_path, encoding="utf-8") as handle:
+            model = json.load(handle)
+        model["agents"] = ["a", "b"]
+        model["relations"]["b"] = [["w1", "w1"], ["w2", "w2"]]
+        model["domain_relation"]["b"] = [["d1", "d1"], ["d2", "d2"], ["d3", "d3"]]
+        model_path = tmp_path / "two_agents.json"
+        model_path.write_text(json.dumps(model), encoding="utf-8")
+        events["relations"]["b"] = [["e1", "e1"], ["e2", "e2"], ["e2", "e1"]]
+    events["agents"] = agents
+    written = tmp_path / f"events_{''.join(agents)}.json"
+    written.write_text(json.dumps(events), encoding="utf-8")
+    return str(model_path), str(written)
+
+
+@pytest.mark.parametrize("layer", sorted(PAIRS))
+def test_event_models_match_agents_by_name(capsys, tmp_path, layer):
+    # the event model's agents written b, a: the same update as a, b
+    formula = {
+        "kripke": "[F,ep][a]p & <F,et><b>p",
+        "sheaf": "ctx x | [E,e2]<b>P(x) | <E,e1><a>P(f(x))",
+    }[layer]
+    docs, extensions = [], []
+    for agents in (["a", "b"], ["b", "a"]):
+        model_path, events_path = _two_agent_pair(tmp_path, layer, agents)
+        out = tmp_path / f"updated_{''.join(agents)}.json"
+        assert main(["update", model_path, events_path, "--out", str(out)]) == 0
+        docs.append(json.loads(out.read_text(encoding="utf-8")))
+        capsys.readouterr()
+        assert main(["eval", model_path, formula, "--events", events_path]) == 0
+        extensions.append(capsys.readouterr().out.splitlines()[-1])
+    assert docs[0]["agents"] == ["a", "b"]
+    assert docs[1] == docs[0]
+    assert extensions[1] == extensions[0]
+    assert not extensions[0].startswith("extension (0 of")

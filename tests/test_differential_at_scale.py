@@ -5,8 +5,9 @@ three.  These tests run the same answers, one fixed seed per layer, on
 larger inputs where the pointwise oracles still finish in a second or
 two: product update and evaluation with event operators on Kripke
 models, a product update of 300 worlds, pullback update (re-proved by ``check_pullback_update``) and
-evaluation in context on sheaf models, and a dump/load round trip of a
-generated 400-world model.
+evaluation in context on sheaf models, evaluation in context on a sheaf
+whose binary power has more than 256 points, and a dump/load round trip
+of a generated 400-world model.
 """
 
 import random
@@ -15,11 +16,15 @@ import fo_oracle
 import oracle
 from delmc import (
     AgentSet,
+    And,
     DelBox,
     DelDia,
+    Exists,
     FiniteSet,
     FormulaInContext,
     KripkeModel,
+    Pred,
+    Var,
     check_pullback_update,
     dump_model,
     extension,
@@ -131,6 +136,31 @@ def test_sheaf_layer_matches_oracle_at_scale():
             assert {(power.world_of(lbl), power.tuple_of(lbl)) for lbl in got.members} == (
                 fo_oracle.tuple_extension(o, context, phi, {"E": oev})
             )
+
+
+def test_sheaf_layer_past_one_chunk_matches_oracle():
+    # fibers of 11, 5 and 11 individuals: the binary power has 267 points,
+    # so weakening onto it, its predicate leaves and the updated R2 all
+    # take preimages into a target past 256 points
+    rng = random.Random(10)
+    base = random_frame(rng, random_carrier(rng, 3, prefix="w"), AB)
+    model = random_sheaf_model(rng, random_sheaf(rng, base, max_fiber=12))
+    ev = random_fo_event_model(rng, model, 2)
+    o, oev = fo_oracle.from_sheaf_model(model), fo_oracle.from_event_model(ev)
+    assert len(model.power(2).carrier) > 256
+
+    x, y, z, u = map(Var, "xyzu")
+    cases = [
+        (("x", "y", "z"), And(Pred("R2", (x, y)), Pred("P1", (z,)))),
+        (("x", "z"), Exists("u", And(Pred("R2", (x, u)), Pred("R2", (u, z))))),
+    ]
+    cases += [(("x", "y"), DelBox("E", e, Pred("R2", (x, y)))) for e in ev.events]
+    for context, phi in cases:
+        power = model.power(len(context))
+        got = interp_formula(model, FormulaInContext(context, phi), {"E": ev})
+        assert {(power.world_of(lbl), power.tuple_of(lbl)) for lbl in got.members} == (
+            fo_oracle.tuple_extension(o, context, phi, {"E": oev})
+        )
 
 
 def test_load_dump_round_trip_at_400_worlds():

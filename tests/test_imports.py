@@ -48,7 +48,6 @@ Subset Tabulation Term TermInContext Top UnknownAgent UnknownAtom UnknownEvent U
 UnknownSymbol UnresolvedEventModel UpdateResult Var VariableCapture all_subsets apply apply_function
 as_sentence beck_chevalley_equation check_adjunction check_beck_chevalley
 check_biduality_laws check_diagonal_characterization check_modularity
-check_pullback_preserves_bounded
 check_pullback_update check_substitution_box_commutation check_substitution_functoriality
 check_transition_commutation check_update_routes closure_reflexive_transitive
 common_knowledge_relation compose compose_maps dagger dump_file dump_model empty

@@ -246,6 +246,16 @@ def test_weakening_and_quantifiers_share_one_projection():
     assert list(model._projections) == [(2, (0,))]
 
 
+def test_weakening_builds_no_transpose():
+    # weakening reads the projection's byte code; only a quantifier's
+    # image along it reads its predecessor rows
+    model = random_small_model(random.Random(5))
+    phi = parse_formula("ctx u, v | P1(u)")
+    want = fo_oracle.tuple_extension(fo_oracle.from_sheaf_model(model), phi.context, phi.body)
+    assert tuple_form(model.power(2), interp_formula(model, phi)) == want
+    assert "pred_rows" not in model._projections[(2, (0,))].__dict__
+
+
 @settings(max_examples=30)
 @given(st.integers(min_value=0, max_value=2 ** 32 - 1))
 def test_dynamic_preconditions_match_oracle(seed):
