@@ -69,7 +69,7 @@ import json
 from itertools import compress
 from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
 
-from .errors import SchemaError
+from .errors import ParseError, SchemaError
 from .formulas import Formula, FormulaInContext, as_sentence, first_order_node
 from .frames import AgentSet, KripkeFrame, FrameMap, frame_map
 from .models import EventModel, KripkeModel
@@ -187,7 +187,10 @@ def _load_kripke(doc: Mapping[str, Any]) -> KripkeModel:
 def _parse_precondition(text: Any, where: str) -> Formula:
     if not isinstance(text, str):
         raise SchemaError(f"{where}: precondition must be a formula string")
-    parsed = parse_formula(text)
+    try:
+        parsed = parse_formula(text)
+    except ParseError as exc:
+        raise SchemaError(f"{where}: {exc}") from None
     if isinstance(parsed, FormulaInContext):
         if parsed.context:
             raise SchemaError(f"{where}: precondition must be a sentence, not open in {parsed.context}")

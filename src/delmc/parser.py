@@ -1,4 +1,4 @@
-"""Concrete syntax for formulas: a tokenizer, a parser, and a printer.
+"""Concrete syntax for formulas: one scan, one pass, and a printer.
 
 Two entry modes share one grammar.  Plain mode reads a propositional
 modal formula whose leaves are atoms; context mode is selected by a
@@ -14,6 +14,19 @@ right as possible.
     [E,e]p                  event box for event e of model E
     ctx x | forall y. R(x, y) -> P(f(x))
 
+Text becomes a checked formula in one scan and one pass.  The scan is one
+compiled-regex ``findall`` that yields the token texts; a token's kind is
+its text (a word that is no keyword is an identifier), and the distinct
+words are checked for one that starts with neither a letter nor "_", or a
+character that no token may hold.  Nothing records positions: a line and
+column are computed from the text only when an error is raised.  The pass
+is a recursive descent that builds the nodes and, while it builds them,
+notes the first repeated context variable, the first variable that is
+neither in the context nor bound, and the first event operator whose model
+the registry lacks, each by its token; these are raised, in that order,
+once the text has parsed.  So a formula in context is built trusted, and
+nothing walks the tree after the parse.
+
 The printer emits the minimal parenthesisation that reads back to the
 same tree, so parsing a printed formula is the identity.
 """
@@ -21,7 +34,7 @@ same tree, so parsing a printed formula is the identity.
 from __future__ import annotations
 
 import re
-from typing import List, Mapping, NamedTuple, Optional, Tuple, Union
+from typing import List, Mapping, Optional, Tuple, Union
 
 from .errors import ParseError
 from .formulas import (
@@ -46,8 +59,8 @@ from .formulas import (
     Term,
     Top,
     Var,
-    children,
 )
+from .rel import _unchecked
 
 MAX_NESTING = 100
 """Deepest nesting of a formula: each operand of a prefix operator, group in
@@ -55,239 +68,235 @@ parentheses, right side of an implication, later operand of an ``&`` or
 ``|`` chain and function argument list is one level.  The parser, the
 evaluator and the printer all recurse that deep."""
 
-_KEYWORDS = {word: word.upper() for word in ("true", "false", "forall", "exists", "ctx")}
-_SYMBOLS = {
-    "->": "ARROW",
-    "~": "TILDE",
-    "&": "AMP",
-    "|": "BAR",
-    "(": "LPAREN",
-    ")": "RPAREN",
-    "[": "LBRACK",
-    "]": "RBRACK",
-    "<": "LANGLE",
-    ">": "RANGLE",
-    ",": "COMMA",
-    ".": "DOT",
-    "!": "BANG",
-}
+# A token is a word (``\w`` is exactly ``str.isalnum`` or "_"), "->" or any
+# other character but a blank or a line break; a word must start with a
+# letter or "_", and no other character may stand alone but the symbols.
+_SCAN = re.compile(r"\w+|->|[^ \t\r\n]")
+# Every token text that is not an identifier; "" stands for the end of input.
+_RESERVED = frozenset(["->", *"~&|()[]<>,.!", "true", "false", "forall", "exists", "ctx", ""])
 
-# One token after any blanks: a word (``\w`` is exactly ``str.isalnum`` or
-# "_"), a symbol, a line break or any other character, which is an error.
-# Blanks up to the end match no group, so trailing blanks are read once.
-_TOKEN = re.compile(
-    r"[ \t\r]*(?:(?P<word>\w+)|(?P<symbol>->|[~&|()\[\]<>,.!])|(?P<newline>\n)|(?P<other>.)|\Z)",
-    re.DOTALL,
-)
-
-
-# Each opening bracket: its closer (token kind and text) and the
+# Each opening bracket: its closer, the closer as an error names it, and the
 # announcement, event and modal nodes it builds.
 _BRACKETS = {
-    "LBRACK": ("RBRACK", "']'", PalBox, DelBox, Box),
-    "LANGLE": ("RANGLE", "'>'", PalDia, DelDia, Dia),
+    "[": ("]", "']'", PalBox, DelBox, Box),
+    "<": (">", "'>'", PalDia, DelDia, Dia),
 }
 
 
-class _Token(NamedTuple):
-    kind: str
-    text: str
-    line: int
-    column: int
+def _token_position(text: str, i: int) -> Tuple[int, int]:
+    """Line and column of token ``i`` of the scan, found by scanning again
+    (the end of input is the token past the last).  A column counts
+    characters from its line's start, and only a line feed breaks a line."""
+    starts = [m.start() for m in _SCAN.finditer(text)]
+    pos = starts[i] if i < len(starts) else len(text)
+    return text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos)
 
 
-def _tokenize(text: str) -> List[_Token]:
-    out: List[_Token] = []
-    line, line_start = 1, 0  # a column counts characters from its line's start
-    for m in _TOKEN.finditer(text):
-        group = m.lastgroup
-        if group is None:  # blanks up to the end
-            break
-        tok = m[group]
-        col = m.start(group) - line_start + 1
-        if group == "word" and (tok[0].isalpha() or tok[0] == "_"):
-            out.append(_Token(_KEYWORDS.get(tok, "IDENT"), tok, line, col))
-        elif group == "symbol":
-            out.append(_Token(_SYMBOLS[tok], tok, line, col))
-        elif group == "newline":
-            line += 1
-            line_start = m.end()
-        else:  # a stray character, or a word that starts with neither a letter nor "_"
-            ch = tok[0]
-            raise ParseError(f"unexpected character {ch!r}", line, col, expected=None, found=ch)
-    out.append(_Token("EOF", "", line, len(text) - line_start + 1))
-    return out
+def _scan(text: str) -> List[str]:
+    """The token texts, then "" for the end of input."""
+    tokens = _SCAN.findall(text)
+    stray = [t for t in set(tokens).difference(_RESERVED) if not (t[0].isalpha() or t[0] == "_")]
+    if stray:  # a character no token may hold, or the first of a word that starts wrong
+        i = min(map(tokens.index, stray))
+        ch = tokens[i][0]
+        raise ParseError(f"unexpected character {ch!r}", *_token_position(text, i), found=ch)
+    tokens.append("")
+    return tokens
 
 
-class _Parser:
-    """Recursive descent over the token list; one instance per parse."""
+class _Pass:
+    """One pass over one text's tokens: the recursive descent, each method
+    given the nesting depth of what it reads, with the notes for the
+    checks after it.  ``context`` is None in plain mode."""
 
-    def __init__(self, tokens: List[_Token], in_context: bool):
-        self.tokens = tokens
-        self.pos = 0
-        self.in_context = in_context
-        self.depth = 0
+    __slots__ = ("text", "toks", "i", "context", "bound", "models", "repeated_at", "free_at",
+                 "model_at")
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]  # advance never moves past EOF
+    def __init__(self, text: str, toks: List[str], context, models):
+        self.text, self.toks, self.i = text, toks, 0
+        self.context, self.bound, self.models = context, [], models
+        self.repeated_at = self.free_at = self.model_at = None  # token indexes, noted once
 
-    def advance(self) -> _Token:
-        tok = self.tokens[self.pos]
-        if tok.kind != "EOF":
-            self.pos += 1
-        return tok
+    def error(self, message: str, i: int, expected=None, found=None) -> ParseError:
+        return ParseError(message, *_token_position(self.text, i), expected, found)
 
     def fail(self, expected: str) -> ParseError:
-        tok = self.peek()
-        found = tok.text if tok.kind != "EOF" else "end of input"
-        return ParseError(
-            f"expected {expected}, found {found!r}",
-            tok.line,
-            tok.column,
-            expected=expected,
-            found=found,
-        )
+        found = self.toks[self.i] or "end of input"
+        return self.error(f"expected {expected}, found {found!r}", self.i, expected, found)
 
-    def nested(self, parse):
-        """Run one parse step a level deeper, refusing to pass MAX_NESTING."""
-        self.depth += 1
-        if self.depth > MAX_NESTING:
-            tok = self.peek()
-            raise ParseError(f"nested deeper than {MAX_NESTING} levels", tok.line, tok.column)
-        out = parse()
-        self.depth -= 1
-        return out
+    def deeper(self, d: int) -> int:
+        """Depth ``d``, refused past MAX_NESTING at the token that opens it."""
+        if d > MAX_NESTING:
+            raise self.error(f"nested deeper than {MAX_NESTING} levels", self.i)
+        return d
 
-    def expect(self, kind: str, expected: str) -> _Token:
-        if self.peek().kind != kind:
+    def name(self, expected: str) -> str:
+        t = self.toks[self.i]
+        if t in _RESERVED:
             raise self.fail(expected)
-        return self.advance()
+        self.i += 1
+        return t
 
-    def formula(self) -> Formula:
-        return self.implication()
+    def expect(self, t: str, expected: str) -> None:
+        if self.toks[self.i] != t:
+            raise self.fail(expected)
+        self.i += 1
 
-    def implication(self) -> Formula:
-        left = self.disjunction()
-        if self.peek().kind == "ARROW":
-            self.advance()
-            return Imp(left, self.nested(self.implication))
+    def header(self) -> None:
+        """``ctx x, y |``, read into ``context`` from the token after ``ctx``."""
+        toks, names = self.toks, self.context
+        self.i = 1
+        if toks[1] not in _RESERVED:
+            names.append(self.name("a variable name"))
+            while toks[self.i] == ",":
+                self.i += 1
+                if toks[self.i] in names and self.repeated_at is None:
+                    self.repeated_at = self.i
+                names.append(self.name("a variable name"))
+        self.expect("|", "'|' closing the context header")
+
+    def formula(self, d: int) -> Formula:
+        """An implication: ``|`` chains of ``&`` chains, joined by ``->``;
+        a chain's k-th later operand sits k levels down."""
+        left = self.conjunction(d)
+        toks, k = self.toks, d
+        while toks[self.i] == "|":
+            self.i += 1
+            k += 1
+            left = Or(left, self.conjunction(self.deeper(k)))
+        if toks[self.i] == "->":
+            self.i += 1
+            return Imp(left, self.formula(self.deeper(d + 1)))
         return left
 
-    def disjunction(self) -> Formula:
-        left = self.conjunction()
-        start = self.depth
-        while self.peek().kind == "BAR":
-            self.advance()
-            left = Or(left, self.nested(self.conjunction))
-            self.depth += 1  # the chain's tree grows one level per operand
-        self.depth = start
+    def conjunction(self, d: int) -> Formula:
+        left = self.unary(d)
+        toks, k = self.toks, d
+        while toks[self.i] == "&":
+            self.i += 1
+            k += 1
+            left = And(left, self.unary(self.deeper(k)))
         return left
 
-    def conjunction(self) -> Formula:
-        left = self.unary()
-        start = self.depth
-        while self.peek().kind == "AMP":
-            self.advance()
-            left = And(left, self.nested(self.unary))
-            self.depth += 1
-        self.depth = start
-        return left
-
-    def unary(self) -> Formula:
-        tok = self.peek()
-        if tok.kind == "TILDE":
-            self.advance()
-            return Not(self.nested(self.unary))
-        if tok.kind in _BRACKETS:
-            return self.bracket()
-        if tok.kind in ("FORALL", "EXISTS"):
-            return self.quantifier()
-        return self.atom()
-
-    def bracket(self) -> Formula:
-        """A box or diamond, read from ``[`` or ``<``: announcement, event or modal."""
-        closer, closer_text, pal, event, modal = _BRACKETS[self.advance().kind]
-        if self.peek().kind == "BANG":
-            if self.in_context:
-                raise self.fail("an agent or event pair (announcements are propositional)")
-            self.advance()
-            sigma = self.nested(self.formula)
-            self.expect(closer, closer_text)
-            return pal(sigma, self.nested(self.unary))
-        name = self.expect("IDENT", "an agent, or an event-model name").text
-        if self.peek().kind == "COMMA":
-            self.advance()
-            ev = self.expect("IDENT", "an event name").text
-            self.expect(closer, closer_text)
-            return event(name, ev, self.nested(self.unary))
-        self.expect(closer, closer_text)
-        return modal(name, self.nested(self.unary))
-
-    def quantifier(self) -> Formula:
-        tok = self.advance()
-        if not self.in_context:
-            raise ParseError(
-                "quantifiers need a context header such as 'ctx x |'",
-                tok.line,
-                tok.column,
-                expected="a propositional formula",
-                found=tok.text,
-            )
-        var = self.expect("IDENT", "a variable name").text
-        self.expect("DOT", "'.'")
-        body = self.nested(self.formula)
-        return Forall(var, body) if tok.kind == "FORALL" else Exists(var, body)
-
-    def atom(self) -> Formula:
-        tok = self.peek()
-        if tok.kind == "TRUE":
-            self.advance()
-            return Top()
-        if tok.kind == "FALSE":
-            self.advance()
-            return Bot()
-        if tok.kind == "LPAREN":
-            self.advance()
-            inner = self.nested(self.formula)
-            self.expect("RPAREN", "')'")
+    def unary(self, d: int) -> Formula:
+        toks, i = self.toks, self.i
+        t = toks[i]
+        if t not in _RESERVED:  # an atom, or a predicate
+            if toks[i + 1] != "(":
+                self.i = i + 1
+                return Atom(t) if self.context is None else Pred(t, ())
+            if self.context is None:
+                raise self.error(
+                    "predicates need a context header such as 'ctx x |'",
+                    i, "a propositional atom", t,
+                )
+            self.i = i + 2
+            args = self.terms(d)
+            self.expect(")", "')'")
+            return Pred(t, args)
+        if t == "(":
+            self.i = i + 1
+            inner = self.formula(self.deeper(d + 1))
+            self.expect(")", "')'")
             return inner
-        if tok.kind == "IDENT":
-            name = self.advance().text
-            if self.peek().kind == "LPAREN":
-                if not self.in_context:
-                    raise ParseError(
-                        "predicates need a context header such as 'ctx x |'",
-                        tok.line,
-                        tok.column,
-                        expected="a propositional atom",
-                        found=name,
-                    )
-                self.advance()
-                args = self.term_list()
-                self.expect("RPAREN", "')'")
-                return Pred(name, tuple(args))
-            if self.in_context:
-                return Pred(name, ())
-            return Atom(name)
+        if t == "~":
+            self.i = i + 1
+            return Not(self.unary(self.deeper(d + 1)))
+        if t in _BRACKETS:
+            return self.bracket(d)
+        if t == "true" or t == "false":
+            self.i = i + 1
+            return Top() if t == "true" else Bot()
+        if t == "forall" or t == "exists":
+            return self.quantifier(d)
         raise self.fail("a formula")
 
-    def term_list(self) -> List[Term]:
-        if self.peek().kind == "RPAREN":
-            return []
-        terms = [self.term()]
-        while self.peek().kind == "COMMA":
-            self.advance()
-            terms.append(self.term())
-        return terms
+    def bracket(self, d: int) -> Formula:
+        """A box or diamond, read from ``[`` or ``<``: announcement, event or modal."""
+        toks = self.toks
+        closer, closer_text, pal, event, modal = _BRACKETS[toks[self.i]]
+        self.i += 1
+        if toks[self.i] == "!":
+            if self.context is not None:
+                raise self.fail("an agent or event pair (announcements are propositional)")
+            self.i += 1
+            sigma = self.formula(self.deeper(d + 1))
+            self.expect(closer, closer_text)
+            return pal(sigma, self.unary(self.deeper(d + 1)))
+        at = self.i
+        name = self.name("an agent, or an event-model name")
+        if toks[self.i] == ",":
+            self.i += 1
+            ev = self.name("an event name")
+            self.expect(closer, closer_text)
+            models = self.models
+            if models is not None and self.model_at is None and name not in models:
+                self.model_at = at
+            return event(name, ev, self.unary(self.deeper(d + 1)))
+        self.expect(closer, closer_text)
+        return modal(name, self.unary(self.deeper(d + 1)))
 
-    def term(self) -> Term:
-        name = self.expect("IDENT", "a term").text
-        if self.peek().kind == "LPAREN":
-            self.advance()
-            args = self.nested(self.term_list)
-            self.expect("RPAREN", "')'")
-            return Fun(name, tuple(args))
+    def quantifier(self, d: int) -> Formula:
+        word = self.toks[self.i]
+        if self.context is None:
+            raise self.error(
+                "quantifiers need a context header such as 'ctx x |'",
+                self.i, "a propositional formula", word,
+            )
+        self.i += 1
+        var = self.name("a variable name")
+        self.expect(".", "'.'")
+        self.bound.append(var)
+        body = self.formula(self.deeper(d + 1))
+        self.bound.pop()
+        return Forall(var, body) if word == "forall" else Exists(var, body)
+
+    def terms(self, d: int) -> Tuple[Term, ...]:
+        """A term list up to its ``)``, each function's arguments one level down."""
+        toks = self.toks
+        if toks[self.i] == ")":
+            return ()
+        out = [self.term(d)]
+        while toks[self.i] == ",":
+            self.i += 1
+            out.append(self.term(d))
+        return tuple(out)
+
+    def term(self, d: int) -> Term:
+        at = self.i
+        name = self.name("a term")
+        if self.toks[self.i] == "(":
+            self.i += 1
+            args = self.terms(self.deeper(d + 1))
+            self.expect(")", "')'")
+            return Fun(name, args)
+        if (self.free_at is None and self.context is not None
+                and name not in self.context and name not in self.bound):
+            self.free_at = at
         return Var(name)
+
+    def end(self) -> None:
+        """The end of input, then the notes' errors in the order they are checked."""
+        if self.toks[self.i]:
+            raise self.fail("end of input")
+        at = self.repeated_at
+        if at is not None:
+            raise self.error(
+                f"context variable {self.toks[at]!r} is repeated",
+                at, "distinct context variables", self.toks[at],
+            )
+        at = self.free_at
+        if at is not None:
+            raise self.error(
+                f"variable {self.toks[at]!r} is neither in the context nor bound",
+                at, "a variable in the context header or bound by a quantifier", self.toks[at],
+            )
+        at, models = self.model_at, self.models
+        if at is not None:
+            raise self.error(
+                f"unknown event model {self.toks[at]!r}",
+                at, "one of " + ", ".join(sorted(models)), self.toks[at],
+            )
 
 
 def parse_formula(
@@ -298,62 +307,27 @@ def parse_formula(
 
     With ``event_models`` given, every event operator's model name must be
     one of its keys; without it, names are left to be resolved at
-    evaluation time.
+    evaluation time.  A context's variables must be distinct, and every
+    variable must be in the context or bound.
     """
-    tokens = _tokenize(text)
-    if tokens[0].kind == "CTX":
-        parser = _Parser(tokens, in_context=True)
-        parser.advance()
-        names: List[str] = []
-        if parser.peek().kind == "IDENT":
-            names.append(parser.advance().text)
-            while parser.peek().kind == "COMMA":
-                parser.advance()
-                names.append(parser.expect("IDENT", "a variable name").text)
-        parser.expect("BAR", "'|' closing the context header")
-        body = parser.formula()
-        tok = parser.peek()
-        if tok.kind != "EOF":
-            raise parser.fail("end of input")
-        result: Union[Formula, FormulaInContext] = FormulaInContext(tuple(names), body)
-        _check_event_refs(body, event_models, tokens)
-        return result
-    parser = _Parser(tokens, in_context=False)
-    body = parser.formula()
-    if parser.peek().kind != "EOF":
-        raise parser.fail("end of input")
-    _check_event_refs(body, event_models, tokens)
-    return body
-
-
-def _check_event_refs(phi: Formula, event_models, tokens: List[_Token]) -> None:
-    if event_models is None:
-        return
-    stack = [phi]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, (DelBox, DelDia)) and node.model not in event_models:
-            tok = next(
-                (t for t in tokens if t.kind == "IDENT" and t.text == node.model),
-                tokens[-1],
-            )
-            raise ParseError(
-                f"unknown event model {node.model!r}",
-                tok.line,
-                tok.column,
-                expected="one of " + ", ".join(sorted(event_models)),
-                found=node.model,
-            )
-        stack.extend(children(node))
+    toks = _scan(text)
+    if toks[0] != "ctx":
+        p = _Pass(text, toks, None, event_models)
+        body = p.formula(0)
+        p.end()
+        return body
+    p = _Pass(text, toks, [], event_models)
+    p.header()
+    body = p.formula(0)
+    p.end()
+    return _unchecked(FormulaInContext, context=tuple(p.context), body=body)
 
 
 def parse_term(text: str) -> Term:
     """Parse a single term: a variable, or a function symbol application."""
-    tokens = _tokenize(text)
-    parser = _Parser(tokens, in_context=True)
-    t = parser.term()
-    if parser.peek().kind != "EOF":
-        raise parser.fail("end of input")
+    p = _Pass(text, _scan(text), None, None)
+    t = p.term(0)
+    p.end()
     return t
 
 

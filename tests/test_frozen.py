@@ -46,9 +46,9 @@ from delmc import (
 from delmc.frozen import Frozen
 from delmc.powerset import BidualityReport
 
-# The classes that keep a method compiled from source text, as CHANGES.md
-# lists them: NamedTuple evaluates the token's __new__ from a string.
-KEPT = {"delmc.parser._Token"}
+# The classes that keep a method compiled from source text: none, since the
+# parser's scan builds no token objects.
+KEPT = set()
 
 P, Q, X = Atom("p"), Atom("q"), Var("x")
 

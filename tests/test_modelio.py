@@ -231,6 +231,20 @@ def test_event_schema_errors():
     assert "event-model.events: must not be empty" in str(exc.value)
 
 
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("p & ", "expected a formula, found 'end of input' (line 1, column 5)"),
+        ("ctx | P(y)", "variable 'y' is neither in the context nor bound (line 1, column 9)"),
+    ],
+)
+def test_precondition_parse_errors_name_their_event(text, message):
+    doc = broken(event_doc(), lambda d: d["preconditions"].update(ep=text))
+    with pytest.raises(SchemaError) as exc:
+        load_model(doc)
+    assert str(exc.value) == f"event-model.preconditions.ep: {message}"
+
 def test_sheaf_schema_errors():
     doc = sheaf_doc()
     with pytest.raises(SchemaError) as exc:

@@ -3,11 +3,13 @@
 import random
 import re
 import sys
+from unittest import mock
 
 import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
+import reference_parser as ref
 import strategies as strat
 from delmc import (
     AgentSet,
@@ -15,6 +17,8 @@ from delmc import (
     Atom,
     Box,
     DelBox,
+    DelDia,
+    DelmcError,
     Dia,
     Exists,
     Forall,
@@ -33,7 +37,8 @@ from delmc import (
     parse_term,
     print_formula,
 )
-from delmc.parser import MAX_NESTING, _tokenize
+from delmc.formulas import children
+from delmc.parser import MAX_NESTING, _scan, _token_position
 from delmc.generators import (
     random_carrier,
     random_fo_event_model,
@@ -155,6 +160,65 @@ def test_event_model_names_validated_when_registry_given(private_announcement_ev
     assert parse_formula("[G,ep]p") == DelBox("G", "ep", P)
 
 
+# (text, column) of an unknown event model: the model name of the leftmost
+# operator whose model the registry lacks, not an earlier identifier that
+# shares the name (an atom, an agent, a predicate)
+UNKNOWN_MODELS = [("E & [E,e]q", 6), ("[E]p & [E,e]q", 9), ("ctx x | E(x) & [E,e]P(x)", 17)]
+
+
+@pytest.mark.parametrize("text, column", UNKNOWN_MODELS)
+def test_unknown_event_model_is_reported_at_its_operator(text, column):
+    with pytest.raises(ParseError) as exc:
+        parse_formula(text, event_models={"F": None})
+    err = exc.value
+    assert (err.args[0], err.line, err.column, err.expected, err.found) == (
+        "unknown event model 'E'", 1, column, "one of F", "E")
+
+
+# header faults are positioned parse errors at the offending token
+HEADER_ERRORS = {
+    "ctx x | P(y)": (
+        "variable 'y' is neither in the context nor bound", 1, 11,
+        "a variable in the context header or bound by a quantifier", "y",
+    ),
+    "ctx x | (forall y. P(y)) &\n Q(y)": (
+        "variable 'y' is neither in the context nor bound", 2, 4,
+        "a variable in the context header or bound by a quantifier", "y",
+    ),
+    "ctx x, x | P(x)": ("context variable 'x' is repeated", 1, 8, "distinct context variables", "x"),
+    "ctx x, y, y, x | P(z)": (
+        "context variable 'y' is repeated", 1, 11, "distinct context variables", "y",
+    ),
+}
+
+
+@pytest.mark.parametrize("text", sorted(HEADER_ERRORS))
+def test_header_errors_are_positioned_parse_errors(text):
+    with pytest.raises(ParseError) as exc:
+        parse_formula(text)
+    err = exc.value
+    assert (err.args[0], err.line, err.column, err.expected, err.found) == HEADER_ERRORS[text]
+
+
+def test_shadowing_is_left_to_evaluation():
+    phi = parse_formula("ctx x | forall x. P(x)")
+    assert phi == FormulaInContext(("x",), Forall("x", Pred("P", (Var("x"),))))
+
+
+def test_parsed_formula_in_context_is_built_with_no_walk(monkeypatch):
+    # the checks happen while the tree is built; nothing walks it afterwards
+    import delmc.formulas
+
+    def walked(*args):
+        raise AssertionError("the parse walked the tree")
+
+    monkeypatch.setattr(delmc.formulas, "children", walked)
+    monkeypatch.setattr(delmc.formulas, "free_vars", walked)
+    text = "ctx x | forall u. [E,e1](R2(x, f(u)) -> <a>~P1(x)) | [b]Q"
+    phi = parse_formula(text, event_models={"E": None})
+    assert isinstance(phi, FormulaInContext) and phi.context == ("x",)
+    assert print_formula(phi) == text
+
 @given(strat.announcement_formulas())
 def test_round_trip_structured(phi):
     assert parse_formula(print_formula(phi)) == phi
@@ -197,8 +261,11 @@ def test_printer_emits_minimal_parens():
 
 
 # ---------------------------------------------------------------------------
-# The tokenizer against a character-by-character reference: the walk the
-# compiled-regex tokenizer replaced, kept here as the specification.
+# The scan against a character-by-character reference tokenizer: the walk
+# the compiled-regex tokenizer replaced, kept here as the specification.
+# The scan keeps token texts only, so it is compared through a positioned
+# view: each token's kind read off its text, and its line and column as
+# the parser's errors compute them.
 
 _REFERENCE_KEYWORDS = ("true", "false", "forall", "exists", "ctx")
 _REFERENCE_SYMBOLS = {
@@ -249,6 +316,16 @@ def reference_tokenize(text):
     return out
 
 
+def positioned_scan(text):
+    """(kind, text, line, column) per token of the scan, end of input last."""
+    kinds = {**_REFERENCE_SYMBOLS, "->": "ARROW", "": "EOF"}
+    kinds.update((word, word.upper()) for word in _REFERENCE_KEYWORDS)
+    return [
+        (kinds.get(tok, "IDENT"), tok, *_token_position(text, i))
+        for i, tok in enumerate(_scan(text))
+    ]
+
+
 def tokens_or_error(tokenize, text):
     try:
         return [tuple(t) for t in tokenize(text)]
@@ -268,18 +345,18 @@ HOSTILE = [
 
 @pytest.mark.parametrize("text", HOSTILE, ids=range(len(HOSTILE)))
 def test_tokenizer_matches_reference_on_hostile_text(text):
-    assert tokens_or_error(_tokenize, text) == tokens_or_error(reference_tokenize, text)
+    assert tokens_or_error(positioned_scan, text) == tokens_or_error(reference_tokenize, text)
 
 
 def test_tokenizer_error_positions():
     # a word must start with a letter or "_"; lines break at "\n" only
     with pytest.raises(ParseError) as exc:
-        _tokenize("p &\r\n  \u00b2p")
+        _scan("p &\r\n  \u00b2p")
     assert (exc.value.line, exc.value.column, exc.value.found) == (2, 3, "\u00b2")
     with pytest.raises(ParseError) as exc:
-        _tokenize("p\u00a0& q")
+        _scan("p\u00a0& q")
     assert (exc.value.line, exc.value.column, exc.value.found) == (1, 2, "\u00a0")
-    assert [t.text for t in _tokenize("p\u00b2 & q")] == ["p\u00b2", "&", "q", ""]
+    assert _scan("p\u00b2 & q") == ["p\u00b2", "&", "q", ""]
 
 
 _ALPHABET = list("pqxyzPR_019 \t\r\n&|~()[]<>,.!-@") + [
@@ -290,7 +367,7 @@ _ALPHABET = list("pqxyzPR_019 \t\r\n&|~()[]<>,.!-@") + [
 
 @given(st.text(alphabet=_ALPHABET, max_size=40))
 def test_tokenizer_matches_reference_on_random_text(text):
-    assert tokens_or_error(_tokenize, text) == tokens_or_error(reference_tokenize, text)
+    assert tokens_or_error(positioned_scan, text) == tokens_or_error(reference_tokenize, text)
 
 
 @given(st.integers(min_value=0, max_value=2 ** 32 - 1))
@@ -309,7 +386,7 @@ def test_tokenizer_matches_reference_on_formula_texts(seed):
             rng.choice([" ", "\t", "\r\n", "\n  ", "  "]) if ch == " " else ch for ch in text
         )
         for t in (text, spaced):
-            assert tokens_or_error(_tokenize, t) == tokens_or_error(reference_tokenize, t)
+            assert tokens_or_error(positioned_scan, t) == tokens_or_error(reference_tokenize, t)
 
 
 def test_word_pattern_is_isalnum_or_underscore():
@@ -355,3 +432,162 @@ def test_bracket_parse_errors_are_pinned(text):
         parse_formula(text)
     err = exc.value
     assert (err.args[0], err.line, err.column, err.expected, err.found) == BRACKET_ERRORS[text]
+
+
+# ---------------------------------------------------------------------------
+# The parser against the one it replaced (``reference_parser``): the same
+# tree for every text, and the same error, field for field, apart from the
+# three deliberate changes, which are mapped onto the reference's outcome.
+
+
+def outcome(parse, text):
+    """The tree, or an error's type, message, line, column, expected and found."""
+    try:
+        return ("tree", parse(text))
+    except DelmcError as exc:
+        fields = (getattr(exc, f, None) for f in ("line", "column", "expected", "found"))
+        return (type(exc).__name__, exc.args[0], *fields)
+
+
+def _names(phi, scope):
+    """(name, role) for each identifier of a tree in text order; the role of
+    a variable outside scope is "free", of an event operator's model "model"."""
+    if isinstance(phi, Atom):
+        yield phi.name, None
+    elif isinstance(phi, Pred):
+        yield phi.name, None
+        for t in phi.args:
+            yield from _term_names(t, scope)
+    elif isinstance(phi, (Box, Dia)):
+        yield phi.agent, None
+        yield from _names(phi.body, scope)
+    elif isinstance(phi, (DelBox, DelDia)):
+        yield phi.model, "model"
+        yield phi.event, None
+        yield from _names(phi.body, scope)
+    elif isinstance(phi, (Forall, Exists)):
+        yield phi.var, None
+        yield from _names(phi.body, scope | {phi.var})
+    else:
+        for kid in children(phi):
+            yield from _names(kid, scope)
+
+
+def _term_names(t, scope):
+    if isinstance(t, Var):
+        yield t.name, None if t.name in scope else "free"
+        return
+    yield t.name, None
+    for a in t.args:
+        yield from _term_names(a, scope)
+
+
+def reference_outcome(text, registry):
+    """The reference's outcome, with the deliberate changes mapped in: a
+    repeated context variable and a variable outside the context are
+    ParseErrors at their token, not InvariantViolations, and an unknown
+    event model is reported at the leftmost such operator's model name."""
+    got = outcome(lambda t: ref.parse_formula(t, event_models=registry), text)
+    if got[0] != "InvariantViolation" and not str(got[1]).startswith("unknown event model"):
+        return got
+    # the tree the reference checked, with FormulaInContext's checks left out
+    with mock.patch.object(ref, "FormulaInContext", lambda context, body: (context, body)):
+        parsed = ref.parse_formula(text)
+    context, body = parsed if isinstance(parsed, tuple) else ((), parsed)
+    names = [(v, "repeated" if v in context[:k] else None) for k, v in enumerate(context)]
+    names += _names(body, set(context))
+    idents = [t for t in ref._tokenize(text) if t.kind == "IDENT"]
+    assert [t.text for t in idents] == [v for v, _ in names]
+    for role, message, expected in [
+        ("repeated", "context variable {!r} is repeated", "distinct context variables"),
+        ("free", "variable {!r} is neither in the context nor bound",
+         "a variable in the context header or bound by a quantifier"),
+        ("model", "unknown event model {!r}", got[4]),
+    ]:
+        for tok, (v, r) in zip(idents, names):
+            if r == role and (role != "model" or v not in registry):
+                return ("ParseError", message.format(v), tok.line, tok.column, expected, v)
+    raise AssertionError(f"no deliberate change explains {got}")
+
+
+_STRAYS = ["@", "-", "1", "²", "é", " ", "\n", "x", ",", "|", ")", "("]
+
+
+def mutations(rng, text):
+    """The text with one token deleted, duplicated or swapped with the next,
+    or with one character inserted, each at a random place."""
+    spans = [(m.start(m.lastgroup), m.end()) for m in ref._TOKEN.finditer(text) if m.lastgroup]
+    s, e = rng.choice(spans)
+    at = rng.randrange(len(text) + 1)
+    yield text[:s] + text[e:]
+    yield text[:e] + " " + text[s:e] + text[e:]
+    yield text[:at] + rng.choice(_STRAYS) + text[at:]
+    if len(spans) > 1:
+        k = rng.randrange(len(spans) - 1)
+        (s1, e1), (s2, e2) = spans[k], spans[k + 1]
+        yield text[:s1] + text[s2:e2] + text[e1:s2] + text[s1:e1] + text[e2:]
+
+
+# texts the mutations seldom reach: repeated and missing context variables,
+# event models unknown in more than one place, nesting at and past the limit
+HANDWRITTEN = [
+    "ctx x, x | P(x)",
+    "ctx x, y, x | P(y) & Q(z)",
+    "ctx x, y, y, x | P(x)",
+    "ctx x, y, y, x | P(z) & p &",
+    "ctx x | P(y)",
+    "ctx x | forall y. P(y) & Q(z)",
+    "ctx | (forall y. P(y)) & P(y)",
+    "ctx x | exists x. P(x) & R2(x, y)",
+    "E & [E,e]q",
+    "[E]p & [E,e]q",
+    "ctx x | E(x) & [E,e]P(x)",
+    "[F,e]p & [G,e]q",
+    "ctx x | [G,e]P(y)",
+    "[G,e]p &",
+    *(NESTED[shape](n) for shape in sorted(NESTED) for n in (MAX_NESTING, MAX_NESTING + 1)),
+]
+
+
+def differential_texts(seed, n):
+    """Printed random formulas, propositional and in context, and four
+    mutations of each, after the handwritten texts."""
+    yield from HANDWRITTEN
+    rng = random.Random(seed)
+    base = random_frame(rng, random_carrier(rng, 2, prefix="w"), AgentSet(("a", "b")))
+    model = random_sheaf_model(rng, random_sheaf(rng, base, max_fiber=2))
+    refs = [("E", "e1"), ("F", "e2")]
+    for i in range(n):
+        if i % 2:
+            context = tuple(f"x{j}" for j in range(i % 3))
+            phi = FormulaInContext(context, random_fo_formula(
+                rng, model, context, depth=1 + i % 3, event_refs=refs))
+        else:
+            phi = random_formula(rng, ("p", "q"), ("a", "b"), depth=1 + i % 4, event_refs=refs)
+        text = print_formula(phi, full_parens=i % 5 == 0)
+        if i % 7 == 0:
+            text = text.replace(" ", "\n ", 2)
+        yield text
+        yield from mutations(rng, text)
+
+
+REGISTRIES = [None, {"E": None}, {"E": None, "F": None}]
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_parser_matches_reference_parser(seed):
+    kinds = set()
+    for k, text in enumerate(differential_texts(seed, 600)):
+        registry = REGISTRIES[k % len(REGISTRIES)]
+        new = outcome(lambda t: parse_formula(t, event_models=registry), text)
+        assert new == reference_outcome(text, registry), text
+        kinds.add(new[0] if new[0] == "tree" else new[1].split(" ")[0])
+    # trees, syntax errors, strays and every deliberate change all occur
+    assert {"tree", "expected", "unexpected", "nested", "unknown", "variable", "context"} <= kinds
+
+
+def test_parse_term_matches_reference_parser():
+    rng = random.Random(0)
+    terms = ["x", "f(x)", "g(f(x), y)", "c()", "g(c(), f(f(u1)))", "f(" * 101 + "x" + ")" * 101]
+    for text in terms + [m for t in terms for _ in range(20) for m in mutations(rng, t)]:
+        assert outcome(parse_term, text) == outcome(ref.parse_term, text), text
