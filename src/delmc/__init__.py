@@ -183,7 +183,7 @@ from .reduction import (
     verify_pal_reductions,
     verify_quantifier_reduction,
 )
-from .modelio import dump_file, dump_model, load_file, load_model, load_sheaf_frames
+from .modelio import dump_model, load_file, load_model, load_sheaf_frames
 
 __version__ = "0.1.0"
 

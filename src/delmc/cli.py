@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import (
     ArityMismatch,
@@ -31,11 +31,11 @@ from .errors import (
     UnknownSymbol,
     UnresolvedEventModel,
 )
-from .formulas import Formula, FormulaInContext, as_sentence
+from .formulas import Formula, FormulaInContext
 from .frames import KripkeFrame
 from .modelio import dump_model, load_file, load_sheaf_frames
 from .models import EventModel, KripkeModel, extension, product_update
-from .parser import parse_formula, print_formula
+from .parser import parse_formula, parse_sentence, print_formula
 from .reduction import reduce_formula
 from .sheaves import (
     SheafModel,
@@ -116,19 +116,9 @@ def _check_agents(
             )
 
 
-def _parse(text: str, registry: Dict[str, EventModel]):
+def _parse(text: str, registry: Dict[str, EventModel], parse=parse_formula):
     try:
-        return parse_formula(text, event_models=registry)
-    except DelmcError as exc:
-        raise _CliUserError(f"formula: {exc}") from None
-
-
-def _in_context(phi: Union[Formula, FormulaInContext], model) -> FormulaInContext:
-    """Adapt a parsed formula to a sheaf model's first-order layer."""
-    if isinstance(phi, FormulaInContext):
-        return phi
-    try:
-        return as_sentence(phi)
+        return parse(text, event_models=registry)
     except DelmcError as exc:
         raise _CliUserError(f"formula: {exc}") from None
 
@@ -151,9 +141,9 @@ def _cmd_eval(args) -> int:
     if isinstance(model, EventModel):
         raise _CliUserError(f"{args.model}: cannot evaluate on an event model")
     _check_agents(model, registry)
-    phi = _parse(args.formula, registry)
 
     if isinstance(model, KripkeModel):
+        phi = _parse(args.formula, registry)
         if isinstance(phi, FormulaInContext):
             raise _CliUserError(
                 "formula: a context header needs a sheaf model, not a relational one"
@@ -163,7 +153,7 @@ def _cmd_eval(args) -> int:
         context: Tuple[str, ...] = ()
     else:
         assert isinstance(model, SheafModel)
-        fic = _in_context(phi, model)
+        fic = _parse(args.formula, registry, parse_sentence)
         ext = interp_formula(model, fic, registry)
         shown = print_formula(fic)
         context = fic.context

@@ -30,14 +30,16 @@ The loader is where document data is checked, once, and where names
 are resolved.  A relation is stored as successor masks over its
 carrier's index (see ``rel``), and the loader builds them straight from
 the JSON pair lists: one test that every entry is a plain list, then
-one name lookup per name as the rows are built.  A stray name, a bad
-length or an unhashable name falls back to the entry-by-entry walk,
-which words the first bad entry.  The rows then go into the relation
-through the private trusted constructor, with no second check; no set
-of name pairs is built.  A valuation becomes one mask per atom.  In a
-sheaf model, each fibered power that a table needs gets one dict from
-its individuals' names to its points, built from the power's
-coordinates (``FiberedPower.coords``).  Each argument list of a
+one run of equal sources at a time, each target's bit ORed into the
+run's mask and the source looked up once, for one row update.  A dump
+holds one run per source; a source that comes back ORs into its row
+again.  A stray name, a bad length or an unhashable name falls back to
+the entry-by-entry walk, which words the first bad entry.  The rows
+then go into the relation through the private trusted constructor, with
+no second check; no set of name pairs is built.  A valuation becomes one
+mask per atom.  In a sheaf model, each fibered power that a table needs
+gets one dict from its individuals' names to its points, built from the
+power's coordinates (``FiberedPower.coords``).  Each argument list of a
 function map or a predicate extension is then one lookup in it: a list
 of declared names over one world is exactly a key, since the power
 holds every such tuple.  On a miss, ``_entry_point`` words the entry's
@@ -66,6 +68,7 @@ coordinates.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from itertools import compress
 from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
 
@@ -103,15 +106,23 @@ def _string_list(value: Any, where: str) -> List[str]:
 
 
 def _pair_rows(value: Any, carrier: FiniteSet, where: str) -> Tuple[int, ...]:
-    """The successor masks of a relation on carrier given as a JSON pair list."""
+    """The successor masks of a relation on carrier given as a JSON pair
+    list, one source lookup and row update per run of equal sources."""
     if not isinstance(value, list):
         raise SchemaError(f"{where}: expected a list of pairs")
     index, bit = carrier.index, carrier.bit
     rows = [0] * len(carrier)
-    if set(map(type, value)) <= {list}:
-        try:  # plain lists of two declared names, looked up as the rows are built
+    if list(map(type, value)).count(list) == len(value):
+        try:  # plain lists of two declared names, one row update per run of equal sources
+            prev, acc = None, 0
             for w, v in value:
-                rows[index[w]] |= bit[v]
+                if w != prev:
+                    if acc:
+                        rows[index[prev]] |= acc
+                    prev, acc = w, 0
+                acc |= bit[v]
+            if acc:
+                rows[index[prev]] |= acc
             return tuple(rows)
         except (KeyError, ValueError, TypeError):  # a stray, a bad length, an unhashable name
             rows = [0] * len(carrier)
@@ -133,7 +144,8 @@ def _pair_rows(value: Any, carrier: FiniteSet, where: str) -> Tuple[int, ...]:
 def _carrier(doc: Mapping[str, Any], key: str, name: str, where: str) -> FiniteSet:
     elems = _string_list(_require(doc, key, list, where), f"{where}.{key}")
     if len(set(elems)) != len(elems):
-        dup = next(x for x in elems if elems.count(x) > 1)
+        counts = Counter(elems)
+        dup = next(x for x in elems if counts[x] > 1)
         raise SchemaError(f"{where}.{key}: duplicate name {dup!r}")
     return FiniteSet(name, tuple(elems))
 
@@ -514,8 +526,3 @@ def dump_model(model: LoadedModel, name: Optional[str] = None) -> Dict[str, Any]
         return doc
     raise SchemaError(f"cannot dump a {type(model).__name__}")
 
-
-def dump_file(model: LoadedModel, path: str, name: Optional[str] = None) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(dump_model(model, name), handle, indent=2, sort_keys=False)
-        handle.write("\n")

@@ -4,8 +4,9 @@ Two entry modes share one grammar.  Plain mode reads a propositional
 modal formula whose leaves are atoms; context mode is selected by a
 leading ``ctx x, y |`` header and reads a first-order formula whose
 leaves are predicates applied to terms, returning it packaged with its
-context.  Implication binds loosest and associates right, then
-disjunction, then conjunction; negation, the modalities and the
+context; ``parse_sentence`` reads plain text in the empty context, for
+a first-order model.  Implication binds loosest and associates right,
+then disjunction, then conjunction; negation, the modalities and the
 quantifiers bind tightest, with a quantifier's scope extending as far
 right as possible.
 
@@ -321,6 +322,27 @@ def parse_formula(
     body = p.formula(0)
     p.end()
     return _unchecked(FormulaInContext, context=tuple(p.context), body=body)
+
+
+def parse_sentence(
+    text: str,
+    event_models: Optional[Mapping[str, object]] = None,
+) -> FormulaInContext:
+    """Parse a formula for a first-order model: a ``ctx`` header as in
+    ``parse_formula``, and plain text as a sentence, in the empty context.
+
+    Plain text must parse as plain syntax, so quantifiers and predicate
+    applications still need a header.  It is then read again in the empty
+    context, where an atom is a 0-ary predicate (as ``as_sentence`` folds
+    it) and an announcement is refused at its ``!``, as under a header.
+    """
+    phi = parse_formula(text, event_models)
+    if isinstance(phi, FormulaInContext):
+        return phi
+    p = _Pass(text, _scan(text), [], event_models)
+    body = p.formula(0)
+    p.end()
+    return _unchecked(FormulaInContext, context=(), body=body)
 
 
 def parse_term(text: str) -> Term:

@@ -239,6 +239,18 @@ def test_misused_names_exit_2(capsys, tmp_path, case, message):
     assert captured.err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("formula, column", [("[!Q]Q", 2), ("<a>Q & <!Q>Q", 9), ("ctx | [!Q]Q", 8)])
+def test_announcements_on_a_sheaf_model_exit_2(capsys, formula, column):
+    # plain text or under a header, the parser's positioned error
+    assert main(["eval", TWO_FIBERS, formula]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: formula: expected an agent or event pair (announcements are propositional), "
+        f"found '!' (line 1, column {column})\n"
+    )
+
+
 @pytest.mark.parametrize("layer", ["kripke", "sheaf"])
 @pytest.mark.parametrize("command", ["update", "eval", "reduce"])
 def test_event_models_over_other_agents_exit_2(capsys, tmp_path, command, layer):

@@ -50,7 +50,7 @@ as_sentence beck_chevalley_equation check_adjunction check_beck_chevalley
 check_biduality_laws check_diagonal_characterization check_modularity
 check_pullback_update check_substitution_box_commutation check_substitution_functoriality
 check_transition_commutation check_update_routes closure_reflexive_transitive
-common_knowledge_relation compose compose_maps dagger dump_file dump_model empty
+common_knowledge_relation compose compose_maps dagger dump_model empty
 empty_subset exists_image exists_map extension fibered_power first_order_node forall_image
 forall_map frame_map free_vars full_subset function_from_mapping identity identity_map
 initial_lift interp_formula interp_term is_bisimulation is_bounded is_function

@@ -3,6 +3,7 @@
 import copy
 import json
 import random
+import time
 
 import pytest
 from hypothesis import given
@@ -14,9 +15,9 @@ from delmc import (
     EventModel,
     FiniteSet,
     KripkeModel,
+    Rel,
     SchemaError,
     SheafModel,
-    dump_file,
     dump_model,
     is_kripke_sheaf,
     load_file,
@@ -34,7 +35,7 @@ from delmc.generators import (
     random_sheaf,
     random_sheaf_model,
 )
-from delmc.modelio import _dump_frame
+from delmc.modelio import _dump_frame, _pair_rows
 
 AB = AgentSet(("a", "b"))
 
@@ -161,8 +162,7 @@ def test_dump_frame_lists_the_sorted_pairs(size):
 def test_dump_file_load_file(tmp_path):
     _, model = load_file("tests/data/two_worlds.json")
     out = tmp_path / "copy.json"
-    dump_file(model, str(out), "copied")
-    assert json.loads(out.read_text())["name"] == "copied"
+    out.write_text(json.dumps(dump_model(model, "copied"), indent=2), encoding="utf-8")
     name, back = load_file(str(out))
     assert name == "copied"
     assert back == model
@@ -426,13 +426,108 @@ SHAPE = "kripke-model.relations.a: each entry must be a two-element list of stri
         (["w1", 7], SHAPE),
         ([["w1"], "w2"], SHAPE),
         (["w1", "zz"], "kripke-model.relations.a: undeclared name 'zz'"),
+        # inside the last run, whose source is w49
+        (["w49", 7], SHAPE),
+        ([["w49"], "w2"], SHAPE),
+        ({"w49": 1, "w2": 2}, SHAPE),
+        (["w49", "w2", "w3"], SHAPE),
+        (["zz", "w1"], "kripke-model.relations.a: undeclared name 'zz'"),
     ],
-    ids=["string", "dict", "three-elements", "int-name", "nested-list-name", "undeclared"],
+    ids=[
+        "string", "dict", "three-elements", "int-name", "nested-list-name", "undeclared",
+        "last-run-int-name", "last-run-nested-list-source", "last-run-dict",
+        "last-run-three-elements", "undeclared-source",
+    ],
 )
 def test_malformed_entry_after_many_valid_pairs(entry, message):
     with pytest.raises(SchemaError) as exc:
         load_model(_wide_doc([entry]))
     assert str(exc.value) == message
+
+
+def _pair_lists(rng, names):
+    """Pairs over names with duplicates, in one of four layouts: none,
+    grouped by source, shuffled, or grouped runs of one source split and
+    interleaved with the others'."""
+    layout = rng.choice(["empty", "grouped", "shuffled", "interleaved"])
+    if layout == "empty":
+        return []
+    pairs = [[rng.choice(names), rng.choice(names)] for _ in range(rng.randrange(1, 3 * len(names)))]
+    pairs += rng.sample(pairs, rng.randrange(len(pairs) + 1))
+    pairs.sort()
+    if layout == "shuffled":
+        rng.shuffle(pairs)
+    elif layout == "interleaved":
+        cuts = sorted(rng.sample(range(1, len(pairs)), min(len(pairs) - 1, 4))) + [len(pairs)]
+        chunks = [pairs[i:j] for i, j in zip([0] + cuts, cuts)]
+        rng.shuffle(chunks)
+        pairs = [pair for chunk in chunks for pair in chunk]
+    return pairs
+
+
+@given(st.integers(min_value=0, max_value=2 ** 32 - 1))
+def test_pair_lists_in_any_order_load_to_their_rows(seed):
+    rng = random.Random(seed)
+    names = [f"x{i}" for i in range(rng.randrange(1, 31))]
+    rng.shuffle(names)  # carrier order is not name order
+    pairs = _pair_lists(rng, names)
+    carrier = FiniteSet("W", names)
+    expected = Rel(carrier, carrier, map(tuple, pairs)).rows
+    common = {"format_version": 1, "agents": ["a"]}
+    kripke = load_model({
+        **common, "kind": "kripke-model", "worlds": names,
+        "relations": {"a": pairs}, "valuation": {},
+    })
+    events = load_model({
+        **common, "kind": "event-model", "events": names,
+        "relations": {"a": pairs}, "preconditions": {e: "true" for e in names},
+    })
+    total, _, _ = load_sheaf_frames({
+        **common, "kind": "sheaf-model", "worlds": ["w"], "relations": {"a": [["w", "w"]]},
+        "fibers": {"w": names}, "domain_relation": {"a": pairs},
+    })
+    assert kripke.frame.rel("a").rows == expected
+    assert events.frame.rel("a").rows == expected
+    assert total.rel("a").rows == expected
+
+
+def test_pair_rows_look_up_each_run_source_once():
+    class Counting(dict):
+        lookups = 0
+
+        def __getitem__(self, key):
+            self.lookups += 1
+            return super().__getitem__(key)
+
+    names = ("w1", "w2", "w3")
+    carrier = FiniteSet("W", names)
+    index = carrier.__dict__["index"] = Counting(carrier.index)
+    pairs = [["w2", "w1"], ["w2", "w3"], ["w1", "w1"], ["w3", "w3"], ["w3", "w1"], ["w3", "w2"]]
+    rows = _pair_rows(pairs, carrier, "kripke-model.relations.a")
+    assert index.lookups == 3  # three runs of sources: w2, w1, w3
+    assert rows == Rel(FiniteSet("W", names), FiniteSet("W", names), map(tuple, pairs)).rows
+
+
+@pytest.mark.parametrize("kind, key", [
+    ("kripke-model", "worlds"), ("event-model", "events"), ("sheaf-model", "worlds"),
+])
+def test_duplicate_carrier_name_is_found_in_one_pass(kind, key):
+    # the last name twice: found by counting each name once, not by
+    # counting every name in the whole list
+    names = [f"w{i}" for i in range(200_000)]
+    doc = {"format_version": 1, "kind": kind, key: names + [names[-1]]}
+    started = time.perf_counter()
+    with pytest.raises(SchemaError) as exc:
+        load_model(doc)
+    assert time.perf_counter() - started < 1.0
+    assert str(exc.value) == f"{kind}.{key}: duplicate name 'w199999'"
+
+
+def test_duplicate_carrier_name_reported_is_the_first_that_repeats():
+    doc = {"format_version": 1, "kind": "kripke-model", "worlds": ["a", "b", "b", "a"]}
+    with pytest.raises(SchemaError) as exc:
+        load_model(doc)
+    assert str(exc.value) == "kripke-model.worlds: duplicate name 'a'"
 
 
 def test_first_bad_entry_is_the_one_reported():

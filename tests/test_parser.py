@@ -33,12 +33,13 @@ from delmc import (
     Pred,
     Top,
     Var,
+    as_sentence,
     parse_formula,
     parse_term,
     print_formula,
 )
 from delmc.formulas import children
-from delmc.parser import MAX_NESTING, _scan, _token_position
+from delmc.parser import MAX_NESTING, _scan, _token_position, parse_sentence
 from delmc.generators import (
     random_carrier,
     random_fo_event_model,
@@ -234,6 +235,32 @@ def test_round_trip_generated_dynamic(seed):
         printed = print_formula(phi)
         assert parse_formula(printed) == phi
         assert print_formula(parse_formula(printed)) == printed
+
+
+@given(st.integers(min_value=0, max_value=2 ** 32 - 1))
+def test_plain_text_as_a_sentence_is_as_sentence_of_its_parse(seed):
+    rng = random.Random(seed)
+    refs = [("E", "e1"), ("F", "e2")]
+    for _ in range(5):
+        phi = random_formula(rng, ("p", "q"), ("a", "b"), depth=3, event_refs=refs, allow_pal=False)
+        text = print_formula(phi)
+        assert parse_sentence(text) == as_sentence(phi)
+        assert parse_sentence(f"ctx | {text}") == parse_formula(f"ctx | {text}")
+
+
+@pytest.mark.parametrize("text, column", [("[!q]q", 2), ("<a>p & <!q>q", 9), ("ctx | [!q]q", 8)])
+def test_announcement_as_a_sentence_is_a_positioned_parse_error(text, column):
+    with pytest.raises(ParseError) as exc:
+        parse_sentence(text)
+    assert (exc.value.line, exc.value.column) == (1, column)
+    assert exc.value.expected == "an agent or event pair (announcements are propositional)"
+    assert exc.value.found == "!"
+
+
+@pytest.mark.parametrize("text", ["exists x. p", "P(x)"])
+def test_plain_text_as_a_sentence_still_needs_a_header_for_terms(text):
+    with pytest.raises(ParseError, match="need a context header"):
+        parse_sentence(text)
 
 
 @given(st.integers(min_value=0, max_value=2 ** 32 - 1))
